@@ -48,30 +48,34 @@ def merge_edges(*edge_groups, lo: float, hi: float, min_gap: float = 1e-12):
     return np.asarray(keep)
 
 
-def cos_tail(a: float, W: float, power: int) -> float:
+def cos_tail(a, W: float, power: int):
     """Exact tail integral  int_W^inf cos(a*w) / w**power dw  for power in {1, 3, 5}.
 
-    Evaluated through the cosine integral Ci; a may be zero (then the
-    power-1 case diverges and is rejected).
+    Evaluated through the cosine integral Ci and vectorized over a; a may
+    be zero (then the power-1 case diverges and is rejected).  A scalar a
+    gives a scalar, computed without array temporaries, since the
+    asymptotic path calls this for single values.
     """
     if W <= 0:
         raise ValueError("tail cut W must be positive")
-    a = abs(float(a))
-    if power == 1:
-        if a == 0.0:
-            raise ValueError("int_W^inf dw/w diverges")
-        return -float(sici(a * W)[1])
-    if a == 0.0:
-        if power == 3:
-            return 1.0 / (2.0 * W**2)
-        if power == 5:
-            return 1.0 / (4.0 * W**4)
+    if power not in (1, 3, 5):
         raise ValueError(f"unsupported power {power}")
-    ci = float(sici(a * W)[1])
-    c, s = math.cos(a * W), math.sin(a * W)
-    if power == 3:
-        return c / (2 * W**2) - a * s / (2 * W) + 0.5 * a * a * ci
+    scalar = not isinstance(a, np.ndarray)
+    a = abs(float(a)) if scalar else np.abs(a.astype(float))
+    zero = a == 0.0
+    if power == 1:
+        if np.any(zero):
+            raise ValueError("int_W^inf dw/w diverges")
+        out = -sici(a * W)[1]
+        return float(out) if scalar else out
+    at_zero = 1.0 / ((power - 1) * W ** (power - 1))
+    if scalar and zero:
+        return at_zero
+    b = a if scalar else np.where(zero, 1.0, a)
+    cos, sin = (math.cos, math.sin) if scalar else (np.cos, np.sin)
+    ci = sici(b * W)[1]
+    c, s = cos(b * W), sin(b * W)
+    k3 = c / (2 * W**2) - b * s / (2 * W) + 0.5 * b * b * ci
     if power == 5:
-        k3 = c / (2 * W**2) - a * s / (2 * W) + 0.5 * a * a * ci
-        return c / (4 * W**4) - (a / 4.0) * (s / (3 * W**3) + (a / 3.0) * k3)
-    raise ValueError(f"unsupported power {power}")
+        k3 = c / (4 * W**4) - (b / 4.0) * (s / (3 * W**3) + (b / 3.0) * k3)
+    return float(k3) if scalar else np.where(zero, at_zero, k3)

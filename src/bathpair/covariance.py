@@ -22,10 +22,13 @@ Transient state:
     C(t) = G(t) C0 G(t)^T + int domega (S/2) Herm[ h M h^dag ],
     h(omega, t) = int_0^t G(u) e^{i omega u} du,
 
-with h accumulated incrementally over the stored G grid by a Filon rule
-(quadratic interpolation of G per node pair, oscillatory factor exact), so
-a full time series costs one sweep.  Beyond omega_max the integrand is
-replaced by its large-frequency expansion and integrated in closed form.
+with h summed over the stored G grid by a Filon rule (quadratic
+interpolation of G per node pair, oscillatory factor exact).  The noise
+integral is then a quadratic form in the per-pair Filon coefficients whose
+matrix depends only on the lag between pairs, so a full time series costs
+one set of Toeplitz lag kernels (a frequency sum per lag) and one FFT
+convolution per channel.  Beyond omega_max the integrand is replaced by its
+large-frequency expansion and integrated in closed form.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.optimize import brentq
 
 from ._panels import cos_tail, gauss_panels, merge_edges
@@ -345,59 +349,116 @@ def _filon_base(theta: np.ndarray):
     return s0, p1, s2
 
 
-def _sin_tail3(a: float, W: float) -> float:
-    """int_W^inf sin(a w)/w^3 dw via the sine integral (odd in a)."""
-    from scipy.special import sici
-    if a == 0.0:
-        return 0.0
-    sgn = 1.0 if a > 0 else -1.0
-    a = abs(a)
-    si = float(sici(a * W)[0])
-    s, c = math.sin(a * W), math.cos(a * W)
-    val = s / (2 * W**2) + (a / 2.0) * (c / W - a * (math.pi / 2.0 - si))
-    return sgn * val
+def _sin_tail4(a, W: float):
+    """int_W^inf sin(a w)/w^4 dw (odd in a); vectorized over a."""
+    a = np.asarray(a, dtype=float)
+    b = np.abs(a)
+    out = np.sign(a) * (np.sin(b * W) / (3 * W**3) + (b / 3.0) * cos_tail(b, W, 3))
+    return out if out.ndim else float(out)
 
 
-def _sin_tail4(a: float, W: float) -> float:
-    """int_W^inf sin(a w)/w^4 dw (odd in a)."""
-    if a == 0.0:
-        return 0.0
-    sgn = 1.0 if a > 0 else -1.0
-    a = abs(a)
-    k3 = cos_tail(a, W, 3)
-    return sgn * (math.sin(a * W) / (3 * W**3) + (a / 3.0) * k3)
-
-
-def _channel_noise_tail(params: ModelParams, sign: int, W: float, t: float,
-                        g12: float, g22: float, dg12: float, dg22: float):
+def _channel_noise_tail(params: ModelParams, sign: int, W: float, t,
+                        g12, g22, dg12, dg22) -> np.ndarray:
     """Closed-form frequency tail of the transient noise block beyond W.
 
     Built from the by-parts expansion h_col = X/(i omega) + Y/omega^2 of the
     accumulated oscillatory integrals; only even (cos) and odd (sin) tail
-    moments of the weight survive.  Accurate to O(|G'|^2 / W^4).
+    moments of the weight survive.  Accurate to O(|G'|^2 / W^4).  The time
+    and the G samples are arrays over output times; returns (Nt, 2, 2).
     """
     r = params.distance
     w_inf = _tail_prefactor(params)
 
     def cc(a):
-        return (cos_tail(a, W, 3)
-                + sign * 0.5 * (cos_tail(abs(a - r), W, 3) + cos_tail(a + r, W, 3)))
+        return cos_tail(a, W, 3) + sign * 0.5 * (cos_tail(a - r, W, 3) + cos_tail(a + r, W, 3))
 
     def ss(a):
-        return (_sin_tail4(a, W)
-                + sign * 0.5 * (_sin_tail4(a - r, W) + _sin_tail4(a + r, W)))
+        return _sin_tail4(a, W) + sign * 0.5 * (_sin_tail4(a - r, W) + _sin_tail4(a + r, W))
 
-    n11 = w_inf * (g12 * g12 * cc(0.0) - 2.0 * g12 * ss(t))
-    n12 = w_inf * (g12 * g22 * cc(0.0) - g12 * cc(t) + (dg12 - g22) * ss(t))
-    n22 = w_inf * ((1.0 + g22 * g22) * cc(0.0) - 2.0 * g22 * cc(t)
-                   + 2.0 * dg22 * ss(t))
-    return np.array([[n11, n12], [n12, n22]])
+    c_0, c_t, s_t = cc(0.0), cc(t), ss(t)
+    out = np.empty(np.shape(t) + (2, 2))
+    out[..., 0, 0] = w_inf * (g12 * g12 * c_0 - 2.0 * g12 * s_t)
+    out[..., 0, 1] = out[..., 1, 0] = w_inf * (g12 * g22 * c_0 - g12 * c_t
+                                              + (dg12 - g22) * s_t)
+    out[..., 1, 1] = w_inf * ((1.0 + g22 * g22) * c_0 - 2.0 * g22 * c_t
+                              + 2.0 * dg22 * s_t)
+    return out
 
 
-def _series_derivative(series: np.ndarray, h: float) -> np.ndarray:
-    """Centered first derivative of a sampled channel entry; one-sided ends."""
-    d = np.gradient(series, h, edge_order=2)
-    return d
+_NODE_BLOCK = 2048   # frequency nodes per step of the lag-kernel build
+_FINE_LAGS = 64      # lags m = b L + j, L = _FINE_LAGS, share the coarse phase e^{i b L phi}
+
+
+def _lag_kernels(x: np.ndarray, weights: np.ndarray, h: float, n_lags: int) -> np.ndarray:
+    """Toeplitz lag kernels of the Filon noise form, one set per row of ``weights``.
+
+    With phi = 2 omega h and (s0, p1, s2) the Filon moments at omega h,
+    returns (n_rows, 6, n_lags): for lags m < n_lags the sums over nodes
+    of weight * {s0^2, s0 s2, s2^2, p1^2} * cos(m phi) and of
+    weight * {p1 s0, p1 s2} * sin(m phi).  Lag m = b L + j splits its phase
+    as e^{i b L phi} e^{i j phi}: the coarse factor goes with the weights
+    into the left operand and the fine one into the right, so a block of
+    nodes costs one real matrix product and no per-(node, lag)
+    trigonometry, and memory stays flat in the number of nodes.
+    """
+    L = _FINE_LAGS
+    n_rows = weights.shape[0]
+    n_coarse = -(-n_lags // L)
+    coarse = L * np.arange(n_coarse)
+    acc = np.zeros((n_rows * 6 * n_coarse, L))
+    for lo in range(0, x.size, _NODE_BLOCK):
+        xb = x[lo:lo + _NODE_BLOCK]
+        s0, p1, s2 = _filon_base(xb * h)
+        f = (weights[:, None, None, lo:lo + _NODE_BLOCK]    # (rows, 6, 1, n)
+             * np.stack([s0 * s0, s0 * s2, s2 * s2, p1 * p1, p1 * s0, p1 * s2])[:, None])
+        phi = 2.0 * h * xb
+        cc, sc = np.cos(np.outer(coarse, phi)), np.sin(np.outer(coarse, phi))
+        # cos((bL + j) phi) = cc cf - sc sf,  sin((bL + j) phi) = sc cf + cc sf
+        left = np.empty((n_rows, 6, n_coarse, 2, xb.size))
+        left[:, :4, :, 0] = f[:, :4] * cc
+        left[:, :4, :, 1] = -f[:, :4] * sc
+        left[:, 4:, :, 0] = f[:, 4:] * sc
+        left[:, 4:, :, 1] = f[:, 4:] * cc
+        fine = np.outer(phi, np.arange(L))
+        acc += left.reshape(acc.shape[0], -1) @ np.concatenate([np.cos(fine), np.sin(fine)])
+    return acc.reshape(n_rows, 6, n_coarse * L)[..., :n_lags]
+
+
+def _pair_noise(g_cols: np.ndarray, x: np.ndarray, weights: np.ndarray, h: float,
+                n_pairs: int) -> np.ndarray:
+    """Filon-discretized noise blocks N(p), p = 0..n_pairs, of each channel.
+
+    g_cols is (n_ch, 2, N_grid): the (G12, G22) samples of each channel;
+    weights is (n_ch, N_omega): quadrature weight times noise weight.
+    With u_q = h (2 f1, f0 - 2 f1 + f2, f2 - f0) the Filon coefficients of
+    pair q, P(omega, p) = sum_{q<p} e^{i omega (2q+1) h} (u_q . (s0, s2, i p1)),
+    and
+
+        N_ab(p) = sum_omega w Re P_a conj(P_b) = sum_{q,q'<p} u^a_q . K(q - q') u^b_q',
+
+    with K(m) the 3x3 matrix of `_lag_kernels` and K(-m) = K(m)^T.  Its
+    increments N(p+1) - N(p) need only the causal products Z = K * u, one
+    FFT convolution per channel (Hairer, Lubich & Schlichte, SIAM J. Sci.
+    Stat. Comput. 6, 532, 1985).  Returns (n_ch, n_pairs + 1, 2, 2).
+    """
+    n_ch = g_cols.shape[0]
+    out = np.zeros((n_ch, n_pairs + 1, 2, 2))
+    if n_pairs == 0:
+        return out
+    c00, c02, c22, c11, s10, s12 = _lag_kernels(x, weights, h, n_pairs).transpose(1, 0, 2)
+    k = np.stack([np.stack([c00, c02, s10], 1),
+                  np.stack([c02, c22, s12], 1),
+                  np.stack([-s10, -s12, c11], 1)], 1)                # (n_ch, 3, 3, n)
+    f0, f1, f2 = (g_cols[..., i:i + 2 * n_pairs:2] for i in range(3))
+    u = h * np.stack([2.0 * f1, f0 - 2.0 * f1 + f2, f2 - f0], axis=2)  # (n_ch, 2, 3, n)
+    n_fft = fft.next_fast_len(2 * n_pairs - 1, real=True)
+    spec = np.einsum("cijf,cxjf->cxif", fft.rfft(k, n_fft), fft.rfft(u, n_fft))
+    z = fft.irfft(spec, n_fft)[..., :n_pairs]                        # (n_ch, 2, 3, n)
+    uz = np.einsum("cxip,cyip->cxyp", u, z)
+    uku = np.einsum("cxip,cij,cyjp->cxyp", u, k[..., 0], u)       # K(0) is symmetric
+    step = uz + uz.transpose(0, 2, 1, 3) - uku
+    out[:, 1:] = np.cumsum(step, axis=-1).transpose(0, 3, 1, 2)
+    return out
 
 
 def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
@@ -406,9 +467,14 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
                            omega_max: float | None = None) -> list[CovarianceMatrix]:
     """C(t) at the requested times (each must sit on the stored G pair grid).
 
-    One sweep over the Green's function grid serves all requested times;
-    cost is O(N_grid * N_omega).  The physicality of every output is
-    checked (symplectic eigenvalues >= 1 - 1e-4).
+    The noise of all requested times comes from one set of lag kernels and
+    one FFT convolution per channel (`_pair_noise`): O(N_omega * N_pairs)
+    for the kernels plus O(N_pairs log N_pairs).  The default ``omega_max``
+    is the smallest cut whose tail-correction error bound
+    2 w_inf (1 + (1 + K(0))^2) / omega_max^4 meets ``tol`` (K(0) the larger
+    channel kernel at t = 0), and at least 15 max(Omega, 1).  The
+    physicality of every output is checked (symplectic eigenvalues
+    >= 1 - 1e-4).
     """
     if greens.spacing is None:
         raise ValueError("covariance_time_series needs a uniform Green's function grid")
@@ -437,90 +503,43 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
             f"initial covariance unphysical (min symplectic {lam0[0]})")
     cp0, cm0, cx0 = channel_blocks(c0.entries)
 
-    t_max = float(times.max())
     if omega_max is None:
-        w_inf = _tail_prefactor(params)
-        # omega_max large enough that the post-correction tail error is < tol
-        need = (2.0 * w_inf * (1.0 + (1.0 + channel_kernel_zero_max(params)) ** 2)
+        k0 = max(channel_kernel_zero(params, s) for s in (+1, -1))
+        need = (2.0 * _tail_prefactor(params) * (1.0 + (1.0 + k0) ** 2)
                 / max(tol, 1e-12)) ** 0.25
-        omega_max = float(min(max(15.0 * params.omega_cut, 15.0, need),
-                              80.0 * params.omega_cut))
-    x, w = frequency_grid(params, omega_max, t_scale=max(t_max, params.distance))
+        omega_max = float(max(15.0 * params.omega_cut, 15.0, need))
+    pairs, inverse = np.unique(pair_int, return_inverse=True)
+    n_pairs = int(pairs[-1])
+    signs = (+1, -1)
+    series = {s: greens.channel_series[s] for s in signs}
+    noise = np.zeros((2, n_pairs + 1, 2, 2))
+    if n_pairs > 0:
+        x, w = frequency_grid(params, omega_max,
+                              t_scale=max(float(times.max()), params.distance))
+        weights = np.stack([w * _noise_weight(x, params, s) for s in signs])
+        g_cols = np.stack([series[s][:, :, 1].T for s in signs])
+        noise = _pair_noise(g_cols, x, weights, h, n_pairs)
 
-    n_pairs_needed = int(pair_int.max())
-    slots = {}
-    for i, p in enumerate(pair_int):
-        slots.setdefault(int(p), []).append(i)
+    gi = 2 * pairs
+    t_out = grid[gi]
+    blocks = {}
+    for k, s in enumerate(signs):
+        g = series[s][gi]
+        dg = np.gradient(series[s][:, :, 1], h, axis=0, edge_order=2)[gi]
+        tail = _channel_noise_tail(params, s, omega_max, t_out, g[:, 0, 1], g[:, 1, 1],
+                                   dg[:, 0], dg[:, 1])
+        c0_block = cp0 if s > 0 else cm0
+        blocks[s] = g @ c0_block @ g.transpose(0, 2, 1) + noise[k, pairs] + tail
+    cross = series[+1][gi] @ cx0 @ series[-1][gi].transpose(0, 2, 1)
+    c4 = four_by_four(blocks[+1], blocks[-1], cross)
 
-    noise = {+1: {}, -1: {}}
-    for sign in (+1, -1):
-        wv = w * _noise_weight(x, params, sign)
-        series = greens.channel_series[sign]
-        noise[sign] = _stream_channel(series, x, wv, h, n_pairs_needed, slots)
-
-    out: list[CovarianceMatrix | None] = [None] * times.size
-    d12 = {s: _series_derivative(greens.channel_series[s][:, 0, 1], h) for s in (+1, -1)}
-    d22 = {s: _series_derivative(greens.channel_series[s][:, 1, 1], h) for s in (+1, -1)}
-
-    for p, idxs in slots.items():
-        gi = 2 * p
-        t = grid[gi]
-        blocks = {}
-        for sign in (+1, -1):
-            g = greens.channel_series[sign][gi]
-            if p == 0:
-                nmat = np.zeros((2, 2))
-            else:
-                nmat = noise[sign][p] + _channel_noise_tail(
-                    params, sign, omega_max, t,
-                    g[0, 1], g[1, 1], d12[sign][gi], d22[sign][gi])
-            c0_block = cp0 if sign > 0 else cm0
-            blocks[sign] = g @ c0_block @ g.T + nmat
-        cross = greens.channel_series[+1][gi] @ cx0 @ greens.channel_series[-1][gi].T
-        c4 = four_by_four(blocks[+1], blocks[-1], cross)
-        cov = (CovarianceMatrix(entries=c0.entries, time_label=0.0) if p == 0 and t == 0.0
-               else CovarianceMatrix(entries=c4, time_label=float(t)))
+    covs = []
+    for p, t, entries in zip(pairs, t_out, c4):   # pair 0 is t = 0: c0 itself
+        cov = (CovarianceMatrix(entries=c0.entries, time_label=0.0) if p == 0
+               else CovarianceMatrix(entries=entries, time_label=float(t)))
         assert_physical(cov, tol=1e-4)
-        for i in idxs:
-            out[i] = cov
-    return out  # type: ignore[return-value]
-
-
-def channel_kernel_zero_max(params: ModelParams) -> float:
-    return max(channel_kernel_zero(params, +1), channel_kernel_zero(params, -1))
-
-
-def _stream_channel(series: np.ndarray, x: np.ndarray, wv: np.ndarray,
-                    h: float, n_pairs: int, slots: dict):
-    """Sweep the Filon accumulators over the G grid, emitting noise blocks.
-
-    Returns {pair_index: 2x2 noise matrix} for every requested pair > 0.
-    """
-    theta = x * h
-    s0, p1, s2 = _filon_base(theta)
-    step = np.exp(2j * x * h)
-    ph = np.exp(1j * x * h)
-    P1 = np.zeros_like(ph)
-    P2 = np.zeros_like(ph)
-    g12 = series[:, 0, 1]
-    g22 = series[:, 1, 1]
-    out = {}
-    for pair in range(n_pairs):
-        i0 = 2 * pair
-        f0, f1, f2 = g12[i0], g12[i0 + 1], g12[i0 + 2]
-        P1 = P1 + ph * ((h * (2.0 * f1 * s0 + (f0 - 2.0 * f1 + f2) * s2))
-                        + 1j * (h * (f2 - f0)) * p1)
-        f0, f1, f2 = g22[i0], g22[i0 + 1], g22[i0 + 2]
-        P2 = P2 + ph * ((h * (2.0 * f1 * s0 + (f0 - 2.0 * f1 + f2) * s2))
-                        + 1j * (h * (f2 - f0)) * p1)
-        ph = ph * step
-        key = pair + 1
-        if key in slots:
-            n11 = float(wv @ (P1.real**2 + P1.imag**2))
-            n22 = float(wv @ (P2.real**2 + P2.imag**2))
-            n12 = float(wv @ (P1.real * P2.real + P1.imag * P2.imag))
-            out[key] = np.array([[n11, n12], [n12, n22]])
-    return out
+        covs.append(cov)
+    return [covs[i] for i in inverse]
 
 
 def covariance_time(t: float, c0: CovarianceMatrix, greens: GreensFunction,

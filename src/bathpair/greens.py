@@ -11,18 +11,28 @@ u_pm = (Q1 +- Q2)/sqrt(2) with scalar kernels Gamma0^ +- Gammar^; the
 channel resolvents are 2x2 and the 4x4 matrix is reassembled exactly.
 
 Time-domain values come from Durbin's Fourier-series inversion along a
-shifted contour.  Two exponentially damped terms matching the 1/s and
-1/s^2 asymptotics of each entry are subtracted first and inverted in
-closed form; the remaining series then decays like 1/s^3, which is what
-makes G(0) = I reachable at 1e-6 and keeps the periodization error of the
-method negligible (the subtracted parts decay, so no secular growth is
-aliased back in).
+shifted contour.  Exponentially damped terms matching the 1/s, 1/s^2 and
+1/s^3 asymptotics of each entry (with the retarded 1/s^3 image at t = r)
+are subtracted first and inverted in closed form; the remaining series
+then decays faster than 1/s^3, which is what makes G(0) = I reachable at
+1e-6 and keeps the periodization error of the method negligible (the
+subtracted parts decay, so no secular growth is aliased back in).
+
+On a uniform grid t_j = t0 + j h the series is a discrete Fourier
+transform (Dubner & Abate, J. ACM 15, 115, 1968): with the period P
+rounded up so that M = 2P/h is an integer,
+
+    exp(i pi k t_j / P) = exp(i pi k t0 / P) exp(2 pi i k j / M),
+
+so the coefficients fold modulo M and one inverse FFT per entry sums the
+series at every grid point, in O(M log M + n_terms) instead of
+O(n_terms * N_t).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -169,10 +179,17 @@ def greens_laplace(s: complex, params: ModelParams) -> np.ndarray:
 class DurbinSettings:
     """Inversion parameters; defaults follow stability-first conventions.
 
-    The contour sits ``shift_scale / period`` right of the rightmost pole
-    (which is at Re(s) <= 0 for gamma > 0, and exactly 0 for the undamped
-    relative channel at r = 0).  The series is truncated at ``n_terms``
-    with Euler averaging applied to the last ``euler_terms`` terms.
+    The period is ``period_factor * t_max`` (> 2 t_max, as the series
+    representation needs), rounded up so that twice the period is a whole
+    number of grid steps.  The contour sits ``shift_scale / period`` right
+    of the rightmost pole (which is at Re(s) <= 0 for gamma > 0, and
+    exactly 0 for the undamped relative channel at r = 0).  The series
+    keeps ``n_terms`` terms per 60 time units of period, and at least
+    ``n_terms``: its truncation error at early times scales like
+    (period / terms)^3, so the ratio is pinned.  Euler averaging is
+    applied to the last ``euler_terms`` terms; the last ``tail_fraction``
+    of the series is summed apart, and its largest contribution must stay
+    below ``tail_tol``.
     """
 
     n_terms: int = 15000
@@ -181,10 +198,6 @@ class DurbinSettings:
     # comfortably under the G(0) = identity tolerance of 1e-6
     shift_scale: float = 9.0
     damp_shift: float = 1.0      # b in the closed-form subtracted terms
-    # series truncation error grows with the period and falls like 1/t, so
-    # grids reaching past window_cut get their early part from a second,
-    # short-period inversion
-    window_cut: float = 25.0
     euler_terms: int = 32
     tail_fraction: float = 0.1
     tail_tol: float = 1e-5
@@ -193,23 +206,16 @@ class DurbinSettings:
 
 @dataclass(frozen=True)
 class GreensFunction:
-    """G(t) samples plus the Laplace evaluator that produced them."""
+    """G(t) samples on a uniform grid, with the inversion diagnostics."""
 
     time_grid: np.ndarray
     time_values: np.ndarray              # (Nt, 4, 4) real
-    laplace: Callable[[complex], np.ndarray]
     durbin_settings: DurbinSettings
     params: ModelParams
     channel_series: dict = field(repr=False, default_factory=dict)  # sign -> (Nt, 2, 2)
-    spacing: float | None = None         # grid step when uniform, else None
+    spacing: float | None = None         # grid step; None on a one-point grid
     imag_residual: float = 0.0
     tail_contribution: float = 0.0
-
-    def value_at(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.time_grid - t)))
-        if abs(self.time_grid[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t = {t} is not on the stored grid")
-        return self.time_values[idx]
 
 
 def _euler_weights(n_terms: int, euler_terms: int) -> np.ndarray:
@@ -222,35 +228,27 @@ def _euler_weights(n_terms: int, euler_terms: int) -> np.ndarray:
     return w
 
 
-def _durbin_sum(coeff_rows, t, period, shift, weights, tail_start):
-    """Weighted Durbin sums for several coefficient rows sharing one phase set.
+def _durbin_sum(coeff_rows, t0, h, n_t, period, shift, weights, tail_start):
+    """Weighted Durbin sums for several coefficient rows on t_j = t0 + j h.
 
-    coeff_rows: (n_series, K) complex, already including the k = 0 halving.
-    Returns (values (n_series, Nt), tail_max (n_series,)).
+    coeff_rows: (n_series, K) complex, already including the k = 0 halving;
+    2 * period / h must be an integer M > n_t - 1.  Terms k and k + M share
+    their phase on the grid, so each row folds onto M bins and one inverse
+    FFT evaluates it; the terms from ``tail_start`` on are folded apart.
+    Returns (values (n_series, n_t), tail_max (n_series,)).
     """
     n_series, K = coeff_rows.shape
-    t = np.asarray(t, dtype=float)
-    main = np.zeros((n_series, t.size))
-    tail = np.zeros((n_series, t.size))
-    block = 512
-    base = math.pi / period
-    for k0 in range(0, K, block):
-        k1 = min(k0 + block, K)
-        ks = np.arange(k0, k1)
-        phase = np.exp(1j * base * np.outer(ks, t))
-        contrib = (coeff_rows[:, k0:k1] * weights[None, k0:k1]) @ phase
-        if k1 <= tail_start:
-            main += contrib.real
-        elif k0 >= tail_start:
-            tail += contrib.real
-        else:
-            cut = tail_start - k0
-            main += ((coeff_rows[:, k0:k0 + cut] * weights[None, k0:k0 + cut])
-                     @ phase[:cut]).real
-            tail += ((coeff_rows[:, k0 + cut:k1] * weights[None, k0 + cut:k1])
-                     @ phase[cut:]).real
+    M = int(round(2.0 * period / h))
+    k = np.arange(K)
+    c = coeff_rows * (weights * np.exp(1j * (math.pi * t0 / period) * k))[None, :]
+    parts = np.zeros((2, n_series, -(-K // M) * M), dtype=complex)
+    parts[0, :, :tail_start] = c[:, :tail_start]
+    parts[1, :, tail_start:K] = c[:, tail_start:]
+    folded = parts.reshape(2, n_series, -1, M).sum(axis=2)
+    main, tail = (M * np.fft.ifft(folded, axis=-1)[..., :n_t]).real
     # two-sided trapezoid of the Bromwich integral collapses to twice the
     # real part of the half-weighted one-sided sum, i.e. prefactor 1/period
+    t = t0 + h * np.arange(n_t)
     pref = (1.0 / period) * np.exp(shift * t)[None, :]
     return pref * (main + tail), np.max(np.abs(pref * tail), axis=1)
 
@@ -266,15 +264,15 @@ def _reflection_defect(params: ModelParams, s_k: np.ndarray) -> float:
     return defect
 
 
-def _invert_window(t: np.ndarray, period: float, params: ModelParams,
-                   settings: DurbinSettings):
-    """Durbin-invert both channel resolvents at the times ``t``.
+def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams,
+                     settings: DurbinSettings):
+    """Durbin-invert both channel resolvents on the uniform grid ``t``.
 
     Returns ({sign: (Nt, 2, 2)}, tail_max, imag_residual).
     """
     a = settings.rightmost_pole + settings.shift_scale / period
     b = settings.damp_shift
-    K = settings.n_terms
+    K = int(settings.n_terms * max(1.0, period / 60.0))
     k = np.arange(K + 1)
     s_k = a + 1j * math.pi * k / period
 
@@ -308,7 +306,8 @@ def _invert_window(t: np.ndarray, period: float, params: ModelParams,
              + w0 * sub2 - c_g * sub3 - sign * gO2 * sub3_r),  # G21
         ])
         rows[:, 0] *= 0.5    # k = 0 term enters with half weight
-        vals, tails = _durbin_sum(rows, t, period, a, weights, tail_start)
+        vals, tails = _durbin_sum(rows, float(t[0]), h, t.size, period, a,
+                                  weights, tail_start)
         tail_max = max(tail_max, float(np.max(tails)))
 
         ebt = np.exp(-b * t)
@@ -333,58 +332,37 @@ def greens_time(t_grid, params: ModelParams,
                 durbin_settings: DurbinSettings | None = None) -> GreensFunction:
     """Invert the channel resolvents onto ``t_grid`` and assemble G(t).
 
-    ``t_grid`` must be non-negative and strictly increasing.  The Durbin
-    period is period_factor * t_max (> 2 t_max as required for the series
-    representation to be valid on the grid); grids reaching past
-    ``window_cut`` get their early part from a separate short-period pass,
-    since the truncation error of the long-period series concentrates at
-    early times.
+    ``t_grid`` must be non-negative, strictly increasing and uniform (steps
+    equal to a relative 1e-9); the series is summed by FFT on that grid.
+    Raises `DurbinConvergenceError` when the series tail, the reflection
+    residual or, on grids starting at 0, the defect of G(0) = I is out of
+    bounds.
     """
     settings = durbin_settings or DurbinSettings()
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("t_grid must be a non-empty 1-D array")
-    if t[0] < 0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
+    diffs = np.diff(t)
+    if t[0] < 0 or np.any(diffs <= 0):
         raise ValueError("t_grid must be non-negative and strictly increasing")
+    if t.size > 1 and not np.allclose(diffs, diffs[0], rtol=1e-9, atol=1e-12):
+        raise ValueError("t_grid must be uniform: the Durbin series is summed by FFT")
 
     t_max = float(t[-1])
     if t_max == 0.0:
         eye = np.eye(4)[None, :, :].copy()
         return GreensFunction(
-            time_grid=t, time_values=eye,
-            laplace=lambda s: greens_laplace(s, params),
-            durbin_settings=settings, params=params,
+            time_grid=t, time_values=eye, durbin_settings=settings, params=params,
             channel_series={+1: np.eye(2)[None], -1: np.eye(2)[None]},
             spacing=None)
 
     if settings.period_factor <= 2.0:
         raise ValueError("Durbin period must exceed 2 * max(t_grid)")
+    h = (t_max - float(t[0])) / (t.size - 1) if t.size > 1 else t_max
+    # round the period up to a whole number of half grid steps
+    period = 0.5 * h * math.ceil(2.0 * settings.period_factor * t_max / h * (1.0 - 1e-12))
 
-    cut = settings.window_cut
-    pieces = []
-    if t_max > 1.2 * cut and t[0] < cut:
-        i_cut = int(np.searchsorted(t, cut, side="right"))
-        pieces.append((slice(0, i_cut), settings.period_factor * float(t[i_cut - 1])))
-        pieces.append((slice(i_cut, t.size), settings.period_factor * t_max))
-    else:
-        pieces.append((slice(0, t.size), settings.period_factor * t_max))
-
-    channel_series = {+1: np.empty((t.size, 2, 2)), -1: np.empty((t.size, 2, 2))}
-    tail_max = 0.0
-    imag_residual = 0.0
-    for sl, period in pieces:
-        win_settings = settings
-        if sl.start == 0 and period > 60.0:
-            # truncation error at early times scales like (period/n_terms)^3;
-            # windows containing t = 0 keep period/n_terms pinned
-            boosted = min(int(settings.n_terms * period / 60.0), 120000)
-            win_settings = replace(settings, n_terms=boosted)
-        part, tail, imres = _invert_window(t[sl], period, params, win_settings)
-        for sign in (+1, -1):
-            channel_series[sign][sl] = part[sign]
-        tail_max = max(tail_max, tail)
-        imag_residual = max(imag_residual, imres)
-
+    channel_series, tail_max, imag_residual = _invert_channels(t, h, period, params, settings)
     if tail_max > settings.tail_tol:
         raise DurbinConvergenceError(
             f"Durbin tail contributes {tail_max:.3e} > tol {settings.tail_tol:.3e}")
@@ -399,14 +377,7 @@ def greens_time(t_grid, params: ModelParams,
             raise DurbinConvergenceError(
                 f"G(0) deviates from identity by {defect0:.3e} > 1e-6")
 
-    diffs = np.diff(t)
-    spacing = None
-    if t.size > 1 and np.allclose(diffs, diffs[0], rtol=1e-9, atol=1e-12):
-        spacing = float(diffs[0])
-
     return GreensFunction(
-        time_grid=t, time_values=values,
-        laplace=lambda s: greens_laplace(s, params),
-        durbin_settings=settings, params=params,
-        channel_series=channel_series, spacing=spacing,
+        time_grid=t, time_values=values, durbin_settings=settings, params=params,
+        channel_series=channel_series, spacing=h if t.size > 1 else None,
         imag_residual=imag_residual, tail_contribution=tail_max)

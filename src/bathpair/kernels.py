@@ -23,7 +23,6 @@ arguments, so nothing on the covariance path ever samples them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "coth",
     "damping_kernel",
     "damping_kernel_laplace",
-    "NoiseSpectrum",
     "noise_spectrum",
     "noise_kernel_entry",
     "LogDivergentKernelError",
@@ -91,16 +89,6 @@ def damping_kernel_laplace(s, d: float, params: ModelParams):
         lim = lead + corr - lead * eps / (2 * Om)
         val = np.where(near, lim, val)
     return val if val.ndim else complex(val)
-
-
-@dataclass(frozen=True)
-class NoiseSpectrum:
-    """Evaluator for the bath noise spectrum S(omega) at fixed parameters."""
-
-    params: ModelParams
-
-    def __call__(self, omega):
-        return noise_spectrum(omega, self.params)
 
 
 def noise_spectrum(omega, params: ModelParams):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bathpair import covariance
 from bathpair.covariance import (
     CovarianceMatrix,
     TruncationError,
@@ -119,6 +120,9 @@ def test_time_zero_returns_initial_exactly(p, greens_cache):
     c0 = CovarianceMatrix(entries=random_physical_covariance(np.random.default_rng(1)))
     out = covariance_time(0.0, c0, greens_cache, p)
     assert np.array_equal(out.entries, c0.entries)
+    # a series asking only for t = 0 has no Filon pairs to sum
+    out = covariance_time_series(greens_cache, p, [0.0], c0=c0)
+    assert len(out) == 1 and np.array_equal(out[0].entries, c0.entries)
 
 
 def test_time_grid_guards(p, greens_cache):
@@ -306,3 +310,72 @@ def test_frequency_grid_resolves_resonance(p):
     near = np.abs(x - om_res) < 2.0 * gam_eff
     assert np.count_nonzero(near) >= 8
     assert w.sum() == pytest.approx(150.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-pair Filon sweep that the Toeplitz form replaces
+
+
+def _stream_pair_noise(g_cols, x, weights, h, n_pairs):
+    """Reference for `covariance._pair_noise`: accumulate the Filon sums
+    P(omega, p) pair by pair at every node and take sum_omega w |P|^2 at
+    every p.  O(N_pairs * N_omega) work with a per-pair exp-free update."""
+    s0, p1, s2 = covariance._filon_base(x * h)
+    step = np.exp(2j * x * h)
+    out = np.zeros((g_cols.shape[0], n_pairs + 1, 2, 2))
+    for c, (g12, g22) in enumerate(g_cols):
+        wv = weights[c]
+        ph = np.exp(1j * x * h)
+        acc1 = np.zeros_like(ph)
+        acc2 = np.zeros_like(ph)
+        for pair in range(n_pairs):
+            i0 = 2 * pair
+            f0, f1, f2 = g12[i0], g12[i0 + 1], g12[i0 + 2]
+            acc1 = acc1 + ph * ((h * (2.0 * f1 * s0 + (f0 - 2.0 * f1 + f2) * s2))
+                                + 1j * (h * (f2 - f0)) * p1)
+            f0, f1, f2 = g22[i0], g22[i0 + 1], g22[i0 + 2]
+            acc2 = acc2 + ph * ((h * (2.0 * f1 * s0 + (f0 - 2.0 * f1 + f2) * s2))
+                                + 1j * (h * (f2 - f0)) * p1)
+            ph = ph * step
+            n11 = float(wv @ (acc1.real**2 + acc1.imag**2))
+            n22 = float(wv @ (acc2.real**2 + acc2.imag**2))
+            n12 = float(wv @ (acc1.real * acc2.real + acc1.imag * acc2.imag))
+            out[c, pair + 1] = [[n11, n12], [n12, n22]]
+    return out
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.2])
+@pytest.mark.parametrize("distance", [0.0, 0.2])
+def test_toeplitz_noise_matches_filon_stream(monkeypatch, temperature, distance):
+    """Lag kernels plus FFT convolution reproduce the pair-by-pair sweep,
+    with a general initial state and sparse, unordered, repeated outputs."""
+    q = ModelParams(gamma=1.0, omega_cut=10.0, temperature=temperature, distance=distance)
+    g = greens_time(np.linspace(0.0, 3.0, 601), q)
+    c0 = CovarianceMatrix(entries=random_physical_covariance(np.random.default_rng(7)))
+    times = [1.7, 0.0, 0.3, 3.0, 1.7]
+    ours = covariance_time_series(g, q, times, c0=c0)
+    monkeypatch.setattr(covariance, "_pair_noise", _stream_pair_noise)
+    ref = covariance_time_series(g, q, times, c0=c0)
+    for a, b in zip(ours, ref):
+        assert a.time_label == b.time_label
+        assert np.max(np.abs(a.entries - b.entries)) <= 1e-10 * np.max(np.abs(b.entries))
+
+
+def test_default_cut_meets_its_tail_bound(monkeypatch):
+    """At strong damping the default omega_max of the transient path is set
+    by its own tail bound 2 w_inf (1 + (1 + K(0))^2) / omega_max^4 <= tol,
+    not capped below it."""
+    q = ModelParams(gamma=10.0, omega_cut=10.0, temperature=0.0, distance=0.2)
+    cuts = []
+    real = covariance.frequency_grid
+
+    def spy(params, omega_max, **kwargs):
+        cuts.append(omega_max)
+        return real(params, omega_max, **kwargs)
+
+    monkeypatch.setattr(covariance, "frequency_grid", spy)
+    tol = 1e-5
+    covariance_time_series(greens_time(np.linspace(0.0, 6.0, 601), q), q, [6.0], tol=tol)
+    k0 = 2.0 * q.gamma * q.omega_cut * (1.0 + math.exp(-q.omega_cut * q.distance))
+    w_inf = 4.0 * q.gamma * q.omega_cut**2 / (math.pi * q.omega0)
+    assert cuts and 2.0 * w_inf * (1.0 + (1.0 + k0) ** 2) / cuts[0] ** 4 <= tol

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bathpair import greens
 from bathpair.greens import (
     DurbinConvergenceError,
     DurbinSettings,
@@ -221,3 +222,44 @@ def test_four_by_four_round_trip(rng=np.random.default_rng(11)):
     plus, minus, cross = channel_blocks(c)
     back = four_by_four(plus, minus, cross)
     assert np.max(np.abs(back - c)) <= 1e-13
+
+
+def _durbin_sum_dense(coeff_rows, t, period, shift, weights, tail_start):
+    """Reference for `greens._durbin_sum`: the phase matrix summed term by
+    term in blocks, valid on any grid.  O(n_terms * N_t)."""
+    n_series, K = coeff_rows.shape
+    main = np.zeros((n_series, t.size))
+    tail = np.zeros((n_series, t.size))
+    for k0 in range(0, K, 512):
+        ks = np.arange(k0, min(k0 + 512, K))
+        phase = np.exp(1j * (math.pi / period) * np.outer(ks, t))
+        contrib = coeff_rows[:, ks] * weights[None, ks]
+        head = ks < tail_start
+        main += (contrib[:, head] @ phase[head]).real
+        tail += (contrib[:, ~head] @ phase[~head]).real
+    pref = (1.0 / period) * np.exp(shift * t)[None, :]
+    return pref * (main + tail), np.max(np.abs(pref * tail), axis=1)
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.75])
+def test_fft_durbin_sum_matches_dense_sum(p, t0):
+    h, n_t, K = 0.01, 401, 6000
+    period = 0.5 * h * math.ceil(2.0 * 4.0 * (t0 + (n_t - 1) * h) / h)
+    shift = 9.0 / period
+    s_k = shift + 1j * math.pi * np.arange(K) / period
+    rows = np.stack([channel_greens_laplace(s_k, p, sign)[:, i, j]
+                     for sign in (+1, -1) for i, j in ((0, 0), (0, 1), (1, 0))])
+    rows[:, 0] *= 0.5
+    weights = greens._euler_weights(K - 1, 32)
+    tail_start = int(0.9 * K)
+    vals, tails = greens._durbin_sum(rows, t0, h, n_t, period, shift, weights, tail_start)
+    ref_vals, ref_tails = _durbin_sum_dense(rows, t0 + h * np.arange(n_t), period, shift,
+                                            weights, tail_start)
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-10 * np.max(np.abs(ref_vals))
+    assert np.max(np.abs(tails - ref_tails)) <= 1e-10 * np.max(np.abs(ref_vals))
+
+
+def test_greens_time_rejects_non_uniform_grid(p):
+    t = np.concatenate([np.linspace(0.0, 1.0, 101), [1.02, 1.05]])
+    with pytest.raises(ValueError, match="uniform"):
+        greens_time(t, p)
