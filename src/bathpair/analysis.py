@@ -110,7 +110,7 @@ def trace(params: ModelParams, t_max: float, dt: float,
     c0 = c0 if c0 is not None else ground_state_covariance()
     covs = covariance_time_series(greens, params, times, c0=c0, tol=tol,
                                   omega_max=omega_max)
-    values = np.array([log_negativity(c.entries) for c in covs])
+    values = log_negativity(np.stack([c.entries for c in covs]))
     peaks = detect_peaks(times, values)
     try:
         asym = asymptotic_log_negativity(params, c0=c0, strict=False)
@@ -169,7 +169,7 @@ def measured_initial_slope(params: ModelParams, x_lo: float = 1e-3,
     greens = greens_time(grid, params)
     times = np.linspace(t_lo, t_hi, n_points)
     covs = covariance_time_series(greens, params, times, tol=1e-7)
-    values = np.array([log_negativity(c.entries) for c in covs])
+    values = log_negativity(np.stack([c.entries for c in covs]))
     return float(np.polyfit(times, values, 1)[0])
 
 

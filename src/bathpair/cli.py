@@ -233,9 +233,6 @@ def _trace_point(args):
     return tr.times, tr.values, tr.asymptote
 
 
-
-
-
 def run_time_trace(config: RunConfig) -> list[str]:
     gamma = _scalar(config, "gamma")
     omega_cut = _scalar(config, "omega_cut")
@@ -326,13 +323,12 @@ def run_oracle_compare(config: RunConfig) -> list[str]:
     omega_max_bath = max(omega_max_bath, 20.0 * p.omega_cut)
     oracle = reduced_covariance_series(p, times, n_modes=n_modes,
                                        omega_max_bath=omega_max_bath)
-    rows = []
-    worst_c = worst_e = 0.0
-    for t, a, b in zip(times, ours, oracle):
-        dc = float(np.max(np.abs(a.entries - b.entries)))
-        de = abs(log_negativity(a.entries) - log_negativity(b.entries))
-        rows.append((t, dc, de))
-        worst_c, worst_e = max(worst_c, dc), max(worst_e, de)
+    c_ours = np.stack([c.entries for c in ours])
+    c_oracle = np.stack([c.entries for c in oracle])
+    dc = np.abs(c_ours - c_oracle).max(axis=(1, 2))
+    de = np.abs(log_negativity(c_ours) - log_negativity(c_oracle))
+    rows = list(zip(times, dc, de))
+    worst_c, worst_e = float(dc.max()), float(de.max())
     path = os.path.join(config.output_dir, "deviation.csv")
     write_csv(path, ("t", "max_abs_dC", "abs_dE"), rows, config)
     write_manifest(config, [path], "COMPLETE",

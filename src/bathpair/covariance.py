@@ -87,21 +87,21 @@ class CovarianceMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    def symplectic_eigenvalues(self) -> tuple[float, float]:
-        return symplectic_eigenvalues(self.entries)
-
 
 def ground_state_covariance() -> CovarianceMatrix:
     """Both oscillators in their ground state: the identity matrix."""
     return CovarianceMatrix(entries=np.eye(4), time_label=0.0)
 
 
-def assert_physical(c: CovarianceMatrix, tol: float = 1e-4) -> None:
-    lam = symplectic_eigenvalues(c.entries)
-    if lam[0] < 1.0 - tol:
+def assert_physical(covs: list[CovarianceMatrix], tol: float = 1e-4) -> None:
+    """Refuse the first covariance of the list with lambda_min < 1 - tol (one stacked check)."""
+    lam = symplectic_eigenvalues(np.stack([c.entries for c in covs]))[:, 0]
+    bad = np.flatnonzero(lam < 1.0 - tol)
+    if bad.size:
+        c, lam_min = covs[bad[0]], lam[bad[0]]
         raise UnphysicalCovarianceError(
             f"covariance at t={c.time_label} unphysical: min symplectic "
-            f"eigenvalue {lam[0]:.8f} < 1 - {tol}")
+            f"eigenvalue {lam_min:.8f} < 1 - {tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def covariance_asymptotic(params: ModelParams, omega_max: float | None = None,
     am, bm, _ = channel_asymptotic_moments(params, -1, omega_max, tol, grid)
     c4 = four_by_four(np.diag([ap, bp]), np.diag([am, bm]))
     out = CovarianceMatrix(entries=c4, time_label="asymptotic")
-    assert_physical(out, tol=1e-4)
+    assert_physical([out], tol=1e-4)
     return out
 
 
@@ -473,8 +473,8 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
     is the smallest cut whose tail-correction error bound
     2 w_inf (1 + (1 + K(0))^2) / omega_max^4 meets ``tol`` (K(0) the larger
     channel kernel at t = 0), and at least 15 max(Omega, 1).  The
-    physicality of every output is checked (symplectic eigenvalues
-    >= 1 - 1e-4).
+    outputs are checked in one stacked call (symplectic eigenvalues
+    >= 1 - 1e-4); a refusal names the first unphysical time.
     """
     if greens.spacing is None:
         raise ValueError("covariance_time_series needs a uniform Green's function grid")
@@ -533,21 +533,14 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
     cross = series[+1][gi] @ cx0 @ series[-1][gi].transpose(0, 2, 1)
     c4 = four_by_four(blocks[+1], blocks[-1], cross)
 
-    covs = []
-    for p, t, entries in zip(pairs, t_out, c4):   # pair 0 is t = 0: c0 itself
-        cov = (CovarianceMatrix(entries=c0.entries, time_label=0.0) if p == 0
-               else CovarianceMatrix(entries=entries, time_label=float(t)))
-        assert_physical(cov, tol=1e-4)
-        covs.append(cov)
+    covs = [CovarianceMatrix(entries=c0.entries, time_label=0.0) if p == 0
+            else CovarianceMatrix(entries=entries, time_label=float(t))
+            for p, t, entries in zip(pairs, t_out, c4)]   # pair 0 is t = 0: c0 itself
+    assert_physical(covs, tol=1e-4)
     return [covs[i] for i in inverse]
 
 
 def covariance_time(t: float, c0: CovarianceMatrix, greens: GreensFunction,
                     params: ModelParams, tol: float = 1e-5) -> CovarianceMatrix:
     """Single-time covariance; see `covariance_time_series` for the contract."""
-    if t == 0.0:
-        lam0 = symplectic_eigenvalues(c0.entries)
-        if lam0[0] < 1.0 - 1e-6:
-            raise UnphysicalCovarianceError("initial covariance unphysical")
-        return CovarianceMatrix(entries=c0.entries, time_label=0.0)
     return covariance_time_series(greens, params, [t], c0=c0, tol=tol)[0]

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bathpair.analysis import (
     AmbiguousPeakError,
     BracketError,
     EntanglementTrace,
+    asymptotic_log_negativity,
     detect_peaks,
     find_d0,
     find_d1,
@@ -151,3 +153,24 @@ def test_fit_slope_basics():
         fit_slope([(0.1, 0.15), (0.2, 0.3)])
     bad = fit_slope([(0.1, 0.5), (0.2, 0.1), (0.3, 0.9)])
     assert bad.ill_conditioned
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# ~8 s: the ROADMAP box costs ~10 ms per point on average, up to ~0.3 s
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(gamma=_log_uniform(0.01, 50.0), omega_cut=_log_uniform(0.5, 100.0),
+       temperature=st.one_of(st.just(0.0), _log_uniform(0.01, 10.0)),
+       distance=_log_uniform(1e-4, 20.0))
+def test_asymptote_is_physical_or_a_named_refusal(gamma, omega_cut, temperature, distance):
+    """Over the ROADMAP box: a finite E >= 0, or an exception bathpair defines."""
+    params = ModelParams(gamma=gamma, omega_cut=omega_cut,
+                         temperature=temperature, distance=distance)
+    try:
+        e = asymptotic_log_negativity(params)
+    except Exception as exc:   # the contract is about the exception class
+        assert type(exc).__module__.startswith("bathpair."), repr(exc)
+    else:
+        assert math.isfinite(e) and e >= 0.0

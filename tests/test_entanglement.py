@@ -11,7 +11,6 @@ from bathpair.entanglement import (
     partial_transpose,
     symplectic_eigenvalues,
     symplectic_eigenvalues_closed_form,
-    symplectic_form,
 )
 from conftest import random_physical_covariance, random_symplectic
 
@@ -33,8 +32,7 @@ def two_mode_squeezed(s: float) -> np.ndarray:
 
 
 def test_symplectic_form_invariants():
-    sig = symplectic_form()
-    assert np.array_equal(sig, SYMPLECTIC_FORM)
+    sig = SYMPLECTIC_FORM
     assert np.array_equal(sig.T, -sig)
     assert np.allclose(sig @ sig, -np.eye(4))
     with pytest.raises(ValueError):
@@ -136,3 +134,87 @@ def test_covariance_matrix_round_trip():
     assert isinstance(ct, CovarianceMatrix)
     assert ct.time_label == 1.5
     assert log_negativity(c.entries) == pytest.approx(0.6 / LN2, abs=1e-9)
+
+
+def test_stack_equals_per_matrix_on_1000_random_states(rng):
+    cs = np.array([random_physical_covariance(rng) for _ in range(1000)])
+    lam = symplectic_eigenvalues(cs)
+    e = log_negativity(cs)
+    assert lam.shape == (1000, 2) and e.shape == (1000,)
+    assert np.max(np.abs(lam - [symplectic_eigenvalues(c) for c in cs])) <= 1e-14
+    assert np.max(np.abs(e - [log_negativity(c) for c in cs])) <= 1e-14
+    assert np.max(np.abs(symplectic_eigenvalues_closed_form(cs)
+                         - [symplectic_eigenvalues_closed_form(c) for c in cs])) <= 1e-14
+    # any leading shape works, member by member
+    assert np.array_equal(log_negativity(cs.reshape(10, 100, 4, 4)), e.reshape(10, 100))
+
+
+def test_stack_refuses_one_bad_member(rng, monkeypatch):
+    cs = np.array([random_physical_covariance(rng) for _ in range(8)])
+    asym = cs.copy()
+    asym[5, 0, 1] += 1e-6
+    with pytest.raises(PairingError, match=r"not symmetric at stack index \(5,\)"):
+        symplectic_eigenvalues(asym)
+    with pytest.raises(PairingError):
+        log_negativity(asym)
+
+    # a symmetric matrix always pairs in exact arithmetic, so unpair one
+    # member's spectrum where the check reads it: by 5e-8 of its scale, past
+    # the pairing bound (1e-8) but within the closed-form one (1e-7)
+    real_eigvals = np.linalg.eigvals
+
+    def unpaired_at_3(a):
+        ev = real_eigvals(a)
+        ev[3, 0] *= 1.0 + 5e-8 * np.abs(ev[3]).max() / abs(ev[3, 0])
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvals", unpaired_at_3)
+    with pytest.raises(PairingError, match=r"do not pair up at stack index \(3,\)"):
+        symplectic_eigenvalues(cs)
+
+
+def test_stack_refuses_one_unphysical_member(rng):
+    cs = np.array([random_physical_covariance(rng) for _ in range(6)])
+    cs[4] = 0.5 * np.eye(4)
+    with pytest.raises(UnphysicalCovarianceError, match=r"at stack index \(4,\)"):
+        log_negativity(cs)
+
+
+def test_trace_equals_per_output_log_negativity(monkeypatch):
+    """ROADMAP trace case: the stacked E(t) of `trace` against one call per output."""
+    from bathpair import analysis
+    from bathpair.model import ModelParams
+
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.extend(real(*args, **kwargs))
+        return seen
+
+    real = analysis.covariance_time_series
+    monkeypatch.setattr(analysis, "covariance_time_series", recording)
+    params = ModelParams(gamma=1.0, omega_cut=10.0, temperature=0.0, distance=0.2)
+    tr = analysis.trace(params, t_max=40.0, dt=0.02)
+    per_output = np.array([log_negativity(c.entries) for c in seen])
+    assert len(seen) == tr.values.size == 2001
+    assert np.max(np.abs(tr.values - per_output)) <= 1e-12
+    assert np.max(tr.values) > 0.0
+
+
+def test_series_refusal_names_first_unphysical_time(monkeypatch):
+    from bathpair import covariance
+    from bathpair.greens import greens_time
+    from bathpair.model import ModelParams
+
+    params = ModelParams(gamma=1.0, omega_cut=10.0, distance=0.1)
+    greens = greens_time(np.linspace(0.0, 2.0, 401), params)
+    real = covariance.four_by_four
+
+    def halved_from_t_1_5(*blocks):
+        c4 = real(*blocks).copy()
+        c4[3:] *= 0.5       # outputs t = 1.5 and 2.0 drop below the bound
+        return c4
+
+    monkeypatch.setattr(covariance, "four_by_four", halved_from_t_1_5)
+    with pytest.raises(UnphysicalCovarianceError, match=r"t=1\.5\d*\b unphysical"):
+        covariance.covariance_time_series(greens, params, [0.0, 0.5, 1.0, 1.5, 2.0])
