@@ -6,8 +6,9 @@ ohmic bath with a Drude cutoff, in natural units omega0 = c = hbar =
 k_B = m = 1.  Two independent routes are provided: an analytic pipeline
 (Laplace-domain Green's function, numerically inverted, with all noise
 integrals done against the bath spectrum in the frequency domain) and a
-brute-force discretized-bath reference that evolves the full Gaussian
-state exactly.
+brute-force discretized-bath reference (`oracle`) that evolves each
+exchange channel's chain of bath modes exactly and keeps the rows of the
+oscillators.
 """
 
 from .model import ModelParams, spectral_density, validate

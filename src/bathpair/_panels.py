@@ -49,25 +49,19 @@ def merge_edges(*edge_groups, lo: float, hi: float, min_gap: float = 1e-12):
 
 
 def cos_tail(a, W: float, power: int):
-    """Exact tail integral  int_W^inf cos(a*w) / w**power dw  for power in {1, 3, 5}.
+    """Exact tail integral  int_W^inf cos(a*w) / w**power dw  for power in {3, 5}.
 
     Evaluated through the cosine integral Ci and vectorized over a; a may
-    be zero (then the power-1 case diverges and is rejected).  A scalar a
-    gives a scalar, computed without array temporaries, since the
-    asymptotic path calls this for single values.
+    be zero.  A scalar a gives a scalar, computed without array
+    temporaries, since the asymptotic path calls this for single values.
     """
     if W <= 0:
         raise ValueError("tail cut W must be positive")
-    if power not in (1, 3, 5):
+    if power not in (3, 5):
         raise ValueError(f"unsupported power {power}")
     scalar = not isinstance(a, np.ndarray)
     a = abs(float(a)) if scalar else np.abs(a.astype(float))
     zero = a == 0.0
-    if power == 1:
-        if np.any(zero):
-            raise ValueError("int_W^inf dw/w diverges")
-        out = -sici(a * W)[1]
-        return float(out) if scalar else out
     at_zero = 1.0 / ((power - 1) * W ** (power - 1))
     if scalar and zero:
         return at_zero

@@ -14,16 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import (
-    CovarianceMatrix,
+    ASYMPTOTIC_TOL,
     asymptotic_omega_max,
     channel_asymptotic_moments,
     channel_blocks,
     covariance_asymptotic,
     covariance_time_series,
-    ground_state_covariance,
 )
 from .entanglement import log_negativity
-from .greens import DurbinSettings, four_by_four, greens_time
+from .greens import four_by_four, greens_time
 from .model import ModelParams
 
 __all__ = [
@@ -32,6 +31,7 @@ __all__ = [
     "SlopeFit",
     "trace",
     "short_time_expansion",
+    "short_time_slope",
     "asymptotic_log_negativity",
     "measured_initial_slope",
     "find_d0",
@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 ZERO_THRESHOLD = 1e-8    # entanglement below this counts as zero
+PEAK_FLOOR = 1e-10       # samples at or below this are never part of a peak
+# 4/ln 2 of the short-time law; the model's own equations of motion give
+# 2/ln 2 (acceptance criterion 5, CHANGES.md)
+SHORT_TIME_PREFACTOR = 4.0 / math.log(2.0)
 
 
 class BracketError(ValueError):
@@ -92,10 +96,9 @@ def _grid_step(params: ModelParams, dt: float) -> float:
 
 
 def trace(params: ModelParams, t_max: float, dt: float,
-          c0: CovarianceMatrix | None = None, tol: float = 1e-5,
-          omega_max: float | None = None,
-          durbin_settings: DurbinSettings | None = None) -> EntanglementTrace:
-    """E(t) on a uniform grid, with detected peaks and the asymptote."""
+          tol: float = 1e-5) -> EntanglementTrace:
+    """E(t) from the two-oscillator ground state on a uniform grid, with
+    detected peaks and the asymptote."""
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
     n_out = int(round(t_max / dt))
@@ -105,37 +108,39 @@ def trace(params: ModelParams, t_max: float, dt: float,
     h = _grid_step(params, dt)
     n_grid = int(round(t_end / h))
     grid = np.linspace(0.0, t_end, n_grid + 1)
-    greens = greens_time(grid, params, durbin_settings)
+    greens = greens_time(grid, params)
     times = np.linspace(0.0, t_end, n_out + 1)
-    c0 = c0 if c0 is not None else ground_state_covariance()
-    covs = covariance_time_series(greens, params, times, c0=c0, tol=tol,
-                                  omega_max=omega_max)
+    covs = covariance_time_series(greens, params, times, tol=tol)
     values = log_negativity(np.stack([c.entries for c in covs]))
     peaks = detect_peaks(times, values)
     try:
-        asym = asymptotic_log_negativity(params, c0=c0, strict=False)
+        asym = asymptotic_log_negativity(params, strict=False)
     except ValueError:   # undamped limits have no initial-state-free asymptote
         asym = math.nan
     return EntanglementTrace(times=times, values=values, params=params,
                              peaks=peaks, asymptote=asym)
 
 
-def asymptotic_log_negativity(params: ModelParams,
-                              c0: CovarianceMatrix | None = None,
-                              strict: bool = True) -> float:
+def asymptotic_log_negativity(params: ModelParams, strict: bool = True) -> float:
     """Late-time E.  At r = 0 the relative coordinate never thermalizes, so
-    its initial block is frozen and combined with the stationary symmetric
-    channel; for r > 0 this is just the asymptotic-covariance route."""
+    its initial (ground-state) block is frozen and combined with the
+    stationary symmetric channel; for r > 0 this is just the
+    asymptotic-covariance route."""
     if params.distance > 0:
         return log_negativity(covariance_asymptotic(params).entries)
     if strict:
         raise ValueError("asymptotic covariance requires r > 0")
     ap, bp, _ = channel_asymptotic_moments(
-        params, +1, asymptotic_omega_max(params, tol=1e-6), tol=1e-6)
-    c0_entries = np.eye(4) if c0 is None else c0.entries
-    _, minus_block, _ = channel_blocks(c0_entries)
+        params, +1, asymptotic_omega_max(params, ASYMPTOTIC_TOL), ASYMPTOTIC_TOL)
+    _, minus_block, _ = channel_blocks(np.eye(4))
     c4 = four_by_four(np.diag([ap, bp]), minus_block)
-    return log_negativity(CovarianceMatrix(entries=c4, time_label="asymptotic").entries)
+    return log_negativity(c4)
+
+
+def short_time_slope(params: ModelParams) -> float:
+    """Linear coefficient of `short_time_expansion`: (4/ln 2)(gamma/omega0) Omega e^{-r Omega/c}."""
+    return (SHORT_TIME_PREFACTOR * (params.gamma / params.omega0) * params.omega_cut
+            * math.exp(-params.distance * params.omega_cut))
 
 
 def short_time_expansion(t, params: ModelParams):
@@ -152,16 +157,17 @@ def short_time_expansion(t, params: ModelParams):
         raise ValueError("short-time expansion needs t > 0")
     x = params.omega_cut * t
     alpha = 0.2937 - np.log(x) / math.pi
-    val = (4.0 / math.log(2.0)) * (params.gamma / params.omega0) * (
+    val = SHORT_TIME_PREFACTOR * (params.gamma / params.omega0) * (
         math.exp(-params.distance * params.omega_cut) * x - alpha * x * x)
     out = np.maximum(val, 0.0)
     return out if out.ndim else float(out)
 
 
-def measured_initial_slope(params: ModelParams, x_lo: float = 1e-3,
-                           x_hi: float = 1e-2, n_points: int = 10) -> float:
-    """dE/dt measured from the covariance pipeline over Omega*t in [x_lo, x_hi]."""
-    t_lo, t_hi = x_lo / params.omega_cut, x_hi / params.omega_cut
+def measured_initial_slope(params: ModelParams) -> float:
+    """dE/dt measured from the covariance pipeline: a line through 10 points
+    over Omega*t in [1e-3, 1e-2]."""
+    n_points = 10
+    t_lo, t_hi = 1e-3 / params.omega_cut, 1e-2 / params.omega_cut
     step = (t_hi - t_lo) / (n_points - 1)
     h = step / 4.0
     n_grid = int(round(t_hi / h))
@@ -177,13 +183,14 @@ def measured_initial_slope(params: ModelParams, x_lo: float = 1e-3,
 # peaks
 
 
-def detect_peaks(times, values, floor: float = 1e-10) -> list:
-    """Local maxima with parabolic refinement; returns [(time, height), ...]."""
+def detect_peaks(times, values) -> list:
+    """Local maxima above PEAK_FLOOR with parabolic refinement; returns
+    [(time, height), ...]."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     peaks = []
     for i in range(1, v.size - 1):
-        if v[i] <= floor:
+        if v[i] <= PEAK_FLOOR:
             continue
         if v[i] >= v[i - 1] and v[i] >= v[i + 1] and (v[i] > v[i - 1] or v[i] > v[i + 1]):
             d = 0.5 * (t[i + 1] - t[i - 1])
@@ -197,12 +204,12 @@ def detect_peaks(times, values, floor: float = 1e-10) -> list:
     return peaks
 
 
-def _peak_onset(times, values, i_peak: int, floor: float = 1e-10) -> float:
+def _peak_onset(times, values, i_peak: int) -> float:
     """Time of the last zero or local minimum preceding a peak sample."""
     v = np.asarray(values, dtype=float)
     j = i_peak
     while j > 0:
-        if v[j - 1] <= floor:
+        if v[j - 1] <= PEAK_FLOOR:
             return float(times[j - 1])
         if j >= 2 and v[j - 1] <= v[j] and v[j - 1] <= v[j - 2]:
             return float(times[j - 1])
@@ -221,7 +228,7 @@ def second_peak_height(trace_obj: EntanglementTrace) -> float:
     v = trace_obj.values
     best = 0.0
     for i in range(1, v.size - 1):
-        if v[i] <= 1e-10 or not (v[i] >= v[i - 1] and v[i] >= v[i + 1]):
+        if v[i] <= PEAK_FLOOR or not (v[i] >= v[i - 1] and v[i] >= v[i + 1]):
             continue
         if _peak_onset(t, v, i) > 0.8 * r:
             best = max(best, float(v[i]))
@@ -244,12 +251,12 @@ def oscillation_frequency(trace_obj: EntanglementTrace, t_lo: float,
 
 
 def find_d0(params: ModelParams, r_bracket: tuple = (0.02, 0.5),
-            tol: float = 1e-3, threshold: float = ZERO_THRESHOLD) -> CriticalDistanceResult:
-    """Bisection for the distance where the asymptotic E vanishes."""
+            tol: float = 1e-3) -> CriticalDistanceResult:
+    """Bisection for the distance where the asymptotic E falls to ZERO_THRESHOLD."""
     lo, hi = float(r_bracket[0]), float(r_bracket[1])
 
     def entangled(r: float) -> bool:
-        return asymptotic_log_negativity(params.with_(distance=r)) > threshold
+        return asymptotic_log_negativity(params.with_(distance=r)) > ZERO_THRESHOLD
 
     if not entangled(lo):
         raise BracketError(f"asymptotic E already zero at r = {lo}")
@@ -264,18 +271,16 @@ def find_d0(params: ModelParams, r_bracket: tuple = (0.02, 0.5),
     return CriticalDistanceResult(d0=0.5 * (lo + hi), bracket=(lo, hi))
 
 
-def _d1_probe(params: ModelParams, r: float, dt: float | None = None) -> float:
+def _d1_probe(params: ModelParams, r: float) -> float:
     Om = params.omega_cut
     t_max = r + 14.0 / Om
-    if dt is None:
-        dt = min(0.01, 1.0 / (10.0 * Om), t_max / 150.0)
+    dt = min(0.01, 1.0 / (10.0 * Om), t_max / 150.0)
     tr = trace(params.with_(distance=r), t_max=t_max, dt=dt, tol=1e-7)
     return second_peak_height(tr)
 
 
-def find_d1(params: ModelParams, r_bracket: tuple, tol: float = 2e-3,
-            threshold: float = ZERO_THRESHOLD) -> CriticalDistanceResult:
-    """Bisection for the distance where the boson-exchange peak vanishes.
+def find_d1(params: ModelParams, r_bracket: tuple, tol: float = 2e-3) -> CriticalDistanceResult:
+    """Bisection for the distance where the boson-exchange peak falls to ZERO_THRESHOLD.
 
     Refuses brackets reaching into r*Omega/c < 1, where the two peaks
     overlap and the onset classification is meaningless.
@@ -284,13 +289,13 @@ def find_d1(params: ModelParams, r_bracket: tuple, tol: float = 2e-3,
     if lo * params.omega_cut < 1.0:
         raise AmbiguousPeakError(
             f"bracket low end r = {lo} has r*Omega < 1; peaks unresolvable")
-    if _d1_probe(params, lo) <= threshold:
+    if _d1_probe(params, lo) <= ZERO_THRESHOLD:
         raise BracketError(f"second peak already gone at r = {lo}")
-    if _d1_probe(params, hi) > threshold:
+    if _d1_probe(params, hi) > ZERO_THRESHOLD:
         raise BracketError(f"second peak still present at r = {hi}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _d1_probe(params, mid) > threshold:
+        if _d1_probe(params, mid) > ZERO_THRESHOLD:
             lo = mid
         else:
             hi = mid

@@ -27,23 +27,21 @@ from .analysis import (
     find_d0,
     fit_slope,
     measured_initial_slope,
+    short_time_slope,
     trace,
 )
 from .covariance import TruncationError, covariance_time_series
 from .entanglement import UnphysicalCovarianceError, log_negativity
 from .greens import DurbinConvergenceError, greens_time
-from .kernels import LogDivergentKernelError
-from .model import ModelParams, params_from_mapping, read_config_file, validate
+from .model import ModelParams, read_config_file, validate
 from .oracle import RecurrenceHorizonError, reduced_covariance_series
-
-LN2 = math.log(2.0)
 
 COMMANDS = ("asymptotic-sweep", "time-trace", "critical-distance",
             "short-time-check", "oracle-compare", "slope-fit")
 
 _NUMERICAL_ERRORS = (TruncationError, DurbinConvergenceError,
                      UnphysicalCovarianceError, BracketError,
-                     RecurrenceHorizonError, LogDivergentKernelError)
+                     RecurrenceHorizonError)
 
 
 class ConfigError(ValueError):
@@ -95,19 +93,10 @@ def _scalar(config: RunConfig, name: str) -> float:
     return vals[0]
 
 
-def _base_params(config: RunConfig, **overrides) -> ModelParams:
-    raw = {
-        "gamma": _scalar(config, "gamma"),
-        "omega_cut": _scalar(config, "omega_cut"),
-        "temperature": overrides.get("temperature",
-                                     config.params.get("temperature", [0.0])[0]),
-        "distance": overrides.get("distance",
-                                  config.params.get("distance", [0.0])[0]),
-    }
-    try:
-        return validate(ModelParams(**raw))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _base_params(config: RunConfig) -> ModelParams:
+    return _checked_params(_scalar(config, "gamma"), _scalar(config, "omega_cut"),
+                           config.params.get("temperature", [0.0])[0],
+                           config.params.get("distance", [0.0])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +196,19 @@ def run_asymptotic_sweep(config: RunConfig) -> list[str]:
             _checked_params(gamma, omega_cut, T, r)
     points = [(gamma, omega_cut, T, r) for T in temps for r in dists]
     rows = []
-    status, note = "COMPLETE", ""
     try:
         values = _map_points(_asym_point, points, config.resolved_jobs())
         rows = [(T, r, e) for (g, o, T, r), e in zip(points, values)]
     except _NUMERICAL_ERRORS as exc:
-        status, note = "PARTIAL", f"{type(exc).__name__}: {exc}"
         _flush_and_raise(config, "fig1.csv", ("temperature", "distance", "E"),
-                         rows, status, note, exc)
+                         rows, "PARTIAL", f"{type(exc).__name__}: {exc}", exc)
     path = os.path.join(config.output_dir, "fig1.csv")
     write_csv(path, ("temperature", "distance", "E"), rows, config)
     outputs = [path]
     if config.emit_plot_script:
         outputs.append(_emit_plot_script(config, "fig1.csv",
                                          ("temperature", "distance", "E")))
-    write_manifest(config, outputs, status)
+    write_manifest(config, outputs, "COMPLETE")
     return outputs
 
 
@@ -245,7 +232,6 @@ def run_time_trace(config: RunConfig) -> list[str]:
     points = [(gamma, omega_cut, temperature, r, config.t_max, config.dt)
               for r in dists]
     rows = []
-    status, note = "COMPLETE", ""
     try:
         results = _map_points(_trace_point, points, config.resolved_jobs())
         for r, (times, values, asym) in zip(dists, results):
@@ -288,8 +274,7 @@ def run_short_time_check(config: RunConfig) -> list[str]:
     for r in dists:
         p = _checked_params(gamma, omega_cut, 0.0, r)
         measured = measured_initial_slope(p)
-        formula = (4.0 / LN2) * (gamma / p.omega0) * omega_cut * math.exp(
-            -r * omega_cut)
+        formula = short_time_slope(p)
         rows.append((r, measured, formula, measured / formula))
     path = os.path.join(config.output_dir, "shorttime.csv")
     write_csv(path, ("distance", "slope_measured", "slope_formula", "ratio"),

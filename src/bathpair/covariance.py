@@ -51,11 +51,10 @@ __all__ = [
     "ground_state_covariance",
     "covariance_asymptotic",
     "asymptotic_omega_max",
-    "covariance_time",
     "covariance_time_series",
     "channel_asymptotic_moments",
     "channel_blocks",
-    "channel_resonance",
+    "channel_resonances",
     "frequency_grid",
     "TruncationError",
 ]
@@ -93,15 +92,18 @@ def ground_state_covariance() -> CovarianceMatrix:
     return CovarianceMatrix(entries=np.eye(4), time_label=0.0)
 
 
-def assert_physical(covs: list[CovarianceMatrix], tol: float = 1e-4) -> None:
-    """Refuse the first covariance of the list with lambda_min < 1 - tol (one stacked check)."""
+ASYMPTOTIC_TOL = 1e-6    # frequency-tail tolerance of the asymptotic covariance
+
+
+def assert_physical(covs: list[CovarianceMatrix]) -> None:
+    """Refuse the first covariance of the list with lambda_min < 1 - 1e-4 (one stacked check)."""
     lam = symplectic_eigenvalues(np.stack([c.entries for c in covs]))[:, 0]
-    bad = np.flatnonzero(lam < 1.0 - tol)
+    bad = np.flatnonzero(lam < 1.0 - 1e-4)
     if bad.size:
         c, lam_min = covs[bad[0]], lam[bad[0]]
         raise UnphysicalCovarianceError(
             f"covariance at t={c.time_label} unphysical: min symplectic "
-            f"eigenvalue {lam_min:.8f} < 1 - {tol}")
+            f"eigenvalue {lam_min:.8f} < 1 - 0.0001")
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +172,9 @@ def channel_resonances(params: ModelParams, sign: int) -> list:
     return out
 
 
-def channel_resonance(params: ModelParams, sign: int):
-    """Dominant (narrowest) resonance of the channel: (omega_res, width)."""
-    res = channel_resonances(params, sign)
-    return min(res, key=lambda pair: pair[1])
-
-
-def frequency_grid(params: ModelParams, omega_max: float, t_scale: float = 0.0,
-                   nodes_per_panel: int = 12):
-    """Gauss-Legendre panel grid on [0, omega_max] for the noise integrals.
+def frequency_grid(params: ModelParams, omega_max: float, t_scale: float = 0.0):
+    """Gauss-Legendre panel grid (12 nodes per panel) on [0, omega_max] for
+    the noise integrals.
 
     Panel width is capped so that the fastest oscillation (set by the
     retardation r and the requested time horizon) stays resolved, with
@@ -203,7 +199,7 @@ def frequency_grid(params: ModelParams, omega_max: float, t_scale: float = 0.0,
                 clusters.append([om_res])
     edges = merge_edges(base, [Om / 2, Om, 2 * Om], *clusters,
                         lo=0.0, hi=omega_max, min_gap=1e-10)
-    return gauss_panels(edges, n=nodes_per_panel)
+    return gauss_panels(edges, n=12)
 
 
 # ---------------------------------------------------------------------------
@@ -299,29 +295,27 @@ def channel_asymptotic_moments(params: ModelParams, sign: int,
     return alpha, beta, tail_err
 
 
-def covariance_asymptotic(params: ModelParams, omega_max: float | None = None,
-                          tol: float = 1e-6) -> CovarianceMatrix:
+def covariance_asymptotic(params: ModelParams) -> CovarianceMatrix:
     """Stationary covariance; requires gamma > 0 and r > 0.
 
     At r = 0 the relative coordinate decouples exactly and never forgets
     its initial state, so no initial-state-independent limit exists.
-    The default ``omega_max`` is `asymptotic_omega_max(params, tol)`: the
-    smallest cut whose tail estimate meets ``tol``, and at least
-    15 max(Omega, omega0).  Both channels share one frequency grid.
+    The frequency cut is `asymptotic_omega_max(params, ASYMPTOTIC_TOL)`:
+    the smallest cut whose tail estimate meets ``ASYMPTOTIC_TOL``, and at
+    least 15 max(Omega, omega0).  Both channels share one frequency grid.
     """
     if params.gamma <= 0:
         raise ValueError("covariance_asymptotic requires gamma > 0")
     if params.distance <= 0:
         raise ValueError("covariance_asymptotic requires r > 0 "
                          "(relative coordinate undamped at r = 0)")
-    if omega_max is None:
-        omega_max = asymptotic_omega_max(params, tol)
+    omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
     grid = frequency_grid(params, omega_max, t_scale=0.0)
-    ap, bp, _ = channel_asymptotic_moments(params, +1, omega_max, tol, grid)
-    am, bm, _ = channel_asymptotic_moments(params, -1, omega_max, tol, grid)
+    ap, bp, _ = channel_asymptotic_moments(params, +1, omega_max, ASYMPTOTIC_TOL, grid)
+    am, bm, _ = channel_asymptotic_moments(params, -1, omega_max, ASYMPTOTIC_TOL, grid)
     c4 = four_by_four(np.diag([ap, bp]), np.diag([am, bm]))
     out = CovarianceMatrix(entries=c4, time_label="asymptotic")
-    assert_physical([out], tol=1e-4)
+    assert_physical([out])
     return out
 
 
@@ -463,14 +457,13 @@ def _pair_noise(g_cols: np.ndarray, x: np.ndarray, weights: np.ndarray, h: float
 
 def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
                            c0: CovarianceMatrix | None = None,
-                           tol: float = 1e-5,
-                           omega_max: float | None = None) -> list[CovarianceMatrix]:
+                           tol: float = 1e-5) -> list[CovarianceMatrix]:
     """C(t) at the requested times (each must sit on the stored G pair grid).
 
     The noise of all requested times comes from one set of lag kernels and
     one FFT convolution per channel (`_pair_noise`): O(N_omega * N_pairs)
-    for the kernels plus O(N_pairs log N_pairs).  The default ``omega_max``
-    is the smallest cut whose tail-correction error bound
+    for the kernels plus O(N_pairs log N_pairs).  The frequency cut
+    omega_max is the smallest whose tail-correction error bound
     2 w_inf (1 + (1 + K(0))^2) / omega_max^4 meets ``tol`` (K(0) the larger
     channel kernel at t = 0), and at least 15 max(Omega, 1).  The
     outputs are checked in one stacked call (symplectic eigenvalues
@@ -503,11 +496,10 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
             f"initial covariance unphysical (min symplectic {lam0[0]})")
     cp0, cm0, cx0 = channel_blocks(c0.entries)
 
-    if omega_max is None:
-        k0 = max(channel_kernel_zero(params, s) for s in (+1, -1))
-        need = (2.0 * _tail_prefactor(params) * (1.0 + (1.0 + k0) ** 2)
-                / max(tol, 1e-12)) ** 0.25
-        omega_max = float(max(15.0 * params.omega_cut, 15.0, need))
+    k0 = max(channel_kernel_zero(params, s) for s in (+1, -1))
+    need = (2.0 * _tail_prefactor(params) * (1.0 + (1.0 + k0) ** 2)
+            / max(tol, 1e-12)) ** 0.25
+    omega_max = float(max(15.0 * params.omega_cut, 15.0, need))
     pairs, inverse = np.unique(pair_int, return_inverse=True)
     n_pairs = int(pairs[-1])
     signs = (+1, -1)
@@ -536,11 +528,5 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
     covs = [CovarianceMatrix(entries=c0.entries, time_label=0.0) if p == 0
             else CovarianceMatrix(entries=entries, time_label=float(t))
             for p, t, entries in zip(pairs, t_out, c4)]   # pair 0 is t = 0: c0 itself
-    assert_physical(covs, tol=1e-4)
+    assert_physical(covs)
     return [covs[i] for i in inverse]
-
-
-def covariance_time(t: float, c0: CovarianceMatrix, greens: GreensFunction,
-                    params: ModelParams, tol: float = 1e-5) -> CovarianceMatrix:
-    """Single-time covariance; see `covariance_time_series` for the contract."""
-    return covariance_time_series(greens, params, [t], c0=c0, tol=tol)[0]

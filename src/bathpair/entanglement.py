@@ -122,20 +122,20 @@ def symplectic_eigenvalues_closed_form(c):
     return tuple(cf) if cf.ndim == 1 else cf
 
 
-def log_negativity(c, *, physical_tol: float = 1e-6):
+def log_negativity(c):
     """E = -sum_j log2 min(1, lambda_j~) over the partial-transpose spectrum.
 
     One matrix gives a float; a stack (..., 4, 4) gives an array (...).
     The inputs and their partial transposes share one `symplectic_eigenvalues`
     call, so a PairingError on either comes first.  Every input must itself
-    be physical (own symplectic eigenvalues >= 1 - physical_tol); the first
+    be physical (own symplectic eigenvalues >= 1 - 1e-6); the first
     that is not raises UnphysicalCovarianceError naming its index.  Values of
     lambda~ within 1e-12 of 1 count as exactly 1, so roundoff never produces
     spurious entanglement; E = 0 if and only if the state is separable.
     """
     arr = _as_stack(c)
     lam_own, lam_pt = symplectic_eigenvalues(np.stack([arr, partial_transpose(arr)]))
-    bad = lam_own[..., 0] < 1.0 - physical_tol
+    bad = lam_own[..., 0] < 1.0 - 1e-6
     if bad.any():
         i, where = _first(bad)
         raise UnphysicalCovarianceError(

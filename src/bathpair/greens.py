@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -41,14 +40,11 @@ from .kernels import damping_kernel_laplace
 from .model import ModelParams
 
 __all__ = [
-    "QleMatrices",
     "DurbinSettings",
     "GreensFunction",
-    "qle_matrices",
     "channel_kernel_laplace",
     "channel_det",
     "channel_greens_laplace",
-    "greens_laplace",
     "greens_time",
     "four_by_four",
     "PoleProximityError",
@@ -137,38 +133,6 @@ def four_by_four(plus, minus, cross=None):
                 out[..., 2 * i + 0, 2 * j + 1] += 0.5 * (-x + xt)
                 out[..., 2 * i + 1, 2 * j + 0] += 0.5 * (x - xt)
     return out
-
-
-@dataclass(frozen=True)
-class QleMatrices:
-    """Static matrix Z and the Laplace transform of the memory matrix C(t)."""
-
-    z_matrix: np.ndarray
-    memory_laplace: Callable[[complex], np.ndarray]
-
-
-def qle_matrices(params: ModelParams) -> QleMatrices:
-    """Matrices of the first-order form of the coupled equations of motion."""
-    z = np.zeros((4, 4))
-    z[0, 2] = z[1, 3] = -1.0
-    z[2, 0] = z[3, 1] = params.omega0**2
-
-    def memory(s):
-        c = np.zeros((4, 4), dtype=complex)
-        g0 = damping_kernel_laplace(s, 0.0, params)
-        gr = damping_kernel_laplace(s, params.distance, params)
-        c[2, 0] = c[3, 1] = g0 / params.mass
-        c[2, 1] = c[3, 0] = gr / params.mass
-        return c
-
-    return QleMatrices(z_matrix=z, memory_laplace=memory)
-
-
-def greens_laplace(s: complex, params: ModelParams) -> np.ndarray:
-    """4x4 resolvent at a single complex s, assembled from the two channels."""
-    plus = channel_greens_laplace(np.asarray(s, dtype=complex), params, +1)
-    minus = channel_greens_laplace(np.asarray(s, dtype=complex), params, -1)
-    return four_by_four(plus, minus)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ removable).  The noise spectrum is
 
 which carries the doubling of the covariance convention used throughout
 (vacuum covariance = identity); quadratic noise forms therefore integrate
-against S/2 (see `covariance`).  The time-domain kernel entries built from
-S are provided only as a diagnostic: they are log-divergent at coincident
-arguments, so nothing on the covariance path ever samples them.
+against S/2 (see `covariance`).  The time-domain noise kernel is
+log-divergent at coincident arguments, so nothing samples it: every noise
+integral is taken against S(omega) in the frequency domain.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 
-from ._panels import cos_tail, gauss_panels, merge_edges
 from .model import ModelParams
 
 __all__ = [
@@ -34,13 +33,7 @@ __all__ = [
     "damping_kernel",
     "damping_kernel_laplace",
     "noise_spectrum",
-    "noise_kernel_entry",
-    "LogDivergentKernelError",
 ]
-
-
-class LogDivergentKernelError(ValueError):
-    """The requested time-domain kernel value is logarithmically divergent."""
 
 
 def coth(x):
@@ -108,54 +101,3 @@ def noise_spectrum(omega, params: ModelParams):
         th = coth(safe / (2.0 * T))
         out = np.where(omega > 0, pref * omega * drude * np.asarray(th), pref * 2.0 * T * drude)
     return out if out.ndim else float(out)
-
-
-def _cos_transform(a: float, params: ModelParams, omega_max: float) -> float:
-    """int_0^inf S(omega) cos(a omega) domega with an analytic 1/omega tail.
-
-    Panels are aligned to half-periods of cos(a omega); beyond omega_max the
-    Drude factor is expanded (Omega^2/omega - Omega^4/omega^3) and integrated
-    exactly, with coth == 1 there to machine accuracy.
-    """
-    g, Om, w0 = params.gamma, params.omega_cut, params.omega0
-    cap = min(Om / 4.0, math.pi / (2.0 * a) if a > 0 else np.inf, 2.0)
-    n_panels = int(math.ceil(omega_max / cap))
-    edges = merge_edges(np.linspace(0.0, omega_max, n_panels + 1),
-                        [Om / 2, Om, 2 * Om], lo=0.0, hi=omega_max)
-    x, w = gauss_panels(edges, n=12)
-    val = float(np.sum(w * noise_spectrum(x, params) * np.cos(a * x)))
-    pref = 8.0 * g / (math.pi * w0)
-    if a > 0:
-        # Drude tail omega/(Omega^2+omega^2) = 1/w - Omega^2/w^3 + Omega^4/w^5 - ...
-        val += pref * (Om**2 * cos_tail(a, omega_max, 1)
-                       - Om**4 * cos_tail(a, omega_max, 3)
-                       + Om**6 * cos_tail(a, omega_max, 5))
-    else:
-        # the 1/omega tail with cos = 1 diverges; callers exclude this case
-        raise LogDivergentKernelError("cosine transform of S diverges at zero phase")
-    return val
-
-
-def noise_kernel_entry(tau: float, r: float, params: ModelParams,
-                       omega_max: float | None = None) -> float:
-    """Time-domain noise kernel entry  int_0^inf S(omega) cos(omega tau) cos(omega r) domega.
-
-    Diagnostic only; the covariance path works against S(omega) directly.
-    With r = 0 this is the autocorrelation entry.  The integral is
-    log-divergent when tau = r = 0 (the spectrum decays only like 1/omega),
-    which is refused explicitly.
-    """
-    tau, r = float(tau), float(r)
-    if tau < 0 or r < 0:
-        raise ValueError("tau and r must be non-negative")
-    if tau == r:
-        # covers tau = r = 0 and the light-cone coincidence tau = r > 0: in
-        # both cases the 1/omega spectral tail makes the integral log-divergent
-        raise LogDivergentKernelError(
-            f"noise kernel is log-divergent at tau = r (tau={tau}, r={r})")
-    if omega_max is None:
-        scale = max(tau, r, abs(tau - r))
-        omega_max = max(50.0 * params.omega_cut, 50.0 / max(scale, 1e-3))
-    # cos(wt) cos(wr) = [cos(w(t-r)) + cos(w(t+r))]/2
-    return 0.5 * (_cos_transform(abs(tau - r), params, omega_max)
-                  + _cos_transform(tau + r, params, omega_max))

@@ -20,7 +20,6 @@ __all__ = [
     "ModelParams",
     "validate",
     "spectral_density",
-    "params_from_mapping",
     "read_config_file",
 ]
 
@@ -82,27 +81,6 @@ def spectral_density(omega, params: ModelParams):
     Om2 = params.omega_cut**2
     out = (2.0 * params.mass * params.gamma / math.pi) * omega * Om2 / (Om2 + omega**2)
     return out if out.ndim else float(out)
-
-
-_CONFIG_KEYS = ("gamma", "omega_cut", "temperature", "distance")
-
-
-def params_from_mapping(mapping, **overrides) -> ModelParams:
-    """Build validated ModelParams from a flat mapping (e.g. a parsed config).
-
-    Recognized keys: gamma, omega_cut, temperature, distance.  Keyword
-    overrides win over the mapping (CLI flags override the config file).
-    """
-    values = {}
-    for key in _CONFIG_KEYS:
-        if key in overrides and overrides[key] is not None:
-            values[key] = float(overrides[key])
-        elif key in mapping and mapping[key] is not None:
-            values[key] = float(mapping[key])
-    if "gamma" not in values or "omega_cut" not in values:
-        missing = [k for k in ("gamma", "omega_cut") if k not in values]
-        raise ValueError(f"missing required parameter(s): {', '.join(missing)}")
-    return validate(ModelParams(**values))
 
 
 def read_config_file(path) -> dict:

@@ -1,17 +1,20 @@
 """Independent brute-force validator: discretized bath, exact Gaussian evolution.
 
 The bath is discretized on a linear frequency grid; couplings are fixed by
-matching the spectral density, g_k^2 = 2 m_k omega_k J(omega_k) dOmega.
-The full quadratic Hamiltonian (including the quadratic counter-term that
-cancels the bath-induced frequency shift and the instantaneous cross
-coupling) is evolved exactly: the position-sector quadratic form V is
+matching the spectral density with unit mode masses,
+g_k^2 = 2 omega_k J(omega_k) dOmega.
+Exchange symmetry splits the quadratic Hamiltonian into two independent
+channels, each a chain of one collective coordinate plus N bath modes, with
+the quadratic counter-term that cancels the bath-induced frequency shift.
+Each chain is evolved exactly: its position-sector quadratic form V is
 diagonalized once and the symplectic propagator
 
     S(t) = [[ U cos(mu t) U^T,        U sin(mu t)/mu U^T ],
             [ -U mu sin(mu t) U^T,    U cos(mu t) U^T    ]]
 
-is exp(t * Sigma_global * H) in closed form, so there is no step error for
-the discrete bath at any t.
+is exp(t * Sigma * H) in closed form, so there is no step error for the
+discrete bath at any t.  Only the two system rows of S(t) are ever
+materialized, which makes long series of reduced covariances cheap.
 
 Against the continuum bath the discrete one differs in two ways, and
 `reduced_covariance_series` corrects both from the oracle's own channel
@@ -41,19 +44,12 @@ Green's function g = (G12, G22) (the response of (u, udot) to a kick):
 
 Both corrections act on the noise only; the mean dynamics
 (`system_propagator_series`) is the discrete bath's own.
-
-Exchange symmetry splits the problem into two independent channels, each a
-chain of one collective coordinate plus N bath modes; the production path
-only ever materializes the two system rows of S(t), making long series of
-reduced covariances cheap.  The full global covariance (`evolve` /
-`GlobalGaussianState`) is kept for validation at small N, without the
-continuum corrections.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,12 +61,7 @@ from .model import ModelParams, spectral_density
 
 __all__ = [
     "DiscreteBath",
-    "GlobalGaussianState",
     "build_bath",
-    "initial_global_state",
-    "evolve",
-    "reduce_to_system",
-    "global_propagator",
     "reduced_covariance_series",
     "system_propagator_series",
     "RecurrenceHorizonError",
@@ -94,7 +85,6 @@ class DiscreteBath:
     couplings: np.ndarray       # g_k > 0
     k_spacing: float            # dk = dOmega (omega = c k with c = 1)
     n_modes: int
-    mode_mass: float = 1.0
 
     @property
     def recurrence_time(self) -> float:
@@ -142,7 +132,6 @@ class _ChannelModes:
 
     mu: np.ndarray              # normal-mode frequencies, shape (N+1,)
     modes: np.ndarray           # orthogonal eigenvectors, columns
-    lam: np.ndarray             # channel couplings lambda_k
 
 
 def _channel_couplings(bath: DiscreteBath, params: ModelParams, sign: int) -> np.ndarray:
@@ -152,13 +141,11 @@ def _channel_couplings(bath: DiscreteBath, params: ModelParams, sign: int) -> np
     return math.sqrt(2.0) * bath.couplings * proj
 
 
-def _channel_potential(bath: DiscreteBath, params: ModelParams, sign: int,
-                       include_counter_term: bool = True) -> np.ndarray:
+def _channel_potential(bath: DiscreteBath, params: ModelParams, sign: int) -> np.ndarray:
     lam = _channel_couplings(bath, params, sign)
     n = bath.n_modes
     v = np.zeros((n + 1, n + 1))
-    shift = float(np.sum(lam**2 / bath.omegas**2)) if include_counter_term else 0.0
-    v[0, 0] = params.omega0**2 + shift
+    v[0, 0] = params.omega0**2 + float(np.sum(lam**2 / bath.omegas**2))   # counter-term
     v[0, 1:] = lam
     v[1:, 0] = lam
     idx = np.arange(1, n + 1)
@@ -166,16 +153,14 @@ def _channel_potential(bath: DiscreteBath, params: ModelParams, sign: int,
     return v
 
 
-def _channel_modes(bath: DiscreteBath, params: ModelParams, sign: int,
-                   include_counter_term: bool = True) -> _ChannelModes:
-    v = _channel_potential(bath, params, sign, include_counter_term)
+def _channel_modes(bath: DiscreteBath, params: ModelParams, sign: int) -> _ChannelModes:
+    v = _channel_potential(bath, params, sign)
     mu2, u = np.linalg.eigh(v)
     if mu2[0] <= 0:
         raise SymplecticityError(
             f"channel potential not positive definite (min eig {mu2[0]:.3e}); "
             "counter-term wiring broken?")
-    return _ChannelModes(mu=np.sqrt(mu2), modes=u,
-                         lam=_channel_couplings(bath, params, sign))
+    return _ChannelModes(mu=np.sqrt(mu2), modes=u)
 
 
 def _thermal_diagonals(bath: DiscreteBath, params: ModelParams):
@@ -303,8 +288,7 @@ def _image_noise(chans: dict, bath: DiscreteBath, params: ModelParams,
 
 def reduced_covariance_series(params: ModelParams, times, n_modes: int,
                               omega_max_bath: float,
-                              c0: CovarianceMatrix | None = None,
-                              include_counter_term: bool = True):
+                              c0: CovarianceMatrix | None = None):
     """Reduced (doubled, dimensionless) system covariances at the given times.
 
     The workhorse for cross-validation runs: one eigendecomposition per
@@ -322,8 +306,7 @@ def reduced_covariance_series(params: ModelParams, times, n_modes: int,
         c0_entries = c0.entries
     cp0, cm0, cx0 = channel_blocks(c0_entries)
 
-    chans = {s: _channel_modes(bath, params, s, include_counter_term)
-             for s in (+1, -1)}
+    chans = {s: _channel_modes(bath, params, s) for s in (+1, -1)}
     images = _image_noise(chans, bath, params, times)
     out = []
     for i, t in enumerate(times):
@@ -362,128 +345,3 @@ def system_propagator_series(params: ModelParams, times, n_modes: int,
         blocks = {s: _system_rows(chans[s], float(t))[:, sys_cols] for s in (+1, -1)}
         out[i] = four_by_four(blocks[+1], blocks[-1])
     return out
-
-
-# ---------------------------------------------------------------------------
-# full global state (validation scale)
-
-
-@dataclass(frozen=True)
-class GlobalGaussianState:
-    """Raw covariance of system plus both bath channels, with its Hamiltonian.
-
-    Ordering: positions (Q1, Q2, q^sym_1..N, q^anti_1..N) then the matching
-    momenta.  ``covariance`` holds raw symmetrized moments; the dimensionless
-    doubled convention applies only after reduction.
-    """
-
-    covariance: np.ndarray
-    hamiltonian_matrix: np.ndarray
-    n_modes: int
-    time: float = 0.0
-
-
-def _global_potential(bath: DiscreteBath, params: ModelParams,
-                      include_counter_term: bool = True) -> np.ndarray:
-    n = bath.n_modes
-    npos = 2 + 2 * n
-    v = np.zeros((npos, npos))
-    om, g = bath.omegas, bath.couplings
-    ck = np.cos(0.5 * om * params.distance)
-    sk = np.sin(0.5 * om * params.distance)
-    v[0, 0] = v[1, 1] = params.omega0**2
-    if include_counter_term:
-        v[0, 0] += float(np.sum(g**2 / om**2))
-        v[1, 1] += float(np.sum(g**2 / om**2))
-        cross = float(np.sum(g**2 * np.cos(om * params.distance) / om**2))
-        v[0, 1] = v[1, 0] = cross
-    sym = slice(2, 2 + n)
-    anti = slice(2 + n, 2 + 2 * n)
-    v[0, sym] = v[sym, 0] = g * ck
-    v[1, sym] = v[sym, 1] = g * ck
-    v[0, anti] = v[anti, 0] = g * sk
-    v[1, anti] = v[anti, 1] = -g * sk
-    idx = np.arange(2, npos)
-    v[idx, idx] = np.concatenate([om**2, om**2])
-    return v
-
-
-def _global_hamiltonian(bath: DiscreteBath, params: ModelParams,
-                        include_counter_term: bool = True) -> np.ndarray:
-    npos = 2 + 2 * bath.n_modes
-    h = np.zeros((2 * npos, 2 * npos))
-    h[:npos, :npos] = _global_potential(bath, params, include_counter_term)
-    h[npos:, npos:] = np.eye(npos)
-    return h
-
-
-def initial_global_state(bath: DiscreteBath, params: ModelParams,
-                         c0: CovarianceMatrix | None = None,
-                         include_counter_term: bool = True) -> GlobalGaussianState:
-    """Factorized start: system covariance c0 (doubled units), bath thermal."""
-    if bath.n_modes > 1200:
-        raise ValueError("full global state is meant for validation scale "
-                         f"(n_modes <= 1200, got {bath.n_modes})")
-    n = bath.n_modes
-    npos = 2 + 2 * n
-    cov = np.zeros((2 * npos, 2 * npos))
-    c0_entries = np.eye(4) if c0 is None else c0.entries
-    sys_idx = np.array([0, 1, npos, npos + 1])
-    cov[np.ix_(sys_idx, sys_idx)] = 0.5 * c0_entries
-    vq, vp = _thermal_diagonals(bath, params)
-    pos_idx = np.arange(2, npos)
-    mom_idx = np.arange(npos + 2, 2 * npos)
-    cov[pos_idx, pos_idx] = np.concatenate([vq, vq])
-    cov[mom_idx, mom_idx] = np.concatenate([vp, vp])
-    return GlobalGaussianState(
-        covariance=cov,
-        hamiltonian_matrix=_global_hamiltonian(bath, params, include_counter_term),
-        n_modes=n, time=0.0)
-
-
-def global_propagator(state: GlobalGaussianState, t: float) -> np.ndarray:
-    """Symplectic propagator exp(t Sigma H) via normal modes (exact)."""
-    npos = state.covariance.shape[0] // 2
-    v = state.hamiltonian_matrix[:npos, :npos]
-    mu2, u = np.linalg.eigh(v)
-    if mu2[0] <= 0:
-        raise SymplecticityError("global potential not positive definite")
-    mu = np.sqrt(mu2)
-    c = (u * np.cos(mu * t)) @ u.T
-    b = (u * (np.sin(mu * t) / mu)) @ u.T
-    d = (u * (-mu * np.sin(mu * t))) @ u.T
-    s = np.empty((2 * npos, 2 * npos))
-    s[:npos, :npos] = c
-    s[:npos, npos:] = b
-    s[npos:, :npos] = d
-    s[npos:, npos:] = c
-    return s
-
-
-def _global_symplectic_form(npos: int) -> np.ndarray:
-    sig = np.zeros((2 * npos, 2 * npos))
-    sig[:npos, npos:] = np.eye(npos)
-    sig[npos:, :npos] = -np.eye(npos)
-    return sig
-
-
-def evolve(state: GlobalGaussianState, t: float,
-           symplectic_tol: float = 1e-8) -> GlobalGaussianState:
-    """Advance the global covariance by t (from the state's current time)."""
-    s = global_propagator(state, t)
-    npos = state.covariance.shape[0] // 2
-    sig = _global_symplectic_form(npos)
-    defect = float(np.max(np.abs(s @ sig @ s.T - sig)))
-    if defect > symplectic_tol:
-        raise SymplecticityError(
-            f"propagator symplecticity defect {defect:.3e} > {symplectic_tol}")
-    cov = s @ state.covariance @ s.T
-    return replace(state, covariance=cov, time=state.time + t)
-
-
-def reduce_to_system(state: GlobalGaussianState) -> CovarianceMatrix:
-    """Extract the doubled, dimensionless 4x4 system covariance."""
-    npos = state.covariance.shape[0] // 2
-    sys_idx = np.array([0, 1, npos, npos + 1])
-    raw = state.covariance[np.ix_(sys_idx, sys_idx)]
-    return CovarianceMatrix(entries=2.0 * raw, time_label=float(state.time))

@@ -17,6 +17,7 @@ from bathpair.analysis import (
     oscillation_frequency,
     second_peak_height,
     short_time_expansion,
+    short_time_slope,
     trace,
     _d1_probe,
 )
@@ -63,6 +64,9 @@ def test_short_time_expansion_values():
     p5 = p.with_(distance=0.5)
     lead = short_time_expansion(1e-8, p5) / 1e-8
     assert lead == pytest.approx((4.0 / LN2) * 10.0 * math.exp(-5.0), rel=1e-3)
+    assert short_time_slope(p5) == pytest.approx(lead, rel=1e-3)
+    assert short_time_slope(p5) == pytest.approx((4.0 / LN2) * 10.0 * math.exp(-5.0),
+                                                 rel=1e-14)
     with pytest.raises(ValueError, match="temperature"):
         short_time_expansion(0.001, p.with_(temperature=0.1))
     with pytest.raises(ValueError, match="t > 0"):

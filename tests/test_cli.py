@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from bathpair.analysis import short_time_slope
 from bathpair.cli import ConfigError, main, parse_values
+from bathpair.model import ModelParams
 
 
 def _read_body(path):
@@ -99,6 +101,10 @@ def test_short_time_check(tmp_path):
     data = _load(tmp_path / "shorttime.csv")
     assert data["distance"].size == 2
     assert np.all(data["slope_measured"] > 0)
+    # the formula column is the analysis module's coefficient, to CSV precision
+    expect = [short_time_slope(ModelParams(gamma=1.0, omega_cut=10.0, distance=r))
+              for r in (0.0, 0.1)]
+    assert data["slope_formula"] == pytest.approx(expect, rel=1e-11)
 
 
 def test_critical_distance_command(tmp_path):

@@ -9,9 +9,8 @@ from bathpair.covariance import (
     TruncationError,
     channel_asymptotic_moments,
     channel_blocks,
-    channel_resonance,
+    channel_resonances,
     covariance_asymptotic,
-    covariance_time,
     covariance_time_series,
     frequency_grid,
     ground_state_covariance,
@@ -22,7 +21,7 @@ from bathpair.entanglement import (
     log_negativity,
     symplectic_eigenvalues,
 )
-from bathpair.greens import four_by_four, greens_time
+from bathpair.greens import greens_time
 from bathpair.kernels import noise_spectrum
 from bathpair.model import ModelParams
 from conftest import random_physical_covariance
@@ -105,35 +104,40 @@ def test_truncation_guard(p):
         channel_asymptotic_moments(p, +1, 2.0 * p.omega_cut, 1e-9)
 
 
+def _narrowest_resonance(params, sign):
+    return min(channel_resonances(params, sign), key=lambda pair: pair[1])
+
+
 def test_resonance_finder(p):
-    om_res, width = channel_resonance(p, -1)
+    om_res, width = _narrowest_resonance(p, -1)
     # weakly damped relative coordinate: Re Gamma^ ~ 2 g Om^2 (1-cos w r)/(Om^2+w^2),
     # spike half-width ~ omega ReGamma^ / |d ReD/d omega| ~ ReGamma^/2
     assert 0.8 <= om_res <= 1.05
     gam_r = 2.0 * 100.0 * (1.0 - math.cos(om_res * 0.1)) / (100.0 + om_res**2)
     assert 0.25 * gam_r <= width <= 0.75 * gam_r
-    om_p, width_p = channel_resonance(p, +1)
+    om_p, width_p = _narrowest_resonance(p, +1)
     assert width_p > 50 * width
 
 
 def test_time_zero_returns_initial_exactly(p, greens_cache):
     c0 = CovarianceMatrix(entries=random_physical_covariance(np.random.default_rng(1)))
-    out = covariance_time(0.0, c0, greens_cache, p)
-    assert np.array_equal(out.entries, c0.entries)
-    # a series asking only for t = 0 has no Filon pairs to sum
+    # a series asking only for t = 0 has no Filon pairs to sum; with later
+    # times, pair 0 still returns c0 itself
     out = covariance_time_series(greens_cache, p, [0.0], c0=c0)
     assert len(out) == 1 and np.array_equal(out[0].entries, c0.entries)
+    out = covariance_time_series(greens_cache, p, [0.0, 1.0], c0=c0)
+    assert np.array_equal(out[0].entries, c0.entries)
 
 
 def test_time_grid_guards(p, greens_cache):
     c0 = ground_state_covariance()
     with pytest.raises(ValueError, match="beyond"):
-        covariance_time(9.5, c0, greens_cache, p)
+        covariance_time_series(greens_cache, p, [9.5], c0=c0)
     with pytest.raises(ValueError, match="pair grid"):
-        covariance_time(0.0125, c0, greens_cache, p)
+        covariance_time_series(greens_cache, p, [0.0125], c0=c0)
     with pytest.raises(UnphysicalCovarianceError):
-        covariance_time(1.0, CovarianceMatrix(entries=0.5 * np.eye(4)),
-                        greens_cache, p)
+        covariance_time_series(greens_cache, p, [1.0],
+                               c0=CovarianceMatrix(entries=0.5 * np.eye(4)))
 
 
 def test_physicality_along_trace(p, greens_cache):
@@ -268,7 +272,7 @@ def test_frequency_vs_time_domain_equivalence(p):
     t = 1.5
     fine = greens_time(np.linspace(0.0, t, 1201), p)   # h = 1.25e-3
     c0 = ground_state_covariance()
-    cov = covariance_time(t, c0, fine, p)
+    cov = covariance_time_series(fine, p, [t], c0=c0)[0]
     idx = int(round(t / fine.spacing))
     for sign in (+1, -1):
         g = fine.channel_series[sign][idx]
@@ -306,7 +310,7 @@ def test_transient_matches_oracle_with_general_initial_state(p):
 
 def test_frequency_grid_resolves_resonance(p):
     x, w = frequency_grid(p, 150.0)
-    om_res, gam_eff = channel_resonance(p, -1)
+    om_res, gam_eff = _narrowest_resonance(p, -1)
     near = np.abs(x - om_res) < 2.0 * gam_eff
     assert np.count_nonzero(near) >= 8
     assert w.sum() == pytest.approx(150.0, rel=1e-12)

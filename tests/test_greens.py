@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -12,17 +14,52 @@ from bathpair.greens import (
     channel_greens_laplace,
     channel_kernel_laplace,
     four_by_four,
-    greens_laplace,
     greens_time,
-    qle_matrices,
 )
-from bathpair.kernels import damping_kernel
+from bathpair.kernels import damping_kernel_laplace
 from bathpair.model import ModelParams
 
 
 @pytest.fixture(scope="module")
 def p():
     return ModelParams(gamma=1.0, omega_cut=10.0, temperature=0.0, distance=0.1)
+
+
+# ---------------------------------------------------------------------------
+# reference: the coupled 4x4 equations of motion, against which the channel
+# split is checked
+
+
+@dataclass(frozen=True)
+class QleMatrices:
+    """Static matrix Z and the Laplace transform of the memory matrix C(t)."""
+
+    z_matrix: np.ndarray
+    memory_laplace: Callable[[complex], np.ndarray]
+
+
+def qle_matrices(params: ModelParams) -> QleMatrices:
+    """Matrices of the first-order form of the coupled equations of motion."""
+    z = np.zeros((4, 4))
+    z[0, 2] = z[1, 3] = -1.0
+    z[2, 0] = z[3, 1] = params.omega0**2
+
+    def memory(s):
+        c = np.zeros((4, 4), dtype=complex)
+        g0 = damping_kernel_laplace(s, 0.0, params)
+        gr = damping_kernel_laplace(s, params.distance, params)
+        c[2, 0] = c[3, 1] = g0 / params.mass
+        c[2, 1] = c[3, 0] = gr / params.mass
+        return c
+
+    return QleMatrices(z_matrix=z, memory_laplace=memory)
+
+
+def greens_laplace(s: complex, params: ModelParams) -> np.ndarray:
+    """4x4 resolvent at a single complex s, assembled from the two channels."""
+    plus = channel_greens_laplace(np.asarray(s, dtype=complex), params, +1)
+    minus = channel_greens_laplace(np.asarray(s, dtype=complex), params, -1)
+    return four_by_four(plus, minus)
 
 
 def _resolvent_direct(s, params):

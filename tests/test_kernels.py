@@ -5,11 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from bathpair.kernels import (
-    LogDivergentKernelError,
     coth,
     damping_kernel,
     damping_kernel_laplace,
-    noise_kernel_entry,
     noise_spectrum,
 )
 from bathpair.model import ModelParams
@@ -137,41 +135,3 @@ def test_noise_spectrum_properties():
     assert np.all(np.isfinite(s))
     peak = np.argmax(s)
     assert np.all(np.diff(s[peak:]) <= 1e-12)
-
-
-def test_noise_kernel_log_divergence(p):
-    with pytest.raises(LogDivergentKernelError):
-        noise_kernel_entry(0.0, 0.0, ModelParams(gamma=1.0, omega_cut=10.0))
-    with pytest.raises(LogDivergentKernelError):
-        noise_kernel_entry(0.4, 0.4, p)
-
-
-def test_noise_kernel_r0_is_autocorrelation(p):
-    # with r = 0 the cross entry reduces to the self entry by construction;
-    # also check evenness through the |tau - r| split
-    v1 = noise_kernel_entry(0.7, 0.0, p)
-    v2 = 0.5 * (  # manual split of cos(w tau) with r = 0
-        noise_kernel_entry(0.7, 0.0, p) + noise_kernel_entry(0.7, 0.0, p))
-    assert v1 == pytest.approx(v2, rel=1e-13)
-
-
-@pytest.mark.parametrize("tau, r", [(1.0, 0.1), (0.35, 0.1), (2.0, 0.6)])
-def test_noise_kernel_vs_oscillatory_quadrature(p, tau, r):
-    """Independent oracle: QAWO quadrature (Chebyshev-moment nodes) of the
-    half-angle split, plus the exact Drude-expansion tail."""
-    from bathpair._panels import cos_tail
-
-    pr = p.with_(distance=r)
-    W = 4000.0
-    Om2 = pr.omega_cut**2
-    pref = 8.0 * pr.gamma / math.pi
-    val = 0.0
-    for a in (abs(tau - r), tau + r):
-        v = quad(lambda w: noise_spectrum(w, pr), 0.0, W, weight="cos",
-                 wvar=a, limit=3000, epsabs=1e-12, epsrel=1e-12)[0]
-        v += pref * (Om2 * cos_tail(a, W, 1)
-                     - Om2**2 * cos_tail(a, W, 3)
-                     + Om2**3 * cos_tail(a, W, 5))
-        val += 0.5 * v
-    ours = noise_kernel_entry(tau, r, pr)
-    assert ours == pytest.approx(val, abs=1e-8)

@@ -5,7 +5,6 @@ import pytest
 
 from bathpair.model import (
     ModelParams,
-    params_from_mapping,
     read_config_file,
     spectral_density,
     validate,
@@ -61,15 +60,6 @@ def test_spectral_density_properties():
     j = spectral_density(w, p)
     assert np.all(j >= 0.0)
     assert w[np.argmax(j)] == pytest.approx(p.omega_cut, abs=0.06)
-
-
-def test_params_from_mapping_and_overrides():
-    p = params_from_mapping({"gamma": "1.0", "omega_cut": "10", "distance": "0.1"},
-                            temperature=0.2, distance=0.3)
-    assert p.gamma == 1.0 and p.omega_cut == 10.0
-    assert p.temperature == 0.2 and p.distance == 0.3
-    with pytest.raises(ValueError, match="omega_cut"):
-        params_from_mapping({"gamma": "1.0"})
 
 
 def test_read_config_file(tmp_path):

@@ -2,20 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from bathpair import oracle
 from bathpair.covariance import CovarianceMatrix
 from bathpair.entanglement import log_negativity, symplectic_eigenvalues
 from bathpair.model import ModelParams, spectral_density
 from bathpair.oracle import (
-    DiscreteBath,
     RecurrenceHorizonError,
+    SymplecticityError,
     build_bath,
-    evolve,
-    global_propagator,
-    initial_global_state,
-    reduce_to_system,
     reduced_covariance_series,
 )
+from conftest import random_physical_covariance
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +22,18 @@ def p():
     return ModelParams(gamma=1.0, omega_cut=10.0, temperature=0.0, distance=0.1)
 
 
-@pytest.fixture(scope="module")
-def small_state(p):
-    bath = build_bath(p, n_modes=120, omega_max_bath=200.0)
-    return bath, initial_global_state(bath, p)
+def _chain_generator(bath, params, sign):
+    """Sigma H of one channel chain, ordered (positions, momenta) of
+    (collective coordinate, bath modes), with H built from the oracle's
+    own channel potential."""
+    npos = bath.n_modes + 1
+    h = np.zeros((2 * npos, 2 * npos))
+    h[:npos, :npos] = oracle._channel_potential(bath, params, sign)
+    h[npos:, npos:] = np.eye(npos)
+    sig = np.zeros((2 * npos, 2 * npos))
+    sig[:npos, npos:] = np.eye(npos)
+    sig[npos:, :npos] = -np.eye(npos)
+    return sig @ h, sig
 
 
 def test_build_bath_guards(p):
@@ -58,59 +65,63 @@ def test_spectral_density_reconstruction(p):
 
 
 def test_propagator_is_matrix_exponential(p):
-    from scipy.linalg import expm
-
-    bath = build_bath(p, n_modes=60 + 40, omega_max_bath=200.0)
-    state = initial_global_state(bath, p)
-    npos = state.covariance.shape[0] // 2
-    sig = np.zeros((2 * npos, 2 * npos))
-    sig[:npos, npos:] = np.eye(npos)
-    sig[npos:, :npos] = -np.eye(npos)
-    t = 0.37
-    s_spec = global_propagator(state, t)
-    s_expm = expm(t * sig @ state.hamiltonian_matrix)
-    assert np.max(np.abs(s_spec - s_expm)) <= 1e-9
+    """The system rows of each channel chain are rows 0 and N+1 of
+    expm(t Sigma H)."""
+    bath = build_bath(p, n_modes=100, omega_max_bath=200.0)
+    for sign in (+1, -1):
+        gen, _ = _chain_generator(bath, p, sign)
+        ch = oracle._channel_modes(bath, p, sign)
+        for t in (0.37, 2.1):
+            ref = expm(t * gen)[[0, bath.n_modes + 1]]
+            assert np.max(np.abs(oracle._system_rows(ch, t) - ref)) <= 1e-9
 
 
-def test_propagator_symplectic_and_composes(small_state):
-    bath, state = small_state
-    npos = state.covariance.shape[0] // 2
-    sig = np.zeros((2 * npos, 2 * npos))
-    sig[:npos, npos:] = np.eye(npos)
-    sig[npos:, :npos] = -np.eye(npos)
-    s1 = global_propagator(state, 0.7)
-    s2 = global_propagator(state, 0.4)
-    s12 = global_propagator(state, 1.1)
-    assert np.max(np.abs(s1 @ sig @ s1.T - sig)) <= 1e-8
-    assert np.max(np.abs(s12 - s2 @ s1)) <= 1e-8
+def test_propagator_symplectic_and_composes(p):
+    """The system rows R(t) of each chain's S(t) keep
+    R Sigma R^T = [[0, 1], [-1, 0]], and R(t1 + t2) = R(t1) S(t2)."""
+    bath = build_bath(p, n_modes=120, omega_max_bath=200.0)
+    for sign in (+1, -1):
+        gen, sig = _chain_generator(bath, p, sign)
+        ch = oracle._channel_modes(bath, p, sign)
+        for t in (0.4, 0.7, 1.1):
+            rows = oracle._system_rows(ch, t)
+            assert np.max(np.abs(rows @ sig @ rows.T - [[0.0, 1.0], [-1.0, 0.0]])) <= 1e-8
+        composed = oracle._system_rows(ch, 0.4) @ expm(0.7 * gen)
+        assert np.max(np.abs(oracle._system_rows(ch, 1.1) - composed)) <= 1e-8
 
 
-def test_evolve_identity_and_energy(small_state, p):
-    bath, state = small_state
-    assert np.max(np.abs(evolve(state, 0.0).covariance - state.covariance)) <= 1e-12
-    e0 = np.trace(state.hamiltonian_matrix @ state.covariance)
-    for t in (0.5, 1.5):
-        st = evolve(state, t)
-        e = np.trace(st.hamiltonian_matrix @ st.covariance)
-        assert e == pytest.approx(e0, rel=1e-8)
+def test_evolve_identity_and_energy(p):
+    """R(0) is the pair of system unit rows, and R(t) conserves the chain
+    energy: S^T H S = H is equivalent to S H^-1 S^T = H^-1, whose system
+    block R H^-1 R^T is diag((V^-1)_00, 1) at every t.  The counter-term
+    makes (V^-1)_00 the bare static response 1/omega0^2."""
+    bath = build_bath(p, n_modes=120, omega_max_bath=200.0)
+    n = bath.n_modes + 1
+    unit = np.zeros((2, 2 * n))
+    unit[0, 0] = unit[1, n] = 1.0
+    expect = np.diag([1.0 / p.omega0**2, 1.0])
+    for sign in (+1, -1):
+        h_inv = np.eye(2 * n)
+        h_inv[:n, :n] = np.linalg.inv(oracle._channel_potential(bath, p, sign))
+        ch = oracle._channel_modes(bath, p, sign)
+        assert np.max(np.abs(oracle._system_rows(ch, 0.0) - unit)) <= 1e-12
+        for t in (0.5, 1.5):
+            rows = oracle._system_rows(ch, t)
+            assert np.max(np.abs(rows @ h_inv @ rows.T - expect)) <= 1e-8
 
 
-def test_reduce_initial_product_state(small_state):
-    bath, state = small_state
-    c = reduce_to_system(state)
-    assert np.max(np.abs(c.entries - np.eye(4))) <= 1e-12
+def test_reduce_initial_product_state(p):
+    """At t = 0 the reduced covariance is the initial system state."""
+    c0 = CovarianceMatrix(entries=random_physical_covariance(np.random.default_rng(3)))
+    out = reduced_covariance_series(p, [0.0], n_modes=200, omega_max_bath=200.0, c0=c0)[0]
+    assert np.max(np.abs(out.entries - c0.entries)) <= 1e-12
 
 
 def test_decoupled_limit_free_evolution(p):
-    """Zeroed couplings: system rotates freely, E stays zero."""
-    bath = build_bath(p, n_modes=120, omega_max_bath=200.0)
-    silent = DiscreteBath(omegas=bath.omegas,
-                          couplings=np.zeros_like(bath.couplings),
-                          k_spacing=bath.k_spacing, n_modes=bath.n_modes)
-    state = initial_global_state(silent, p)
-    for t in (0.9, 2.2):
-        st = evolve(state, t)
-        red = reduce_to_system(st)
+    """gamma = 0: the couplings vanish, the oscillators rotate freely in the
+    ground state, and E stays zero (the recurrence horizon covers t)."""
+    for red in reduced_covariance_series(p.with_(gamma=0.0), [0.9, 2.2], n_modes=200,
+                                         omega_max_bath=200.0):
         assert np.max(np.abs(red.entries - np.eye(4))) <= 1e-10
         assert log_negativity(red.entries) == 0.0
 
@@ -122,23 +133,26 @@ def test_reduced_physical_along_evolution(p):
         assert symplectic_eigenvalues(c.entries)[0] >= 1.0 - 1e-6
 
 
-def test_counter_term_negative_control(p):
+def test_counter_term_negative_control(p, monkeypatch):
     """The quadratic compensation is load-bearing: at the reference coupling
     its removal leaves an indefinite potential (uncompensated frequency
     renormalization exceeds the bare frequency), and at weak coupling the
     shifted dynamics is clearly measurable."""
-    from bathpair.oracle import SymplecticityError
-
-    with pytest.raises(SymplecticityError, match="counter-term"):
-        reduced_covariance_series(p, [1.0], n_modes=1200, omega_max_bath=300.0,
-                                  include_counter_term=False)
-
     weak = p.with_(gamma=0.02)
     with_ct = reduced_covariance_series(weak, [4.0], n_modes=1200,
                                         omega_max_bath=300.0)[0]
+    compensated = oracle._channel_potential
+
+    def uncompensated(bath, params, sign):
+        v = compensated(bath, params, sign)
+        v[0, 0] = params.omega0**2
+        return v
+
+    monkeypatch.setattr(oracle, "_channel_potential", uncompensated)
+    with pytest.raises(SymplecticityError, match="counter-term"):
+        reduced_covariance_series(p, [1.0], n_modes=1200, omega_max_bath=300.0)
     without = reduced_covariance_series(weak, [4.0], n_modes=1200,
-                                        omega_max_bath=300.0,
-                                        include_counter_term=False)[0]
+                                        omega_max_bath=300.0)[0]
     assert np.max(np.abs(with_ct.entries - without.entries)) > 1e-2
 
 
@@ -163,14 +177,8 @@ def test_oracle_vs_pipeline_entanglement(p):
     t_grid = np.linspace(0.0, 6.0, 1201)
     g = greens_time(t_grid, p)
     ours = covariance_time_series(g, p, [6.0])[0]
-    oracle = reduced_covariance_series(p, [6.0], n_modes=2000,
-                                       omega_max_bath=100.0 * math.pi)[0]
-    assert np.max(np.abs(ours.entries - oracle.entries)) <= 1e-3
+    ref = reduced_covariance_series(p, [6.0], n_modes=2000,
+                                    omega_max_bath=100.0 * math.pi)[0]
+    assert np.max(np.abs(ours.entries - ref.entries)) <= 1e-3
     assert abs(log_negativity(ours.entries)
-               - log_negativity(oracle.entries)) <= 2e-3
-
-
-def test_initial_state_scale_guard(p):
-    bath = build_bath(p, n_modes=2000, omega_max_bath=200.0)
-    with pytest.raises(ValueError, match="validation scale"):
-        initial_global_state(bath, p)
+               - log_negativity(ref.entries)) <= 2e-3
