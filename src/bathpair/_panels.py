@@ -3,20 +3,16 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import sici
 
-
-@lru_cache(maxsize=8)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)   # Gauss-Legendre rule per panel
+_MIN_GAP = 1e-10         # edges closer than this merge into one
 
 
-def gauss_panels(edges, n: int = 12):
-    """Composite Gauss-Legendre nodes/weights on the panels defined by ``edges``.
+def gauss_panels(edges):
+    """Composite 12-point Gauss-Legendre nodes/weights on the panels defined by ``edges``.
 
     ``edges`` must be strictly increasing.  Returns flat (nodes, weights).
     """
@@ -25,23 +21,23 @@ def gauss_panels(edges, n: int = 12):
         raise ValueError("need at least two panel edges")
     if np.any(np.diff(edges) <= 0):
         raise ValueError("panel edges must be strictly increasing")
-    x0, w0 = _leggauss(n)
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
-    nodes = 0.5 * (b - a) * x0[None, :] + 0.5 * (a + b)
-    weights = 0.5 * (b - a) * w0[None, :] * np.ones_like(x0)[None, :]
+    nodes = 0.5 * (b - a) * _NODES[None, :] + 0.5 * (a + b)
+    weights = 0.5 * (b - a) * _WEIGHTS[None, :]
     return nodes.ravel(), weights.ravel()
 
 
-def merge_edges(*edge_groups, lo: float, hi: float, min_gap: float = 1e-12):
-    """Merge edge candidates into a sorted, deduplicated grid on [lo, hi]."""
+def merge_edges(*edge_groups, lo: float, hi: float):
+    """Merge edge candidates into a sorted grid on [lo, hi], dropping edges
+    within _MIN_GAP of the previous one."""
     vals = [np.asarray(g, dtype=float).ravel() for g in edge_groups]
     edges = np.concatenate([[lo, hi]] + vals) if vals else np.array([lo, hi])
     edges = edges[(edges >= lo) & (edges <= hi)]
     edges = np.unique(edges)
     keep = [edges[0]]
     for e in edges[1:]:
-        if e - keep[-1] > min_gap:
+        if e - keep[-1] > _MIN_GAP:
             keep.append(e)
     if keep[-1] < hi:
         keep[-1] = hi

@@ -72,7 +72,6 @@ class EntanglementTrace:
 class CriticalDistanceResult:
     d0: float = math.nan
     d1: float = math.nan
-    slope_a: float = math.nan
     bracket: tuple = (math.nan, math.nan)
 
 
@@ -113,23 +112,20 @@ def trace(params: ModelParams, t_max: float, dt: float,
     covs = covariance_time_series(greens, params, times, tol=tol)
     values = log_negativity(np.stack([c.entries for c in covs]))
     peaks = detect_peaks(times, values)
-    try:
-        asym = asymptotic_log_negativity(params, strict=False)
-    except ValueError:   # undamped limits have no initial-state-free asymptote
-        asym = math.nan
+    # the undamped limit has no initial-state-free asymptote; everything
+    # else gets one, or the library's refusal propagates
+    asym = math.nan if params.gamma == 0.0 else asymptotic_log_negativity(params)
     return EntanglementTrace(times=times, values=values, params=params,
                              peaks=peaks, asymptote=asym)
 
 
-def asymptotic_log_negativity(params: ModelParams, strict: bool = True) -> float:
+def asymptotic_log_negativity(params: ModelParams) -> float:
     """Late-time E.  At r = 0 the relative coordinate never thermalizes, so
     its initial (ground-state) block is frozen and combined with the
     stationary symmetric channel; for r > 0 this is just the
     asymptotic-covariance route."""
     if params.distance > 0:
         return log_negativity(covariance_asymptotic(params).entries)
-    if strict:
-        raise ValueError("asymptotic covariance requires r > 0")
     ap, bp, _ = channel_asymptotic_moments(
         params, +1, asymptotic_omega_max(params, ASYMPTOTIC_TOL), ASYMPTOTIC_TOL)
     _, minus_block, _ = channel_blocks(np.eye(4))
@@ -138,15 +134,15 @@ def asymptotic_log_negativity(params: ModelParams, strict: bool = True) -> float
 
 
 def short_time_slope(params: ModelParams) -> float:
-    """Linear coefficient of `short_time_expansion`: (4/ln 2)(gamma/omega0) Omega e^{-r Omega/c}."""
-    return (SHORT_TIME_PREFACTOR * (params.gamma / params.omega0) * params.omega_cut
+    """Linear coefficient of `short_time_expansion`: (4/ln 2) gamma Omega e^{-r Omega/c}."""
+    return (SHORT_TIME_PREFACTOR * params.gamma * params.omega_cut
             * math.exp(-params.distance * params.omega_cut))
 
 
 def short_time_expansion(t, params: ModelParams):
     """Leading short-time behavior of E(t) at zero temperature.
 
-    E(t) ~ (4/ln 2)(gamma/omega0) { e^{-r Omega/c} Omega t - a(Omega t) (Omega t)^2 }
+    E(t) ~ (4/ln 2) gamma { e^{-r Omega/c} Omega t - a(Omega t) (Omega t)^2 }
     with a(x) ~ 0.2937 - ln(x)/pi, clamped at zero from below.
     Valid for 0 < Omega t << 1; rejects T > 0.
     """
@@ -157,7 +153,7 @@ def short_time_expansion(t, params: ModelParams):
         raise ValueError("short-time expansion needs t > 0")
     x = params.omega_cut * t
     alpha = 0.2937 - np.log(x) / math.pi
-    val = SHORT_TIME_PREFACTOR * (params.gamma / params.omega0) * (
+    val = SHORT_TIME_PREFACTOR * params.gamma * (
         math.exp(-params.distance * params.omega_cut) * x - alpha * x * x)
     out = np.maximum(val, 0.0)
     return out if out.ndim else float(out)

@@ -178,10 +178,7 @@ def _checked_params(gamma, omega_cut, temperature, distance) -> ModelParams:
 
 
 def _asym_point(args):
-    p = ModelParams(*args)
-    if p.distance == 0.0:
-        return asymptotic_log_negativity(p, strict=False)
-    return asymptotic_log_negativity(p)
+    return asymptotic_log_negativity(ModelParams(*args))
 
 
 def run_asymptotic_sweep(config: RunConfig) -> list[str]:
@@ -235,9 +232,8 @@ def run_time_trace(config: RunConfig) -> list[str]:
     try:
         results = _map_points(_trace_point, points, config.resolved_jobs())
         for r, (times, values, asym) in zip(dists, results):
-            asym_col = asym if math.isfinite(asym) else math.nan
             for t, e in zip(times, values):
-                rows.append((r, t, e, asym_col))
+                rows.append((r, t, e, asym))
     except _NUMERICAL_ERRORS as exc:
         _flush_and_raise(config, "fig2.csv",
                          ("distance", "t", "E", "asymptote"),
@@ -289,6 +285,8 @@ def run_oracle_compare(config: RunConfig) -> list[str]:
     t_max = config.t_max
     dt = max(config.dt, 0.25)
     n_out = int(round(t_max / dt))
+    if n_out < 1:
+        raise ConfigError(f"t_max = {t_max:g} holds no output step of {dt:g}")
     times = np.linspace(0.0, n_out * dt, n_out + 1)
 
     # pair grid aligned with the output times: dt = per_out * grid_h, even
@@ -425,6 +423,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         output_dir=pick("output_dir", str, "."),
         emit_plot_script=bool(args.emit_plot_script),
     )
+    for name in ("t_max", "dt"):
+        value = getattr(config, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"{name} must be positive and finite (got {value})")
     if not os.path.isdir(config.output_dir):
         try:
             os.makedirs(config.output_dir, exist_ok=True)

@@ -41,7 +41,7 @@ from scipy import fft
 from scipy.optimize import brentq
 
 from ._panels import cos_tail, gauss_panels, merge_edges
-from .entanglement import UnphysicalCovarianceError, symplectic_eigenvalues
+from .entanglement import UnphysicalCovarianceError, positive_definite, symplectic_eigenvalues
 from .greens import GreensFunction, channel_det, channel_kernel_zero, four_by_four
 from .kernels import coth, noise_spectrum
 from .model import ModelParams
@@ -96,14 +96,17 @@ ASYMPTOTIC_TOL = 1e-6    # frequency-tail tolerance of the asymptotic covariance
 
 
 def assert_physical(covs: list[CovarianceMatrix]) -> None:
-    """Refuse the first covariance of the list with lambda_min < 1 - 1e-4 (one stacked check)."""
-    lam = symplectic_eigenvalues(np.stack([c.entries for c in covs]))[:, 0]
-    bad = np.flatnonzero(lam < 1.0 - 1e-4)
+    """Refuse the first covariance of the list that is not positive definite
+    or has lambda_min < 1 - 1e-4 (one stacked check)."""
+    stack = np.stack([c.entries for c in covs])
+    lam = symplectic_eigenvalues(stack)[:, 0]
+    not_pd = ~positive_definite(stack)
+    bad = np.flatnonzero(not_pd | (lam < 1.0 - 1e-4))
     if bad.size:
-        c, lam_min = covs[bad[0]], lam[bad[0]]
-        raise UnphysicalCovarianceError(
-            f"covariance at t={c.time_label} unphysical: min symplectic "
-            f"eigenvalue {lam_min:.8f} < 1 - 0.0001")
+        i = bad[0]
+        why = ("not positive definite" if not_pd[i]
+               else f"min symplectic eigenvalue {lam[i]:.8f} < 1 - 0.0001")
+        raise UnphysicalCovarianceError(f"covariance at t={covs[i].time_label} unphysical: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +135,7 @@ def _noise_weight(omega, params: ModelParams, sign: int):
 
 def _tail_prefactor(params: ModelParams) -> float:
     """Large-frequency coefficient of the weight: (S/2) -> w_inf / omega."""
-    return 4.0 * params.gamma * params.omega_cut**2 / (math.pi * params.omega0)
+    return 4.0 * params.gamma * params.omega_cut**2 / math.pi
 
 
 def channel_resonances(params: ModelParams, sign: int) -> list:
@@ -146,9 +149,8 @@ def channel_resonances(params: ModelParams, sign: int) -> list:
     """
     from .greens import channel_kernel_laplace
 
-    w0, g = params.omega0, params.gamma
-    om_hi = w0 * (3.0 + 3.0 * g / w0)
-    step = min(0.01 * w0, math.pi / (10.0 * (params.distance + 1.0)))
+    om_hi = 3.0 + 3.0 * params.gamma
+    step = min(0.01, math.pi / (10.0 * (params.distance + 1.0)))
     grid = np.arange(step, om_hi, step)
     red = np.real(channel_det(1j * grid, params, sign))
 
@@ -167,8 +169,8 @@ def channel_resonances(params: ModelParams, sign: int) -> list:
         out.append((om_res, max(width, 1e-9)))
     if not out:
         gam_r = float(np.real(channel_kernel_laplace(
-            np.asarray(1j * w0, dtype=complex), params, sign)))
-        out.append((w0, max(gam_r, 1e-9)))
+            np.asarray(1j, dtype=complex), params, sign)))
+        out.append((1.0, max(gam_r, 1e-9)))
     return out
 
 
@@ -182,8 +184,8 @@ def frequency_grid(params: ModelParams, omega_max: float, t_scale: float = 0.0):
     one can be orders of magnitude narrower than everything else.
     """
     r = params.distance
-    w0, Om = params.omega0, params.omega_cut
-    cap = min(w0 / 2.0, Om / 4.0, 2.5 / max(t_scale, r, 1e-9))
+    Om = params.omega_cut
+    cap = min(0.5, Om / 4.0, 2.5 / max(t_scale, r, 1e-9))
     cap = max(cap, omega_max / 200000.0)
     n_panels = int(math.ceil(omega_max / cap))
     base = np.linspace(0.0, omega_max, n_panels + 1)
@@ -197,9 +199,8 @@ def frequency_grid(params: ModelParams, omega_max: float, t_scale: float = 0.0):
                 clusters.append(om_res + ladder)
                 clusters.append(om_res - ladder)
                 clusters.append([om_res])
-    edges = merge_edges(base, [Om / 2, Om, 2 * Om], *clusters,
-                        lo=0.0, hi=omega_max, min_gap=1e-10)
-    return gauss_panels(edges, n=12)
+    edges = merge_edges(base, [Om / 2, Om, 2 * Om], *clusters, lo=0.0, hi=omega_max)
+    return gauss_panels(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +211,17 @@ def _tail_coefficient(params: ModelParams, sign: int) -> float:
     """Bound on the dropped-order coefficient of the beta integrand.
 
     At large omega, (S/2) = (w_inf/omega)(1 - Omega^2/omega^2 + ...) and
-    Re D(i omega) = -omega^2 + omega0^2 + K(0) + O(1/omega), with K(0) the
+    Re D(i omega) = -omega^2 + 1 + K(0) + O(1/omega), with K(0) the
     channel kernel at t = 0, so
 
         (S/2) omega^2 / |D|^2 = (w_inf/omega^3) (1 + c/omega^2 + O(omega^-3)),
-        c = 2 (omega0^2 + K(0)) - Omega^2.
+        c = 2 (1 + K(0)) - Omega^2.
 
     The two parts of c are bounded separately, so that an accidental
     cancellation between the Drude and the kernel term cannot hide the
     next order.
     """
-    return 2.0 * (params.omega0**2 + channel_kernel_zero(params, sign)) + params.omega_cut**2
+    return 2.0 * (1.0 + channel_kernel_zero(params, sign)) + params.omega_cut**2
 
 
 def _asymptotic_tail_error(params: ModelParams, sign: int, omega_max: float) -> float:
@@ -244,14 +245,14 @@ def asymptotic_omega_max(params: ModelParams, tol: float) -> float:
     """Frequency cut of the asymptotic noise integrals for tolerance ``tol``.
 
     Inverts the tail estimate of `channel_asymptotic_moments` for both
-    channels, with a floor of 15 max(Omega, omega0) so that the large-omega
+    channels, with a floor of 15 max(Omega, 1) so that the large-omega
     expansion the tail rests on holds.  The expansion part,
     w_inf c / (2 omega_max^4) <= tol, is inverted in closed form; the cut
     is then raised in 5 % steps until the thermal part fits as well.
     """
     c = max(_tail_coefficient(params, +1), _tail_coefficient(params, -1))
     need = (_tail_prefactor(params) * c / (2.0 * tol)) ** 0.25 * (1.0 + 1e-9)  # rounding margin
-    omega_max = float(max(15.0 * max(params.omega_cut, params.omega0), need))
+    omega_max = float(max(15.0 * max(params.omega_cut, 1.0), need))
     while max(_asymptotic_tail_error(params, s, omega_max) for s in (+1, -1)) > tol:
         omega_max *= 1.05
     return omega_max
@@ -302,7 +303,7 @@ def covariance_asymptotic(params: ModelParams) -> CovarianceMatrix:
     its initial state, so no initial-state-independent limit exists.
     The frequency cut is `asymptotic_omega_max(params, ASYMPTOTIC_TOL)`:
     the smallest cut whose tail estimate meets ``ASYMPTOTIC_TOL``, and at
-    least 15 max(Omega, omega0).  Both channels share one frequency grid.
+    least 15 max(Omega, 1).  Both channels share one frequency grid.
     """
     if params.gamma <= 0:
         raise ValueError("covariance_asymptotic requires gamma > 0")
@@ -469,12 +470,8 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
     outputs are checked in one stacked call (symplectic eigenvalues
     >= 1 - 1e-4); a refusal names the first unphysical time.
     """
-    if greens.spacing is None:
-        raise ValueError("covariance_time_series needs a uniform Green's function grid")
     h = greens.spacing
     grid = greens.time_grid
-    if grid[0] != 0.0:
-        raise ValueError("Green's function grid must start at t = 0")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValueError("negative times requested")
@@ -490,10 +487,10 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
                          f"(step {2 * h})")
 
     c0 = c0 if c0 is not None else ground_state_covariance()
-    lam0 = symplectic_eigenvalues(c0.entries)
-    if lam0[0] < 1.0 - 1e-6:
+    lam0, pd0 = symplectic_eigenvalues(c0.entries), positive_definite(c0.entries)
+    if lam0[0] < 1.0 - 1e-6 or not pd0:
         raise UnphysicalCovarianceError(
-            f"initial covariance unphysical (min symplectic {lam0[0]})")
+            f"initial covariance unphysical (min symplectic {lam0[0]}, positive definite {pd0})")
     cp0, cm0, cx0 = channel_blocks(c0.entries)
 
     k0 = max(channel_kernel_zero(params, s) for s in (+1, -1))

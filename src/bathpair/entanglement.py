@@ -5,9 +5,11 @@ Conventions (locked to the rest of the package): phase-space ordering
 the 4x4 identity, and separability threshold 1 for the symplectic
 eigenvalues of the partially transposed covariance.
 
-Every route takes one 4x4 matrix or a stack (..., 4, 4).  A stack costs one
-batched ``eigvals`` and one batched ``det``, and each of its members gets
-the checks a single matrix gets.
+The symplectic spectrum has one route, the two-mode closed form.  Every
+function takes one 4x4 matrix or a stack (..., 4, 4); a stack costs a few
+batched ``det`` calls, and each of its members gets the checks a single
+matrix gets.  The eigen route (moduli of the eigenvalues of i*Sigma*C) is
+kept in the tests as the cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ __all__ = [
     "SYMPLECTIC_FORM",
     "partial_transpose",
     "symplectic_eigenvalues",
-    "symplectic_eigenvalues_closed_form",
+    "positive_definite",
     "log_negativity",
     "PairingError",
     "UnphysicalCovarianceError",
@@ -26,7 +28,8 @@ __all__ = [
 
 
 class PairingError(ValueError):
-    """Eigenvalues of i*Sigma*C failed to come in +- pairs (corrupted input)."""
+    """The symplectic spectrum of C is undefined: C is not finite and symmetric,
+    or the eigenvalues of i*Sigma*C do not come in real +- pairs."""
 
 
 class UnphysicalCovarianceError(ValueError):
@@ -38,7 +41,6 @@ class UnphysicalCovarianceError(ValueError):
 SYMPLECTIC_FORM = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
                             [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
 SYMPLECTIC_FORM.flags.writeable = False
-_I_SIGMA = 1j * SYMPLECTIC_FORM
 _PT_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 # (row, col) of the entry products giving det A, det B and det X in one gather
 _DET_ROWS = np.array([[0, 1, 0], [2, 3, 2], [0, 1, 0], [2, 3, 2]])
@@ -71,55 +73,58 @@ def partial_transpose(c):
     return arr
 
 
-def _closed_form(arr: np.ndarray) -> np.ndarray:
-    """Two-mode closed form lambda_pm^2 = (Delta +- sqrt(Delta^2 - 4 det C))/2, (..., 2).
-
-    Delta = det A + det B + 2 det X over the per-mode (Q_i, P_i) blocks A, B
-    and the off-diagonal block X; the 2x2 determinants are taken entry-wise.
-    """
-    e = arr[..., _DET_ROWS, _DET_COLS]
-    dets = e[..., 0, :] * e[..., 1, :] - e[..., 2, :] * e[..., 3, :]
-    delta = dets[..., 0] + dets[..., 1] + 2.0 * dets[..., 2]
-    root = np.sqrt(np.maximum(delta * delta - 4.0 * np.linalg.det(arr), 0.0))
-    return np.sqrt(np.maximum(0.5 * (delta[..., None] + _MINUS_PLUS * root[..., None]), 0.0))
-
-
 def symplectic_eigenvalues(c):
     """Symplectic eigenvalues of (not necessarily physical) symmetric 4x4 C.
 
     One matrix gives the ascending pair (lambda_-, lambda_+); a stack
-    (..., 4, 4) gives an array (..., 2).  The values are the moduli of the
-    eigenvalues of i*Sigma*C, which come in two +- pairs.  The first member
-    that fails one of these checks raises PairingError naming its index:
-    symmetry (|C - C^T| <= 1e-9 max(1, max|C|)); pairing of the sorted
-    moduli, within 1e-8 of the largest (at least 1); and agreement with the
-    two-mode closed form within 1e-7 on that scale, as a disagreement means
-    a corrupted input.
+    (..., 4, 4) gives an array (..., 2).  Closed form: lambda_pm^2 = x_pm,
+    the roots of x^2 - Delta x + det C, with Delta = det A + det B + 2 det X
+    over the per-mode (Q_i, P_i) blocks A, B and the off-diagonal block X.
+    The eigenvalues of i*Sigma*C are +-sqrt(x_pm), so their moduli pair up
+    and equal the closed form exactly when C is finite and symmetric and
+    both roots are real and non-negative.  The first member that fails
+    raises PairingError naming its index; the tolerances are where the
+    moduli would leave the closed form by 1e-7 s, s = max(1, lambda_+):
+    -disc * lambda_+ <= 4e-7 Delta^2 s (first order) and x_- >= -(1e-7 s)^2.
+    Symmetry is |C - C^T| <= 1e-9 max(1, max|C|).
     """
     arr = _as_stack(c)
+    finite = np.isfinite(arr).all(axis=(-2, -1))
+    if not finite.all():     # flagged below; the stand-in keeps the arithmetic quiet
+        arr = np.where(finite[..., None, None], arr, np.eye(4))
     asym = np.abs(arr - arr.swapaxes(-1, -2)).max(axis=(-2, -1))
     not_symmetric = asym > 1e-9 * np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
-    mods = np.sort(np.abs(np.linalg.eigvals(_I_SIGMA @ arr)), axis=-1)
-    scale = np.maximum(1.0, mods[..., 3:])
-    lam = 0.5 * (mods[..., 0::2] + mods[..., 1::2])
-    cf = _closed_form(arr)
-    unpaired = (mods[..., 1::2] - mods[..., 0::2] > 1e-8 * scale).any(axis=-1)
-    disagrees = (np.abs(cf - lam) > 1e-7 * scale).any(axis=-1)
-    bad = not_symmetric | unpaired | disagrees
+    e = arr[..., _DET_ROWS, _DET_COLS]
+    dets = e[..., 0, :] * e[..., 1, :] - e[..., 2, :] * e[..., 3, :]
+    delta = dets[..., 0] + dets[..., 1] + 2.0 * dets[..., 2]
+    disc = delta * delta - 4.0 * np.linalg.det(arr)
+    root = np.sqrt(np.maximum(disc, 0.0))
+    x = 0.5 * (delta[..., None] + _MINUS_PLUS * root[..., None])
+    lam = np.sqrt(np.maximum(x, 0.0))
+    scale = np.maximum(1.0, lam[..., 1])
+    complex_roots = -disc * lam[..., 1] > 4e-7 * delta * delta * scale
+    negative_root = x[..., 0] < -(1e-7 * scale) ** 2
+    bad = ~finite | not_symmetric | complex_roots | negative_root
     if bad.any():
         i, where = _first(bad)
+        if not finite[i]:
+            raise PairingError(f"covariance is not finite{where}")
         if not_symmetric[i]:
             raise PairingError(f"covariance is not symmetric{where}")
-        if unpaired[i]:
-            raise PairingError(f"eigenvalue moduli do not pair up{where}: {mods[i]}")
-        raise PairingError(f"eigen-decomposition {lam[i]} disagrees with closed form {cf[i]}{where}")
+        if complex_roots[i]:
+            raise PairingError(f"symplectic roots are complex{where}: discriminant {disc[i]}")
+        raise PairingError(f"symplectic root x_- = {x[i][0]} is negative{where}")
     return tuple(lam) if lam.ndim == 1 else lam
 
 
-def symplectic_eigenvalues_closed_form(c):
-    """Closed-form (block determinant) symplectic eigenvalues, unchecked, shaped as above."""
-    cf = _closed_form(_as_stack(c))
-    return tuple(cf) if cf.ndim == 1 else cf
+def positive_definite(c):
+    """Whether C is positive definite (all leading principal minors > 0), as
+    a bool per member.  -C has the symplectic spectrum of C, so only this
+    check tells a physical covariance from its negative.
+    """
+    arr = _as_stack(c)
+    minors = np.stack([np.linalg.det(arr[..., :k, :k]) for k in range(1, 5)], axis=-1)
+    return (minors > 0.0).all(axis=-1)
 
 
 def log_negativity(c):
@@ -128,18 +133,20 @@ def log_negativity(c):
     One matrix gives a float; a stack (..., 4, 4) gives an array (...).
     The inputs and their partial transposes share one `symplectic_eigenvalues`
     call, so a PairingError on either comes first.  Every input must itself
-    be physical (own symplectic eigenvalues >= 1 - 1e-6); the first
-    that is not raises UnphysicalCovarianceError naming its index.  Values of
-    lambda~ within 1e-12 of 1 count as exactly 1, so roundoff never produces
-    spurious entanglement; E = 0 if and only if the state is separable.
+    be physical (positive definite, with own symplectic eigenvalues
+    >= 1 - 1e-6); the first that is not raises UnphysicalCovarianceError
+    naming its index.  Values of lambda~ within 1e-12 of 1 count as exactly
+    1, so roundoff never produces spurious entanglement; E = 0 if and only
+    if the state is separable.
     """
     arr = _as_stack(c)
     lam_own, lam_pt = symplectic_eigenvalues(np.stack([arr, partial_transpose(arr)]))
-    bad = lam_own[..., 0] < 1.0 - 1e-6
+    not_pd = ~positive_definite(arr)
+    bad = (lam_own[..., 0] < 1.0 - 1e-6) | not_pd
     if bad.any():
         i, where = _first(bad)
-        raise UnphysicalCovarianceError(
-            f"input covariance unphysical{where}: min symplectic eigenvalue {lam_own[i][0]}")
+        why = "not positive definite" if not_pd[i] else f"min symplectic eigenvalue {lam_own[i][0]}"
+        raise UnphysicalCovarianceError(f"input covariance unphysical{where}: {why}")
     logs = np.where(lam_pt < 1.0 - 1e-12, np.log2(lam_pt), 0.0)
     E = 0.0 - logs[..., 0] - logs[..., 1]    # 0.0 - ...: a separable state gives +0.0
     return float(E) if E.ndim == 0 else E

@@ -18,21 +18,23 @@ then decays faster than 1/s^3, which is what makes G(0) = I reachable at
 1e-6 and keeps the periodization error of the method negligible (the
 subtracted parts decay, so no secular growth is aliased back in).
 
-On a uniform grid t_j = t0 + j h the series is a discrete Fourier
-transform (Dubner & Abate, J. ACM 15, 115, 1968): with the period P
-rounded up so that M = 2P/h is an integer,
-
-    exp(i pi k t_j / P) = exp(i pi k t0 / P) exp(2 pi i k j / M),
-
-so the coefficients fold modulo M and one inverse FFT per entry sums the
+On the uniform grid t_j = j h the series is a discrete Fourier transform
+(Dubner & Abate, J. ACM 15, 115, 1968): with the period P rounded up so
+that M = 2P/h is an integer, exp(i pi k t_j / P) = exp(2 pi i k j / M), so
+the coefficients fold modulo M and one inverse FFT per entry sums the
 series at every grid point, in O(M log M + n_terms) instead of
 O(n_terms * N_t).
+
+The inversion constants are fixed.  They hold for every parameter set, as
+every pole lies at Re s <= 0 (on it only for the undamped relative channel
+at r = 0), and each call checks the tail, the reflection residual and
+|G(0) - I| <= 1e-6 (above the aliasing floor), raising `DurbinConvergenceError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .kernels import damping_kernel_laplace
 from .model import ModelParams
 
 __all__ = [
-    "DurbinSettings",
     "GreensFunction",
     "channel_kernel_laplace",
     "channel_det",
@@ -78,26 +79,26 @@ def channel_kernel_zero(params: ModelParams, sign: int) -> float:
 
 
 def channel_det(s, params: ModelParams, sign: int):
-    """Channel determinant D(s) = s^2 + omega0^2 + s * Gamma_channel^(s)."""
+    """Channel determinant D(s) = s^2 + 1 + s * Gamma_channel^(s)."""
     s = np.asarray(s, dtype=complex)
-    return s * s + params.omega0**2 + s * channel_kernel_laplace(s, params, sign)
+    return s * s + 1.0 + s * channel_kernel_laplace(s, params, sign)
 
 
 def channel_greens_laplace(s, params: ModelParams, sign: int):
-    """2x2 channel resolvent [[s, 1], [-(w0^2 + s*K^), s]] / D(s).
+    """2x2 channel resolvent [[s, 1], [-(1 + s*K^), s]] / D(s).
 
     Vectorized over s: returns shape s.shape + (2, 2).  Raises
     PoleProximityError when |D| < 1e-14 (pole of the channel).
     """
     s = np.asarray(s, dtype=complex)
     kern = channel_kernel_laplace(s, params, sign)
-    D = s * s + params.omega0**2 + s * kern
+    D = s * s + 1.0 + s * kern
     if np.any(np.abs(D) < 1e-14):
         raise PoleProximityError(f"channel determinant below 1e-14 near s = {s}")
     out = np.empty(s.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = s / D
     out[..., 0, 1] = 1.0 / D
-    out[..., 1, 0] = -(params.omega0**2 + s * kern) / D
+    out[..., 1, 0] = -(1.0 + s * kern) / D
     out[..., 1, 1] = s / D
     return out
 
@@ -139,47 +140,25 @@ def four_by_four(plus, minus, cross=None):
 # Durbin inversion
 
 
-@dataclass(frozen=True)
-class DurbinSettings:
-    """Inversion parameters; defaults follow stability-first conventions.
-
-    The period is ``period_factor * t_max`` (> 2 t_max, as the series
-    representation needs), rounded up so that twice the period is a whole
-    number of grid steps.  The contour sits ``shift_scale / period`` right
-    of the rightmost pole (which is at Re(s) <= 0 for gamma > 0, and
-    exactly 0 for the undamped relative channel at r = 0).  The series
-    keeps ``n_terms`` terms per 60 time units of period, and at least
-    ``n_terms``: its truncation error at early times scales like
-    (period / terms)^3, so the ratio is pinned.  Euler averaging is
-    applied to the last ``euler_terms`` terms; the last ``tail_fraction``
-    of the series is summed apart, and its largest contribution must stay
-    below ``tail_tol``.
-    """
-
-    n_terms: int = 15000
-    period_factor: float = 4.0
-    # periodization error floor is e^{-2 * shift_scale}; 9 puts it at 1.5e-8,
-    # comfortably under the G(0) = identity tolerance of 1e-6
-    shift_scale: float = 9.0
-    damp_shift: float = 1.0      # b in the closed-form subtracted terms
-    euler_terms: int = 32
-    tail_fraction: float = 0.1
-    tail_tol: float = 1e-5
-    rightmost_pole: float = 0.0
+N_TERMS = 15000          # terms per 60 time units of period (and at least this): error ~ (P/terms)^3
+PERIOD_FACTOR = 4.0      # period / t_max; the series representation needs > 2
+SHIFT_SCALE = 9.0        # contour at Re s = 9/P, right of every pole; aliasing floor e^-18 = 1.5e-8
+DAMP_SHIFT = 1.0         # b > 0 in the closed-form subtracted terms e^{-bt}
+EULER_TERMS = 32         # Euler averaging over the last partial sums
+TAIL_FRACTION = 0.1      # share of the series summed apart as the tail
+TAIL_TOL = 1e-5          # largest tail contribution accepted
 
 
 @dataclass(frozen=True)
 class GreensFunction:
-    """G(t) samples on a uniform grid, with the inversion diagnostics."""
+    """G(t) samples on a uniform grid from t = 0, with the inversion diagnostics."""
 
     time_grid: np.ndarray
     time_values: np.ndarray              # (Nt, 4, 4) real
-    durbin_settings: DurbinSettings
-    params: ModelParams
-    channel_series: dict = field(repr=False, default_factory=dict)  # sign -> (Nt, 2, 2)
-    spacing: float | None = None         # grid step; None on a one-point grid
-    imag_residual: float = 0.0
-    tail_contribution: float = 0.0
+    channel_series: dict                 # sign -> (Nt, 2, 2)
+    spacing: float                       # grid step
+    imag_residual: float
+    tail_contribution: float
 
 
 def _euler_weights(n_terms: int, euler_terms: int) -> np.ndarray:
@@ -192,8 +171,8 @@ def _euler_weights(n_terms: int, euler_terms: int) -> np.ndarray:
     return w
 
 
-def _durbin_sum(coeff_rows, t0, h, n_t, period, shift, weights, tail_start):
-    """Weighted Durbin sums for several coefficient rows on t_j = t0 + j h.
+def _durbin_sum(coeff_rows, h, n_t, period, shift, weights, tail_start):
+    """Weighted Durbin sums for several coefficient rows on t_j = j h.
 
     coeff_rows: (n_series, K) complex, already including the k = 0 halving;
     2 * period / h must be an integer M > n_t - 1.  Terms k and k + M share
@@ -203,8 +182,7 @@ def _durbin_sum(coeff_rows, t0, h, n_t, period, shift, weights, tail_start):
     """
     n_series, K = coeff_rows.shape
     M = int(round(2.0 * period / h))
-    k = np.arange(K)
-    c = coeff_rows * (weights * np.exp(1j * (math.pi * t0 / period) * k))[None, :]
+    c = coeff_rows * weights[None, :]
     parts = np.zeros((2, n_series, -(-K // M) * M), dtype=complex)
     parts[0, :, :tail_start] = c[:, :tail_start]
     parts[1, :, tail_start:K] = c[:, tail_start:]
@@ -212,7 +190,7 @@ def _durbin_sum(coeff_rows, t0, h, n_t, period, shift, weights, tail_start):
     main, tail = (M * np.fft.ifft(folded, axis=-1)[..., :n_t]).real
     # two-sided trapezoid of the Bromwich integral collapses to twice the
     # real part of the half-weighted one-sided sum, i.e. prefactor 1/period
-    t = t0 + h * np.arange(n_t)
+    t = h * np.arange(n_t)
     pref = (1.0 / period) * np.exp(shift * t)[None, :]
     return pref * (main + tail), np.max(np.abs(pref * tail), axis=1)
 
@@ -228,20 +206,17 @@ def _reflection_defect(params: ModelParams, s_k: np.ndarray) -> float:
     return defect
 
 
-def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams,
-                     settings: DurbinSettings):
+def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams):
     """Durbin-invert both channel resolvents on the uniform grid ``t``.
 
     Returns ({sign: (Nt, 2, 2)}, tail_max, imag_residual).
     """
-    a = settings.rightmost_pole + settings.shift_scale / period
-    b = settings.damp_shift
-    K = int(settings.n_terms * max(1.0, period / 60.0))
+    a = SHIFT_SCALE / period
+    b = DAMP_SHIFT
+    K = int(N_TERMS * max(1.0, period / 60.0))
     k = np.arange(K + 1)
     s_k = a + 1j * math.pi * k / period
 
-    g0 = damping_kernel_laplace(s_k, 0.0, params)
-    gr = damping_kernel_laplace(s_k, params.distance, params)
     sub1 = 1.0 / (s_k + b)          # <- e^{-b t}
     sub2 = 1.0 / (s_k + b) ** 2     # <- t e^{-b t}
     sub3 = 1.0 / (s_k + b) ** 3     # <- t^2 e^{-b t} / 2
@@ -251,27 +226,24 @@ def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams
     sub3_r = np.exp(-s_k * r) * sub3
     gO2 = 2.0 * params.gamma * params.omega_cut**2
 
-    weights = _euler_weights(K, settings.euler_terms)
-    tail_start = int(math.floor((1.0 - settings.tail_fraction) * (K + 1)))
+    weights = _euler_weights(K, EULER_TERMS)
+    tail_start = int(math.floor((1.0 - TAIL_FRACTION) * (K + 1)))
 
     channel_series: dict[int, np.ndarray] = {}
     tail_max = 0.0
     for sign in (+1, -1):
-        kern = g0 + sign * gr
-        D = s_k * s_k + params.omega0**2 + s_k * kern
-        w0 = params.omega0**2 + channel_kernel_zero(params, sign)
+        g = channel_greens_laplace(s_k, params, sign)
+        w0 = 1.0 + channel_kernel_zero(params, sign)
         c_u = b * b - w0
         c_v = 2.0 * b
         c_g = gO2 - 2.0 * b * w0
         rows = np.vstack([
-            s_k / D - sub1 - b * sub2 - c_u * sub3,            # G11 = G22
-            1.0 / D - sub2 - c_v * sub3,                       # G12
-            (-(params.omega0**2 + s_k * kern) / D
-             + w0 * sub2 - c_g * sub3 - sign * gO2 * sub3_r),  # G21
+            g[:, 0, 0] - sub1 - b * sub2 - c_u * sub3,                        # G11 = G22
+            g[:, 0, 1] - sub2 - c_v * sub3,                                   # G12
+            g[:, 1, 0] + w0 * sub2 - c_g * sub3 - sign * gO2 * sub3_r,       # G21
         ])
         rows[:, 0] *= 0.5    # k = 0 term enters with half weight
-        vals, tails = _durbin_sum(rows, float(t[0]), h, t.size, period, a,
-                                  weights, tail_start)
+        vals, tails = _durbin_sum(rows, h, t.size, period, a, weights, tail_start)
         tail_max = max(tail_max, float(np.max(tails)))
 
         ebt = np.exp(-b * t)
@@ -292,56 +264,42 @@ def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams
     return channel_series, tail_max, imag_residual
 
 
-def greens_time(t_grid, params: ModelParams,
-                durbin_settings: DurbinSettings | None = None) -> GreensFunction:
+def greens_time(t_grid, params: ModelParams) -> GreensFunction:
     """Invert the channel resolvents onto ``t_grid`` and assemble G(t).
 
-    ``t_grid`` must be non-negative, strictly increasing and uniform (steps
-    equal to a relative 1e-9); the series is summed by FFT on that grid.
-    Raises `DurbinConvergenceError` when the series tail, the reflection
-    residual or, on grids starting at 0, the defect of G(0) = I is out of
-    bounds.
+    ``t_grid`` must start at t = 0, have at least two points and be uniform
+    (steps equal to a relative 1e-9); the series is summed by FFT on that
+    grid.  Raises `DurbinConvergenceError` when the series tail, the
+    reflection residual or the defect of G(0) = I is out of bounds.
     """
-    settings = durbin_settings or DurbinSettings()
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("t_grid must be a non-empty 1-D array")
+    if t.ndim != 1 or t.size < 2 or t[0] != 0.0:
+        raise ValueError("t_grid must be a 1-D grid of at least two points from t = 0")
     diffs = np.diff(t)
-    if t[0] < 0 or np.any(diffs <= 0):
-        raise ValueError("t_grid must be non-negative and strictly increasing")
-    if t.size > 1 and not np.allclose(diffs, diffs[0], rtol=1e-9, atol=1e-12):
+    if np.any(diffs <= 0):
+        raise ValueError("t_grid must be strictly increasing")
+    if not np.allclose(diffs, diffs[0], rtol=1e-9, atol=1e-12):
         raise ValueError("t_grid must be uniform: the Durbin series is summed by FFT")
 
     t_max = float(t[-1])
-    if t_max == 0.0:
-        eye = np.eye(4)[None, :, :].copy()
-        return GreensFunction(
-            time_grid=t, time_values=eye, durbin_settings=settings, params=params,
-            channel_series={+1: np.eye(2)[None], -1: np.eye(2)[None]},
-            spacing=None)
-
-    if settings.period_factor <= 2.0:
-        raise ValueError("Durbin period must exceed 2 * max(t_grid)")
-    h = (t_max - float(t[0])) / (t.size - 1) if t.size > 1 else t_max
+    h = t_max / (t.size - 1)
     # round the period up to a whole number of half grid steps
-    period = 0.5 * h * math.ceil(2.0 * settings.period_factor * t_max / h * (1.0 - 1e-12))
+    period = 0.5 * h * math.ceil(2.0 * PERIOD_FACTOR * t_max / h * (1.0 - 1e-12))
 
-    channel_series, tail_max, imag_residual = _invert_channels(t, h, period, params, settings)
-    if tail_max > settings.tail_tol:
+    channel_series, tail_max, imag_residual = _invert_channels(t, h, period, params)
+    if tail_max > TAIL_TOL:
         raise DurbinConvergenceError(
-            f"Durbin tail contributes {tail_max:.3e} > tol {settings.tail_tol:.3e}")
+            f"Durbin tail contributes {tail_max:.3e} > tol {TAIL_TOL:.3e}")
     if imag_residual > 1e-9:
         raise DurbinConvergenceError(
             f"reflection-symmetry residual {imag_residual:.3e} exceeds 1e-9")
 
     values = four_by_four(channel_series[+1], channel_series[-1])
-    if t[0] == 0.0:
-        defect0 = float(np.max(np.abs(values[0] - np.eye(4))))
-        if defect0 > 1e-6:
-            raise DurbinConvergenceError(
-                f"G(0) deviates from identity by {defect0:.3e} > 1e-6")
+    defect0 = float(np.max(np.abs(values[0] - np.eye(4))))
+    if defect0 > 1e-6:
+        raise DurbinConvergenceError(
+            f"G(0) deviates from identity by {defect0:.3e} > 1e-6")
 
     return GreensFunction(
-        time_grid=t, time_values=values, durbin_settings=settings, params=params,
-        channel_series=channel_series, spacing=h if t.size > 1 else None,
+        time_grid=t, time_values=values, channel_series=channel_series, spacing=h,
         imag_residual=imag_residual, tail_contribution=tail_max)

@@ -11,7 +11,7 @@ with the closed-form Laplace transform
 analytic for Re(s) > -Omega (the apparent singularity at s = +Omega is
 removable).  The noise spectrum is
 
-    S(omega) = (8 gamma / (pi omega0)) * omega * Omega^2/(Omega^2+omega^2) * coth(omega/2T)
+    S(omega) = (8 gamma / pi) * omega * Omega^2/(Omega^2+omega^2) * coth(omega/2T)
 
 which carries the doubling of the covariance convention used throughout
 (vacuum covariance = identity); quadratic noise forms therefore integrate
@@ -88,12 +88,12 @@ def noise_spectrum(omega, params: ModelParams):
     """S(omega) >= 0 for omega >= 0; finite for all omega when T > 0.
 
     At T = 0 the coth factor is exactly 1.  At T > 0 the omega -> 0 limit
-    is 16 gamma T / (pi omega0).
+    is 16 gamma T / pi.
     """
     omega = np.asarray(omega, dtype=float)
-    g, Om, T, w0 = params.gamma, params.omega_cut, params.temperature, params.omega0
+    g, Om, T = params.gamma, params.omega_cut, params.temperature
     drude = Om**2 / (Om**2 + omega**2)
-    pref = 8.0 * g / (math.pi * w0)
+    pref = 8.0 * g / math.pi
     if T == 0.0:
         out = pref * omega * drude
     else:

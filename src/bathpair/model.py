@@ -1,12 +1,13 @@
 """Physical parameters and the bath spectral density.
 
-Natural units are fixed for the whole package:
+Natural units are fixed by the model itself, for the whole package:
 
     omega0 = c = hbar = k_B = m = 1
 
 Distances are measured in c/omega0, frequencies in omega0, temperature in
-hbar*omega0/k_B.  ``omega0`` and ``mass`` stay as explicit fields so the
-formulas read like the physics, but they are locked to 1 by `validate`.
+hbar*omega0/k_B.  There is no field for the bare frequency or the mass:
+the formulas carry them as the number 1, and the ground state of the bare
+oscillators is the identity covariance only because they are 1.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ class ModelParams:
     omega_cut: float            # Drude cutoff frequency Omega (units of omega0)
     temperature: float = 0.0    # bath temperature T (units of hbar*omega0/k_B)
     distance: float = 0.0       # oscillator separation r (units of c/omega0)
-    omega0: float = 1.0
-    mass: float = 1.0
 
     @property
     def cutoff_wavelength(self) -> float:
@@ -63,15 +62,11 @@ def validate(params: ModelParams) -> ModelParams:
         value = getattr(params, name)
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite (got {value})")
-    if params.omega0 != 1.0:
-        raise ValueError("omega0 is fixed to 1 in this build (natural units)")
-    if params.mass != 1.0:
-        raise ValueError("mass is fixed to 1 in this build (natural units)")
     return params
 
 
 def spectral_density(omega, params: ModelParams):
-    """Bath spectral density J(omega) = (2 m gamma / pi) omega Omega^2/(Omega^2+omega^2).
+    """Bath spectral density J(omega) = (2 gamma / pi) omega Omega^2/(Omega^2+omega^2).
 
     Ohmic at small omega, Drude-suppressed above the cutoff; maximum at
     omega = Omega.  Total on omega >= 0 (and even continuation is never
@@ -79,7 +74,7 @@ def spectral_density(omega, params: ModelParams):
     """
     omega = np.asarray(omega, dtype=float)
     Om2 = params.omega_cut**2
-    out = (2.0 * params.mass * params.gamma / math.pi) * omega * Om2 / (Om2 + omega**2)
+    out = (2.0 * params.gamma / math.pi) * omega * Om2 / (Om2 + omega**2)
     return out if out.ndim else float(out)
 
 

@@ -145,7 +145,7 @@ def _channel_potential(bath: DiscreteBath, params: ModelParams, sign: int) -> np
     lam = _channel_couplings(bath, params, sign)
     n = bath.n_modes
     v = np.zeros((n + 1, n + 1))
-    v[0, 0] = params.omega0**2 + float(np.sum(lam**2 / bath.omegas**2))   # counter-term
+    v[0, 0] = 1.0 + float(np.sum(lam**2 / bath.omegas**2))   # counter-term
     v[0, 1:] = lam
     v[1:, 0] = lam
     idx = np.arange(1, n + 1)
@@ -206,7 +206,7 @@ def _missing_mode_noise(params: ModelParams, sign: int, W: float, t: float,
                         g12: float, g22: float) -> np.ndarray:
     """Doubled noise block of the channel modes above W (module docstring)."""
     r = params.distance
-    w_inf = 4.0 * params.gamma * params.omega_cut**2 / (math.pi * params.omega0)
+    w_inf = 4.0 * params.gamma * params.omega_cut**2 / math.pi
 
     def c(a):
         return cos_tail(a, W, 3) + sign * 0.5 * (cos_tail(abs(a - r), W, 3)
@@ -245,14 +245,14 @@ def _image_noise(chans: dict, bath: DiscreteBath, params: ModelParams,
     time: {sign: (Nt, 2, 2)}.
 
     The double integral over [0, t]^2 is a midpoint sum on a grid of step
-    du <= 0.1 / max(Omega, omega0); with uniform weights it grows by one
+    du <= 0.1 / max(Omega, 1); with uniform weights it grows by one
     causal Toeplitz product per step, so all grid times come from one
     convolution and the requested times are interpolated between them.
     """
     t_max = float(times.max())
     if t_max <= 0.0:
         return {s: np.zeros((times.size, 2, 2)) for s in chans}
-    n = int(math.ceil(t_max * max(params.omega_cut, params.omega0) / 0.1))
+    n = int(math.ceil(t_max * max(params.omega_cut, 1.0) / 0.1))
     du = t_max / n
     r = params.distance
     lag = np.arange(n) * du

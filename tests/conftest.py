@@ -26,6 +26,22 @@ def random_symplectic(rng: np.random.Generator, scale: float = 0.5) -> np.ndarra
     return expm(SYMPLECTIC_FORM @ q)
 
 
+def eigen_symplectic_eigenvalues(c) -> np.ndarray:
+    """Reference symplectic eigenvalues by the eigen route, (..., 2) ascending.
+
+    The eigenvalues of i*Sigma*C come in +- pairs; their sorted moduli are
+    checked to pair up within 1e-8 of the largest (at least 1), and each
+    pair is averaged.  This is the cross-check of the closed form in
+    `bathpair.entanglement.symplectic_eigenvalues`.
+    """
+    from bathpair.entanglement import SYMPLECTIC_FORM
+
+    mods = np.sort(np.abs(np.linalg.eigvals(1j * SYMPLECTIC_FORM @ np.asarray(c))), axis=-1)
+    scale = np.maximum(1.0, mods[..., 3:])
+    assert np.all(mods[..., 1::2] - mods[..., 0::2] <= 1e-8 * scale), "moduli do not pair up"
+    return 0.5 * (mods[..., 0::2] + mods[..., 1::2])
+
+
 def random_physical_covariance(rng: np.random.Generator,
                                nu_max: float = 3.0) -> np.ndarray:
     """Random physical covariance S diag(nu1, nu2, nu1, nu2) S^T, nu >= 1."""

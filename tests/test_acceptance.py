@@ -25,12 +25,11 @@ from bathpair.entanglement import (
     log_negativity,
     partial_transpose,
     symplectic_eigenvalues,
-    symplectic_eigenvalues_closed_form,
 )
 from bathpair.greens import greens_time
 from bathpair.model import ModelParams
 from bathpair.oracle import reduced_covariance_series
-from conftest import random_physical_covariance
+from conftest import eigen_symplectic_eigenvalues, random_physical_covariance
 
 LN2 = math.log(2.0)
 ZERO = 1e-8
@@ -285,8 +284,8 @@ def test_criterion_11_entanglement_units():
     worst = 0.0
     for _ in range(1000):
         c = random_physical_covariance(rng)
-        lam = symplectic_eigenvalues(c)
-        cf = symplectic_eigenvalues_closed_form(c)
+        lam = eigen_symplectic_eigenvalues(c)
+        cf = symplectic_eigenvalues(c)
         worst = max(worst, abs(lam[0] - cf[0]), abs(lam[1] - cf[1]))
     ok &= worst <= 1e-10
     assert _report(11, ok, f"two-mode squeezed E = 2s/ln2 to 1e-9; "

@@ -48,6 +48,19 @@ def test_trace_r0_has_frozen_relative_coordinate_asymptote():
     assert np.all(tr.values >= 0.0)
 
 
+def test_trace_asymptote_is_finite_or_a_named_refusal():
+    """A point of the ROADMAP box where the asymptotic covariance is refused
+    (lambda_min 0.99938): the refusal reaches the caller instead of a NaN."""
+    params = ModelParams(gamma=0.45149965552454896, omega_cut=2.857698913133787,
+                         temperature=0.0, distance=6.71122722573179e-4)
+    try:
+        tr = trace(params, t_max=2.0, dt=0.05)
+    except Exception as exc:   # the contract is about the exception class
+        assert type(exc).__module__.startswith("bathpair."), repr(exc)
+    else:
+        assert math.isfinite(tr.asymptote)
+
+
 def test_trace_decoupled_is_zero():
     # gamma = 0 bypasses validation deliberately: couplings off, no entanglement
     free = ModelParams(gamma=0.0, omega_cut=10.0, distance=0.1)

@@ -35,10 +35,18 @@ def test_parse_values():
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    rc = main(["asymptotic-sweep", "--gamma", "-1", "--omega-cut", "10",
-               "--distance", "0.05", "--output-dir", str(tmp_path)])
-    assert rc == 2
-    assert "error: config" in capsys.readouterr().err
+    point = ["--gamma", "1", "--omega-cut", "10", "--distance", "0.1"]
+    for argv in (["asymptotic-sweep", "--gamma", "-1", "--omega-cut", "10",
+                  "--distance", "0.05"],
+                 ["time-trace", *point, "--dt", "0"],
+                 ["time-trace", *point, "--dt", "nan"],
+                 ["time-trace", *point, "--t-max", "-1"],
+                 ["time-trace", *point, "--t-max", "inf"],
+                 # no output step fits into the window
+                 ["oracle-compare", *point, "--t-max", "0.1", "--dt", "0.25"]):
+        rc = main(argv + ["--jobs", "1", "--output-dir", str(tmp_path)])
+        assert rc == 2, argv
+        assert "error: config" in capsys.readouterr().err, argv
 
 
 def test_asymptotic_sweep_deterministic(tmp_path):

@@ -135,9 +135,9 @@ def test_time_grid_guards(p, greens_cache):
         covariance_time_series(greens_cache, p, [9.5], c0=c0)
     with pytest.raises(ValueError, match="pair grid"):
         covariance_time_series(greens_cache, p, [0.0125], c0=c0)
-    with pytest.raises(UnphysicalCovarianceError):
-        covariance_time_series(greens_cache, p, [1.0],
-                               c0=CovarianceMatrix(entries=0.5 * np.eye(4)))
+    for bad in (0.5 * np.eye(4), -np.eye(4)):
+        with pytest.raises(UnphysicalCovarianceError):
+            covariance_time_series(greens_cache, p, [1.0], c0=CovarianceMatrix(entries=bad))
 
 
 def test_physicality_along_trace(p, greens_cache):
@@ -200,7 +200,7 @@ def _integrated_kernel_edges(edges, params, sign):
     x = np.asarray(edges, dtype=float)
     scale = np.max(np.abs(x)) + r + 1.0
     n_panels = int(math.ceil(W / min(2.0, math.pi / (2.0 * scale))))
-    w, wq = gauss_panels(np.linspace(1e-9, W, n_panels + 1), n=12)
+    w, wq = gauss_panels(np.linspace(1e-9, W, n_panels + 1))
     f = noise_spectrum(w, params) * (1.0 + sign * np.cos(w * r)) / w
     vals = (wq * f) @ np.sin(np.outer(w, x))
     pref = 8.0 * params.gamma / math.pi
@@ -381,5 +381,5 @@ def test_default_cut_meets_its_tail_bound(monkeypatch):
     tol = 1e-5
     covariance_time_series(greens_time(np.linspace(0.0, 6.0, 601), q), q, [6.0], tol=tol)
     k0 = 2.0 * q.gamma * q.omega_cut * (1.0 + math.exp(-q.omega_cut * q.distance))
-    w_inf = 4.0 * q.gamma * q.omega_cut**2 / (math.pi * q.omega0)
+    w_inf = 4.0 * q.gamma * q.omega_cut**2 / math.pi
     assert cuts and 2.0 * w_inf * (1.0 + (1.0 + k0) ** 2) / cuts[0] ** 4 <= tol

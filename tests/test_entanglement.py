@@ -9,10 +9,10 @@ from bathpair.entanglement import (
     UnphysicalCovarianceError,
     log_negativity,
     partial_transpose,
+    positive_definite,
     symplectic_eigenvalues,
-    symplectic_eigenvalues_closed_form,
 )
-from conftest import random_physical_covariance, random_symplectic
+from conftest import eigen_symplectic_eigenvalues, random_physical_covariance
 
 LN2 = math.log(2.0)
 
@@ -85,10 +85,11 @@ def test_pairing_error_on_garbage():
 
 
 def test_eigen_vs_closed_form_on_1000_random_states(rng):
+    """The eigen route (tests only) against the closed form of the library."""
     for _ in range(1000):
         c = random_physical_covariance(rng)
-        lam = symplectic_eigenvalues(c)
-        cf = symplectic_eigenvalues_closed_form(c)
+        lam = eigen_symplectic_eigenvalues(c)
+        cf = symplectic_eigenvalues(c)
         scale = max(1.0, lam[1])
         assert abs(lam[0] - cf[0]) <= 1e-10 * scale
         assert abs(lam[1] - cf[1]) <= 1e-10 * scale
@@ -143,34 +144,58 @@ def test_stack_equals_per_matrix_on_1000_random_states(rng):
     assert lam.shape == (1000, 2) and e.shape == (1000,)
     assert np.max(np.abs(lam - [symplectic_eigenvalues(c) for c in cs])) <= 1e-14
     assert np.max(np.abs(e - [log_negativity(c) for c in cs])) <= 1e-14
-    assert np.max(np.abs(symplectic_eigenvalues_closed_form(cs)
-                         - [symplectic_eigenvalues_closed_form(c) for c in cs])) <= 1e-14
     # any leading shape works, member by member
     assert np.array_equal(log_negativity(cs.reshape(10, 100, 4, 4)), e.reshape(10, 100))
 
 
-def test_stack_refuses_one_bad_member(rng, monkeypatch):
+# One member of a stack of physical states is replaced by each input the
+# spectrum is undefined for; the refusal names that member.
+_UNDEFINED_SPECTRA = [
+    (None, r"not symmetric"),                   # one entry moved by 1e-6
+    (np.diag([1.0, 1.0, -1.0, -1.0]), r"is negative"),     # A = B = diag(1, -1): x = -1, -1
+    (np.array([[2.0, 3.0, 0.0, -3.0], [3.0, 2.0, -1.0, -3.0],
+               [0.0, -1.0, -2.0, 4.0], [-3.0, -3.0, 4.0, 2.0]]),
+     r"roots are complex"),                     # Delta = 9, discriminant -99
+    (np.full((4, 4), np.nan), r"not finite"),
+    (np.diag([np.inf, 1.0, 1.0, 1.0]), r"not finite"),
+]
+
+
+def test_stack_refuses_one_bad_member(rng):
     cs = np.array([random_physical_covariance(rng) for _ in range(8)])
-    asym = cs.copy()
-    asym[5, 0, 1] += 1e-6
-    with pytest.raises(PairingError, match=r"not symmetric at stack index \(5,\)"):
-        symplectic_eigenvalues(asym)
-    with pytest.raises(PairingError):
-        log_negativity(asym)
+    for member, message in _UNDEFINED_SPECTRA:
+        bad = cs.copy()
+        if member is None:
+            bad[5, 0, 1] += 1e-6
+        else:
+            bad[5] = member
+        with pytest.raises(PairingError, match=message + r".*at stack index \(5,\)"):
+            symplectic_eigenvalues(bad)
+        with pytest.raises(PairingError):
+            log_negativity(bad)
+        if member is not None:      # a single matrix is refused the same way
+            with pytest.raises(PairingError, match=message):
+                symplectic_eigenvalues(member)
 
-    # a symmetric matrix always pairs in exact arithmetic, so unpair one
-    # member's spectrum where the check reads it: by 5e-8 of its scale, past
-    # the pairing bound (1e-8) but within the closed-form one (1e-7)
-    real_eigvals = np.linalg.eigvals
 
-    def unpaired_at_3(a):
-        ev = real_eigvals(a)
-        ev[3, 0] *= 1.0 + 5e-8 * np.abs(ev[3]).max() / abs(ev[3, 0])
-        return ev
+def test_negative_definite_states_are_refused(rng):
+    """-C has the symplectic spectrum of C; only positive definiteness tells
+    the physical state from its negative."""
+    from bathpair.covariance import CovarianceMatrix, assert_physical
 
-    monkeypatch.setattr(np.linalg, "eigvals", unpaired_at_3)
-    with pytest.raises(PairingError, match=r"do not pair up at stack index \(3,\)"):
-        symplectic_eigenvalues(cs)
+    c = random_physical_covariance(rng)
+    for neg in (-np.eye(4), -c):
+        assert not positive_definite(neg)
+        with pytest.raises(UnphysicalCovarianceError, match="not positive definite"):
+            log_negativity(neg)
+        with pytest.raises(UnphysicalCovarianceError, match=r"at t=2\.0 unphysical: not positive"):
+            assert_physical([CovarianceMatrix(entries=c, time_label=1.0),
+                             CovarianceMatrix(entries=neg, time_label=2.0)])
+    cs = np.array([random_physical_covariance(rng) for _ in range(6)])
+    assert positive_definite(cs).all()
+    cs[2] = -cs[2]
+    with pytest.raises(UnphysicalCovarianceError, match=r"at stack index \(2,\)"):
+        log_negativity(cs)
 
 
 def test_stack_refuses_one_unphysical_member(rng):
@@ -199,6 +224,12 @@ def test_trace_equals_per_output_log_negativity(monkeypatch):
     assert len(seen) == tr.values.size == 2001
     assert np.max(np.abs(tr.values - per_output)) <= 1e-12
     assert np.max(tr.values) > 0.0
+    # the eigen route on every output and its partial transpose
+    cs = np.stack([c.entries for c in seen])
+    for stack in (cs, partial_transpose(cs)):
+        lam = symplectic_eigenvalues(stack)
+        ref = eigen_symplectic_eigenvalues(stack)
+        assert np.all(np.abs(lam - ref) <= 1e-10 * np.maximum(1.0, ref[:, 1:]))
 
 
 def test_series_refusal_names_first_unphysical_time(monkeypatch):

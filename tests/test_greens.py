@@ -8,7 +8,6 @@ import pytest
 from bathpair import greens
 from bathpair.greens import (
     DurbinConvergenceError,
-    DurbinSettings,
     PoleProximityError,
     channel_det,
     channel_greens_laplace,
@@ -42,14 +41,14 @@ def qle_matrices(params: ModelParams) -> QleMatrices:
     """Matrices of the first-order form of the coupled equations of motion."""
     z = np.zeros((4, 4))
     z[0, 2] = z[1, 3] = -1.0
-    z[2, 0] = z[3, 1] = params.omega0**2
+    z[2, 0] = z[3, 1] = 1.0      # bare frequency squared
 
     def memory(s):
         c = np.zeros((4, 4), dtype=complex)
         g0 = damping_kernel_laplace(s, 0.0, params)
         gr = damping_kernel_laplace(s, params.distance, params)
-        c[2, 0] = c[3, 1] = g0 / params.mass
-        c[2, 1] = c[3, 0] = gr / params.mass
+        c[2, 0] = c[3, 1] = g0
+        c[2, 1] = c[3, 0] = gr
         return c
 
     return QleMatrices(z_matrix=z, memory_laplace=memory)
@@ -188,7 +187,7 @@ def test_greens_time_ode_residual(p):
         # row 1 of the channel system: dG11/dt = G21
         d_g11 = np.gradient(g11, h, edge_order=2)
         assert np.max(np.abs(d_g11 - g21)[2:-2]) <= 5e-4 * np.max(np.abs(g21))
-        # row 2: dG21/dt + w0^2 G11 + Gam(0) G11 + int Gam'(t-u) G11(u) du = 0
+        # row 2: dG21/dt + G11 + Gam(0) G11 + int Gam'(t-u) G11(u) du = 0
         d_g21 = np.gradient(g21, h, edge_order=2)
         gam0 = 2.0 * p.gamma * p.omega_cut * (1.0 + sign * math.exp(-p.omega_cut * p.distance))
         resid = np.empty_like(t)
@@ -196,7 +195,7 @@ def test_greens_time_ode_residual(p):
             u = t[:k + 1]
             dgam = _channel_kernel_derivative(tk - u, p, sign)
             conv = np.trapezoid(dgam * g11[:k + 1], u) if k > 0 else 0.0
-            resid[k] = d_g21[k] + p.omega0**2 * g11[k] + gam0 * g11[k] + conv
+            resid[k] = d_g21[k] + g11[k] + gam0 * g11[k] + conv
         scale = max(1.0, np.max(np.abs(g21)) * p.omega_cut)
         # G21'' jumps at t = r (retarded kink): the centered difference is
         # only first order there, so a 3h neighborhood is excluded
@@ -231,10 +230,11 @@ def test_greens_decay_at_large_time():
     assert np.max(np.abs(g.time_values[-1])) <= 1e-3
 
 
-def test_durbin_tail_diagnostic_raises(p):
-    with pytest.raises(DurbinConvergenceError):
-        greens_time(np.linspace(0.0, 5.0, 501), p,
-                    DurbinSettings(n_terms=60, tail_tol=1e-9))
+def test_durbin_tail_diagnostic_raises(p, monkeypatch):
+    monkeypatch.setattr(greens, "N_TERMS", 60)
+    monkeypatch.setattr(greens, "TAIL_TOL", 1e-9)
+    with pytest.raises(DurbinConvergenceError, match="tail"):
+        greens_time(np.linspace(0.0, 5.0, 501), p)
 
 
 def test_greens_matches_oracle_propagator(p):
@@ -278,10 +278,9 @@ def _durbin_sum_dense(coeff_rows, t, period, shift, weights, tail_start):
     return pref * (main + tail), np.max(np.abs(pref * tail), axis=1)
 
 
-@pytest.mark.parametrize("t0", [0.0, 0.75])
-def test_fft_durbin_sum_matches_dense_sum(p, t0):
+def test_fft_durbin_sum_matches_dense_sum(p):
     h, n_t, K = 0.01, 401, 6000
-    period = 0.5 * h * math.ceil(2.0 * 4.0 * (t0 + (n_t - 1) * h) / h)
+    period = 0.5 * h * math.ceil(2.0 * 4.0 * (n_t - 1) * h / h)
     shift = 9.0 / period
     s_k = shift + 1j * math.pi * np.arange(K) / period
     rows = np.stack([channel_greens_laplace(s_k, p, sign)[:, i, j]
@@ -289,8 +288,8 @@ def test_fft_durbin_sum_matches_dense_sum(p, t0):
     rows[:, 0] *= 0.5
     weights = greens._euler_weights(K - 1, 32)
     tail_start = int(0.9 * K)
-    vals, tails = greens._durbin_sum(rows, t0, h, n_t, period, shift, weights, tail_start)
-    ref_vals, ref_tails = _durbin_sum_dense(rows, t0 + h * np.arange(n_t), period, shift,
+    vals, tails = greens._durbin_sum(rows, h, n_t, period, shift, weights, tail_start)
+    ref_vals, ref_tails = _durbin_sum_dense(rows, h * np.arange(n_t), period, shift,
                                             weights, tail_start)
     assert np.max(np.abs(vals - ref_vals)) <= 1e-10 * np.max(np.abs(ref_vals))
     assert np.max(np.abs(tails - ref_tails)) <= 1e-10 * np.max(np.abs(ref_vals))
@@ -300,3 +299,7 @@ def test_greens_time_rejects_non_uniform_grid(p):
     t = np.concatenate([np.linspace(0.0, 1.0, 101), [1.02, 1.05]])
     with pytest.raises(ValueError, match="uniform"):
         greens_time(t, p)
+    # the FFT summation serves uniform grids from t = 0 with a step
+    for t in ([0.0], np.linspace(0.5, 1.0, 51)):
+        with pytest.raises(ValueError, match="at least two points from t = 0"):
+            greens_time(t, p)

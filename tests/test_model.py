@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,10 +30,12 @@ def test_validate_rejects_with_named_field(kw, field):
 
 
 def test_natural_units_locked():
-    with pytest.raises(ValueError, match="omega0"):
-        validate(ModelParams(gamma=1.0, omega_cut=10.0, omega0=2.0))
-    with pytest.raises(ValueError, match="mass"):
-        validate(ModelParams(gamma=1.0, omega_cut=10.0, mass=0.5))
+    """omega0 = m = 1 is fixed by the model: there is no field to set."""
+    assert [f.name for f in fields(ModelParams)] == [
+        "gamma", "omega_cut", "temperature", "distance"]
+    for name in ("omega0", "mass"):
+        with pytest.raises(TypeError, match=name):
+            ModelParams(gamma=1.0, omega_cut=10.0, **{name: 2.0})
 
 
 def test_cutoff_wavelength():
