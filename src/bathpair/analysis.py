@@ -17,7 +17,6 @@ from .covariance import (
     ASYMPTOTIC_TOL,
     asymptotic_omega_max,
     channel_asymptotic_moments,
-    channel_blocks,
     covariance_asymptotic,
     covariance_time_series,
 )
@@ -109,8 +108,7 @@ def trace(params: ModelParams, t_max: float, dt: float,
     grid = np.linspace(0.0, t_end, n_grid + 1)
     greens = greens_time(grid, params)
     times = np.linspace(0.0, t_end, n_out + 1)
-    covs = covariance_time_series(greens, params, times, tol=tol)
-    values = log_negativity(np.stack([c.entries for c in covs]))
+    values = log_negativity(covariance_time_series(greens, params, times, tol=tol))
     peaks = detect_peaks(times, values)
     # the undamped limit has no initial-state-free asymptote; everything
     # else gets one, or the library's refusal propagates
@@ -125,12 +123,10 @@ def asymptotic_log_negativity(params: ModelParams) -> float:
     stationary symmetric channel; for r > 0 this is just the
     asymptotic-covariance route."""
     if params.distance > 0:
-        return log_negativity(covariance_asymptotic(params).entries)
+        return log_negativity(covariance_asymptotic(params))
     ap, bp, _ = channel_asymptotic_moments(
         params, +1, asymptotic_omega_max(params, ASYMPTOTIC_TOL), ASYMPTOTIC_TOL)
-    _, minus_block, _ = channel_blocks(np.eye(4))
-    c4 = four_by_four(np.diag([ap, bp]), minus_block)
-    return log_negativity(c4)
+    return log_negativity(four_by_four(np.diag([ap, bp]), np.eye(2)))
 
 
 def short_time_slope(params: ModelParams) -> float:
@@ -170,8 +166,7 @@ def measured_initial_slope(params: ModelParams) -> float:
     grid = np.linspace(0.0, t_hi, n_grid + 1)
     greens = greens_time(grid, params)
     times = np.linspace(t_lo, t_hi, n_points)
-    covs = covariance_time_series(greens, params, times, tol=1e-7)
-    values = log_negativity(np.stack([c.entries for c in covs]))
+    values = log_negativity(covariance_time_series(greens, params, times, tol=1e-7))
     return float(np.polyfit(times, values, 1)[0])
 
 

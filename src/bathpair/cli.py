@@ -68,6 +68,13 @@ class RunConfig:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
+def _number(cast, raw):
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"not a valid {cast.__name__}: {raw!r}") from exc
+
+
 def parse_values(text: str) -> list[float]:
     """Scalar, comma list, or start:stop:step range (inclusive end)."""
     text = text.strip()
@@ -75,14 +82,14 @@ def parse_values(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(x) for x in parts)
+        start, stop, step = (_number(float, x) for x in parts)
         if step <= 0 or stop < start:
             raise ConfigError(f"empty or backwards range {text!r}")
         n = int(math.floor((stop - start) / step + 1e-9))
         return [start + k * step for k in range(n + 1)]
     if "," in text:
-        return [float(x) for x in text.split(",") if x.strip()]
-    return [float(text)]
+        return [_number(float, x) for x in text.split(",") if x.strip()]
+    return [_number(float, text)]
 
 
 def _scalar(config: RunConfig, name: str) -> float:
@@ -194,8 +201,9 @@ def run_asymptotic_sweep(config: RunConfig) -> list[str]:
     points = [(gamma, omega_cut, T, r) for T in temps for r in dists]
     rows = []
     try:
-        values = _map_points(_asym_point, points, config.resolved_jobs())
-        rows = [(T, r, e) for (g, o, T, r), e in zip(points, values)]
+        for (_, _, T, r), e in zip(points, _map_points(_asym_point, points,
+                                                       config.resolved_jobs())):
+            rows.append((T, r, e))
     except _NUMERICAL_ERRORS as exc:
         _flush_and_raise(config, "fig1.csv", ("temperature", "distance", "E"),
                          rows, "PARTIAL", f"{type(exc).__name__}: {exc}", exc)
@@ -230,10 +238,9 @@ def run_time_trace(config: RunConfig) -> list[str]:
               for r in dists]
     rows = []
     try:
-        results = _map_points(_trace_point, points, config.resolved_jobs())
-        for r, (times, values, asym) in zip(dists, results):
-            for t, e in zip(times, values):
-                rows.append((r, t, e, asym))
+        for r, (times, values, asym) in zip(dists, _map_points(_trace_point, points,
+                                                               config.resolved_jobs())):
+            rows.extend((r, t, e, asym) for t, e in zip(times, values))
     except _NUMERICAL_ERRORS as exc:
         _flush_and_raise(config, "fig2.csv",
                          ("distance", "t", "E", "asymptote"),
@@ -306,10 +313,8 @@ def run_oracle_compare(config: RunConfig) -> list[str]:
     omega_max_bath = max(omega_max_bath, 20.0 * p.omega_cut)
     oracle = reduced_covariance_series(p, times, n_modes=n_modes,
                                        omega_max_bath=omega_max_bath)
-    c_ours = np.stack([c.entries for c in ours])
-    c_oracle = np.stack([c.entries for c in oracle])
-    dc = np.abs(c_ours - c_oracle).max(axis=(1, 2))
-    de = np.abs(log_negativity(c_ours) - log_negativity(c_oracle))
+    dc = np.abs(ours.entries - oracle.entries).max(axis=(1, 2))
+    de = np.abs(log_negativity(ours) - log_negativity(oracle))
     rows = list(zip(times, dc, de))
     worst_c, worst_e = float(dc.max()), float(de.max())
     path = os.path.join(config.output_dir, "deviation.csv")
@@ -347,10 +352,13 @@ def run_slope_fit(config: RunConfig) -> list[str]:
 
 
 def _map_points(fn, points, jobs):
+    """Yield fn(point) in the order of the points, each once it and those
+    before it are done, so that a failing point keeps the rows before it."""
     if jobs <= 1 or len(points) <= 1:
-        return [fn(pt) for pt in points]
+        yield from map(fn, points)
+        return
     with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-        return list(pool.map(fn, points))
+        yield from pool.map(fn, points)
 
 
 def _flush_and_raise(config, name, columns, rows, status, note, exc):
@@ -406,11 +414,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
     def pick(name, cast, default):
         flag = getattr(args, name, None)
-        if flag is not None:
-            return cast(flag)
-        if name in file_cfg:
-            return cast(file_cfg[name])
-        return default
+        raw = flag if flag is not None else file_cfg.get(name)
+        return default if raw is None else _number(cast, raw)
 
     config = RunConfig(
         command=args.command,

@@ -29,6 +29,10 @@ matrix depends only on the lag between pairs, so a full time series costs
 one set of Toeplitz lag kernels (a frequency sum per lag) and one FFT
 convolution per channel.  Beyond omega_max the integrand is replaced by its
 large-frequency expansion and integrated in closed form.
+
+A `CovarianceMatrix` is one 4x4 matrix or an (n, 4, 4) stack with an (n,)
+array of times: `covariance_time_series` returns its whole series as one
+stack, which `entanglement.log_negativity` takes as it is.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from scipy import fft
 from scipy.optimize import brentq
 
 from ._panels import cos_tail, gauss_panels, merge_edges
-from .entanglement import UnphysicalCovarianceError, positive_definite, symplectic_eigenvalues
-from .greens import GreensFunction, channel_det, channel_kernel_zero, four_by_four
+from .entanglement import _first, require_physical
+from .greens import GreensFunction, channel_blocks, channel_det, channel_kernel_zero, four_by_four
 from .kernels import coth, noise_spectrum
 from .model import ModelParams
 
@@ -53,7 +57,6 @@ __all__ = [
     "asymptotic_omega_max",
     "covariance_time_series",
     "channel_asymptotic_moments",
-    "channel_blocks",
     "channel_resonances",
     "frequency_grid",
     "TruncationError",
@@ -66,25 +69,48 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """4x4 real symmetric covariance in ordering (Q1, Q2, P1, P2).
+    """One real symmetric 4x4 covariance in ordering (Q1, Q2, P1, P2), or a
+    stack (n, 4, 4) of them: a time series is always one stack.
 
-    ``time_label`` is the time the matrix is valid at, or "asymptotic".
-    Entries are symmetrized on construction; gross asymmetry is rejected.
+    ``time_label`` is the time a matrix is valid at, or "asymptotic"; for a
+    stack it is an (n,) array.  A stack has a length, and integer indexing
+    and iteration give its members as 4x4 CovarianceMatrix objects.  Entries
+    are symmetrized on construction; gross asymmetry is rejected, naming the
+    member of a stack.
     """
 
     entries: np.ndarray
-    time_label: float | str = 0.0
+    time_label: float | str | np.ndarray = 0.0
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
-        if arr.shape != (4, 4):
-            raise ValueError(f"covariance must be 4x4, got {arr.shape}")
-        defect = np.max(np.abs(arr - arr.T))
-        if defect > 1e-9 * max(1.0, np.max(np.abs(arr))):
-            raise ValueError(f"covariance asymmetric by {defect:.3e}")
-        arr = 0.5 * (arr + arr.T)
+        if arr.ndim not in (2, 3) or arr.shape[-2:] != (4, 4):
+            raise ValueError(f"covariance must be 4x4 or a stack (n, 4, 4), got {arr.shape}")
+        defect = np.abs(arr - arr.swapaxes(-1, -2)).max(axis=(-2, -1))
+        asym = defect > 1e-9 * np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
+        if asym.any():
+            i, where = _first(asym)
+            raise ValueError(f"covariance asymmetric by {defect[i]:.3e}{where}")
+        arr = 0.5 * (arr + arr.swapaxes(-1, -2))
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
+        if arr.ndim == 3:
+            labels = np.array(self.time_label, dtype=float)
+            if labels.shape != arr.shape[:1]:
+                raise ValueError(f"a stack of {len(arr)} needs {len(arr)} times, got {labels.shape}")
+            object.__setattr__(self, "time_label", labels)
+
+    def __len__(self) -> int:
+        if self.entries.ndim == 2:
+            raise TypeError("a single covariance matrix has no length")
+        return self.entries.shape[0]
+
+    def __getitem__(self, i):
+        len(self)       # a single matrix is not indexable
+        return CovarianceMatrix(entries=self.entries[i], time_label=self.time_label[i])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def ground_state_covariance() -> CovarianceMatrix:
@@ -95,36 +121,8 @@ def ground_state_covariance() -> CovarianceMatrix:
 ASYMPTOTIC_TOL = 1e-6    # frequency-tail tolerance of the asymptotic covariance
 
 
-def assert_physical(covs: list[CovarianceMatrix]) -> None:
-    """Refuse the first covariance of the list that is not positive definite
-    or has lambda_min < 1 - 1e-4 (one stacked check)."""
-    stack = np.stack([c.entries for c in covs])
-    lam = symplectic_eigenvalues(stack)[:, 0]
-    not_pd = ~positive_definite(stack)
-    bad = np.flatnonzero(not_pd | (lam < 1.0 - 1e-4))
-    if bad.size:
-        i = bad[0]
-        why = ("not positive definite" if not_pd[i]
-               else f"min symplectic eigenvalue {lam[i]:.8f} < 1 - 0.0001")
-        raise UnphysicalCovarianceError(f"covariance at t={covs[i].time_label} unphysical: {why}")
-
-
 # ---------------------------------------------------------------------------
-# channel decomposition
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-_T4 = np.array([
-    [_SQ2, _SQ2, 0.0, 0.0],     # u_+
-    [0.0, 0.0, _SQ2, _SQ2],     # udot_+
-    [_SQ2, -_SQ2, 0.0, 0.0],    # u_-
-    [0.0, 0.0, _SQ2, -_SQ2],    # udot_-
-])
-
-
-def channel_blocks(c4: np.ndarray):
-    """Split a 4x4 covariance into (+, -, cross) channel blocks."""
-    chan = _T4 @ np.asarray(c4, dtype=float) @ _T4.T
-    return chan[:2, :2], chan[2:, 2:], chan[:2, 2:]
+# frequency grids
 
 
 def _noise_weight(omega, params: ModelParams, sign: int):
@@ -181,7 +179,9 @@ def frequency_grid(params: ModelParams, omega_max: float, t_scale: float = 0.0):
     Panel width is capped so that the fastest oscillation (set by the
     retardation r and the requested time horizon) stays resolved, with
     geometric refinement around each channel resonance; the antisymmetric
-    one can be orders of magnitude narrower than everything else.
+    one can be orders of magnitude narrower than everything else.  At strong
+    damping the symmetric channel's 1/|D|^2 also has a Lorentzian peak at
+    omega = 0, half-width 1/Gamma_+^(0) = 1/(4 gamma), where Re D has no zero.
     """
     r = params.distance
     Om = params.omega_cut
@@ -190,15 +190,17 @@ def frequency_grid(params: ModelParams, omega_max: float, t_scale: float = 0.0):
     n_panels = int(math.ceil(omega_max / cap))
     base = np.linspace(0.0, omega_max, n_panels + 1)
 
+    features = channel_resonances(params, +1) + channel_resonances(params, -1)
+    if params.gamma > 0:
+        features.append((0.0, 0.25 / params.gamma))
     clusters = []
-    for sign in (+1, -1):
-        for om_res, width in channel_resonances(params, sign):
-            if width * 2.0 < cap:
-                ladder = width * np.array([0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
-                ladder = ladder[ladder < 8.0 * cap]
-                clusters.append(om_res + ladder)
-                clusters.append(om_res - ladder)
-                clusters.append([om_res])
+    for om_res, width in features:
+        if width * 2.0 < cap:
+            ladder = width * np.array([0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
+            ladder = ladder[ladder < 8.0 * cap]
+            clusters.append(om_res + ladder)
+            clusters.append(om_res - ladder)
+            clusters.append([om_res])
     edges = merge_edges(base, [Om / 2, Om, 2 * Om], *clusters, lo=0.0, hi=omega_max)
     return gauss_panels(edges)
 
@@ -316,7 +318,7 @@ def covariance_asymptotic(params: ModelParams) -> CovarianceMatrix:
     am, bm, _ = channel_asymptotic_moments(params, -1, omega_max, ASYMPTOTIC_TOL, grid)
     c4 = four_by_four(np.diag([ap, bp]), np.diag([am, bm]))
     out = CovarianceMatrix(entries=c4, time_label="asymptotic")
-    assert_physical([out])
+    require_physical(out)
     return out
 
 
@@ -458,17 +460,18 @@ def _pair_noise(g_cols: np.ndarray, x: np.ndarray, weights: np.ndarray, h: float
 
 def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
                            c0: CovarianceMatrix | None = None,
-                           tol: float = 1e-5) -> list[CovarianceMatrix]:
-    """C(t) at the requested times (each must sit on the stored G pair grid).
+                           tol: float = 1e-5) -> CovarianceMatrix:
+    """C(t) at the requested times (each must sit on the stored G pair grid),
+    as one stack in the order requested; t = 0 gives ``c0`` itself.
 
     The noise of all requested times comes from one set of lag kernels and
     one FFT convolution per channel (`_pair_noise`): O(N_omega * N_pairs)
     for the kernels plus O(N_pairs log N_pairs).  The frequency cut
     omega_max is the smallest whose tail-correction error bound
     2 w_inf (1 + (1 + K(0))^2) / omega_max^4 meets ``tol`` (K(0) the larger
-    channel kernel at t = 0), and at least 15 max(Omega, 1).  The
-    outputs are checked in one stacked call (symplectic eigenvalues
-    >= 1 - 1e-4); a refusal names the first unphysical time.
+    channel kernel at t = 0), and at least 15 max(Omega, 1).  ``c0`` and
+    the outputs must pass `require_physical`; a refusal names the first
+    unphysical time.
     """
     h = greens.spacing
     grid = greens.time_grid
@@ -487,10 +490,7 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
                          f"(step {2 * h})")
 
     c0 = c0 if c0 is not None else ground_state_covariance()
-    lam0, pd0 = symplectic_eigenvalues(c0.entries), positive_definite(c0.entries)
-    if lam0[0] < 1.0 - 1e-6 or not pd0:
-        raise UnphysicalCovarianceError(
-            f"initial covariance unphysical (min symplectic {lam0[0]}, positive definite {pd0})")
+    require_physical(c0)
     cp0, cm0, cx0 = channel_blocks(c0.entries)
 
     k0 = max(channel_kernel_zero(params, s) for s in (+1, -1))
@@ -521,9 +521,7 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
         blocks[s] = g @ c0_block @ g.transpose(0, 2, 1) + noise[k, pairs] + tail
     cross = series[+1][gi] @ cx0 @ series[-1][gi].transpose(0, 2, 1)
     c4 = four_by_four(blocks[+1], blocks[-1], cross)
-
-    covs = [CovarianceMatrix(entries=c0.entries, time_label=0.0) if p == 0
-            else CovarianceMatrix(entries=entries, time_label=float(t))
-            for p, t, entries in zip(pairs, t_out, c4)]   # pair 0 is t = 0: c0 itself
-    assert_physical(covs)
-    return [covs[i] for i in inverse]
+    c4[pairs == 0] = c0.entries
+    out = CovarianceMatrix(entries=c4, time_label=t_out)
+    require_physical(out)
+    return out[inverse]

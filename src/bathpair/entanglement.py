@@ -6,10 +6,15 @@ the 4x4 identity, and separability threshold 1 for the symplectic
 eigenvalues of the partially transposed covariance.
 
 The symplectic spectrum has one route, the two-mode closed form.  Every
-function takes one 4x4 matrix or a stack (..., 4, 4); a stack costs a few
-batched ``det`` calls, and each of its members gets the checks a single
-matrix gets.  The eigen route (moduli of the eigenvalues of i*Sigma*C) is
-kept in the tests as the cross-check.
+function takes one 4x4 matrix or a stack (..., 4, 4), bare or as a
+`covariance.CovarianceMatrix`; a stack costs a few batched ``det`` calls,
+and each of its members gets the checks a single matrix gets.  The eigen
+route (moduli of the eigenvalues of i*Sigma*C) is kept in the tests as the
+cross-check.
+
+Physicality has one rule, `require_physical`: positive definite, and the
+smallest symplectic eigenvalue at least 1 - 1e-6.  `log_negativity` applies
+it to its inputs, and the covariance builders to what they take and return.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ __all__ = [
     "partial_transpose",
     "symplectic_eigenvalues",
     "positive_definite",
+    "require_physical",
     "log_negativity",
     "PairingError",
     "UnphysicalCovarianceError",
@@ -127,26 +133,37 @@ def positive_definite(c):
     return (minors > 0.0).all(axis=-1)
 
 
+def require_physical(c) -> None:
+    """Refuse ``c`` unless every member is positive definite with smallest
+    symplectic eigenvalue >= 1 - 1e-6, the package's one physicality rule.
+
+    The first member that breaks it raises UnphysicalCovarianceError naming
+    its time when ``c`` carries a ``time_label``, else its stack index.  A
+    spectrum that is undefined raises PairingError first.
+    """
+    arr = _as_stack(c)
+    lam_min = np.asarray(symplectic_eigenvalues(arr))[..., 0]
+    not_pd = ~positive_definite(arr)
+    bad = not_pd | (lam_min < 1.0 - 1e-6)
+    if bad.any():
+        i, where = _first(bad)
+        why = "not positive definite" if not_pd[i] else f"min symplectic eigenvalue {lam_min[i]}"
+        if hasattr(c, "time_label"):
+            label = c.time_label[i] if i else c.time_label
+            raise UnphysicalCovarianceError(f"covariance at t={label} unphysical: {why}")
+        raise UnphysicalCovarianceError(f"input covariance unphysical{where}: {why}")
+
+
 def log_negativity(c):
     """E = -sum_j log2 min(1, lambda_j~) over the partial-transpose spectrum.
 
     One matrix gives a float; a stack (..., 4, 4) gives an array (...).
-    The inputs and their partial transposes share one `symplectic_eigenvalues`
-    call, so a PairingError on either comes first.  Every input must itself
-    be physical (positive definite, with own symplectic eigenvalues
-    >= 1 - 1e-6); the first that is not raises UnphysicalCovarianceError
-    naming its index.  Values of lambda~ within 1e-12 of 1 count as exactly
-    1, so roundoff never produces spurious entanglement; E = 0 if and only
-    if the state is separable.
+    Every input must pass `require_physical` first.  Values of lambda~
+    within 1e-12 of 1 count as exactly 1, so roundoff never produces
+    spurious entanglement; E = 0 if and only if the state is separable.
     """
-    arr = _as_stack(c)
-    lam_own, lam_pt = symplectic_eigenvalues(np.stack([arr, partial_transpose(arr)]))
-    not_pd = ~positive_definite(arr)
-    bad = (lam_own[..., 0] < 1.0 - 1e-6) | not_pd
-    if bad.any():
-        i, where = _first(bad)
-        why = "not positive definite" if not_pd[i] else f"min symplectic eigenvalue {lam_own[i][0]}"
-        raise UnphysicalCovarianceError(f"input covariance unphysical{where}: {why}")
+    require_physical(c)
+    lam_pt = np.asarray(symplectic_eigenvalues(partial_transpose(_as_stack(c))))
     logs = np.where(lam_pt < 1.0 - 1e-12, np.log2(lam_pt), 0.0)
     E = 0.0 - logs[..., 0] - logs[..., 1]    # 0.0 - ...: a separable state gives +0.0
     return float(E) if E.ndim == 0 else E

@@ -7,8 +7,11 @@ The linear system for y = (Q1, Q2, Qdot1, Qdot2) has resolvent
 with Z carrying the velocity definition and the bare frequency, and C^(s)
 the memory-kernel transforms (self kernel at d = 0, cross kernel at d = r).
 Exchange symmetry splits everything into symmetric/antisymmetric channels
-u_pm = (Q1 +- Q2)/sqrt(2) with scalar kernels Gamma0^ +- Gammar^; the
-channel resolvents are 2x2 and the 4x4 matrix is reassembled exactly.
+u_pm = (Q1 +- Q2)/sqrt(2) with scalar kernels Gamma0^ +- Gammar^, and the
+channel resolvents are 2x2.  The channel map is one orthogonal matrix T,
+rows (u_+, udot_+, u_-, udot_-) over (Q1, Q2, V1, V2), used in both
+directions: `channel_blocks` splits a 4x4 matrix C into the blocks of
+T C T^T, and `four_by_four` reassembles blocks as T^T [[+, x], [x^T, -]] T.
 
 Time-domain values come from Durbin's Fourier-series inversion along a
 shifted contour.  Exponentially damped terms matching the 1/s, 1/s^2 and
@@ -48,6 +51,7 @@ __all__ = [
     "channel_greens_laplace",
     "greens_time",
     "four_by_four",
+    "channel_blocks",
     "PoleProximityError",
     "DurbinConvergenceError",
 ]
@@ -103,37 +107,38 @@ def channel_greens_laplace(s, params: ModelParams, sign: int):
     return out
 
 
+# channel coordinates: rows u_+, udot_+, u_-, udot_- of (Q1, Q2, V1, V2);
+# _T4 is orthogonal, so the map and its inverse are the two products below
+_SQ2 = 1.0 / math.sqrt(2.0)
+_T4 = np.array([
+    [_SQ2, _SQ2, 0.0, 0.0],
+    [0.0, 0.0, _SQ2, _SQ2],
+    [_SQ2, -_SQ2, 0.0, 0.0],
+    [0.0, 0.0, _SQ2, -_SQ2],
+])
+
+
 def four_by_four(plus, minus, cross=None):
-    """Reassemble 4x4 matrices in ordering (Q1, Q2, V1, V2) from channel 2x2s.
+    """Assemble 4x4 matrices in ordering (Q1, Q2, V1, V2) from channel 2x2s:
+    _T4^T [[plus, cross], [cross^T, minus]] _T4.
 
     ``plus``/``minus`` live in (u, udot) channel coordinates; ``cross`` is
     the (+,-) channel cross block (zero for anything respecting exchange
     symmetry, e.g. the Green's function itself).  Works on stacked inputs
-    of shape (..., 2, 2).
+    of shape (..., 2, 2).  `channel_blocks` is the inverse.
     """
-    plus = np.asarray(plus)
-    minus = np.asarray(minus)
-    out = np.zeros(plus.shape[:-2] + (4, 4), dtype=plus.dtype)
-    half_sum = 0.5 * (plus + minus)
-    half_dif = 0.5 * (plus - minus)
-    for i in range(2):          # 0: position row, 1: velocity row
-        for j in range(2):
-            out[..., 2 * i + 0, 2 * j + 0] = half_sum[..., i, j]
-            out[..., 2 * i + 1, 2 * j + 1] = half_sum[..., i, j]
-            out[..., 2 * i + 0, 2 * j + 1] = half_dif[..., i, j]
-            out[..., 2 * i + 1, 2 * j + 0] = half_dif[..., i, j]
-    if cross is not None:
-        cross = np.asarray(cross)
-        for i in range(2):
-            for j in range(2):
-                x = cross[..., i, j]
-                xt = cross[..., j, i]
-                # sigma_a = +1 for oscillator 1, -1 for oscillator 2
-                out[..., 2 * i + 0, 2 * j + 0] += 0.5 * (x + xt)
-                out[..., 2 * i + 1, 2 * j + 1] += -0.5 * (x + xt)
-                out[..., 2 * i + 0, 2 * j + 1] += 0.5 * (-x + xt)
-                out[..., 2 * i + 1, 2 * j + 0] += 0.5 * (x - xt)
-    return out
+    plus, minus = np.asarray(plus), np.asarray(minus)
+    cross = np.zeros_like(plus) if cross is None else np.asarray(cross)
+    chan = np.concatenate([np.concatenate([plus, cross], axis=-1),
+                           np.concatenate([cross.swapaxes(-1, -2), minus], axis=-1)], axis=-2)
+    return _T4.T @ chan @ _T4
+
+
+def channel_blocks(c4):
+    """Split 4x4 matrices (or a stack) into (plus, minus, cross) channel blocks
+    of _T4 C _T4^T; the inverse of `four_by_four`."""
+    chan = _T4 @ np.asarray(c4, dtype=float) @ _T4.T
+    return chan[..., :2, :2], chan[..., 2:, 2:], chan[..., :2, 2:]
 
 
 # ---------------------------------------------------------------------------

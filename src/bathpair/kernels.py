@@ -1,4 +1,4 @@
-"""Damping kernel, its Laplace transform, and the bath noise spectrum.
+"""The damping kernel in the Laplace domain, and the bath noise spectrum.
 
 The memory kernel at separation d is
 
@@ -17,7 +17,8 @@ which carries the doubling of the covariance convention used throughout
 (vacuum covariance = identity); quadratic noise forms therefore integrate
 against S/2 (see `covariance`).  The time-domain noise kernel is
 log-divergent at coincident arguments, so nothing samples it: every noise
-integral is taken against S(omega) in the frequency domain.
+integral is taken against S(omega) in the frequency domain.  The damping
+kernel, too, is only ever used through its transform.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .model import ModelParams
 
 __all__ = [
     "coth",
-    "damping_kernel",
     "damping_kernel_laplace",
     "noise_spectrum",
 ]
@@ -49,14 +49,6 @@ def coth(x):
     with np.errstate(over="ignore"):     # expm1 -> inf is the right limit
         out = np.where(small, 1.0 / np.where(small, x, 1.0) + x / 3.0,
                        1.0 + 2.0 / np.expm1(2.0 * xs))
-    return out if out.ndim else float(out)
-
-
-def damping_kernel(t, d: float, params: ModelParams):
-    """Gamma_d(t); total in t >= 0, d >= 0 (and even in t)."""
-    t = np.asarray(t, dtype=float)
-    g, Om = params.gamma, params.omega_cut
-    out = g * Om * (np.exp(-Om * np.abs(t - d)) + np.exp(-Om * np.abs(t + d)))
     return out if out.ndim else float(out)
 
 

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._panels import cos_tail
-from .covariance import CovarianceMatrix, channel_blocks
-from .greens import four_by_four
+from .covariance import CovarianceMatrix
+from .greens import channel_blocks, four_by_four
 from .kernels import coth
 from .model import ModelParams, spectral_density
 
@@ -171,51 +171,38 @@ def _thermal_diagonals(bath: DiscreteBath, params: ModelParams):
     return th / (2.0 * om), om * th / 2.0     # <q^2>, <p^2>
 
 
-def _system_rows(ch: _ChannelModes, t: float):
-    """Two system rows of the channel propagator S(t), shape (2, 2N+2).
+def _system_rows(ch: _ChannelModes, t):
+    """Two system rows of the channel propagator S(t), shape t.shape + (2, 2N+2).
 
     Row 0 propagates onto the collective position, row 1 onto its momentum;
-    columns are (positions, momenta) of (system, bath modes).
+    columns are (positions, momenta) of (system, bath modes).  All times
+    share one matrix product with the mode matrix.
     """
     mu, u = ch.mu, ch.modes
-    u0 = u[0, :]
-    c, s = np.cos(mu * t), np.sin(mu * t)
-    a_row = (u0 * c) @ u.T
-    b_row = (u0 * (s / mu)) @ u.T
-    c_row = (u0 * (-mu * s)) @ u.T
-    return np.array([np.concatenate([a_row, b_row]),
-                     np.concatenate([c_row, a_row])])
+    ph = np.multiply.outer(np.asarray(t, dtype=float), mu)
+    c, s = np.cos(ph), np.sin(ph)
+    f = u[0, :] * np.stack([c, s / mu, -mu * s])
+    a_row, b_row, c_row = (f.reshape(-1, mu.size) @ u.T).reshape(f.shape)
+    return np.stack([np.concatenate([a_row, b_row], axis=-1),
+                     np.concatenate([c_row, a_row], axis=-1)], axis=-2)
 
 
-def _reduced_channel_covariance(ch: _ChannelModes, bath: DiscreteBath,
-                                params: ModelParams, t: float,
-                                c0_block: np.ndarray):
-    """Raw 2x2 covariance of one channel coordinate at time t."""
-    rows = _system_rows(ch, t)
-    vq, vp = _thermal_diagonals(bath, params)
-    n = bath.n_modes
-    diag = np.concatenate([[0.0], vq, [0.0], vp])
-    sys_cols = np.array([0, n + 1])
-    core = (rows * diag[None, :]) @ rows.T
-    sys_rows = rows[:, sys_cols]
-    core += sys_rows @ (0.5 * c0_block) @ sys_rows.T
-    return core, sys_rows      # raw covariance and the 2x2 channel propagator
-
-
-def _missing_mode_noise(params: ModelParams, sign: int, W: float, t: float,
-                        g12: float, g22: float) -> np.ndarray:
-    """Doubled noise block of the channel modes above W (module docstring)."""
+def _missing_mode_noise(params: ModelParams, sign: int, W: float, t: np.ndarray,
+                        g12: np.ndarray, g22: np.ndarray) -> np.ndarray:
+    """Doubled noise block of the channel modes above W (module docstring),
+    shape (Nt, 2, 2) over the times ``t``."""
     r = params.distance
     w_inf = 4.0 * params.gamma * params.omega_cut**2 / math.pi
 
     def c(a):
-        return cos_tail(a, W, 3) + sign * 0.5 * (cos_tail(abs(a - r), W, 3)
+        return cos_tail(a, W, 3) + sign * 0.5 * (cos_tail(np.abs(a - r), W, 3)
                                                  + cos_tail(a + r, W, 3))
 
-    g = np.array([g12, g22])
-    e2 = np.array([0.0, 1.0])
-    return w_inf * ((np.outer(g, g) + np.outer(e2, e2)) * c(0.0)
-                    - (np.outer(g, e2) + np.outer(e2, g)) * c(t))
+    g = np.stack([g12, g22], axis=-1)[..., :, None]
+    e2 = np.array([[0.0], [1.0]])
+    gg, ge = g * g.swapaxes(-1, -2), g * e2.T
+    return w_inf * ((gg + e2 * e2.T) * c(0.0)
+                    - (ge + ge.swapaxes(-1, -2)) * c(t)[:, None, None])
 
 
 def _image_sum(x: np.ndarray, period: float, T: float) -> np.ndarray:
@@ -288,41 +275,40 @@ def _image_noise(chans: dict, bath: DiscreteBath, params: ModelParams,
 
 def reduced_covariance_series(params: ModelParams, times, n_modes: int,
                               omega_max_bath: float,
-                              c0: CovarianceMatrix | None = None):
-    """Reduced (doubled, dimensionless) system covariances at the given times.
+                              c0: CovarianceMatrix | None = None) -> CovarianceMatrix:
+    """Reduced (doubled, dimensionless) system covariances at the given times,
+    as one stack in the order requested.
 
     The workhorse for cross-validation runs: one eigendecomposition per
-    channel, then O(N^2) work per time.  Times must stay below half the
-    recurrence horizon.  The noise of each channel is corrected to the
-    continuum bath: the missing modes above ``omega_max_bath`` are added and
-    the recurrence images of the frequency grid removed (module docstring).
+    channel, then one product of the mode matrix with all the times.  Times
+    must stay below half the recurrence horizon.  The noise of each channel
+    is corrected to the continuum bath: the missing modes above
+    ``omega_max_bath`` are added and the recurrence images of the frequency
+    grid removed (module docstring).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     bath = build_bath(params, n_modes, omega_max_bath,
                       compare_time=float(times.max()))
-    if c0 is None:
-        c0_entries = np.eye(4)
-    else:
-        c0_entries = c0.entries
-    cp0, cm0, cx0 = channel_blocks(c0_entries)
+    cp0, cm0, cx0 = channel_blocks(np.eye(4) if c0 is None else c0.entries)
 
     chans = {s: _channel_modes(bath, params, s) for s in (+1, -1)}
     images = _image_noise(chans, bath, params, times)
-    out = []
-    for i, t in enumerate(times):
-        blocks = {}
-        prop = {}
-        for s in (+1, -1):
-            raw, prop[s] = _reduced_channel_covariance(
-                chans[s], bath, params, float(t), cp0 if s > 0 else cm0)
-            blocks[s] = 2.0 * raw - images[s][i]
-            if t > 0.0:
-                blocks[s] += _missing_mode_noise(params, s, omega_max_bath, float(t),
-                                                 prop[s][0, 1], prop[s][1, 1])
-        cross_raw = prop[+1] @ (0.5 * cx0) @ prop[-1].T
-        c4 = four_by_four(blocks[+1], blocks[-1], 2.0 * cross_raw)
-        out.append(CovarianceMatrix(entries=c4, time_label=float(t)))
-    return out
+    vq, vp = _thermal_diagonals(bath, params)
+    diag = np.concatenate([[0.0], vq, [0.0], vp])
+    sys_cols = np.array([0, bath.n_modes + 1])
+    later = (times > 0.0)[:, None, None]
+    blocks, prop = {}, {}
+    for s, c0_block in ((+1, cp0), (-1, cm0)):
+        rows = _system_rows(chans[s], times)                       # (Nt, 2, 2N+2)
+        prop[s] = rows[..., sys_cols]                              # channel propagator
+        raw = ((rows * diag) @ rows.swapaxes(-1, -2)
+               + prop[s] @ (0.5 * c0_block) @ prop[s].swapaxes(-1, -2))
+        missing = _missing_mode_noise(params, s, omega_max_bath, times,
+                                      prop[s][:, 0, 1], prop[s][:, 1, 1])
+        blocks[s] = 2.0 * raw - images[s] + np.where(later, missing, 0.0)
+    cross = prop[+1] @ cx0 @ prop[-1].swapaxes(-1, -2)
+    c4 = four_by_four(blocks[+1], blocks[-1], cross)
+    return CovarianceMatrix(entries=c4, time_label=times)
 
 
 def system_propagator_series(params: ModelParams, times, n_modes: int,
@@ -337,11 +323,7 @@ def system_propagator_series(params: ModelParams, times, n_modes: int,
     times = np.atleast_1d(np.asarray(times, dtype=float))
     bath = build_bath(params, n_modes, omega_max_bath,
                       compare_time=float(times.max()))
-    chans = {s: _channel_modes(bath, params, s) for s in (+1, -1)}
-    n = bath.n_modes
-    sys_cols = np.array([0, n + 1])
-    out = np.empty((times.size, 4, 4))
-    for i, t in enumerate(times):
-        blocks = {s: _system_rows(chans[s], float(t))[:, sys_cols] for s in (+1, -1)}
-        out[i] = four_by_four(blocks[+1], blocks[-1])
-    return out
+    sys_cols = np.array([0, bath.n_modes + 1])
+    blocks = {s: _system_rows(_channel_modes(bath, params, s), times)[..., sys_cols]
+              for s in (+1, -1)}
+    return four_by_four(blocks[+1], blocks[-1])

@@ -36,8 +36,14 @@ def test_parse_values():
 
 def test_config_error_exit_code(tmp_path, capsys):
     point = ["--gamma", "1", "--omega-cut", "10", "--distance", "0.1"]
+    bad_file = tmp_path / "bad.cfg"
+    bad_file.write_text("t_max = abc\n")
     for argv in (["asymptotic-sweep", "--gamma", "-1", "--omega-cut", "10",
                   "--distance", "0.05"],
+                 # values that are not numbers, on the command line or in a file
+                 ["asymptotic-sweep", "--gamma", "abc", "--omega-cut", "10",
+                  "--distance", "0.05"],
+                 ["time-trace", *point, "--config", str(bad_file)],
                  ["time-trace", *point, "--dt", "0"],
                  ["time-trace", *point, "--dt", "nan"],
                  ["time-trace", *point, "--t-max", "-1"],
@@ -74,6 +80,31 @@ def test_asymptotic_sweep_parallel_matches_serial(tmp_path):
     rows1 = [ln for ln in _read_body(d1 / "fig1.csv") if not ln.startswith("#")]
     rows2 = [ln for ln in _read_body(d2 / "fig1.csv") if not ln.startswith("#")]
     assert rows1 == rows2
+
+
+@pytest.mark.parametrize("command, point_fn, csv", [
+    ("asymptotic-sweep", "_asym_point", "fig1.csv"),
+    ("time-trace", "_trace_point", "fig2.csv"),
+])
+def test_partial_sweep_keeps_rows_before_the_failure(tmp_path, monkeypatch, command,
+                                                     point_fn, csv):
+    from bathpair import cli
+    from bathpair.entanglement import UnphysicalCovarianceError
+
+    real = getattr(cli, point_fn)
+
+    def third_fails(args):
+        if args[3] == 0.3:
+            raise UnphysicalCovarianceError("refused for the test")
+        return real(args)
+
+    monkeypatch.setattr(cli, point_fn, third_fails)
+    rc = main([command, "--gamma", "1", "--omega-cut", "10", "--distance", "0.1,0.2,0.3,0.4",
+               "--t-max", "0.5", "--dt", "0.1", "--jobs", "1", "--output-dir", str(tmp_path)])
+    assert rc == 3
+    data = _load(tmp_path / csv)
+    assert np.unique(data["distance"]) == pytest.approx([0.1, 0.2])
+    assert "status: PARTIAL" in (tmp_path / "MANIFEST").read_text()
 
 
 def test_time_trace_and_plot_script(tmp_path):

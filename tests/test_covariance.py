@@ -8,7 +8,6 @@ from bathpair.covariance import (
     CovarianceMatrix,
     TruncationError,
     channel_asymptotic_moments,
-    channel_blocks,
     channel_resonances,
     covariance_asymptotic,
     covariance_time_series,
@@ -21,7 +20,7 @@ from bathpair.entanglement import (
     log_negativity,
     symplectic_eigenvalues,
 )
-from bathpair.greens import greens_time
+from bathpair.greens import channel_blocks, greens_time
 from bathpair.kernels import noise_spectrum
 from bathpair.model import ModelParams
 from conftest import random_physical_covariance
@@ -383,3 +382,92 @@ def test_default_cut_meets_its_tail_bound(monkeypatch):
     k0 = 2.0 * q.gamma * q.omega_cut * (1.0 + math.exp(-q.omega_cut * q.distance))
     w_inf = 4.0 * q.gamma * q.omega_cut**2 / math.pi
     assert cuts and 2.0 * w_inf * (1.0 + (1.0 + k0) ** 2) / cuts[0] ** 4 <= tol
+
+
+# ---------------------------------------------------------------------------
+# the zero-frequency peak of the overdamped symmetric channel
+
+
+@pytest.mark.parametrize("gamma, omega_cut, temperature, distance", [
+    (35.72, 1.796, 0.282, 6.27e-4),
+    (24.26, 48.07, 0.0131, 3.48e-4),
+    (23.98, 15.10, 0.0, 7.57e-4),
+])
+def test_overdamped_zero_frequency_peak_is_resolved(gamma, omega_cut, temperature, distance):
+    """At strong damping 1/|D_+(i omega)|^2 has a Lorentzian of half-width
+    1/(4 gamma) at omega = 0, where Re D has no zero.  The symmetric moments
+    on the default grid agree with a grid built here: uniform panels of width
+    0.25, a doubling ladder from 2^-12 to 2^13 half-widths at omega = 0 and
+    around each resonance, every panel halved."""
+    from bathpair._panels import gauss_panels
+    from bathpair.covariance import ASYMPTOTIC_TOL, asymptotic_omega_max
+
+    q = ModelParams(gamma=gamma, omega_cut=omega_cut, temperature=temperature,
+                    distance=distance)
+    w_max = asymptotic_omega_max(q, ASYMPTOTIC_TOL)
+    doubling = 2.0 ** np.arange(-12, 14)
+    groups = [np.linspace(0.0, w_max, int(math.ceil(w_max / 0.5)) + 1),
+              0.25 / gamma * doubling, [omega_cut / 2, omega_cut, 2 * omega_cut]]
+    for om_res, width in channel_resonances(q, +1):
+        groups += [om_res + width * doubling, om_res - width * doubling, [om_res]]
+    edges = np.concatenate(groups)
+    edges = np.unique(edges[(edges >= 0.0) & (edges <= w_max)])
+    edges = np.unique(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
+    alpha, beta, _ = channel_asymptotic_moments(q, +1, w_max, ASYMPTOTIC_TOL)
+    alpha_ref, beta_ref, _ = channel_asymptotic_moments(q, +1, w_max, ASYMPTOTIC_TOL,
+                                                        grid=gauss_panels(edges))
+    assert alpha == pytest.approx(alpha_ref, rel=1e-10)
+    assert beta == pytest.approx(beta_ref, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# a series is one stack
+
+
+def test_time_series_is_one_stack(p, greens_cache):
+    """Unordered and repeated times come back in the order asked, each member
+    equal to the same time of a sorted request; t = 0 is c0 itself."""
+    c0 = CovarianceMatrix(entries=random_physical_covariance(np.random.default_rng(5)))
+    times = [1.0, 0.0, 0.5, 1.0, 0.25]
+    out = covariance_time_series(greens_cache, p, times, c0=c0)
+    assert isinstance(out, CovarianceMatrix)
+    assert out.entries.shape == (5, 4, 4) and len(out) == 5
+    assert np.allclose(out.time_label, times, rtol=0.0, atol=1e-12)
+    ref = covariance_time_series(greens_cache, p, sorted(set(times)), c0=c0)
+    by_time = dict(zip(np.round(ref.time_label, 9), ref.entries))
+    members = list(out)
+    assert len(members) == 5
+    for i, (member, t) in enumerate(zip(members, times)):
+        assert member.entries.shape == (4, 4)
+        assert member.time_label == out[i].time_label == out.time_label[i]
+        assert np.array_equal(out[i].entries, by_time[round(t, 9)])
+    assert np.array_equal(out[1].entries, c0.entries)
+    assert np.array_equal(out[0].entries, out[3].entries)
+    assert np.array_equal(log_negativity(out), [log_negativity(m) for m in members])
+
+
+def test_oracle_series_is_one_stack(p):
+    from bathpair.oracle import reduced_covariance_series
+
+    c0 = CovarianceMatrix(entries=random_physical_covariance(np.random.default_rng(6)))
+    times = [2.0, 0.0, 1.0, 2.0]
+    out = reduced_covariance_series(p, times, n_modes=200, omega_max_bath=200.0, c0=c0)
+    assert isinstance(out, CovarianceMatrix) and len(out) == 4
+    assert [m.time_label for m in out] == times
+    ref = reduced_covariance_series(p, [0.0, 1.0, 2.0], n_modes=200,
+                                    omega_max_bath=200.0, c0=c0)
+    for member, t in zip(out, times):
+        assert np.max(np.abs(member.entries - ref[int(t)].entries)) <= 1e-12
+    assert np.max(np.abs(out[1].entries - c0.entries)) <= 1e-12
+    assert np.max(np.abs(out[0].entries - out[3].entries)) <= 1e-12
+
+
+def test_stack_refuses_one_asymmetric_member():
+    cs = np.array([random_physical_covariance(np.random.default_rng(k)) for k in range(5)])
+    cs[3, 0, 2] += 1e-3
+    with pytest.raises(ValueError, match=r"asymmetric by .* at stack index \(3,\)"):
+        CovarianceMatrix(entries=cs, time_label=np.arange(5.0))
+    with pytest.raises(ValueError, match="needs 5 times"):
+        CovarianceMatrix(entries=0.5 * (cs + cs.swapaxes(-1, -2)))
+    with pytest.raises(TypeError):
+        len(CovarianceMatrix(entries=np.eye(4)))

@@ -10,6 +10,7 @@ from bathpair.entanglement import (
     log_negativity,
     partial_transpose,
     positive_definite,
+    require_physical,
     symplectic_eigenvalues,
 )
 from conftest import eigen_symplectic_eigenvalues, random_physical_covariance
@@ -181,7 +182,7 @@ def test_stack_refuses_one_bad_member(rng):
 def test_negative_definite_states_are_refused(rng):
     """-C has the symplectic spectrum of C; only positive definiteness tells
     the physical state from its negative."""
-    from bathpair.covariance import CovarianceMatrix, assert_physical
+    from bathpair.covariance import CovarianceMatrix
 
     c = random_physical_covariance(rng)
     for neg in (-np.eye(4), -c):
@@ -189,8 +190,7 @@ def test_negative_definite_states_are_refused(rng):
         with pytest.raises(UnphysicalCovarianceError, match="not positive definite"):
             log_negativity(neg)
         with pytest.raises(UnphysicalCovarianceError, match=r"at t=2\.0 unphysical: not positive"):
-            assert_physical([CovarianceMatrix(entries=c, time_label=1.0),
-                             CovarianceMatrix(entries=neg, time_label=2.0)])
+            require_physical(CovarianceMatrix(entries=[c, neg], time_label=[1.0, 2.0]))
     cs = np.array([random_physical_covariance(rng) for _ in range(6)])
     assert positive_definite(cs).all()
     cs[2] = -cs[2]
@@ -213,8 +213,9 @@ def test_trace_equals_per_output_log_negativity(monkeypatch):
     seen = []
 
     def recording(*args, **kwargs):
-        seen.extend(real(*args, **kwargs))
-        return seen
+        out = real(*args, **kwargs)
+        seen.extend(out)
+        return out
 
     real = analysis.covariance_time_series
     monkeypatch.setattr(analysis, "covariance_time_series", recording)

@@ -11,6 +11,7 @@ from bathpair.greens import (
     PoleProximityError,
     channel_det,
     channel_greens_laplace,
+    channel_blocks,
     channel_kernel_laplace,
     four_by_four,
     greens_time,
@@ -252,13 +253,37 @@ def test_greens_matches_oracle_propagator(p):
 
 
 def test_four_by_four_round_trip(rng=np.random.default_rng(11)):
-    from bathpair.covariance import channel_blocks
-
     c = rng.normal(size=(4, 4))
     c = c + c.T
     plus, minus, cross = channel_blocks(c)
     back = four_by_four(plus, minus, cross)
     assert np.max(np.abs(back - c)) <= 1e-13
+
+
+def _four_by_four_loop(plus, minus, cross):
+    """Reference for `four_by_four`: the channel map written out entry by entry,
+    with sigma_a = +1 for oscillator 1 and -1 for oscillator 2."""
+    out = np.zeros(plus.shape[:-2] + (4, 4))
+    half_sum, half_dif = 0.5 * (plus + minus), 0.5 * (plus - minus)
+    for i in range(2):          # 0: position row, 1: velocity row
+        for j in range(2):
+            x, xt = cross[..., i, j], cross[..., j, i]
+            out[..., 2 * i, 2 * j] = half_sum[..., i, j] + 0.5 * (x + xt)
+            out[..., 2 * i + 1, 2 * j + 1] = half_sum[..., i, j] - 0.5 * (x + xt)
+            out[..., 2 * i, 2 * j + 1] = half_dif[..., i, j] + 0.5 * (xt - x)
+            out[..., 2 * i + 1, 2 * j] = half_dif[..., i, j] + 0.5 * (x - xt)
+    return out
+
+
+def test_channel_map_products_match_entrywise_map(rng):
+    plus, minus, cross = rng.normal(size=(3, 50, 2, 2))
+    c4 = four_by_four(plus, minus, cross)
+    assert np.max(np.abs(c4 - _four_by_four_loop(plus, minus, cross))) <= 1e-15
+    back = channel_blocks(c4)
+    assert max(np.max(np.abs(b - a)) for a, b in zip((plus, minus, cross), back)) <= 1e-14
+    # no cross block: the exchange-symmetric case, e.g. G(t) itself
+    assert np.array_equal(four_by_four(plus, minus),
+                          four_by_four(plus, minus, np.zeros_like(cross)))
 
 
 def _durbin_sum_dense(coeff_rows, t, period, shift, weights, tail_start):

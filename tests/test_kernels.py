@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bathpair.kernels import (
-    coth,
-    damping_kernel,
-    damping_kernel_laplace,
-    noise_spectrum,
-)
+from bathpair.kernels import coth, damping_kernel_laplace, noise_spectrum
 from bathpair.model import ModelParams
+
+
+def damping_kernel(t, d, params):
+    """Gamma_d(t) = gamma Omega (e^{-Omega|t - d|} + e^{-Omega|t + d|}), the
+    time-domain reference for `damping_kernel_laplace`."""
+    t = np.asarray(t, dtype=float)
+    g, Om = params.gamma, params.omega_cut
+    out = g * Om * (np.exp(-Om * np.abs(t - d)) + np.exp(-Om * np.abs(t + d)))
+    return out if out.ndim else float(out)
 
 
 @pytest.fixture(scope="module")

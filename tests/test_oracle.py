@@ -199,6 +199,6 @@ def test_initial_slope_matches_pipeline(r):
     W = 265.0
     times = np.linspace(1e-3, 1e-2, 10) / params.omega_cut
     covs = reduced_covariance_series(params, times, n_modes=2000, omega_max_bath=W)
-    oracle_slope = np.polyfit(times, log_negativity(np.stack([c.entries for c in covs])), 1)[0]
+    oracle_slope = np.polyfit(times, log_negativity(covs), 1)[0]
     bound = 2.0 * (2.0 / math.pi) * params.omega_cut / W
     assert abs(oracle_slope / measured_initial_slope(params) - 1.0) <= bound
