@@ -4,6 +4,10 @@ Distances are bisected against exact zeros of the logarithmic negativity:
 E vanishes on open sets (the separability clamp is exact), so root finding
 targets the boundary of the zero set with a small positive threshold that
 sits above quadrature noise.
+
+Every covariance comes from the channel layers through three calls:
+`greens_time` and `covariance_time_series` for a trace, and
+`covariance_asymptotic` for the late-time E at every r >= 0.
 """
 
 from __future__ import annotations
@@ -13,15 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import (
-    ASYMPTOTIC_TOL,
-    asymptotic_omega_max,
-    channel_asymptotic_moments,
-    covariance_asymptotic,
-    covariance_time_series,
-)
+from .covariance import covariance_asymptotic, covariance_time_series
 from .entanglement import log_negativity
-from .greens import four_by_four, greens_time
+from .greens import greens_time
 from .model import ModelParams
 
 __all__ = [
@@ -118,15 +116,9 @@ def trace(params: ModelParams, t_max: float, dt: float,
 
 
 def asymptotic_log_negativity(params: ModelParams) -> float:
-    """Late-time E.  At r = 0 the relative coordinate never thermalizes, so
-    its initial (ground-state) block is frozen and combined with the
-    stationary symmetric channel; for r > 0 this is just the
-    asymptotic-covariance route."""
-    if params.distance > 0:
-        return log_negativity(covariance_asymptotic(params))
-    ap, bp, _ = channel_asymptotic_moments(
-        params, +1, asymptotic_omega_max(params, ASYMPTOTIC_TOL), ASYMPTOTIC_TOL)
-    return log_negativity(four_by_four(np.diag([ap, bp]), np.eye(2)))
+    """Late-time E of `covariance_asymptotic`, for every r >= 0 (at r = 0
+    the relative coordinate keeps its ground-state block)."""
+    return log_negativity(covariance_asymptotic(params))
 
 
 def short_time_slope(params: ModelParams) -> float:

@@ -259,6 +259,8 @@ def run_critical_distance(config: RunConfig) -> list[str]:
     p = _base_params(config)
     lo = config.params.get("r_lo", [0.2 / p.omega_cut])[0]
     hi = config.params.get("r_hi", [8.0 / p.omega_cut])[0]
+    if not 0.0 <= lo < hi < math.inf:
+        raise ConfigError(f"bracket needs 0 <= r_lo < r_hi < inf (got {lo}, {hi})")
     res = find_d0(p, r_bracket=(lo, hi), tol=min(config.tol, 1e-3))
     path = os.path.join(config.output_dir, "d0.csv")
     rows = [(p.gamma, p.omega_cut, p.temperature, res.d0,
@@ -334,11 +336,11 @@ def run_slope_fit(config: RunConfig) -> list[str]:
     omegas = config.params.get("omega_cut")
     if not omegas or len(omegas) < 3:
         raise ConfigError("slope-fit needs >= 3 omega_cut values")
+    points = [_checked_params(gamma, om, temperature, 0.0) for om in omegas]
     rows = []
     samples = []
-    for om in omegas:
-        p = ModelParams(gamma=gamma, omega_cut=om, temperature=temperature,
-                        distance=0.0)
+    for p in points:
+        om = p.omega_cut
         res = find_d0(p, r_bracket=(0.2 / om, 12.0 / om), tol=1e-3)
         rows.append((om, 1.0 / om, res.d0))
         samples.append((1.0 / om, res.d0))

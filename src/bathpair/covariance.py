@@ -8,14 +8,18 @@ doubled symmetrized moment matrix (vacuum = identity); the spectrum
 `kernels.noise_spectrum` already carries that doubling, so quadratic forms
 integrate against S(omega)/2.
 
-Asymptotic state (gamma > 0, r > 0 so the initial state is forgotten):
+Both channels run in one pass, as axis 0 of every channel array
+(`greens.SIGNS`), sharing S(omega), cos(omega r) and the kernels.
+
+Asymptotic state (gamma > 0, so the initial state is forgotten):
 
     C_inf = int_0^infty domega (S/2) Herm[ g(omega) M(omega) g(omega)^dag ],
 
 g(omega) the resolvent on the imaginary axis and M the noise structure
 matrix (velocity sector, cross entries cos(omega r)).  In channel
 coordinates M diagonalizes to weights (1 +- cos(omega r)) and C_inf is
-diagonal per channel, which is the form actually integrated.
+diagonal per channel, which is the form actually integrated.  At r = 0
+the relative coordinate decouples and keeps its ground-state block.
 
 Transient state:
 
@@ -46,7 +50,8 @@ from scipy.optimize import brentq
 
 from ._panels import cos_tail, gauss_panels, merge_edges
 from .entanglement import _first, require_physical
-from .greens import GreensFunction, channel_blocks, channel_det, channel_kernel_zero, four_by_four
+from .greens import (SIGNS, GreensFunction, channel_blocks, channel_det, channel_kernel_laplace,
+                     channel_kernel_zero, four_by_four)
 from .kernels import coth, noise_spectrum
 from .model import ModelParams
 
@@ -125,7 +130,7 @@ ASYMPTOTIC_TOL = 1e-6    # frequency-tail tolerance of the asymptotic covariance
 # frequency grids
 
 
-def _noise_weight(omega, params: ModelParams, sign: int):
+def _noise_weight(omega, params: ModelParams, sign):
     """Per-frequency quadratic-form weight (S/2) * (1 +- cos(omega r))."""
     omega = np.asarray(omega, dtype=float)
     return 0.5 * noise_spectrum(omega, params) * (1.0 + sign * np.cos(omega * params.distance))
@@ -145,8 +150,6 @@ def channel_resonances(params: ModelParams, sign: int) -> list:
     times, and crossings near nulls of the channel damping produce very
     narrow spikes; every crossing gets its own width estimate.
     """
-    from .greens import channel_kernel_laplace
-
     om_hi = 3.0 + 3.0 * params.gamma
     step = min(0.01, math.pi / (10.0 * (params.distance + 1.0)))
     grid = np.arange(step, om_hi, step)
@@ -209,7 +212,7 @@ def frequency_grid(params: ModelParams, omega_max: float, t_scale: float = 0.0):
 # asymptotic covariance
 
 
-def _tail_coefficient(params: ModelParams, sign: int) -> float:
+def _tail_coefficient(params: ModelParams, sign):
     """Bound on the dropped-order coefficient of the beta integrand.
 
     At large omega, (S/2) = (w_inf/omega)(1 - Omega^2/omega^2 + ...) and
@@ -226,7 +229,7 @@ def _tail_coefficient(params: ModelParams, sign: int) -> float:
     return 2.0 * (1.0 + channel_kernel_zero(params, sign)) + params.omega_cut**2
 
 
-def _asymptotic_tail_error(params: ModelParams, sign: int, omega_max: float) -> float:
+def _asymptotic_tail_error(params: ModelParams, sign, omega_max: float):
     """Bound on what the closed-form tail of `channel_asymptotic_moments`
     drops from beta (alpha's share is smaller by 1/omega_max^2).
 
@@ -240,7 +243,7 @@ def _asymptotic_tail_error(params: ModelParams, sign: int, omega_max: float) -> 
     if params.temperature > 0:
         excess = coth(omega_max / (2.0 * params.temperature)) - 1.0
         err += 2.0 * w_inf * excess * cos_tail(0.0, omega_max, 3)
-    return float(err)
+    return err
 
 
 def asymptotic_omega_max(params: ModelParams, tol: float) -> float:
@@ -252,10 +255,10 @@ def asymptotic_omega_max(params: ModelParams, tol: float) -> float:
     w_inf c / (2 omega_max^4) <= tol, is inverted in closed form; the cut
     is then raised in 5 % steps until the thermal part fits as well.
     """
-    c = max(_tail_coefficient(params, +1), _tail_coefficient(params, -1))
+    c = float(np.max(_tail_coefficient(params, SIGNS)))
     need = (_tail_prefactor(params) * c / (2.0 * tol)) ** 0.25 * (1.0 + 1e-9)  # rounding margin
     omega_max = float(max(15.0 * max(params.omega_cut, 1.0), need))
-    while max(_asymptotic_tail_error(params, s, omega_max) for s in (+1, -1)) > tol:
+    while np.max(_asymptotic_tail_error(params, SIGNS, omega_max)) > tol:
         omega_max *= 1.05
     return omega_max
 
@@ -263,34 +266,38 @@ def asymptotic_omega_max(params: ModelParams, tol: float) -> float:
 _BLOCK = 1 << 15    # grid nodes per vectorized step of the channel integrals
 
 
-def channel_asymptotic_moments(params: ModelParams, sign: int,
+def channel_asymptotic_moments(params: ModelParams, sign,
                                omega_max: float, tol: float, grid=None):
-    """Stationary (position, velocity) variances of one channel.
+    """Stationary (position, velocity) variances of the channels ``sign``
+    (+1, -1, or a column such as `SIGNS`, giving (2,) arrays).
 
-    Returns (alpha, beta, tail_error_estimate).  The weight of the noise
-    quadratic form against |col_2 of g|^2 gives exactly diag(1, omega^2)
-    after taking the Hermitian part, so both moments are single integrals
-    of weight / |D(i omega)|^2.  ``grid`` is a `frequency_grid` on
+    Returns (alpha, beta, tail_error_estimate), the last the largest over
+    the channels.  The weight of the noise quadratic form against
+    |col_2 of g|^2 gives exactly diag(1, omega^2) after taking the
+    Hermitian part, so both moments are single integrals of
+    weight / |D(i omega)|^2.  ``grid`` is a `frequency_grid` on
     [0, omega_max] (built here when not given); it is summed in blocks of
     nodes, so memory stays flat however many nodes it has.  Beyond
     omega_max the integrand's leading w_inf (1 +- cos(omega r)) / omega^3
     term is integrated in closed form; `_asymptotic_tail_error` bounds
     what that drops.
     """
+    sign = np.asarray(sign, dtype=float)
     x, w = frequency_grid(params, omega_max, t_scale=0.0) if grid is None else grid
     alpha = beta = 0.0
     for lo in range(0, x.size, _BLOCK):
         xb = x[lo:lo + _BLOCK]
         core = (w[lo:lo + _BLOCK] * _noise_weight(xb, params, sign)
                 / np.abs(channel_det(1j * xb, params, sign)) ** 2)
-        alpha += float(np.sum(core))
-        beta += float(np.sum(core * xb * xb))
+        alpha = alpha + np.sum(core, axis=-1)
+        beta = beta + np.sum(core * xb * xb, axis=-1)
 
     r = params.distance
     w_inf = _tail_prefactor(params)
-    alpha += w_inf * (cos_tail(0.0, omega_max, 5) + sign * cos_tail(r, omega_max, 5))
-    beta += w_inf * (cos_tail(0.0, omega_max, 3) + sign * cos_tail(r, omega_max, 3))
-    tail_err = _asymptotic_tail_error(params, sign, omega_max)
+    row = sign.reshape(np.shape(alpha))         # one sign per moment
+    alpha += w_inf * (cos_tail(0.0, omega_max, 5) + row * cos_tail(r, omega_max, 5))
+    beta += w_inf * (cos_tail(0.0, omega_max, 3) + row * cos_tail(r, omega_max, 3))
+    tail_err = float(np.max(_asymptotic_tail_error(params, sign, omega_max)))
     if tail_err > tol:
         raise TruncationError(
             f"asymptotic tail estimate {tail_err:.3e} > tol {tol:.3e}; "
@@ -299,24 +306,28 @@ def channel_asymptotic_moments(params: ModelParams, sign: int,
 
 
 def covariance_asymptotic(params: ModelParams) -> CovarianceMatrix:
-    """Stationary covariance; requires gamma > 0 and r > 0.
+    """Stationary covariance; requires gamma > 0 and r >= 0.
 
-    At r = 0 the relative coordinate decouples exactly and never forgets
-    its initial state, so no initial-state-independent limit exists.
+    Both channels come from one `channel_asymptotic_moments` call on one
+    frequency grid.  At r = 0 the relative coordinate decouples and never
+    forgets its initial state: only the symmetric row is integrated, and
+    the antisymmetric block keeps its ground-state value, the identity.
     The frequency cut is `asymptotic_omega_max(params, ASYMPTOTIC_TOL)`:
     the smallest cut whose tail estimate meets ``ASYMPTOTIC_TOL``, and at
-    least 15 max(Omega, 1).  Both channels share one frequency grid.
+    least 15 max(Omega, 1).
     """
     if params.gamma <= 0:
         raise ValueError("covariance_asymptotic requires gamma > 0")
-    if params.distance <= 0:
-        raise ValueError("covariance_asymptotic requires r > 0 "
-                         "(relative coordinate undamped at r = 0)")
+    if params.distance < 0:
+        raise ValueError("covariance_asymptotic requires r >= 0")
     omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
     grid = frequency_grid(params, omega_max, t_scale=0.0)
-    ap, bp, _ = channel_asymptotic_moments(params, +1, omega_max, ASYMPTOTIC_TOL, grid)
-    am, bm, _ = channel_asymptotic_moments(params, -1, omega_max, ASYMPTOTIC_TOL, grid)
-    c4 = four_by_four(np.diag([ap, bp]), np.diag([am, bm]))
+    damped = SIGNS if params.distance > 0 else SIGNS[:1]
+    alpha, beta, _ = channel_asymptotic_moments(params, damped, omega_max, ASYMPTOTIC_TOL, grid)
+    blocks = np.array([np.eye(2), np.eye(2)])   # the ground state where not integrated
+    blocks[:len(damped), 0, 0] = alpha
+    blocks[:len(damped), 1, 1] = beta
+    c4 = four_by_four(*blocks)
     out = CovarianceMatrix(entries=c4, time_label="asymptotic")
     require_physical(out)
     return out
@@ -354,26 +365,27 @@ def _sin_tail4(a, W: float):
     return out if out.ndim else float(out)
 
 
-def _channel_noise_tail(params: ModelParams, sign: int, W: float, t,
+def _channel_noise_tail(params: ModelParams, W: float, t,
                         g12, g22, dg12, dg22) -> np.ndarray:
-    """Closed-form frequency tail of the transient noise block beyond W.
+    """Closed-form frequency tail of the transient noise blocks beyond W.
 
     Built from the by-parts expansion h_col = X/(i omega) + Y/omega^2 of the
     accumulated oscillatory integrals; only even (cos) and odd (sin) tail
-    moments of the weight survive.  Accurate to O(|G'|^2 / W^4).  The time
-    and the G samples are arrays over output times; returns (Nt, 2, 2).
+    moments of the weight survive.  Accurate to O(|G'|^2 / W^4).  ``t`` is
+    the (Nt,) output times and the G samples are (2, Nt), one row per
+    channel of `SIGNS`; returns (2, Nt, 2, 2).
     """
     r = params.distance
     w_inf = _tail_prefactor(params)
 
     def cc(a):
-        return cos_tail(a, W, 3) + sign * 0.5 * (cos_tail(a - r, W, 3) + cos_tail(a + r, W, 3))
+        return cos_tail(a, W, 3) + SIGNS * 0.5 * (cos_tail(a - r, W, 3) + cos_tail(a + r, W, 3))
 
     def ss(a):
-        return _sin_tail4(a, W) + sign * 0.5 * (_sin_tail4(a - r, W) + _sin_tail4(a + r, W))
+        return _sin_tail4(a, W) + SIGNS * 0.5 * (_sin_tail4(a - r, W) + _sin_tail4(a + r, W))
 
     c_0, c_t, s_t = cc(0.0), cc(t), ss(t)
-    out = np.empty(np.shape(t) + (2, 2))
+    out = np.empty(np.shape(g12) + (2, 2))
     out[..., 0, 0] = w_inf * (g12 * g12 * c_0 - 2.0 * g12 * s_t)
     out[..., 0, 1] = out[..., 1, 0] = w_inf * (g12 * g22 * c_0 - g12 * c_t
                                               + (dg12 - g22) * s_t)
@@ -464,8 +476,9 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
     """C(t) at the requested times (each must sit on the stored G pair grid),
     as one stack in the order requested; t = 0 gives ``c0`` itself.
 
-    The noise of all requested times comes from one set of lag kernels and
-    one FFT convolution per channel (`_pair_noise`): O(N_omega * N_pairs)
+    Both channels run in one pass over the channel axis.  The noise of all
+    requested times comes from one set of lag kernels and one FFT
+    convolution per channel (`_pair_noise`): O(N_omega * N_pairs)
     for the kernels plus O(N_pairs log N_pairs).  The frequency cut
     omega_max is the smallest whose tail-correction error bound
     2 w_inf (1 + (1 + K(0))^2) / omega_max^4 meets ``tol`` (K(0) the larger
@@ -493,34 +506,30 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
     require_physical(c0)
     cp0, cm0, cx0 = channel_blocks(c0.entries)
 
-    k0 = max(channel_kernel_zero(params, s) for s in (+1, -1))
+    k0 = float(np.max(channel_kernel_zero(params, SIGNS)))
     need = (2.0 * _tail_prefactor(params) * (1.0 + (1.0 + k0) ** 2)
             / max(tol, 1e-12)) ** 0.25
     omega_max = float(max(15.0 * params.omega_cut, 15.0, need))
     pairs, inverse = np.unique(pair_int, return_inverse=True)
     n_pairs = int(pairs[-1])
-    signs = (+1, -1)
-    series = {s: greens.channel_series[s] for s in signs}
+    series = greens.channel_series                  # (2, N_grid, 2, 2)
     noise = np.zeros((2, n_pairs + 1, 2, 2))
     if n_pairs > 0:
         x, w = frequency_grid(params, omega_max,
                               t_scale=max(float(times.max()), params.distance))
-        weights = np.stack([w * _noise_weight(x, params, s) for s in signs])
-        g_cols = np.stack([series[s][:, :, 1].T for s in signs])
-        noise = _pair_noise(g_cols, x, weights, h, n_pairs)
+        noise = _pair_noise(series[..., 1].swapaxes(1, 2), x,
+                            w * _noise_weight(x, params, SIGNS), h, n_pairs)
 
     gi = 2 * pairs
     t_out = grid[gi]
-    blocks = {}
-    for k, s in enumerate(signs):
-        g = series[s][gi]
-        dg = np.gradient(series[s][:, :, 1], h, axis=0, edge_order=2)[gi]
-        tail = _channel_noise_tail(params, s, omega_max, t_out, g[:, 0, 1], g[:, 1, 1],
-                                   dg[:, 0], dg[:, 1])
-        c0_block = cp0 if s > 0 else cm0
-        blocks[s] = g @ c0_block @ g.transpose(0, 2, 1) + noise[k, pairs] + tail
-    cross = series[+1][gi] @ cx0 @ series[-1][gi].transpose(0, 2, 1)
-    c4 = four_by_four(blocks[+1], blocks[-1], cross)
+    g = series[:, gi]
+    dg = np.gradient(series[..., 1], h, axis=1, edge_order=2)[:, gi]
+    tail = _channel_noise_tail(params, omega_max, t_out, g[..., 0, 1], g[..., 1, 1],
+                               dg[..., 0], dg[..., 1])
+    c0_blocks = np.stack([cp0, cm0])[:, None]
+    blocks = g @ c0_blocks @ g.swapaxes(-1, -2) + noise[:, pairs] + tail
+    cross = g[0] @ cx0 @ g[1].swapaxes(-1, -2)
+    c4 = four_by_four(*blocks, cross)
     c4[pairs == 0] = c0.entries
     out = CovarianceMatrix(entries=c4, time_label=t_out)
     require_physical(out)

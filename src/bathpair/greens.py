@@ -8,10 +8,13 @@ with Z carrying the velocity definition and the bare frequency, and C^(s)
 the memory-kernel transforms (self kernel at d = 0, cross kernel at d = r).
 Exchange symmetry splits everything into symmetric/antisymmetric channels
 u_pm = (Q1 +- Q2)/sqrt(2) with scalar kernels Gamma0^ +- Gammar^, and the
-channel resolvents are 2x2.  The channel map is one orthogonal matrix T,
-rows (u_+, udot_+, u_-, udot_-) over (Q1, Q2, V1, V2), used in both
-directions: `channel_blocks` splits a 4x4 matrix C into the blocks of
-T C T^T, and `four_by_four` reassembles blocks as T^T [[+, x], [x^T, -]] T.
+channel resolvents are 2x2.  The channels are axis 0 of every channel
+array: ``sign = SIGNS`` broadcasts a channel function over both, row 0
+symmetric and row 1 antisymmetric (index by 0 and 1, never by the sign).
+The channel map is one orthogonal matrix T, rows (u_+, udot_+, u_-,
+udot_-) over (Q1, Q2, V1, V2), used in both directions: `channel_blocks`
+splits a 4x4 matrix C into the blocks of T C T^T, and `four_by_four`
+reassembles blocks as T^T [[+, x], [x^T, -]] T.
 
 Time-domain values come from Durbin's Fourier-series inversion along a
 shifted contour.  Exponentially damped terms matching the 1/s, 1/s^2 and
@@ -28,10 +31,13 @@ the coefficients fold modulo M and one inverse FFT per entry sums the
 series at every grid point, in O(M log M + n_terms) instead of
 O(n_terms * N_t).
 
-The inversion constants are fixed.  They hold for every parameter set, as
-every pole lies at Re s <= 0 (on it only for the undamped relative channel
-at r = 0), and each call checks the tail, the reflection residual and
-|G(0) - I| <= 1e-6 (above the aliasing floor), raising `DurbinConvergenceError`.
+The period, the contour shift and the subtraction are fixed; every pole
+lies at Re s <= 0 (on it only for the undamped relative channel at r = 0).
+The term count is derived from the residual: it falls off as c4/s^4 with
+c4 = max(w0^2, 2 gamma Omega^3), w0 = 1 + K(0), so the truncation error
+is ~ c4 (P/K)^3 and K grows with P c4^(1/3).  Each call checks the tail,
+the reflection residual and |G(0) - I| <= 1e-6 (above the aliasing
+floor), raising `DurbinConvergenceError`.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .kernels import damping_kernel_laplace
 from .model import ModelParams
 
 __all__ = [
+    "SIGNS",
     "GreensFunction",
     "channel_kernel_laplace",
     "channel_det",
@@ -69,29 +76,34 @@ class DurbinConvergenceError(RuntimeError):
 # Laplace-domain building blocks
 
 
-def channel_kernel_laplace(s, params: ModelParams, sign: int):
-    """Channel kernel Gamma0^(s) + sign * Gammar^(s), sign = +1 or -1."""
+# the channel axis: row 0 the symmetric (+) channel, row 1 the antisymmetric (-)
+SIGNS = np.array([[1.0], [-1.0]])
+
+
+def channel_kernel_laplace(s, params: ModelParams, sign):
+    """Channel kernel Gamma0^(s) + sign * Gammar^(s), sign = +1, -1 or `SIGNS`
+    (a 1-D ``s`` then gives (2, s.size) from one call of each damping kernel)."""
     g0 = damping_kernel_laplace(s, 0.0, params)
     gr = damping_kernel_laplace(s, params.distance, params)
     return g0 + sign * gr
 
 
-def channel_kernel_zero(params: ModelParams, sign: int) -> float:
+def channel_kernel_zero(params: ModelParams, sign):
     """Channel kernel at t = 0: 2*gamma*Omega*(1 +- e^{-Omega r})."""
     g, Om, r = params.gamma, params.omega_cut, params.distance
     return 2.0 * g * Om * (1.0 + sign * math.exp(-Om * r))
 
 
-def channel_det(s, params: ModelParams, sign: int):
+def channel_det(s, params: ModelParams, sign):
     """Channel determinant D(s) = s^2 + 1 + s * Gamma_channel^(s)."""
     s = np.asarray(s, dtype=complex)
     return s * s + 1.0 + s * channel_kernel_laplace(s, params, sign)
 
 
-def channel_greens_laplace(s, params: ModelParams, sign: int):
+def channel_greens_laplace(s, params: ModelParams, sign):
     """2x2 channel resolvent [[s, 1], [-(1 + s*K^), s]] / D(s).
 
-    Vectorized over s: returns shape s.shape + (2, 2).  Raises
+    Vectorized over s and ``sign``: returns shape D.shape + (2, 2).  Raises
     PoleProximityError when |D| < 1e-14 (pole of the channel).
     """
     s = np.asarray(s, dtype=complex)
@@ -99,7 +111,7 @@ def channel_greens_laplace(s, params: ModelParams, sign: int):
     D = s * s + 1.0 + s * kern
     if np.any(np.abs(D) < 1e-14):
         raise PoleProximityError(f"channel determinant below 1e-14 near s = {s}")
-    out = np.empty(s.shape + (2, 2), dtype=complex)
+    out = np.empty(D.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = s / D
     out[..., 0, 1] = 1.0 / D
     out[..., 1, 0] = -(1.0 + s * kern) / D
@@ -145,11 +157,10 @@ def channel_blocks(c4):
 # Durbin inversion
 
 
-N_TERMS = 15000          # terms per 60 time units of period (and at least this): error ~ (P/terms)^3
+N_TERMS = 15000          # terms per 60 time units of period at c4 <= 2000, and at least this
 PERIOD_FACTOR = 4.0      # period / t_max; the series representation needs > 2
 SHIFT_SCALE = 9.0        # contour at Re s = 9/P, right of every pole; aliasing floor e^-18 = 1.5e-8
 DAMP_SHIFT = 1.0         # b > 0 in the closed-form subtracted terms e^{-bt}
-EULER_TERMS = 32         # Euler averaging over the last partial sums
 TAIL_FRACTION = 0.1      # share of the series summed apart as the tail
 TAIL_TOL = 1e-5          # largest tail contribution accepted
 
@@ -160,38 +171,30 @@ class GreensFunction:
 
     time_grid: np.ndarray
     time_values: np.ndarray              # (Nt, 4, 4) real
-    channel_series: dict                 # sign -> (Nt, 2, 2)
+    channel_series: np.ndarray           # (2, Nt, 2, 2), channels as the rows of SIGNS
     spacing: float                       # grid step
     imag_residual: float
     tail_contribution: float
 
 
-def _euler_weights(n_terms: int, euler_terms: int) -> np.ndarray:
-    """Per-term weights implementing Euler averaging of the last partial sums."""
-    w = np.ones(n_terms + 1)
-    m = min(euler_terms, n_terms)
-    binom = np.array([math.comb(m, j) for j in range(m + 1)], dtype=float)
-    cum = np.cumsum(binom[::-1])[::-1] / 2.0**m      # sum_{k>=j} C(m,k)/2^m
-    w[n_terms - m + 1:] = cum[1:]
-    return w
-
-
-def _durbin_sum(coeff_rows, h, n_t, period, shift, weights, tail_start):
-    """Weighted Durbin sums for several coefficient rows on t_j = j h.
+def _durbin_sum(coeff_rows, h, n_t, period, shift, tail_start):
+    """Durbin sums for several coefficient rows on t_j = j h.
 
     coeff_rows: (n_series, K) complex, already including the k = 0 halving;
     2 * period / h must be an integer M > n_t - 1.  Terms k and k + M share
     their phase on the grid, so each row folds onto M bins and one inverse
-    FFT evaluates it; the terms from ``tail_start`` on are folded apart.
+    FFT evaluates it; the terms from ``tail_start`` on are folded apart,
+    one block of M terms at a time, so no copy of the rows is made.
     Returns (values (n_series, n_t), tail_max (n_series,)).
     """
     n_series, K = coeff_rows.shape
     M = int(round(2.0 * period / h))
-    c = coeff_rows * weights[None, :]
-    parts = np.zeros((2, n_series, -(-K // M) * M), dtype=complex)
-    parts[0, :, :tail_start] = c[:, :tail_start]
-    parts[1, :, tail_start:K] = c[:, tail_start:]
-    folded = parts.reshape(2, n_series, -1, M).sum(axis=2)
+    folded = np.zeros((2, n_series, M), dtype=complex)
+    for lo in range(0, K, M):
+        block = coeff_rows[:, lo:lo + M]
+        cut = min(max(tail_start - lo, 0), block.shape[1])
+        folded[0, :, :cut] += block[:, :cut]
+        folded[1, :, cut:block.shape[1]] += block[:, cut:]
     main, tail = (M * np.fft.ifft(folded, axis=-1)[..., :n_t]).real
     # two-sided trapezoid of the Bromwich integral collapses to twice the
     # real part of the half-weighted one-sided sum, i.e. prefactor 1/period
@@ -203,22 +206,24 @@ def _durbin_sum(coeff_rows, h, n_t, period, shift, weights, tail_start):
 def _reflection_defect(params: ModelParams, s_k: np.ndarray) -> float:
     """Max |F(conj s) - conj F(s)| over a subsample; guards Schwarz symmetry."""
     sub = s_k[:: max(1, s_k.size // 64)]
-    defect = 0.0
-    for sign in (+1, -1):
-        f = channel_det(sub, params, sign)
-        fc = channel_det(np.conj(sub), params, sign)
-        defect = max(defect, float(np.max(np.abs(fc - np.conj(f)))))
-    return defect
+    f = channel_det(sub, params, SIGNS)
+    fc = channel_det(np.conj(sub), params, SIGNS)
+    return float(np.max(np.abs(fc - np.conj(f))))
 
 
 def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams):
     """Durbin-invert both channel resolvents on the uniform grid ``t``.
 
-    Returns ({sign: (Nt, 2, 2)}, tail_max, imag_residual).
+    Returns ((2, Nt, 2, 2), tail_max, imag_residual).
     """
     a = SHIFT_SCALE / period
     b = DAMP_SHIFT
-    K = int(N_TERMS * max(1.0, period / 60.0))
+    w0 = 1.0 + channel_kernel_zero(params, SIGNS)           # (2, 1)
+    # the residual left after the 1/s..1/s^3 subtraction falls off as c4/s^4,
+    # so the truncation error is ~ c4 (P/K)^3; N_TERMS per 60 time units
+    # holds it at c4 = 2000 (gamma = 1, Omega = 10); above that K grows as c4^(1/3)
+    c4 = max(float(np.max(w0)) ** 2, 2.0 * params.gamma * params.omega_cut**3)
+    K = int(N_TERMS * max(1.0, period / 60.0 * max(1.0, (c4 / 2000.0) ** (1.0 / 3.0))))
     k = np.arange(K + 1)
     s_k = a + 1j * math.pi * k / period
 
@@ -231,42 +236,33 @@ def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams
     sub3_r = np.exp(-s_k * r) * sub3
     gO2 = 2.0 * params.gamma * params.omega_cut**2
 
-    weights = _euler_weights(K, EULER_TERMS)
     tail_start = int(math.floor((1.0 - TAIL_FRACTION) * (K + 1)))
 
-    channel_series: dict[int, np.ndarray] = {}
-    tail_max = 0.0
-    for sign in (+1, -1):
-        g = channel_greens_laplace(s_k, params, sign)
-        w0 = 1.0 + channel_kernel_zero(params, sign)
-        c_u = b * b - w0
-        c_v = 2.0 * b
-        c_g = gO2 - 2.0 * b * w0
-        rows = np.vstack([
-            g[:, 0, 0] - sub1 - b * sub2 - c_u * sub3,                        # G11 = G22
-            g[:, 0, 1] - sub2 - c_v * sub3,                                   # G12
-            g[:, 1, 0] + w0 * sub2 - c_g * sub3 - sign * gO2 * sub3_r,       # G21
-        ])
-        rows[:, 0] *= 0.5    # k = 0 term enters with half weight
-        vals, tails = _durbin_sum(rows, h, t.size, period, a, weights, tail_start)
-        tail_max = max(tail_max, float(np.max(tails)))
+    g = channel_greens_laplace(s_k, params, SIGNS)          # (2, K + 1, 2, 2)
+    c_u = b * b - w0
+    c_v = 2.0 * b
+    c_g = gO2 - 2.0 * b * w0
+    rows = np.stack([
+        g[..., 0, 0] - sub1 - b * sub2 - c_u * sub3,                       # G11 = G22
+        g[..., 0, 1] - sub2 - c_v * sub3,                                  # G12
+        g[..., 1, 0] + w0 * sub2 - c_g * sub3 - SIGNS * gO2 * sub3_r,     # G21
+    ], axis=1)
+    del g                  # the largest array here; the sum needs only the rows
+    rows[..., 0] *= 0.5    # k = 0 term enters with half weight
+    vals, tails = _durbin_sum(rows.reshape(6, -1), h, t.size, period, a, tail_start)
+    vals = vals.reshape(2, 3, t.size)
 
-        ebt = np.exp(-b * t)
-        tr = np.where(t > r, t - r, 0.0)
-        g11 = ebt + b * t * ebt + 0.5 * c_u * t * t * ebt + vals[0]
-        g12 = t * ebt + 0.5 * c_v * t * t * ebt + vals[1]
-        g21 = (-w0 * t * ebt + 0.5 * c_g * t * t * ebt
-               + sign * gO2 * 0.5 * tr * tr * np.exp(-b * tr) + vals[2])
-        series = np.empty((t.size, 2, 2))
-        series[:, 0, 0] = g11
-        series[:, 0, 1] = g12
-        series[:, 1, 0] = g21
-        series[:, 1, 1] = g11
-        channel_series[sign] = series
+    ebt = np.exp(-b * t)
+    tr = np.where(t > r, t - r, 0.0)
+    g11 = ebt + b * t * ebt + 0.5 * c_u * t * t * ebt + vals[:, 0]
+    g12 = t * ebt + 0.5 * c_v * t * t * ebt + vals[:, 1]
+    g21 = (-w0 * t * ebt + 0.5 * c_g * t * t * ebt
+           + SIGNS * gO2 * 0.5 * tr * tr * np.exp(-b * tr) + vals[:, 2])
+    series = np.stack([np.stack([g11, g12], axis=-1), np.stack([g21, g11], axis=-1)], axis=-2)
 
     defect = _reflection_defect(params, s_k)
     imag_residual = defect * (2.0 / period) * (K + 1) * math.exp(a * float(t[-1]))
-    return channel_series, tail_max, imag_residual
+    return series, float(np.max(tails)), imag_residual
 
 
 def greens_time(t_grid, params: ModelParams) -> GreensFunction:
@@ -299,7 +295,7 @@ def greens_time(t_grid, params: ModelParams) -> GreensFunction:
         raise DurbinConvergenceError(
             f"reflection-symmetry residual {imag_residual:.3e} exceeds 1e-9")
 
-    values = four_by_four(channel_series[+1], channel_series[-1])
+    values = four_by_four(*channel_series)
     defect0 = float(np.max(np.abs(values[0] - np.eye(4))))
     if defect0 > 1e-6:
         raise DurbinConvergenceError(

@@ -49,7 +49,13 @@ def test_config_error_exit_code(tmp_path, capsys):
                  ["time-trace", *point, "--t-max", "-1"],
                  ["time-trace", *point, "--t-max", "inf"],
                  # no output step fits into the window
-                 ["oracle-compare", *point, "--t-max", "0.1", "--dt", "0.25"]):
+                 ["oracle-compare", *point, "--t-max", "0.1", "--dt", "0.25"],
+                 # every command validates its points before any work
+                 ["slope-fit", "--gamma", "-1", "--omega-cut", "2,5,10"],
+                 ["slope-fit", "--gamma", "1", "--omega-cut", "2,5,10",
+                  "--temperature", "nan"],
+                 ["critical-distance", "--gamma", "1", "--omega-cut", "10",
+                  "--r-lo", "-0.1"]):
         rc = main(argv + ["--jobs", "1", "--output-dir", str(tmp_path)])
         assert rc == 2, argv
         assert "error: config" in capsys.readouterr().err, argv

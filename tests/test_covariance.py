@@ -52,8 +52,20 @@ def test_covariance_matrix_rejects_asymmetric():
 
 
 def test_asymptotic_requires_damped_separated(p):
-    with pytest.raises(ValueError, match="r > 0"):
-        covariance_asymptotic(p.with_(distance=0.0))
+    """gamma <= 0 and r < 0 are refused.  At r = 0 the relative coordinate
+    decouples and keeps its ground-state block, the identity, while the
+    symmetric block holds the single-channel stationary moments."""
+    with pytest.raises(ValueError, match="gamma > 0"):
+        covariance_asymptotic(p.with_(gamma=0.0))
+    with pytest.raises(ValueError, match="r >= 0"):
+        covariance_asymptotic(p.with_(distance=-0.1))
+    p0 = p.with_(distance=0.0)
+    plus, minus, cross = channel_blocks(covariance_asymptotic(p0).entries)
+    assert np.max(np.abs(minus - np.eye(2))) <= 1e-14
+    assert np.max(np.abs(cross)) <= 1e-14
+    w_max = covariance.asymptotic_omega_max(p0, covariance.ASYMPTOTIC_TOL)
+    alpha, beta, _ = channel_asymptotic_moments(p0, +1, w_max, covariance.ASYMPTOTIC_TOL)
+    assert np.allclose(plus, np.diag([alpha, beta]), rtol=1e-13, atol=1e-14)
 
 
 def test_asymptotic_structure(p):
@@ -217,7 +229,7 @@ def _brute_noise_channel(params, sign, t, greens, n_cells=2500):
     analytically over each tau cell (it is log-divergent at tau = 0 and
     tau = +-r) and the smooth G-correlation taken at cell midpoints.
     """
-    series = greens.channel_series[sign]
+    series = greens.channel_series[0 if sign > 0 else 1]
     h = greens.spacing
     n_t = int(round(t / h))
 
@@ -273,11 +285,10 @@ def test_frequency_vs_time_domain_equivalence(p):
     c0 = ground_state_covariance()
     cov = covariance_time_series(fine, p, [t], c0=c0)[0]
     idx = int(round(t / fine.spacing))
-    for sign in (+1, -1):
-        g = fine.channel_series[sign][idx]
-        cp0, cm0, _ = channel_blocks(c0.entries)
-        block = cp0 if sign > 0 else cm0
-        chan_full = channel_blocks(cov.entries)[0 if sign > 0 else 1]
+    for row, sign in enumerate((+1, -1)):
+        g = fine.channel_series[row, idx]
+        block = channel_blocks(c0.entries)[row]
+        chan_full = channel_blocks(cov.entries)[row]
         ours = chan_full - g @ block @ g.T
         brute = _brute_noise_channel(p, sign, t, fine)
         assert np.max(np.abs(ours - brute)) <= 1e-4, (sign, ours, brute)
@@ -418,6 +429,31 @@ def test_overdamped_zero_frequency_peak_is_resolved(gamma, omega_cut, temperatur
                                                         grid=gauss_panels(edges))
     assert alpha == pytest.approx(alpha_ref, rel=1e-10)
     assert beta == pytest.approx(beta_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("gamma, omega_cut, temperature, distance", [
+    (0.05, 3.0, 0.0, 0.02),
+    (2.0, 40.0, 0.5, 0.3),
+    (24.26, 48.07, 0.0131, 3.48e-4),
+])
+def test_both_channels_in_one_call_equal_per_sign_calls(gamma, omega_cut, temperature,
+                                                         distance):
+    """The channel axis changes no number: `SIGNS` gives exactly the two
+    single-sign results, row 0 the symmetric channel."""
+    from bathpair.covariance import ASYMPTOTIC_TOL, asymptotic_omega_max
+    from bathpair.greens import SIGNS
+
+    q = ModelParams(gamma=gamma, omega_cut=omega_cut, temperature=temperature,
+                    distance=distance)
+    w_max = asymptotic_omega_max(q, ASYMPTOTIC_TOL)
+    grid = frequency_grid(q, w_max)
+    alpha, beta, err = channel_asymptotic_moments(q, SIGNS, w_max, ASYMPTOTIC_TOL, grid)
+    plus, minus = (channel_asymptotic_moments(q, s, w_max, ASYMPTOTIC_TOL, grid)
+                   for s in (+1, -1))
+    assert alpha.shape == beta.shape == (2,)
+    assert np.array_equal(alpha, [plus[0], minus[0]])
+    assert np.array_equal(beta, [plus[1], minus[1]])
+    assert err == max(plus[2], minus[2])
 
 
 # ---------------------------------------------------------------------------

@@ -146,17 +146,30 @@ def test_greens_time_free_oscillators():
         assert np.max(np.abs(g.time_values[i] - expect)) <= 2e-6
 
 
-def test_greens_time_matches_mpmath_inversion(p):
+def test_channel_axis_orientation():
+    """Row 0 of the channel axis is the symmetric channel, row 1 the
+    antisymmetric one: at r = 0 the relative coordinate is a free
+    oscillator, (G11, G12) = (cos t, sin t), while the symmetric one decays."""
+    p0 = ModelParams(gamma=1.0, omega_cut=10.0, distance=0.0)
+    t = np.linspace(0.0, 10.0, 2001)
+    series = greens_time(t, p0).channel_series
+    assert series.shape == (2, t.size, 2, 2)
+    assert np.max(np.abs(series[1, :, 0, 0] - np.cos(t))) <= 1e-6
+    assert np.max(np.abs(series[1, :, 0, 1] - np.sin(t))) <= 1e-6
+    assert np.max(np.abs(series[0, t >= 8.0])) <= 0.1     # |G(0)| = 1; the slow rate is ~1/4
+
+
+def _assert_matches_mpmath(g, params, times):
+    """Every channel entry of ``g`` at ``times`` against a 30-digit Talbot
+    inversion of the channel resolvent, to 3e-7."""
     mpmath = pytest.importorskip("mpmath")
-    t_grid = np.linspace(0.0, 14.0, 2801)
-    g = greens_time(t_grid, p)
 
     def entry(sign, i, j):
         # analytic continuation of the channel resolvent: Talbot contours
         # probe Re(s) < -Omega where the defining integral no longer converges
         def fhat(s):
             s = mpmath.mpf(1) * s
-            gam, Om, r = map(mpmath.mpf, (p.gamma, p.omega_cut, p.distance))
+            gam, Om, r = map(mpmath.mpf, (params.gamma, params.omega_cut, params.distance))
             def gh(dd):
                 return (2 * gam * Om * (Om * mpmath.exp(-s * dd) - s * mpmath.exp(-Om * dd))
                         / (Om**2 - s**2))
@@ -167,14 +180,51 @@ def test_greens_time_matches_mpmath_inversion(p):
         return fhat
 
     with mpmath.workdps(30):
-        for sign in (+1, -1):
+        for row, sign in enumerate((+1, -1)):
             for (i, j) in ((0, 0), (0, 1), (1, 0)):
-                for t in (0.7, 3.3, 12.1):
+                for t in times:
                     ref = float(mpmath.invertlaplace(entry(sign, i, j), t,
                                                      method="talbot", degree=40))
-                    idx = int(round(t / 0.005))
-                    ours = g.channel_series[sign][idx, i, j]
+                    idx = int(round(t / g.spacing))
+                    ours = g.channel_series[row, idx, i, j]
                     assert ours == pytest.approx(ref, abs=3e-7), (sign, i, j, t)
+
+
+def test_greens_time_matches_mpmath_inversion(p):
+    g = greens_time(np.linspace(0.0, 14.0, 2801), p)
+    _assert_matches_mpmath(g, p, (0.7, 3.3, 12.1))
+
+
+# points of the trace grid (`analysis._grid_step` at dt = 0.02) where a term
+# count fixed per unit of period left G(0) off by 1.4e-6 to 1.5e-5, or the
+# tail at 1.85e-5: (gamma, Omega, r, t_max)
+_STIFF_POINTS = [(1.0, 20.0, 0.2, 40.0), (0.5, 20.0, 0.2, 40.0), (1.0, 50.0, 0.2, 5.0),
+                 (5.0, 10.0, 0.0, 20.0), (10.0, 10.0, 0.12, 15.0), (1.0, 100.0, 0.2, 5.0),
+                 (20.0, 10.0, 0.12, 15.0)]
+
+
+def _trace_grid(params, t_max):
+    from bathpair.analysis import _grid_step
+
+    h = _grid_step(params, 0.02)
+    n = int(round(t_max / h))
+    return np.linspace(0.0, n * h, n + 1)
+
+
+@pytest.mark.parametrize("gamma, omega_cut, distance, t_max", _STIFF_POINTS)
+def test_term_count_follows_the_residual(gamma, omega_cut, distance, t_max):
+    """The term count grows with the 1/s^4 residual c4 = max(w0^2, 2 gamma
+    Omega^3), so a large gamma or Omega is inverted, not refused."""
+    q = ModelParams(gamma=gamma, omega_cut=omega_cut, distance=distance)
+    g = greens_time(_trace_grid(q, t_max), q)
+    assert np.max(np.abs(g.time_values[0] - np.eye(4))) <= 5e-7
+    assert g.tail_contribution <= 1e-6
+
+
+def test_stiff_point_matches_mpmath_inversion():
+    q = ModelParams(gamma=1.0, omega_cut=20.0, distance=0.2)
+    g = greens_time(_trace_grid(q, 40.0), q)
+    _assert_matches_mpmath(g, q, (0.7, 3.3, 12.1))
 
 
 def test_greens_time_ode_residual(p):
@@ -182,8 +232,7 @@ def test_greens_time_ode_residual(p):
     h = 0.002
     t = np.linspace(0.0, 4.0, int(4.0 / h) + 1)
     g = greens_time(t, p)
-    for sign in (+1, -1):
-        series = g.channel_series[sign]
+    for series, sign in zip(g.channel_series, (+1, -1)):
         g11, g21 = series[:, 0, 0], series[:, 1, 0]
         # row 1 of the channel system: dG11/dt = G21
         d_g11 = np.gradient(g11, h, edge_order=2)
@@ -286,7 +335,7 @@ def test_channel_map_products_match_entrywise_map(rng):
                           four_by_four(plus, minus, np.zeros_like(cross)))
 
 
-def _durbin_sum_dense(coeff_rows, t, period, shift, weights, tail_start):
+def _durbin_sum_dense(coeff_rows, t, period, shift, tail_start):
     """Reference for `greens._durbin_sum`: the phase matrix summed term by
     term in blocks, valid on any grid.  O(n_terms * N_t)."""
     n_series, K = coeff_rows.shape
@@ -295,7 +344,7 @@ def _durbin_sum_dense(coeff_rows, t, period, shift, weights, tail_start):
     for k0 in range(0, K, 512):
         ks = np.arange(k0, min(k0 + 512, K))
         phase = np.exp(1j * (math.pi / period) * np.outer(ks, t))
-        contrib = coeff_rows[:, ks] * weights[None, ks]
+        contrib = coeff_rows[:, ks]
         head = ks < tail_start
         main += (contrib[:, head] @ phase[head]).real
         tail += (contrib[:, ~head] @ phase[~head]).real
@@ -311,11 +360,10 @@ def test_fft_durbin_sum_matches_dense_sum(p):
     rows = np.stack([channel_greens_laplace(s_k, p, sign)[:, i, j]
                      for sign in (+1, -1) for i, j in ((0, 0), (0, 1), (1, 0))])
     rows[:, 0] *= 0.5
-    weights = greens._euler_weights(K - 1, 32)
     tail_start = int(0.9 * K)
-    vals, tails = greens._durbin_sum(rows, h, n_t, period, shift, weights, tail_start)
+    vals, tails = greens._durbin_sum(rows, h, n_t, period, shift, tail_start)
     ref_vals, ref_tails = _durbin_sum_dense(rows, h * np.arange(n_t), period, shift,
-                                            weights, tail_start)
+                                            tail_start)
     assert np.max(np.abs(vals - ref_vals)) <= 1e-10 * np.max(np.abs(ref_vals))
     assert np.max(np.abs(tails - ref_tails)) <= 1e-10 * np.max(np.abs(ref_vals))
 
