@@ -160,9 +160,13 @@ def channel_resonances(params: ModelParams, sign: int) -> list:
                                          params, sign)))
 
     out = []
-    flips = np.nonzero(np.diff(np.sign(red)) != 0)[0]
-    for i in flips:
-        om_res = brentq(re_d, grid[i], grid[i + 1], xtol=1e-13)
+    # a crossing lies between successive samples of opposite sign; a sample
+    # that is exactly zero has no sign and sits inside its crossing's bracket
+    signed = np.flatnonzero(red)
+    lo, hi = signed[:-1], signed[1:]
+    flips = np.sign(red[lo]) != np.sign(red[hi])
+    for a, b in zip(lo[flips], hi[flips]):
+        om_res = brentq(re_d, grid[a], grid[b], xtol=1e-13)
         gam_r = float(np.real(channel_kernel_laplace(
             np.asarray(1j * om_res, dtype=complex), params, sign)))
         d_red = abs(re_d(om_res + 1e-6) - re_d(om_res - 1e-6)) / 2e-6

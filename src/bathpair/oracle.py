@@ -6,8 +6,20 @@ g_k^2 = 2 omega_k J(omega_k) dOmega.
 Exchange symmetry splits the quadratic Hamiltonian into two independent
 channels, each a chain of one collective coordinate plus N bath modes, with
 the quadratic counter-term that cancels the bath-induced frequency shift.
-Each chain is evolved exactly: its position-sector quadratic form V is
-diagonalized once and the symplectic propagator
+Each chain's position-sector quadratic form V is an arrowhead: the bath
+modes couple only to the collective coordinate, so V is diag(omega_k^2)
+bordered by the couplings lambda_k, with corner
+omega0^2 + sum lambda_k^2 / omega_k^2.  Its eigenpairs cost O(N^2), not the
+O(N^3) of a dense solver (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15,
+1266, 1994): a zero coupling (all of them at gamma = 0, the antisymmetric
+ones at r = 0) deflates its bath mode; the squared normal-mode frequencies
+mu^2 of the rest are the roots of the secular equation
+omega0^2 + sum lambda_k^2/omega_k^2 - mu^2 - sum lambda_k^2/(omega_k^2 - mu^2) = 0,
+one in each interval between successive omega_k^2 and one beyond each end;
+the couplings are recomputed from those roots (Loewner's formula), and the
+eigenvectors are (1, lambda_k / (mu^2 - omega_k^2)) normalized, orthonormal
+to rounding.  Each chain is then evolved exactly, as the symplectic
+propagator
 
     S(t) = [[ U cos(mu t) U^T,        U sin(mu t)/mu U^T ],
             [ -U mu sin(mu t) U^T,    U cos(mu t) U^T    ]]
@@ -52,6 +64,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import polygamma
 
 from ._panels import cos_tail
 from .covariance import CovarianceMatrix
@@ -141,26 +154,210 @@ def _channel_couplings(bath: DiscreteBath, params: ModelParams, sign: int) -> np
     return math.sqrt(2.0) * bath.couplings * proj
 
 
-def _channel_potential(bath: DiscreteBath, params: ModelParams, sign: int) -> np.ndarray:
+def _channel_potential(bath: DiscreteBath, params: ModelParams, sign: int):
+    """The chain's position-sector potential as its arrowhead parts
+    (corner, border, diagonal): V = [[corner, border^T], [border, diag(diagonal)]],
+    with the bath modes' omega_k^2 (strictly ascending) on the diagonal."""
     lam = _channel_couplings(bath, params, sign)
-    n = bath.n_modes
-    v = np.zeros((n + 1, n + 1))
-    v[0, 0] = 1.0 + float(np.sum(lam**2 / bath.omegas**2))   # counter-term
-    v[0, 1:] = lam
-    v[1:, 0] = lam
-    idx = np.arange(1, n + 1)
-    v[idx, idx] = bath.omegas**2
-    return v
+    om2 = bath.omegas**2
+    return 1.0 + float(np.sum(lam**2 / om2)), lam, om2   # counter-term in the corner
 
 
 def _channel_modes(bath: DiscreteBath, params: ModelParams, sign: int) -> _ChannelModes:
-    v = _channel_potential(bath, params, sign)
-    mu2, u = np.linalg.eigh(v)
-    if mu2[0] <= 0:
+    mu2, u = _solve_arrowhead(*_channel_potential(bath, params, sign))
+    if mu2.min() <= 0:
         raise SymplecticityError(
-            f"channel potential not positive definite (min eig {mu2[0]:.3e}); "
+            f"channel potential not positive definite (min eig {mu2.min():.3e}); "
             "counter-term wiring broken?")
     return _ChannelModes(mu=np.sqrt(mu2), modes=u)
+
+
+# ---------------------------------------------------------------------------
+# arrowhead eigensolver: secular equation, Loewner border, closed-form vectors
+
+_ROWS = 256                     # rows per block of the O(N^2) passes
+_EPS = np.finfo(float).eps
+
+
+def _solve_arrowhead(corner: float, border: np.ndarray, diag: np.ndarray):
+    """Eigenvalues and orthonormal eigenvectors (columns) of the arrowhead
+    [[corner, border^T], [border, diag(diag)]], ``diag`` strictly ascending.
+
+    A border entry below eps times the matrix scale decouples its diagonal
+    entry, which is then an eigenvalue with a unit eigenvector.  The m
+    coupled entries d_k leave m + 1 eigenvalues, the roots of the secular
+    equation (`_secular_roots`), one below d_1, one in each gap and one above
+    d_m.  The border is recomputed from those roots (`_loewner_border`), so
+    that they are the exact eigenvalues of a matrix within rounding of the
+    input, and the eigenvector of root x is (1, b_k / (x - d_k)) normalized.
+    Cost O(N^2) in time, and the eigenvector matrix plus row blocks in memory.
+    """
+    n = diag.size
+    scale = max(abs(corner), abs(diag[-1])) + float(np.linalg.norm(border))
+    live = np.abs(border) > _EPS * scale
+    d, lam = diag[live], border[live]
+    ut = np.zeros((n + 1, n + 1))           # eigenvectors as rows
+    if d.size == 0:
+        x = np.array([corner])
+        ut[0, 0] = 1.0
+    else:
+        origin, tau = _secular_roots(corner, lam * lam, d)
+        x = d[origin] + tau
+        b = np.copysign(np.sqrt(_loewner_border(d, origin, tau)), lam)
+        cols = 1 + np.flatnonzero(live)
+        for lo in range(0, d.size + 1, _ROWS):
+            j = slice(lo, min(lo + _ROWS, d.size + 1))
+            v = b / ((d[origin[j], None] - d) + tau[j, None])   # b_k / (x_j - d_k)
+            norm = np.sqrt(1.0 + np.einsum("ij,ij->i", v, v))
+            ut[j, 0] = 1.0 / norm
+            ut[j, cols] = v / norm[:, None]
+    dead = np.flatnonzero(~live)
+    ut[n + 1 - dead.size + np.arange(dead.size), 1 + dead] = 1.0
+    return np.concatenate([x, diag[dead]]), ut.T
+
+
+def _secular_terms(z, lam2, d, origin, tau):
+    """The secular function f(x) = z - x - sum_k lam2_k / (d_k - x) at
+    x = d[origin] + tau, one point per row, with the sums of
+    lam2_k / (d_k - x)^2 over the poles below and above x and the sum of the
+    magnitudes of f's terms, which sets its rounding error."""
+    w = d - d[origin, None]
+    w -= tau[:, None]
+    np.reciprocal(w, out=w)                 # 1 / (d_k - x)
+    below = np.minimum(w, 0.0)
+    psi, psi_below = w @ lam2, below @ lam2
+    below *= below
+    w *= w
+    slope_below = below @ lam2
+    slope_above = np.maximum(w @ lam2 - slope_below, 0.0)
+    base = z - d[origin]
+    f = base - tau - psi
+    size = np.abs(base) + np.abs(tau) + psi - 2.0 * psi_below
+    return f, slope_below, slope_above, size
+
+
+def _positive_root(c, q):
+    """Positive root of t^2 - c t - q = 0 for q > 0, without cancellation."""
+    s = np.sqrt(c * c + 4.0 * q)
+    return np.where(c >= 0.0, 0.5 * (c + s), 2.0 * q / (s - np.minimum(c, 0.0)))
+
+
+def _two_pole_root(c, a, b, g):
+    """Root in (0, g) of c + a/t - b/(g - t) = 0 for a, b > 0."""
+    q = c * g - a - b
+    s = np.sqrt((c * g + a - b) ** 2 + 4.0 * a * b)
+    small = q <= 0.0
+    return np.where(small, 2.0 * a * g, s + q) / np.where(small, s - q, 2.0 * c)
+
+
+def _secular_roots(z, lam2, d):
+    """Roots of f(x) = z - x - sum_k lam2_k / (d_k - x), lam2 > 0 and d
+    strictly ascending, as x = d[origin] + tau with origin the nearer pole,
+    so that each x - d_k comes out to full relative precision.
+
+    f falls strictly between its poles, so each gap holds one root.  Its
+    half is found from f at the midpoint.  The iteration then fits f and f'
+    at the current point by the two nearest poles plus a constant (the
+    "middle way" of R.-C. Li, LAPACK Working Note 89, 1993) and takes the
+    fit's root, or bisects the bracket where that root falls outside it.
+    The edge roots below d_1 and above d_m keep the linear term of f in
+    their fit instead of the missing pole.  All interior roots iterate
+    together, one block of rows at a time.
+    """
+    m = d.size
+    origin, tau = np.empty(m + 1, dtype=int), np.empty(m + 1)
+    for lo in range(1, m, _ROWS):
+        j = np.arange(lo, min(lo + _ROWS, m))
+        g = d[j] - d[j - 1]
+        f, sb, sa, size = _secular_terms(z, lam2, d, j - 1, 0.5 * g)
+        upper = f > 0.0                         # root in the upper half
+        org = np.where(upper, j, j - 1)
+        t = np.where(upper, -0.5, 0.5) * g
+        lo_t, hi_t = np.where(upper, t, 0.0), np.where(upper, 0.0, t)
+
+        def step(t, f, sb, sa, rows, upper=upper, g=g):
+            up = upper[rows]
+            dist_lo = np.where(up, g[rows] + t, t)          # x - d_{j-1}
+            dist_hi = np.where(up, -t, g[rows] - t)         # d_j - x
+            a, b = dist_lo**2 * sb, dist_hi**2 * (sa + 1.0)
+            c = f - a / dist_lo + b / dist_hi
+            # in the upper half, the same fit seen from d_j with t -> -t
+            s = _two_pole_root(np.where(up, -c, c), np.where(up, b, a),
+                               np.where(up, a, b), g[rows])
+            return np.where(up, -s, s)
+
+        origin[j], tau[j] = org, _iterate(z, lam2, d, org, t, lo_t, hi_t,
+                                          (f, sb, sa, size), step)
+    radius = math.sqrt(float(lam2.sum()))
+    for j, org, bound in ((0, 0, min(z, d[0]) - radius - d[0]),
+                          (m, m - 1, max(z, d[-1]) + radius - d[-1])):
+        side = 1.0 if bound > 0.0 else -1.0     # root above d_m or below d_1
+
+        def step(t, f, sb, sa, rows, side=side):
+            # fit c - t + q/t, the one pole on the root's side plus f's linear term
+            q = t * t * (sb if side > 0.0 else sa)
+            return side * _positive_root(side * (f + t - q / t), q)
+
+        org, t = np.array([org]), np.array([0.5 * bound])
+        bracket = np.array([min(bound, 0.0)]), np.array([max(bound, 0.0)])
+        origin[j] = org[0]
+        tau[j] = _iterate(z, lam2, d, org, t, *bracket,
+                          _secular_terms(z, lam2, d, org, t), step)[0]
+    return origin, tau
+
+
+def _iterate(z, lam2, d, origin, tau, lo, hi, terms, step):
+    """Safeguarded iteration of the rows' offsets ``tau`` inside their
+    brackets (lo, hi), starting from the secular ``terms`` at ``tau``.
+
+    ``step`` proposes each row's next offset from its fit; a proposal outside
+    the bracket, and every step after the 40th, bisects instead, so each row
+    ends within 200 steps.  A row stops when |f| is at its rounding level,
+    when the step is below the spacing of floats near tau, or when its
+    bracket has shrunk to that spacing."""
+    tau, lo, hi = tau.copy(), lo.copy(), hi.copy()
+    rows = np.arange(tau.size)
+    f, sb, sa, size = terms
+    for it in range(200):
+        t = tau[rows]
+        lo[rows] = np.where(f > 0.0, t, lo[rows])
+        hi[rows] = np.where(f < 0.0, t, hi[rows])
+        a, b = lo[rows], hi[rows]
+        new = step(t, f, sb, sa, rows)
+        inside = (new > a) & (new < b) & (it < 40)
+        new = np.where(inside, new, 0.5 * (a + b))
+        done = ((np.abs(f) <= 8.0 * _EPS * size)
+                | (np.abs(new - t) <= 2.0 * _EPS * np.abs(t))
+                | (b - a <= 2.0 * _EPS * np.maximum(np.abs(a), np.abs(b))))
+        tau[rows] = np.where(done, t, new)
+        rows = rows[~done]
+        if rows.size == 0:
+            break
+        f, sb, sa, size = _secular_terms(z, lam2, d, origin[rows], tau[rows])
+    return tau
+
+
+def _loewner_border(d, origin, tau):
+    """Squared border of the arrowhead whose secular roots are exactly
+    x = d[origin] + tau (Loewner's formula):
+
+        b_k^2 = (d_k - x_0)(x_m - d_k) prod_{l<k} (d_k - x_{l+1})/(d_k - d_l)
+                                       prod_{l>k} (x_l - d_k)/(d_l - d_k),
+
+    every factor of the products in (0, 1) by interlacing."""
+    m = d.size
+    base = d[origin]
+    out = np.empty(m)
+    for lo in range(0, m, _ROWS):
+        k = np.arange(lo, min(lo + _ROWS, m))
+        dk = d[k, None]
+        under = k[:, None] > np.arange(m)               # l < k
+        num = np.where(under, (dk - base[1:]) - tau[1:], (dk - base[:-1]) - tau[:-1])
+        den = dk - d
+        num[k - lo, k] = den[k - lo, k] = 1.0
+        out[k] = (((dk[:, 0] - base[0]) - tau[0]) * ((base[-1] - dk[:, 0]) + tau[-1])
+                  * np.prod(num / den, axis=1))
+    return out
 
 
 def _thermal_diagonals(bath: DiscreteBath, params: ModelParams):
@@ -208,18 +405,23 @@ def _missing_mode_noise(params: ModelParams, sign: int, W: float, t: np.ndarray,
 def _image_sum(x: np.ndarray, period: float, T: float) -> np.ndarray:
     """sum_{m != 0} (-1)^m f(x + m period) for 0 <= x < period.
 
-    f = (pi T)^2 / sinh^2(pi T x), or 1/x^2 at T = 0.  The series alternates
-    with decreasing terms, so stopping after an even number of them leaves
-    less than the first omitted term: 2000 terms at T = 0, and at T > 0 as
-    many as the exp(-2 pi T m period) decay needs.
+    f = (pi T)^2 / sinh^2(pi T x), or 1/x^2 at T = 0.  At T = 0 the sum is
+    closed-form: with a = +-x/period, sum_{m>=1} (-1)^m / (m + a)^2 =
+    -[psi'((a + 1)/2) - psi'((a + 2)/2)] / 4, psi' the trigamma function.
+    At T > 0 the series alternates with decreasing terms, so stopping after
+    an even number of them leaves less than the first omitted term: as many
+    as the exp(-2 pi T m period) decay needs.
     """
+    if T == 0.0:
+        a = np.stack([x, -x]) / period
+        return -0.25 * np.sum(polygamma(1, 0.5 * (a + 1.0)) - polygamma(1, 0.5 * (a + 2.0)),
+                              axis=0) / period**2
+
     def f(y):
-        if T == 0.0:
-            return 1.0 / (y * y)
         e = np.exp(-2.0 * math.pi * T * y)
         return (2.0 * math.pi * T) ** 2 * e / (1.0 - e) ** 2
 
-    n_terms = 2000 if T == 0.0 else min(2000, int(20.0 / (math.pi * T * period)) + 2)
+    n_terms = min(2000, int(20.0 / (math.pi * T * period)) + 2)
     out = np.zeros_like(x)
     for m in range(1, n_terms + n_terms % 2 + 1):
         out += (-1) ** m * (f(m * period + x) + f(m * period - x))
@@ -279,8 +481,9 @@ def reduced_covariance_series(params: ModelParams, times, n_modes: int,
     """Reduced (doubled, dimensionless) system covariances at the given times,
     as one stack in the order requested.
 
-    The workhorse for cross-validation runs: one eigendecomposition per
-    channel, then one product of the mode matrix with all the times.  Times
+    The workhorse for cross-validation runs: the normal modes of each
+    channel from its secular equation (module docstring), then one product
+    of the mode matrix with all the times.  Times
     must stay below half the recurrence horizon.  The noise of each channel
     is corrected to the continuum bath: the missing modes above
     ``omega_max_bath`` are added and the recurrence images of the frequency

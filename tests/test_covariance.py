@@ -130,6 +130,14 @@ def test_resonance_finder(p):
     assert width_p > 50 * width
 
 
+def test_resonance_on_a_scan_node_is_listed_once():
+    """At r = 0 the antisymmetric channel is undamped, Re D = 1 - omega^2,
+    and its root omega = 1 falls on a node of the scan grid: one crossing,
+    listed once."""
+    found = channel_resonances(ModelParams(1.0, 10.0, 0.0, 0.0), -1)
+    assert len(found) == 1 and found[0][0] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_time_zero_returns_initial_exactly(p, greens_cache):
     c0 = CovarianceMatrix(entries=random_physical_covariance(np.random.default_rng(1)))
     # a series asking only for t = 0 has no Filon pairs to sum; with later

@@ -22,13 +22,22 @@ def p():
     return ModelParams(gamma=1.0, omega_cut=10.0, temperature=0.0, distance=0.1)
 
 
+def _dense_potential(parts):
+    """The dense (N+1)^2 matrix of the arrowhead parts (corner, border,
+    diagonal) that `oracle._channel_potential` returns."""
+    corner, border, diag = parts
+    v = np.diag(np.concatenate([[corner], diag]))
+    v[0, 1:] = v[1:, 0] = border
+    return v
+
+
 def _chain_generator(bath, params, sign):
     """Sigma H of one channel chain, ordered (positions, momenta) of
     (collective coordinate, bath modes), with H built from the oracle's
     own channel potential."""
     npos = bath.n_modes + 1
     h = np.zeros((2 * npos, 2 * npos))
-    h[:npos, :npos] = oracle._channel_potential(bath, params, sign)
+    h[:npos, :npos] = _dense_potential(oracle._channel_potential(bath, params, sign))
     h[npos:, npos:] = np.eye(npos)
     sig = np.zeros((2 * npos, 2 * npos))
     sig[:npos, npos:] = np.eye(npos)
@@ -102,12 +111,91 @@ def test_evolve_identity_and_energy(p):
     expect = np.eye(2)
     for sign in (+1, -1):
         h_inv = np.eye(2 * n)
-        h_inv[:n, :n] = np.linalg.inv(oracle._channel_potential(bath, p, sign))
+        h_inv[:n, :n] = np.linalg.inv(_dense_potential(oracle._channel_potential(bath, p, sign)))
         ch = oracle._channel_modes(bath, p, sign)
         assert np.max(np.abs(oracle._system_rows(ch, 0.0) - unit)) <= 1e-12
         for t in (0.5, 1.5):
             rows = oracle._system_rows(ch, t)
             assert np.max(np.abs(rows @ h_inv @ rows.T - expect)) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_modes", [100, 2000])
+def test_arrowhead_solver_matches_dense_eigh(p, n_modes):
+    """The secular-equation solver against dense eigvalsh on the oracle's own
+    channels: the same spectrum within 1e-10 max(omega^2), an orthonormal
+    mode matrix, and columns that V maps onto mu^2 times themselves."""
+    bath = build_bath(p, n_modes=n_modes, omega_max_bath=265.0)
+    for sign in (+1, -1):
+        parts = oracle._channel_potential(bath, p, sign)
+        v = _dense_potential(parts)
+        mu2, u = oracle._solve_arrowhead(*parts)
+        scale = parts[2].max()
+        assert np.max(np.abs(np.sort(mu2) - np.linalg.eigvalsh(v))) <= 1e-10 * scale
+        assert np.max(np.abs(u.T @ u - np.eye(n_modes + 1))) <= 1e-12
+        assert np.max(np.abs(v @ u - u * mu2)) <= 1e-12 * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_arrowhead_modes_orthogonal_at_4000(p):
+    """||U^T U - I||_max <= 1e-10 for the 4001 modes of the criterion-9
+    doubling run (N = 4000, W = 530)."""
+    bath = build_bath(p, n_modes=4000, omega_max_bath=530.0)
+    u = oracle._channel_modes(bath, p, +1).modes
+    gram = u.T @ u
+    gram[np.diag_indices_from(gram)] -= 1.0
+    assert np.max(np.abs(gram)) <= 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_arrowhead_solver_deflates_zero_couplings(p):
+    """A zero coupling leaves its bath mode an eigenvector with eigenvalue
+    omega_k^2: every mode at gamma = 0 and in the antisymmetric channel at
+    r = 0, and one mode inside an otherwise coupled chain, where the rest
+    still matches dense eigvalsh."""
+    for params, sign in ((p.with_(gamma=0.0), +1), (p.with_(distance=0.0), -1)):
+        corner, border, diag = oracle._channel_potential(build_bath(params, 200, 200.0),
+                                                         params, sign)
+        assert not np.any(border)
+        mu2, u = oracle._solve_arrowhead(corner, border, diag)
+        assert np.array_equal(mu2, np.concatenate([[corner], diag]))
+        assert np.array_equal(u, np.eye(201))
+    corner, border, diag = oracle._channel_potential(build_bath(p, 200, 200.0), p, +1)
+    border = border.copy()
+    border[57] = 0.0
+    v = _dense_potential((corner, border, diag))
+    mu2, u = oracle._solve_arrowhead(corner, border, diag)
+    decoupled = np.flatnonzero(mu2 == diag[57])
+    assert decoupled.size == 1 and np.array_equal(u[:, decoupled[0]], np.eye(201)[58])
+    assert np.max(np.abs(np.sort(mu2) - np.linalg.eigvalsh(v))) <= 1e-10 * diag.max()
+    assert np.max(np.abs(u.T @ u - np.eye(201))) <= 1e-12
+    assert np.max(np.abs(v @ u - u * mu2)) <= 1e-12 * diag.max()
+
+
+def test_loewner_border_reproduces_its_roots():
+    """Loewner's formula: for any roots interlacing the diagonal, the border
+    it returns (with corner sum(x) - sum(d), the trace) gives an arrowhead
+    whose spectrum is exactly those roots."""
+    rng = np.random.default_rng(7)
+    d = np.cumsum(rng.uniform(0.5, 2.0, 40))
+    x = np.concatenate([[d[0] - 1.0], d[:-1] + rng.uniform(0.05, 0.95, 39) * np.diff(d),
+                        [d[-1] + 2.0]])
+    origin = np.clip(np.arange(41) - 1, 0, 39)
+    border2 = oracle._loewner_border(d, origin, x - d[origin])
+    v = _dense_potential((x.sum() - d.sum(), np.sqrt(border2), d))
+    assert np.max(np.abs(np.linalg.eigvalsh(v) - x)) <= 1e-12 * d[-1]
+
+
+def test_image_sum_closed_form_matches_series():
+    """The T = 0 image sum in trigamma form against mpmath's summation of the
+    alternating series, to 1e-13 relative, across [0, period)."""
+    mpmath = pytest.importorskip("mpmath")
+    period = 2.0 * math.pi / (265.0 / 2000)
+    x = np.array([0.0, 0.1, 7.3, 20.0, 0.5 * period, 0.9 * period])
+    for xv, got in zip(x, oracle._image_sum(x, period, 0.0)):
+        ref = mpmath.nsum(lambda m: (-1) ** m * ((m * period + xv) ** -2
+                                                 + (m * period - xv) ** -2), [1, mpmath.inf])
+        assert abs(got / float(ref) - 1.0) <= 1e-13
 
 
 def test_reduce_initial_product_state(p):
@@ -144,9 +232,8 @@ def test_counter_term_negative_control(p, monkeypatch):
     compensated = oracle._channel_potential
 
     def uncompensated(bath, params, sign):
-        v = compensated(bath, params, sign)
-        v[0, 0] = 1.0    # bare frequency squared
-        return v
+        _, border, diag = compensated(bath, params, sign)
+        return 1.0, border, diag    # bare frequency squared in the corner
 
     monkeypatch.setattr(oracle, "_channel_potential", uncompensated)
     with pytest.raises(SymplecticityError, match="counter-term"):
