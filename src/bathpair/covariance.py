@@ -30,9 +30,14 @@ with h summed over the stored G grid by a Filon rule (quadratic
 interpolation of G per node pair, oscillatory factor exact).  The noise
 integral is then a quadratic form in the per-pair Filon coefficients whose
 matrix depends only on the lag between pairs, so a full time series costs
-one set of Toeplitz lag kernels (a frequency sum per lag) and one FFT
-convolution per channel.  Beyond omega_max the integrand is replaced by its
-large-frequency expansion and integrated in closed form.
+one set of Toeplitz lag kernels and one FFT convolution per channel.  The
+lag kernels are Fourier integrals, at the lags 2 m h, of a weight that is
+smooth in omega: S(omega) times Filon moments of omega h, with cos(omega r)
+taken as a lag shift t -> t +- r.  They are summed by a cubic Filon rule on
+a uniform omega grid (Press et al., Numerical Recipes, 3rd ed., sec. 13.9),
+all lags at once by one chirp FFT; the grid spacing follows Omega, 1/h and
+T, never r or the time span.  Beyond omega_max the integrand is replaced by
+its large-frequency expansion and integrated in closed form.
 
 A `CovarianceMatrix` is one 4x4 matrix or an (n, 4, 4) stack with an (n,)
 array of times: `covariance_time_series` returns its whole series as one
@@ -45,6 +50,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy import fft
 from scipy.optimize import brentq
 
@@ -179,25 +185,29 @@ def channel_resonances(params: ModelParams, sign: int) -> list:
     return out
 
 
-def frequency_grid(params: ModelParams, omega_max: float, t_scale: float = 0.0):
+def frequency_grid(params: ModelParams, omega_max: float):
     """Gauss-Legendre panel grid (12 nodes per panel) on [0, omega_max] for
-    the noise integrals.
+    the asymptotic noise integrals.
 
-    Panel width is capped so that the fastest oscillation (set by the
-    retardation r and the requested time horizon) stays resolved, with
-    geometric refinement around each channel resonance; the antisymmetric
-    one can be orders of magnitude narrower than everything else.  At strong
-    damping the symmetric channel's 1/|D|^2 also has a Lorentzian peak at
-    omega = 0, half-width 1/Gamma_+^(0) = 1/(4 gamma), where Re D has no zero.
+    Panel width is capped so that the retardation oscillation cos(omega r)
+    stays resolved, with geometric refinement around each channel resonance;
+    the antisymmetric one can be orders of magnitude narrower than everything
+    else.  At r = 0 the antisymmetric channel is not integrated (its weight
+    1 - cos(omega r) vanishes), so its resonance gets no refinement.  At
+    strong damping the symmetric channel's 1/|D|^2 also has a Lorentzian peak
+    at omega = 0, half-width 1/Gamma_+^(0) = 1/(4 gamma), where Re D has no
+    zero.
     """
     r = params.distance
     Om = params.omega_cut
-    cap = min(0.5, Om / 4.0, 2.5 / max(t_scale, r, 1e-9))
+    cap = min(0.5, Om / 4.0, 2.5 / max(r, 1e-9))
     cap = max(cap, omega_max / 200000.0)
     n_panels = int(math.ceil(omega_max / cap))
     base = np.linspace(0.0, omega_max, n_panels + 1)
 
-    features = channel_resonances(params, +1) + channel_resonances(params, -1)
+    features = channel_resonances(params, +1)
+    if r > 0:
+        features += channel_resonances(params, -1)
     if params.gamma > 0:
         features.append((0.0, 0.25 / params.gamma))
     clusters = []
@@ -287,7 +297,7 @@ def channel_asymptotic_moments(params: ModelParams, sign,
     what that drops.
     """
     sign = np.asarray(sign, dtype=float)
-    x, w = frequency_grid(params, omega_max, t_scale=0.0) if grid is None else grid
+    x, w = frequency_grid(params, omega_max) if grid is None else grid
     alpha = beta = 0.0
     for lo in range(0, x.size, _BLOCK):
         xb = x[lo:lo + _BLOCK]
@@ -325,7 +335,7 @@ def covariance_asymptotic(params: ModelParams) -> CovarianceMatrix:
     if params.distance < 0:
         raise ValueError("covariance_asymptotic requires r >= 0")
     omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
-    grid = frequency_grid(params, omega_max, t_scale=0.0)
+    grid = frequency_grid(params, omega_max)
     damped = SIGNS if params.distance > 0 else SIGNS[:1]
     alpha, beta, _ = channel_asymptotic_moments(params, damped, omega_max, ASYMPTOTIC_TOL, grid)
     blocks = np.array([np.eye(2), np.eye(2)])   # the ground state where not integrated
@@ -398,56 +408,191 @@ def _channel_noise_tail(params: ModelParams, W: float, t,
     return out
 
 
-_NODE_BLOCK = 2048   # frequency nodes per step of the lag-kernel build
-_FINE_LAGS = 64      # lags m = b L + j, L = _FINE_LAGS, share the coarse phase e^{i b L phi}
+def _moment_rows(omega, h: float) -> np.ndarray:
+    """The six products of Filon moments at omega h that the noise form
+    weighs: (s0^2, s0 s2, s2^2, p1^2, p1 s0, p1 s2), shape (6,) + omega.shape."""
+    s0, p1, s2 = _filon_base(omega * h)
+    return np.stack([s0 * s0, s0 * s2, s2 * s2, p1 * p1, p1 * s0, p1 * s2])
 
 
-def _lag_kernels(x: np.ndarray, weights: np.ndarray, h: float, n_lags: int) -> np.ndarray:
-    """Toeplitz lag kernels of the Filon noise form, one set per row of ``weights``.
+# Endpoint weights of the cubic Filon rule (Press et al., Numerical Recipes,
+# 3rd ed., sec. 13.9), written as
+#     d_j theta^4 alpha_j(theta) = P_j(theta) + (6 + theta^2) sum_k c_jk e^{i k theta}
+# with P_j a cubic; the first four Taylor orders cancel between the two parts.
+_ALPHA_DEN = np.array([6.0, 6.0, 3.0, 6.0])
+_ALPHA_POLY = np.array([[-42, -12j, 5, 6j], [42, 30j, -14, 0],
+                        [-12, -12j, 4, 0], [6, 6j, -2, 0]])          # ascending powers
+_ALPHA_FREQ = np.array([1, -1, -2])
+_ALPHA_EXP = np.array([[4.0, 4.0, -1.0], [-6.0, -1.0, 0.0], [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+_SERIES_BELOW = 1.0   # |theta| below this takes the series; the closed form loses eps/theta^4
 
-    With phi = 2 omega h and (s0, p1, s2) the Filon moments at omega h,
-    returns (n_rows, 6, n_lags): for lags m < n_lags the sums over nodes
-    of weight * {s0^2, s0 s2, s2^2, p1^2} * cos(m phi) and of
-    weight * {p1 s0, p1 s2} * sin(m phi).  Lag m = b L + j splits its phase
-    as e^{i b L phi} e^{i j phi}: the coarse factor goes with the weights
-    into the left operand and the fine one into the right, so a block of
-    nodes costs one real matrix product and no per-(node, lag)
-    trigonometry, and memory stays flat in the number of nodes.
+
+def _alpha_series(n_terms: int) -> np.ndarray:
+    """Taylor coefficients (4, n_terms), ascending, of alpha_0..alpha_3.  With
+    e_n those of sum_k c_jk e^{i k theta}, theta^m in alpha_j has
+    (6 e_{m+4} + e_{m+2}) / d_j; 26 terms reach rounding level at |theta| = 1."""
+    n = np.arange(n_terms + 4)
+    factorial = np.cumprod(np.maximum(n, 1).astype(float))
+    e = _ALPHA_EXP @ ((1j * _ALPHA_FREQ[:, None]) ** n / factorial)
+    return (6.0 * e[:, 4:] + e[:, 2:-2]) / _ALPHA_DEN[:, None]
+
+
+_ALPHA_SERIES = _alpha_series(26)
+
+
+def _filon_weights(theta):
+    """Cubic Filon weights W(theta) and alpha_0..alpha_3(theta) at real theta
+    of either sign: W has theta's shape, alpha is (4,) + theta.shape.
+
+    W = (1 + theta^2/6) (sin(theta/2) / (theta/2))^4 is stable as written;
+    alpha_j takes its Taylor series below |theta| = `_SERIES_BELOW` and the
+    closed form above.
     """
-    L = _FINE_LAGS
-    n_rows = weights.shape[0]
-    n_coarse = -(-n_lags // L)
-    coarse = L * np.arange(n_coarse)
-    acc = np.zeros((n_rows * 6 * n_coarse, L))
-    for lo in range(0, x.size, _NODE_BLOCK):
-        xb = x[lo:lo + _NODE_BLOCK]
-        s0, p1, s2 = _filon_base(xb * h)
-        f = (weights[:, None, None, lo:lo + _NODE_BLOCK]    # (rows, 6, 1, n)
-             * np.stack([s0 * s0, s0 * s2, s2 * s2, p1 * p1, p1 * s0, p1 * s2])[:, None])
-        phi = 2.0 * h * xb
-        cc, sc = np.cos(np.outer(coarse, phi)), np.sin(np.outer(coarse, phi))
-        # cos((bL + j) phi) = cc cf - sc sf,  sin((bL + j) phi) = sc cf + cc sf
-        left = np.empty((n_rows, 6, n_coarse, 2, xb.size))
-        left[:, :4, :, 0] = f[:, :4] * cc
-        left[:, :4, :, 1] = -f[:, :4] * sc
-        left[:, 4:, :, 0] = f[:, 4:] * sc
-        left[:, 4:, :, 1] = f[:, 4:] * cc
-        fine = np.outer(phi, np.arange(L))
-        acc += left.reshape(acc.shape[0], -1) @ np.concatenate([np.cos(fine), np.sin(fine)])
-    return acc.reshape(n_rows, 6, n_coarse * L)[..., :n_lags]
+    theta = np.asarray(theta, dtype=float)
+    w = (1.0 + theta * theta / 6.0) * np.sinc(theta / (2.0 * math.pi)) ** 4
+    flat = theta.ravel()
+    small = np.abs(flat) < _SERIES_BELOW
+    alpha = np.empty((4, flat.size), dtype=complex)
+    alpha[:, small] = P.polyval(flat[small], _ALPHA_SERIES.T)
+    th = flat[~small]
+    alpha[:, ~small] = ((P.polyval(th, _ALPHA_POLY.T)
+                         + (6.0 + th * th) * (_ALPHA_EXP @ np.exp(1j * _ALPHA_FREQ[:, None] * th)))
+                        / (_ALPHA_DEN[:, None] * th**4))
+    return w, alpha.reshape((4,) + theta.shape)
 
 
-def _pair_noise(g_cols: np.ndarray, x: np.ndarray, weights: np.ndarray, h: float,
-                n_pairs: int) -> np.ndarray:
+def _zoom_dft(g: np.ndarray, period: int, m_lo: int, n_out: int) -> np.ndarray:
+    """sum_k g[..., k] e^{2 pi i k m / period} for m = m_lo, ..., m_lo + n_out - 1.
+
+    Bluestein's chirp transform: k m = (k^2 + m^2 - (m - k)^2) / 2 turns the
+    sum into one FFT convolution of length n_nodes + n_out - 1 (rounded up to
+    a fast length), whatever the period.  The chirp phases pi j^2 / period are
+    reduced modulo 2 pi in integers, so they are exact at every j; a period
+    beyond every j^2 needs no reduction, and may exceed the integer range.
+    """
+    n_nodes = g.shape[-1]
+    n_fft = fft.next_fast_len(n_nodes + n_out - 1)
+
+    def chirp(j):
+        jj = j * j
+        if 2 * period <= jj.max():
+            jj %= 2 * period
+        return np.exp(1j * (math.pi / period) * jj)
+
+    kernel = np.conj(chirp(np.arange(m_lo - n_nodes + 1, m_lo + n_out)))
+    conv = fft.ifft(fft.fft(g * chirp(np.arange(n_nodes)), n_fft) * fft.fft(kernel, n_fft),
+                    n_fft)
+    return chirp(np.arange(m_lo, m_lo + n_out)) * conv[..., n_nodes - 1:n_nodes - 1 + n_out]
+
+
+def _fourier_part(spectrum, end: float, dw_max: float, h: float, n_lags: int,
+                  shifts) -> np.ndarray:
+    """Fourier integrals of spectrum rows against the six Filon-moment rows:
+    (n_shifts, 6, 2 n_lags - 1) complex,
+
+        J[s, :, i] = int_0^end (spectrum(omega)[s]/2) F(omega h) e^{i omega tau} d omega,
+        tau = 2 m h + shifts[s],  m = i - n_lags + 1,
+
+    with F = `_moment_rows` and ``spectrum`` giving one row per shift.  The
+    nodes omega_k = k dw are uniform, dw = pi / (h period) <= dw_max for an
+    integer period, so that lag m's phase is e^{2 pi i k m / period} times
+    the exact prephase e^{i omega_k shift}: all lags of a row come from one
+    `_zoom_dft`, and a shift costs no resolution in omega.  Cubic Filon rule
+    with endpoint corrections (Press et al., Numerical Recipes, 3rd ed.,
+    sec. 13.9) at theta = dw tau; the sliver past the last node, narrower
+    than dw, is one Gauss panel.
+    """
+    period = math.ceil(math.pi / (h * dw_max))
+    dw = math.pi / (h * period)
+    n = math.ceil(end / dw) - 1
+    omega = dw * np.arange(n + 1)
+    f = 0.5 * spectrum(omega)[:, None] * _moment_rows(omega, h)          # (n_shifts, 6, n + 1)
+    shifts = np.asarray(shifts, dtype=float)[:, None]
+    tau = 2.0 * h * np.arange(1 - n_lags, n_lags) + shifts              # (n_shifts, 2 n_lags - 1)
+    theta = dw * tau
+    w, alpha = _filon_weights(theta)
+    out = w[:, None] * _zoom_dft(f * np.exp(1j * omega * shifts)[:, None], period,
+                                 1 - n_lags, 2 * n_lags - 1)
+    out += f[..., :4] @ alpha.swapaxes(0, 1)
+    out += (f[..., n - np.arange(4)] @ alpha.conj().swapaxes(0, 1)) * np.exp(1j * n * theta)[:, None]
+    out *= dw
+    xs, ws = gauss_panels([n * dw, end])
+    fs = 0.5 * ws * spectrum(xs)[:, None] * _moment_rows(xs, h)
+    return out + fs @ np.exp(1j * xs[:, None] * tau[:, None])
+
+
+_NODES_PER_SCALE = 400    # uniform nodes per smoothness scale of the spectrum
+_FOLD_BELOW = 0.4         # r min(Omega, 1/h) below this: cos(omega r) stays in the weight
+_THERMAL_CUT = 40.0       # coth(omega/2T) - 1 < 1e-17 beyond omega = 40 T
+_THERMAL_FLOOR = 1e-9     # T / Omega below this, the thermal excess is below rounding
+
+
+def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -> np.ndarray:
+    """Toeplitz lag kernels of the Filon noise form, one set per channel of `SIGNS`.
+
+    Returns (2, 6, n_lags): for lags m < n_lags, the integrals over
+    [0, omega_max] of (S/2)(1 +- cos omega r) times {s0^2, s0 s2, s2^2, p1^2}
+    cos(2 m h omega) and {p1 s0, p1 s2} sin(2 m h omega), (s0, p1, s2) the
+    Filon moments at omega h.
+
+    The node spacing is a fixed fraction, 1/`_NODES_PER_SCALE`, of the
+    shortest scale on which S (Omega, and 2 pi T) or the moments (1/h) vary,
+    never of the time span.  Nor of r: where cos(omega r) would advance by
+    more than `_FOLD_BELOW` / `_NODES_PER_SCALE` = 1e-3 per node, it becomes a
+    lag shift, cos(omega r) e^{i omega t} = (e^{i omega (t + r)} + e^{i omega (t - r)}) / 2.
+    Below that it stays in the weight, as 2 (cos^2, sin^2)(omega r / 2), which
+    carries the antisymmetric channel's ~r^2 without the cancellation of a
+    difference of shifted lags.  S is split into its T = 0 part on
+    [0, omega_max] and, at T > 0, the thermal excess S_0 (coth(omega/2T) - 1),
+    which lives below 40 T, on its own finer grid; so the node count stays
+    bounded as T -> 0+.
+    """
+    r, Om, T = params.distance, params.omega_cut, params.temperature
+    scale = min(Om, 1.0 / h)
+    cold = params.with_(temperature=0.0)
+    fold = r * scale < _FOLD_BELOW
+    shifts = [0.0, 0.0] if fold else [0.0, r]
+
+    def with_channels(spectrum):
+        if fold:
+            return lambda w: 2.0 * spectrum(w) * np.stack([np.cos(0.5 * w * r),
+                                                           np.sin(0.5 * w * r)]) ** 2
+        return lambda w: np.broadcast_to(spectrum(w), (2,) + np.shape(w))
+
+    parts = [(with_channels(lambda w: noise_spectrum(w, cold)), omega_max, scale)]
+    if T > _THERMAL_FLOOR * Om:
+        parts.append((with_channels(lambda w: noise_spectrum(w, params) - noise_spectrum(w, cold)),
+                      min(omega_max, _THERMAL_CUT * T), min(scale, 2.0 * math.pi * T)))
+    j = sum(_fourier_part(spectrum, end, smooth / _NODES_PER_SCALE, h, n_lags, shifts)
+            for spectrum, end, smooth in parts)
+    k = j[..., n_lags - 1:]                                              # m >= 0
+    if not fold:
+        # J(-tau) = conj J(tau): tau = 2 m h - r is the conjugate of -2 m h + r
+        k = k[0] + SIGNS[:, :, None] * 0.5 * (k[1] + np.conj(j[1, :, n_lags - 1::-1]))
+    return np.concatenate([k[:, :4].real, k[:, 4:].imag], axis=1)
+
+
+def _transient_omega_max(params: ModelParams, tol: float) -> float:
+    """Frequency cut of the transient noise: the smallest whose tail-correction
+    error bound 2 w_inf (1 + (1 + K(0))^2) / omega_max^4 meets ``tol`` (K(0)
+    the larger channel kernel at t = 0), and at least 15 max(Omega, 1)."""
+    k0 = float(np.max(channel_kernel_zero(params, SIGNS)))
+    need = (2.0 * _tail_prefactor(params) * (1.0 + (1.0 + k0) ** 2) / max(tol, 1e-12)) ** 0.25
+    return float(max(15.0 * params.omega_cut, 15.0, need))
+
+
+def _pair_noise(g_cols: np.ndarray, params: ModelParams, h: float, n_pairs: int,
+                omega_max: float) -> np.ndarray:
     """Filon-discretized noise blocks N(p), p = 0..n_pairs, of each channel.
 
-    g_cols is (n_ch, 2, N_grid): the (G12, G22) samples of each channel;
-    weights is (n_ch, N_omega): quadrature weight times noise weight.
+    g_cols is (n_ch, 2, N_grid): the (G12, G22) samples of each channel of
+    `SIGNS`; the noise is integrated up to omega_max.
     With u_q = h (2 f1, f0 - 2 f1 + f2, f2 - f0) the Filon coefficients of
     pair q, P(omega, p) = sum_{q<p} e^{i omega (2q+1) h} (u_q . (s0, s2, i p1)),
     and
 
-        N_ab(p) = sum_omega w Re P_a conj(P_b) = sum_{q,q'<p} u^a_q . K(q - q') u^b_q',
+        N_ab(p) = int (S/2)(1 +- cos omega r) Re P_a conj(P_b) d omega
+                = sum_{q,q'<p} u^a_q . K(q - q') u^b_q',
 
     with K(m) the 3x3 matrix of `_lag_kernels` and K(-m) = K(m)^T.  Its
     increments N(p+1) - N(p) need only the causal products Z = K * u, one
@@ -458,7 +603,7 @@ def _pair_noise(g_cols: np.ndarray, x: np.ndarray, weights: np.ndarray, h: float
     out = np.zeros((n_ch, n_pairs + 1, 2, 2))
     if n_pairs == 0:
         return out
-    c00, c02, c22, c11, s10, s12 = _lag_kernels(x, weights, h, n_pairs).transpose(1, 0, 2)
+    c00, c02, c22, c11, s10, s12 = _lag_kernels(params, h, n_pairs, omega_max).transpose(1, 0, 2)
     k = np.stack([np.stack([c00, c02, s10], 1),
                   np.stack([c02, c22, s12], 1),
                   np.stack([-s10, -s12, c11], 1)], 1)                # (n_ch, 3, 3, n)
@@ -481,14 +626,12 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
     as one stack in the order requested; t = 0 gives ``c0`` itself.
 
     Both channels run in one pass over the channel axis.  The noise of all
-    requested times comes from one set of lag kernels and one FFT
-    convolution per channel (`_pair_noise`): O(N_omega * N_pairs)
-    for the kernels plus O(N_pairs log N_pairs).  The frequency cut
-    omega_max is the smallest whose tail-correction error bound
-    2 w_inf (1 + (1 + K(0))^2) / omega_max^4 meets ``tol`` (K(0) the larger
-    channel kernel at t = 0), and at least 15 max(Omega, 1).  ``c0`` and
-    the outputs must pass `require_physical`; a refusal names the first
-    unphysical time.
+    requested times comes from one set of lag kernels (`_lag_kernels`, all
+    lags of a uniform frequency grid by one chirp FFT) and one FFT
+    convolution per channel (`_pair_noise`): O(N log N + N_pairs log N_pairs),
+    N the frequency nodes plus the lags.  The frequency cut omega_max is
+    `_transient_omega_max(params, tol)`.  ``c0`` and the outputs must pass
+    `require_physical`; a refusal names the first unphysical time.
     """
     h = greens.spacing
     grid = greens.time_grid
@@ -510,19 +653,13 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
     require_physical(c0)
     cp0, cm0, cx0 = channel_blocks(c0.entries)
 
-    k0 = float(np.max(channel_kernel_zero(params, SIGNS)))
-    need = (2.0 * _tail_prefactor(params) * (1.0 + (1.0 + k0) ** 2)
-            / max(tol, 1e-12)) ** 0.25
-    omega_max = float(max(15.0 * params.omega_cut, 15.0, need))
+    omega_max = _transient_omega_max(params, tol)
     pairs, inverse = np.unique(pair_int, return_inverse=True)
     n_pairs = int(pairs[-1])
     series = greens.channel_series                  # (2, N_grid, 2, 2)
     noise = np.zeros((2, n_pairs + 1, 2, 2))
     if n_pairs > 0:
-        x, w = frequency_grid(params, omega_max,
-                              t_scale=max(float(times.max()), params.distance))
-        noise = _pair_noise(series[..., 1].swapaxes(1, 2), x,
-                            w * _noise_weight(x, params, SIGNS), h, n_pairs)
+        noise = _pair_noise(series[..., 1].swapaxes(1, 2), params, h, n_pairs, omega_max)
 
     gi = 2 * pairs
     t_out = grid[gi]

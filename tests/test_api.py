@@ -1,5 +1,9 @@
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -15,3 +19,16 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ lists {missing}"
+
+
+def test_library_import_does_not_load_scipy_signal():
+    """`scipy.signal` roughly doubles the import time of the package; nothing
+    on the library's import path may pull it in."""
+    code = ("import sys, bathpair.analysis, bathpair.oracle; "
+            "print('scipy.signal' in sys.modules)")
+    src = str(pathlib.Path(bathpair.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -334,14 +334,199 @@ def test_frequency_grid_resolves_resonance(p):
     assert w.sum() == pytest.approx(150.0, rel=1e-12)
 
 
+def test_frequency_grid_skips_the_undamped_channel_at_r0(p):
+    """At r = 0 only the symmetric channel is integrated, so the undamped
+    antisymmetric resonance at omega = 1 gets no ladder."""
+    p0 = p.with_(distance=0.0)
+    x, w = frequency_grid(p0, 150.0)
+    assert not np.any(np.abs(x - 1.0) < 1e-5)
+    assert w.sum() == pytest.approx(150.0, rel=1e-12)
+    assert x.size < frequency_grid(p0.with_(distance=1e-3), 150.0)[0].size
+
+
 # ---------------------------------------------------------------------------
-# reference: the per-pair Filon sweep that the Toeplitz form replaces
+# references: the panel-sum lag kernels and the per-pair Filon sweep that the
+# uniform-grid Filon transform replaces
 
 
-def _stream_pair_noise(g_cols, x, weights, h, n_pairs):
-    """Reference for `covariance._pair_noise`: accumulate the Filon sums
-    P(omega, p) pair by pair at every node and take sum_omega w |P|^2 at
-    every p.  O(N_pairs * N_omega) work with a per-pair exp-free update."""
+def _panel_grid(params, omega_max, t_scale):
+    """Gauss panels on [0, omega_max] as the transient path once built them:
+    `frequency_grid` with the panel width also capped at 2.5 / t_scale, so
+    that the fastest lag phase stays resolved, and both channels' resonances
+    refined."""
+    from bathpair._panels import gauss_panels, merge_edges
+
+    om = params.omega_cut
+    cap = min(0.5, om / 4.0, 2.5 / max(t_scale, params.distance, 1e-9))
+    cap = max(cap, omega_max / 200000.0)
+    base = np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1)
+    features = channel_resonances(params, +1) + channel_resonances(params, -1)
+    features.append((0.0, 0.25 / params.gamma))
+    clusters = []
+    for om_res, width in features:
+        if width * 2.0 < cap:
+            ladder = width * 2.0 ** np.arange(-1, 10)
+            ladder = ladder[ladder < 8.0 * cap]
+            clusters += [om_res + ladder, om_res - ladder, [om_res]]
+    edges = merge_edges(base, [om / 2, om, 2 * om], *clusters, lo=0.0, hi=omega_max)
+    return gauss_panels(edges)
+
+
+def _panel_weights(params, h, n_lags, omega_max):
+    """Nodes and per-channel weights of `_panel_grid` for lags up to n_lags:
+    quadrature weight times (S/2)(1 +- cos omega r), the channel factor as
+    2 (cos^2, sin^2)(omega r / 2) so that small r loses no digits."""
+    x, w = _panel_grid(params, omega_max, max(2.0 * h * n_lags, params.distance))
+    half = 0.5 * x * params.distance
+    return x, w * noise_spectrum(x, params) * np.stack([np.cos(half), np.sin(half)]) ** 2
+
+
+def _panel_lag_kernels(x, weights, h, n_lags, fine=64, block=2048):
+    """Reference for `covariance._lag_kernels`: the sums over panel nodes of
+    weight * {s0^2, s0 s2, s2^2, p1^2} * cos(m phi) and of
+    weight * {p1 s0, p1 s2} * sin(m phi), phi = 2 omega h, lags m < n_lags.
+    Lag m = b L + j splits its phase as e^{i b L phi} e^{i j phi}, so a block
+    of nodes is one real matrix product."""
+    n_rows = weights.shape[0]
+    n_coarse = -(-n_lags // fine)
+    coarse = fine * np.arange(n_coarse)
+    acc = np.zeros((n_rows * 6 * n_coarse, fine))
+    for lo in range(0, x.size, block):
+        xb = x[lo:lo + block]
+        f = weights[:, None, None, lo:lo + block] * covariance._moment_rows(xb, h)[:, None]
+        phi = 2.0 * h * xb
+        cc, sc = np.cos(np.outer(coarse, phi)), np.sin(np.outer(coarse, phi))
+        left = np.empty((n_rows, 6, n_coarse, 2, xb.size))
+        left[:, :4, :, 0] = f[:, :4] * cc
+        left[:, :4, :, 1] = -f[:, :4] * sc
+        left[:, 4:, :, 0] = f[:, 4:] * sc
+        left[:, 4:, :, 1] = f[:, 4:] * cc
+        phase = np.outer(phi, np.arange(fine))
+        acc += left.reshape(acc.shape[0], -1) @ np.concatenate([np.cos(phase), np.sin(phase)])
+    return acc.reshape(n_rows, 6, n_coarse * fine)[..., :n_lags]
+
+
+def _check_lag_kernels(q, h, n_lags):
+    omega_max = covariance._transient_omega_max(q, 1e-5)
+    ours = covariance._lag_kernels(q, h, n_lags, omega_max)
+    ref = _panel_lag_kernels(*_panel_weights(q, h, n_lags, omega_max), h, n_lags)
+    assert ours.shape == ref.shape == (2, 6, n_lags)
+    scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+    # at r = 0 the antisymmetric channel carries no noise: its rows are zero
+    assert np.all((scale > 0) | (q.distance == 0))
+    assert np.max(np.abs(ours - ref) / np.where(scale > 0, scale, 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("h", [0.01, 0.005], ids=["trace-grid", "oracle-grid"])
+@pytest.mark.parametrize("distance", [0.0, 1e-6, 1e-3, 0.2, 3.0])
+@pytest.mark.parametrize("temperature", [0.0, 0.01, 0.2, 10.0])
+def test_lag_kernels_match_panel_sum(temperature, distance, h):
+    """Each kernel row is within 1e-10 of the panel sum, relative to its
+    largest value over the lags (400 lags); at r = 1e-6 the antisymmetric
+    rows are ~1e-10 of the symmetric ones and keep that accuracy."""
+    _check_lag_kernels(ModelParams(1.0, 10.0, temperature, distance), h, 400)
+
+
+@pytest.mark.parametrize("params, h, n_lags", [
+    ((1.0, 10.0, 0.0, 0.2), 0.01, 2000),       # the paper's trace, t_max = 40
+    ((1.0, 10.0, 0.2, 0.3), 0.005, 2000),      # an oracle-check point, t_max = 20
+    ((10.0, 50.0, 0.0, 0.05), 0.002, 1000),    # stiff
+], ids=["trace", "oracle", "stiff"])
+def test_lag_kernels_match_panel_sum_at_full_length(params, h, n_lags):
+    _check_lag_kernels(ModelParams(*params), h, n_lags)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_filon_weights_match_mpmath():
+    """W and alpha_0..alpha_3 of the cubic Filon rule against the closed forms
+    of Numerical Recipes (3rd ed., eq. 13.9.14) in 50-digit arithmetic, on
+    both sides of the small-theta switch, at both signs of theta, and at 0."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+
+    def exact(th):
+        th = mpmath.mpf(th)
+        if th == 0:
+            return 1, [-mpmath.mpf(2) / 3, mpmath.mpf(7) / 24, -mpmath.mpf(1) / 6, mpmath.mpf(1) / 24]
+        t2, t4 = th**2, th**4
+        c, s, c2, s2 = mpmath.cos(th), mpmath.sin(th), mpmath.cos(2 * th), mpmath.sin(2 * th)
+        w = (6 + t2) / (3 * t4) * (3 - 4 * c + c2)
+        a0 = mpmath.mpc((-42 + 5 * t2) + (6 + t2) * (8 * c - c2),
+                        (-12 * th + 6 * th**3) + (6 + t2) * s2) / (6 * t4)
+        a1 = mpmath.mpc(14 * (3 - t2) - 7 * (6 + t2) * c, 30 * th - 5 * (6 + t2) * s) / (6 * t4)
+        a2 = mpmath.mpc(-4 * (3 - t2) + 2 * (6 + t2) * c, -12 * th + 2 * (6 + t2) * s) / (3 * t4)
+        a3 = mpmath.mpc(2 * (3 - t2) - (6 + t2) * c, 6 * th - (6 + t2) * s) / (6 * t4)
+        return w, [a0, a1, a2, a3]
+
+    switch = covariance._SERIES_BELOW
+    theta = np.concatenate([np.geomspace(1e-6, 3.0, 120),
+                            switch * (1.0 + np.array([-1e-12, 0.0, 1e-12]))])
+    theta = np.concatenate([theta, -theta, [0.0]])
+    w, alpha = covariance._filon_weights(theta)
+    assert w.shape == theta.shape and alpha.shape == (4,) + theta.shape
+    for i, th in enumerate(theta):
+        w_ref, a_ref = exact(float(th))
+        assert abs(w[i] - float(w_ref)) <= 1e-14, th
+        for j in range(4):
+            assert abs(alpha[j, i] - complex(a_ref[j])) <= 1e-14, (th, j)
+
+
+def test_zoom_dft_matches_direct_sum():
+    """The chirp transform equals the direct sum at a period far above the
+    node count, one beyond the 64-bit integers, one below the node count,
+    and with negative lags."""
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(2, 50)) + 1j * rng.normal(size=(2, 50))
+    k = np.arange(50)
+    for period, m_lo, n_out in [(10**9 + 7, -30, 61), (10**20 + 3, -5, 40), (37, -5, 80),
+                                (64, 0, 64)]:
+        m = np.arange(m_lo, m_lo + n_out)
+        direct = g @ np.exp(2j * np.pi * np.outer(k, m) / period)
+        zoom = covariance._zoom_dft(g, period, m_lo, n_out)
+        assert np.max(np.abs(zoom - direct)) <= 1e-12 * np.abs(g).sum()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("temperature", [1e-6, 0.0])
+def test_noise_work_is_bounded(monkeypatch, temperature):
+    """Neither a large separation nor a temperature near zero makes the
+    frequency grid finer: the grid period is the same at every r, the node
+    count does not grow once omega_max stops moving (K(0) no longer depends
+    on r), and every FFT stays below 2^20.  Each point gives a physical
+    stack."""
+    real_len, real_zoom = covariance.fft.next_fast_len, covariance._zoom_dft
+    runs = {}
+    for r in (0.2, 50.0, 1e4):
+        q = ModelParams(1.0, 10.0, temperature, r)
+        g = greens_time(np.linspace(0.0, 2.0, 201), q)
+        lengths, grids = [], []
+
+        def spy_len(n, *args, **kwargs):
+            lengths.append(real_len(n, *args, **kwargs))
+            return lengths[-1]
+
+        def spy_zoom(g, period, m_lo, n_out):
+            grids.append((period, g.shape[-1]))
+            return real_zoom(g, period, m_lo, n_out)
+
+        with monkeypatch.context() as m:
+            m.setattr(covariance.fft, "next_fast_len", spy_len)
+            m.setattr(covariance, "_zoom_dft", spy_zoom)
+            out = covariance_time_series(g, q, np.arange(0.0, 2.001, 0.02))
+        assert len(out) == 101 and np.all(np.isfinite(out.entries))
+        assert lengths and max(lengths) <= 2**20
+        runs[r] = grids
+    assert len(runs[0.2]) == (2 if temperature > 0 else 1)
+    assert [p for p, _ in runs[0.2]] == [p for p, _ in runs[50.0]] == [p for p, _ in runs[1e4]]
+    assert runs[50.0] == runs[1e4]
+
+
+def _stream_pair_noise(g_cols, params, h, n_pairs, omega_max):
+    """Reference for `covariance._pair_noise`: on the panel grid, accumulate
+    the Filon sums P(omega, p) pair by pair at every node and take
+    sum_omega w |P|^2 at every p.  O(N_pairs * N_omega) work with a per-pair
+    exp-free update."""
+    x, weights = _panel_weights(params, h, n_pairs, omega_max)
     s0, p1, s2 = covariance._filon_base(x * h)
     step = np.exp(2j * x * h)
     out = np.zeros((g_cols.shape[0], n_pairs + 1, 2, 2))
@@ -369,8 +554,9 @@ def _stream_pair_noise(g_cols, x, weights, h, n_pairs):
 @pytest.mark.parametrize("temperature", [0.0, 0.2])
 @pytest.mark.parametrize("distance", [0.0, 0.2])
 def test_toeplitz_noise_matches_filon_stream(monkeypatch, temperature, distance):
-    """Lag kernels plus FFT convolution reproduce the pair-by-pair sweep,
-    with a general initial state and sparse, unordered, repeated outputs."""
+    """Lag kernels plus FFT convolution reproduce the pair-by-pair sweep on
+    the panel grid, with a general initial state and sparse, unordered,
+    repeated outputs."""
     q = ModelParams(gamma=1.0, omega_cut=10.0, temperature=temperature, distance=distance)
     g = greens_time(np.linspace(0.0, 3.0, 601), q)
     c0 = CovarianceMatrix(entries=random_physical_covariance(np.random.default_rng(7)))
@@ -389,13 +575,13 @@ def test_default_cut_meets_its_tail_bound(monkeypatch):
     not capped below it."""
     q = ModelParams(gamma=10.0, omega_cut=10.0, temperature=0.0, distance=0.2)
     cuts = []
-    real = covariance.frequency_grid
+    real = covariance._lag_kernels
 
-    def spy(params, omega_max, **kwargs):
+    def spy(params, h, n_lags, omega_max):
         cuts.append(omega_max)
-        return real(params, omega_max, **kwargs)
+        return real(params, h, n_lags, omega_max)
 
-    monkeypatch.setattr(covariance, "frequency_grid", spy)
+    monkeypatch.setattr(covariance, "_lag_kernels", spy)
     tol = 1e-5
     covariance_time_series(greens_time(np.linspace(0.0, 6.0, 601), q), q, [6.0], tol=tol)
     k0 = 2.0 * q.gamma * q.omega_cut * (1.0 + math.exp(-q.omega_cut * q.distance))
