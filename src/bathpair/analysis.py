@@ -1,9 +1,10 @@
 """Scientific post-processing: entanglement traces, peaks, critical distances.
 
-Distances are bisected against exact zeros of the logarithmic negativity:
-E vanishes on open sets (the separability clamp is exact), so root finding
-targets the boundary of the zero set with a small positive threshold that
-sits above quadrature noise.
+The critical distance d0 is a root of the signed margin mu = -log2 lambda~_-
+of the asymptotic state (`entanglement.negativity_margin`, E = max(0, mu)):
+mu stays smooth where E is clamped to an exact zero, so one bracketed
+`brentq` finds it.  The second-peak distance d1 is bisected against a small
+positive threshold on the clamped peak height, above quadrature noise.
 
 Every covariance comes from the channel layers through three calls:
 `greens_time` and `covariance_time_series` for a trace, and
@@ -14,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .covariance import covariance_asymptotic, covariance_time_series
-from .entanglement import log_negativity
+from .entanglement import log_negativity, negativity_margin
 from .greens import greens_time
 from .model import ModelParams
 
@@ -49,7 +52,7 @@ SHORT_TIME_PREFACTOR = 4.0 / math.log(2.0)
 
 
 class BracketError(ValueError):
-    """The bisection bracket does not straddle the zero boundary."""
+    """The search interval does not straddle the zero boundary."""
 
 
 class AmbiguousPeakError(RuntimeError):
@@ -233,25 +236,36 @@ def oscillation_frequency(trace_obj: EntanglementTrace, t_lo: float,
 # critical distances
 
 
-def find_d0(params: ModelParams, r_bracket: tuple = (0.02, 0.5),
+def find_d0(params: ModelParams, r_bracket: tuple | None = None,
             tol: float = 1e-3) -> CriticalDistanceResult:
-    """Bisection for the distance where the asymptotic E falls to ZERO_THRESHOLD."""
-    lo, hi = float(r_bracket[0]), float(r_bracket[1])
+    """Distance where the asymptotic state turns separable: the root of its
+    margin mu(r), by `brentq` at xtol tol/2, with ``bracket`` = d0 -+ tol/2
+    clipped to the search interval (lo, hi), which needs mu(lo) > 0 >= mu(hi).
+    With no ``r_bracket`` it grows from the cutoff length: hi from 8/Omega by
+    x1.5 while mu > 0, up to r = 1e3; lo from 2/Omega by /2 while mu <= 0,
+    down to 1e-4.  No such interval raises BracketError.
+    """
+    @lru_cache(maxsize=None)        # the ends of the interval are evaluated once
+    def margin(r: float) -> float:
+        return negativity_margin(covariance_asymptotic(params.with_(distance=r)))
 
-    def entangled(r: float) -> bool:
-        return asymptotic_log_negativity(params.with_(distance=r)) > ZERO_THRESHOLD
-
-    if not entangled(lo):
+    if r_bracket is None:
+        lo, hi = 2.0 / params.omega_cut, 8.0 / params.omega_cut
+        while margin(hi) > 0.0:
+            hi *= 1.5
+            if hi > 1e3:
+                raise BracketError(f"asymptotic E still positive at r = {hi}")
+        while lo > 1e-4 and margin(lo) <= 0.0:
+            lo /= 2.0
+    else:
+        lo, hi = r_bracket
+    if margin(lo) <= 0.0:
         raise BracketError(f"asymptotic E already zero at r = {lo}")
-    if entangled(hi):
+    if margin(hi) > 0.0:
         raise BracketError(f"asymptotic E still positive at r = {hi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if entangled(mid):
-            lo = mid
-        else:
-            hi = mid
-    return CriticalDistanceResult(d0=0.5 * (lo + hi), bracket=(lo, hi))
+    d0 = brentq(margin, lo, hi, xtol=0.5 * tol)
+    return CriticalDistanceResult(d0=d0, bracket=(max(lo, d0 - 0.5 * tol),
+                                                  min(hi, d0 + 0.5 * tol)))
 
 
 def _d1_probe(params: ModelParams, r: float) -> float:

@@ -3,7 +3,9 @@
 Every command writes CSV files (12 significant digits, full resolved config
 echoed in a comment block) plus a MANIFEST recording completion state.
 Outputs are deterministic for a given config: the numerical pipeline has no
-randomness anywhere.
+randomness anywhere.  Points run in turn in one process.  `analysis.find_d0`
+grows its own d0 bracket unless ``--r-lo`` and ``--r-hi`` give one.  A
+config-file key that names no value option is a config error.
 
 Exit codes: 0 success, 2 config error, 3 numerical-tolerance failure,
 4 oracle disagreement beyond tolerance.
@@ -15,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,12 +61,8 @@ class RunConfig:
     dt: float = 0.01
     tol: float = 1e-3
     oracle_modes: int = 2000
-    jobs: int = 0                                    # 0: use cpu count
     output_dir: str = "."
     emit_plot_script: bool = False
-
-    def resolved_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
 def _number(cast, raw):
@@ -115,7 +112,7 @@ def _config_echo(config: RunConfig) -> list[str]:
     for key, vals in sorted(config.params.items()):
         parts.append(f"{key}=" + ",".join(f"{v:g}" for v in vals))
     parts.append(f"t_max={config.t_max:g} dt={config.dt:g} tol={config.tol:g}")
-    parts.append(f"oracle_modes={config.oracle_modes} jobs={config.jobs}")
+    parts.append(f"oracle_modes={config.oracle_modes}")
     return parts
 
 
@@ -184,8 +181,24 @@ def _checked_params(gamma, omega_cut, temperature, distance) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _asym_point(args):
-    return asymptotic_log_negativity(ModelParams(*args))
+def _sweep(config: RunConfig, name: str, columns, points, rows_of) -> list[str]:
+    """The rows of each point in turn into one CSV; a numerical failure keeps
+    the rows before it, marks the run PARTIAL and propagates."""
+    path = os.path.join(config.output_dir, name)
+    rows = []
+    try:
+        for p in points:
+            rows.extend(rows_of(p))
+    except _NUMERICAL_ERRORS as exc:
+        write_csv(path, columns, rows, config)
+        write_manifest(config, [path], "PARTIAL", f"{type(exc).__name__}: {exc}")
+        raise
+    write_csv(path, columns, rows, config)
+    outputs = [path]
+    if config.emit_plot_script:
+        outputs.append(_emit_plot_script(config, name, columns[:3]))
+    write_manifest(config, outputs, "COMPLETE")
+    return outputs
 
 
 def run_asymptotic_sweep(config: RunConfig) -> list[str]:
@@ -195,34 +208,9 @@ def run_asymptotic_sweep(config: RunConfig) -> list[str]:
     dists = config.params.get("distance")
     if not dists:
         raise ConfigError("asymptotic-sweep needs --distance")
-    for T in temps:
-        for r in dists:
-            _checked_params(gamma, omega_cut, T, r)
-    points = [(gamma, omega_cut, T, r) for T in temps for r in dists]
-    rows = []
-    try:
-        for (_, _, T, r), e in zip(points, _map_points(_asym_point, points,
-                                                       config.resolved_jobs())):
-            rows.append((T, r, e))
-    except _NUMERICAL_ERRORS as exc:
-        _flush_and_raise(config, "fig1.csv", ("temperature", "distance", "E"),
-                         rows, "PARTIAL", f"{type(exc).__name__}: {exc}", exc)
-    path = os.path.join(config.output_dir, "fig1.csv")
-    write_csv(path, ("temperature", "distance", "E"), rows, config)
-    outputs = [path]
-    if config.emit_plot_script:
-        outputs.append(_emit_plot_script(config, "fig1.csv",
-                                         ("temperature", "distance", "E")))
-    write_manifest(config, outputs, "COMPLETE")
-    return outputs
-
-
-def _trace_point(args):
-    gamma, omega_cut, temperature, r, t_max, dt = args
-    p = ModelParams(gamma=gamma, omega_cut=omega_cut,
-                    temperature=temperature, distance=r)
-    tr = trace(p, t_max=t_max, dt=dt)
-    return tr.times, tr.values, tr.asymptote
+    points = [_checked_params(gamma, omega_cut, T, r) for T in temps for r in dists]
+    return _sweep(config, "fig1.csv", ("temperature", "distance", "E"), points,
+                  lambda p: [(p.temperature, p.distance, asymptotic_log_negativity(p))])
 
 
 def run_time_trace(config: RunConfig) -> list[str]:
@@ -232,36 +220,21 @@ def run_time_trace(config: RunConfig) -> list[str]:
     dists = config.params.get("distance")
     if not dists:
         raise ConfigError("time-trace needs --distance")
-    for r in dists:
-        _checked_params(gamma, omega_cut, temperature, r)
-    points = [(gamma, omega_cut, temperature, r, config.t_max, config.dt)
-              for r in dists]
-    rows = []
-    try:
-        for r, (times, values, asym) in zip(dists, _map_points(_trace_point, points,
-                                                               config.resolved_jobs())):
-            rows.extend((r, t, e, asym) for t, e in zip(times, values))
-    except _NUMERICAL_ERRORS as exc:
-        _flush_and_raise(config, "fig2.csv",
-                         ("distance", "t", "E", "asymptote"),
-                         rows, "PARTIAL", f"{type(exc).__name__}: {exc}", exc)
-    path = os.path.join(config.output_dir, "fig2.csv")
-    write_csv(path, ("distance", "t", "E", "asymptote"), rows, config)
-    outputs = [path]
-    if config.emit_plot_script:
-        outputs.append(_emit_plot_script(config, "fig2.csv",
-                                         ("distance", "t", "E")))
-    write_manifest(config, outputs, "COMPLETE")
-    return outputs
+    points = [_checked_params(gamma, omega_cut, temperature, r) for r in dists]
+
+    def rows_of(p):
+        tr = trace(p, t_max=config.t_max, dt=config.dt)
+        return [(p.distance, t, e, tr.asymptote) for t, e in zip(tr.times, tr.values)]
+
+    return _sweep(config, "fig2.csv", ("distance", "t", "E", "asymptote"), points, rows_of)
 
 
 def run_critical_distance(config: RunConfig) -> list[str]:
     p = _base_params(config)
-    lo = config.params.get("r_lo", [0.2 / p.omega_cut])[0]
-    hi = config.params.get("r_hi", [8.0 / p.omega_cut])[0]
-    if not 0.0 <= lo < hi < math.inf:
-        raise ConfigError(f"bracket needs 0 <= r_lo < r_hi < inf (got {lo}, {hi})")
-    res = find_d0(p, r_bracket=(lo, hi), tol=min(config.tol, 1e-3))
+    given = [_scalar(config, k) for k in ("r_lo", "r_hi") if k in config.params]
+    if given and not (len(given) == 2 and 0.0 <= given[0] < given[1] < math.inf):
+        raise ConfigError(f"a d0 bracket needs both 0 <= r_lo < r_hi < inf (got {given})")
+    res = find_d0(p, r_bracket=given or None, tol=min(config.tol, 1e-3))
     path = os.path.join(config.output_dir, "d0.csv")
     rows = [(p.gamma, p.omega_cut, p.temperature, res.d0,
              res.bracket[0], res.bracket[1])]
@@ -340,10 +313,9 @@ def run_slope_fit(config: RunConfig) -> list[str]:
     rows = []
     samples = []
     for p in points:
-        om = p.omega_cut
-        res = find_d0(p, r_bracket=(0.2 / om, 12.0 / om), tol=1e-3)
-        rows.append((om, 1.0 / om, res.d0))
-        samples.append((1.0 / om, res.d0))
+        d0 = find_d0(p, tol=1e-3).d0
+        rows.append((p.omega_cut, 1.0 / p.omega_cut, d0))
+        samples.append((1.0 / p.omega_cut, d0))
     fit = fit_slope(samples)
     path = os.path.join(config.output_dir, "slopefit.csv")
     write_csv(path, ("omega_cut", "inv_omega", "d0"), rows, config)
@@ -351,23 +323,6 @@ def run_slope_fit(config: RunConfig) -> list[str]:
                    note=f"slope={fit.slope:.6f} residual={fit.residual:.3e} "
                         f"ill_conditioned={fit.ill_conditioned}")
     return [path]
-
-
-def _map_points(fn, points, jobs):
-    """Yield fn(point) in the order of the points, each once it and those
-    before it are done, so that a failing point keeps the rows before it."""
-    if jobs <= 1 or len(points) <= 1:
-        yield from map(fn, points)
-        return
-    with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-        yield from pool.map(fn, points)
-
-
-def _flush_and_raise(config, name, columns, rows, status, note, exc):
-    path = os.path.join(config.output_dir, name)
-    write_csv(path, columns, rows, config)
-    write_manifest(config, [path], status, note)
-    raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--omega-cut", type=str)
     parser.add_argument("--temperature", type=str)
     parser.add_argument("--distance", type=str)
-    parser.add_argument("--r-lo", type=str, help="bisection bracket low end")
-    parser.add_argument("--r-hi", type=str, help="bisection bracket high end")
+    parser.add_argument("--r-lo", type=str, help="d0 search interval low end (with --r-hi)")
+    parser.add_argument("--r-hi", type=str, help="d0 search interval high end (with --r-lo)")
     parser.add_argument("--t-max", type=float)
     parser.add_argument("--dt", type=float)
     parser.add_argument("--tol", type=float)
     parser.add_argument("--oracle-modes", type=int)
-    parser.add_argument("--jobs", type=int)
     parser.add_argument("--output-dir", type=str)
     parser.add_argument("--config", type=str, help="flat key = value file")
     parser.add_argument("--emit-plot-script", action="store_true")
@@ -397,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARAM_KEYS = ("gamma", "omega_cut", "temperature", "distance", "r_lo", "r_hi")
+_FILE_KEYS = _PARAM_KEYS + ("t_max", "dt", "tol", "oracle_modes", "output_dir")
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -406,6 +361,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             file_cfg = read_config_file(args.config)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        unknown = sorted(set(file_cfg) - set(_FILE_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
+                              f"known: {', '.join(_FILE_KEYS)}")
 
     params = {}
     for key in _PARAM_KEYS:
@@ -426,7 +385,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         dt=pick("dt", float, 0.01),
         tol=pick("tol", float, 1e-3),
         oracle_modes=pick("oracle_modes", int, 2000),
-        jobs=pick("jobs", int, 0),
         output_dir=pick("output_dir", str, "."),
         emit_plot_script=bool(args.emit_plot_script),
     )

@@ -47,7 +47,7 @@ stack, which `entanglement.log_negativity` takes as it is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -92,6 +92,8 @@ class CovarianceMatrix:
 
     entries: np.ndarray
     time_label: float | str | np.ndarray = 0.0
+    # set by `entanglement.require_physical` once every member passed
+    physical: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=float)
@@ -118,7 +120,9 @@ class CovarianceMatrix:
 
     def __getitem__(self, i):
         len(self)       # a single matrix is not indexable
-        return CovarianceMatrix(entries=self.entries[i], time_label=self.time_label[i])
+        out = CovarianceMatrix(entries=self.entries[i], time_label=self.time_label[i])
+        object.__setattr__(out, "physical", self.physical)  # members of a checked stack
+        return out
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))

@@ -13,8 +13,9 @@ route (moduli of the eigenvalues of i*Sigma*C) is kept in the tests as the
 cross-check.
 
 Physicality has one rule, `require_physical`: positive definite, and the
-smallest symplectic eigenvalue at least 1 - 1e-6.  `log_negativity` applies
-it to its inputs, and the covariance builders to what they take and return.
+smallest symplectic eigenvalue at least 1 - 1e-6.  `log_negativity` and
+`negativity_margin` apply it to their inputs, and the covariance builders to
+what they take and return; a `CovarianceMatrix` that passed is not checked again.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "positive_definite",
     "require_physical",
     "log_negativity",
+    "negativity_margin",
     "PairingError",
     "UnphysicalCovarianceError",
 ]
@@ -139,8 +141,11 @@ def require_physical(c) -> None:
 
     The first member that breaks it raises UnphysicalCovarianceError naming
     its time when ``c`` carries a ``time_label``, else its stack index.  A
-    spectrum that is undefined raises PairingError first.
+    spectrum that is undefined raises PairingError first.  A read-only
+    `covariance.CovarianceMatrix` that passes is marked ``physical``, never checked again.
     """
+    if getattr(c, "physical", False):
+        return
     arr = _as_stack(c)
     lam_min = np.asarray(symplectic_eigenvalues(arr))[..., 0]
     not_pd = ~positive_definite(arr)
@@ -152,6 +157,14 @@ def require_physical(c) -> None:
             label = c.time_label[i] if i else c.time_label
             raise UnphysicalCovarianceError(f"covariance at t={label} unphysical: {why}")
         raise UnphysicalCovarianceError(f"input covariance unphysical{where}: {why}")
+    if hasattr(c, "physical"):
+        object.__setattr__(c, "physical", True)
+
+
+def _pt_spectrum(c) -> np.ndarray:
+    """Partial-transpose symplectic spectrum (..., 2) of a physical ``c``."""
+    require_physical(c)
+    return np.asarray(symplectic_eigenvalues(partial_transpose(_as_stack(c))))
 
 
 def log_negativity(c):
@@ -162,8 +175,17 @@ def log_negativity(c):
     within 1e-12 of 1 count as exactly 1, so roundoff never produces
     spurious entanglement; E = 0 if and only if the state is separable.
     """
-    require_physical(c)
-    lam_pt = np.asarray(symplectic_eigenvalues(partial_transpose(_as_stack(c))))
+    lam_pt = _pt_spectrum(c)
     logs = np.where(lam_pt < 1.0 - 1e-12, np.log2(lam_pt), 0.0)
     E = 0.0 - logs[..., 0] - logs[..., 1]    # 0.0 - ...: a separable state gives +0.0
     return float(E) if E.ndim == 0 else E
+
+
+def negativity_margin(c):
+    """Signed margin mu = -log2 lambda~_- of the partial-transpose spectrum
+    `log_negativity` uses: E = mu where mu > 0 (a physical two-mode state has
+    lambda~_+ >= 1), and mu keeps falling past separability, smooth where E is
+    clamped to zero.  One matrix gives a float, a stack an array.
+    """
+    mu = -np.log2(_pt_spectrum(c)[..., 0])
+    return float(mu) if mu.ndim == 0 else mu

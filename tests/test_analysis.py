@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from bathpair.analysis import (
     AmbiguousPeakError,
@@ -21,6 +22,8 @@ from bathpair.analysis import (
     trace,
     _d1_probe,
 )
+from bathpair.covariance import covariance_asymptotic
+from bathpair.entanglement import negativity_margin
 from bathpair.model import ModelParams
 
 LN2 = math.log(2.0)
@@ -146,6 +149,74 @@ def test_find_d0_bracket_errors(p):
         find_d0(p, r_bracket=(0.3, 0.4))
     with pytest.raises(BracketError):
         find_d0(p, r_bracket=(0.05, 0.1))
+
+
+#: (gamma, Omega, T) of the critical-distance benchmark's d0 searches
+D0_CASES = [(1.0, om, T) for T in (0.0, 0.3) for om in (2.0, 5.0, 10.0, 20.0)] + [
+    (0.1, 10.0, 0.0), (10.0, 10.0, 0.0)]
+
+
+def _margin(params, r):
+    return negativity_margin(covariance_asymptotic(params.with_(distance=r)))
+
+
+def _zero_boundary_bracket(params, omega):
+    """The benchmark's bracket: grown on the clamped E against 1e-8."""
+    hi = 8.0 / omega
+    while asymptotic_log_negativity(params.with_(distance=hi)) > 1e-8:
+        hi *= 1.5
+    lo = 2.0 / omega
+    while lo > 1e-4 and asymptotic_log_negativity(params.with_(distance=lo)) <= 1e-8:
+        lo /= 2.0
+    return lo, hi
+
+
+@pytest.mark.parametrize("gamma, omega, temperature", D0_CASES)
+def test_find_d0_is_the_margin_root(monkeypatch, gamma, omega, temperature):
+    """|d0 - root| <= tol/2 against a tight brentq, mu changes sign across the
+    reported bracket, and the search costs at most 8 asymptotic states."""
+    from bathpair import analysis
+
+    params = ModelParams(gamma=gamma, omega_cut=omega, temperature=temperature)
+    lo, hi = _zero_boundary_bracket(params, omega)
+    calls = []
+
+    def counting(q):
+        calls.append(q.distance)
+        return covariance_asymptotic(q)
+
+    monkeypatch.setattr(analysis, "covariance_asymptotic", counting)
+    tol = 1e-3
+    res = find_d0(params, r_bracket=(lo, hi), tol=tol)
+    monkeypatch.undo()
+    assert len(calls) <= 8, calls
+    root = brentq(lambda r: _margin(params, r), lo, hi, xtol=1e-10)
+    assert abs(res.d0 - root) <= 0.5 * tol
+    b_lo, b_hi = res.bracket
+    assert lo <= b_lo < res.d0 < b_hi <= hi
+    assert _margin(params, b_lo) > 0.0 >= _margin(params, b_hi)
+
+
+@pytest.mark.parametrize("gamma, omega, temperature",
+                         [(1.0, 10.0, 0.0), (1.0, 2.0, 0.3), (10.0, 10.0, 0.0)])
+def test_find_d0_default_bracket_matches_acceptance_rule(gamma, omega, temperature):
+    from test_acceptance import _d0_auto
+
+    params = ModelParams(gamma=gamma, omega_cut=omega, temperature=temperature)
+    assert find_d0(params).d0 == pytest.approx(_d0_auto(params, omega), abs=1e-3)
+
+
+def test_find_d0_default_bracket_refusals(monkeypatch):
+    """No lo above 1e-4, or mu still positive past r = 1e3: a BracketError."""
+    from bathpair import analysis
+
+    params = ModelParams(gamma=1.0, omega_cut=10.0)
+    monkeypatch.setattr(analysis, "covariance_asymptotic", lambda q: q.distance)
+    for sign, match in ((-1.0, r"already zero at r = 9\.765625e-05"),
+                        (1.0, r"still positive at r = 1182\.31")):
+        monkeypatch.setattr(analysis, "negativity_margin", lambda r, s=sign: s)
+        with pytest.raises(BracketError, match=match):
+            find_d0(params)
 
 
 def test_d1_probe_sides(p):

@@ -55,16 +55,38 @@ def test_config_error_exit_code(tmp_path, capsys):
                  ["slope-fit", "--gamma", "1", "--omega-cut", "2,5,10",
                   "--temperature", "nan"],
                  ["critical-distance", "--gamma", "1", "--omega-cut", "10",
-                  "--r-lo", "-0.1"]):
-        rc = main(argv + ["--jobs", "1", "--output-dir", str(tmp_path)])
+                  "--r-lo", "-0.1"],
+                 ["critical-distance", "--gamma", "1", "--omega-cut", "10",
+                  "--r-lo", "-0.1", "--r-hi", "0.5"]):
+        rc = main(argv + ["--output-dir", str(tmp_path)])
         assert rc == 2, argv
         assert "error: config" in capsys.readouterr().err, argv
+
+
+def test_jobs_option_is_refused(tmp_path, capsys):
+    """Points run in one process; the retired --jobs is an unknown option."""
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptotic-sweep", "--gamma", "1", "--omega-cut", "10", "--distance", "0.1",
+              "--jobs", "2", "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["temprature", "jobs"])
+def test_unknown_config_file_key_is_refused(tmp_path, capsys, key):
+    """A misspelt or retired key is a config error, never a silent default."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"gamma = 1\nomega_cut = 10\ndistance = 0.1\n{key} = 0.3\n")
+    rc = main(["asymptotic-sweep", "--config", str(cfg), "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert f"unknown config key(s) {key}" in capsys.readouterr().err
+    assert not (tmp_path / "fig1.csv").exists()
 
 
 def test_asymptotic_sweep_deterministic(tmp_path):
     args = ["asymptotic-sweep", "--gamma", "1", "--omega-cut", "10",
             "--temperature", "0,0.3", "--distance", "0.05:0.2:0.05",
-            "--jobs", "1", "--output-dir"]
+            "--output-dir"]
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(args + [str(d1)]) == 0
     assert main(args + [str(d2)]) == 0
@@ -77,36 +99,41 @@ def test_asymptotic_sweep_deterministic(tmp_path):
         assert "status: COMPLETE" in fh.read()
 
 
-def test_asymptotic_sweep_parallel_matches_serial(tmp_path):
-    base = ["asymptotic-sweep", "--gamma", "1", "--omega-cut", "10",
-            "--temperature", "0", "--distance", "0.05,0.1,0.15,0.2"]
-    d1, d2 = tmp_path / "serial", tmp_path / "par"
-    assert main(base + ["--jobs", "1", "--output-dir", str(d1)]) == 0
-    assert main(base + ["--jobs", "2", "--output-dir", str(d2)]) == 0
-    rows1 = [ln for ln in _read_body(d1 / "fig1.csv") if not ln.startswith("#")]
-    rows2 = [ln for ln in _read_body(d2 / "fig1.csv") if not ln.startswith("#")]
-    assert rows1 == rows2
+def test_asymptotic_sweep_rows_match_library(tmp_path):
+    """Every row is the library's asymptotic E at its point, to CSV precision."""
+    from bathpair.analysis import asymptotic_log_negativity
+
+    assert main(["asymptotic-sweep", "--gamma", "1", "--omega-cut", "10",
+                 "--temperature", "0,0.3", "--distance", "0.05,0.1,0.15,0.2",
+                 "--output-dir", str(tmp_path)]) == 0
+    data = _load(tmp_path / "fig1.csv")
+    expect = [asymptotic_log_negativity(ModelParams(gamma=1.0, omega_cut=10.0,
+                                                    temperature=T, distance=r))
+              for T, r in zip(data["temperature"], data["distance"])]
+    assert data["temperature"].tolist() == [0.0] * 4 + [0.3] * 4
+    assert data["distance"].tolist() == [0.05, 0.1, 0.15, 0.2] * 2
+    assert data["E"] == pytest.approx(expect, rel=1e-11, abs=1e-300)
 
 
-@pytest.mark.parametrize("command, point_fn, csv", [
-    ("asymptotic-sweep", "_asym_point", "fig1.csv"),
-    ("time-trace", "_trace_point", "fig2.csv"),
-])
+@pytest.mark.parametrize("command, library_fn, csv", [
+    ("asymptotic-sweep", "asymptotic_log_negativity", "fig1.csv"),
+    ("time-trace", "trace", "fig2.csv"),
+], ids=["asymptotic-sweep", "time-trace"])
 def test_partial_sweep_keeps_rows_before_the_failure(tmp_path, monkeypatch, command,
-                                                     point_fn, csv):
+                                                     library_fn, csv):
     from bathpair import cli
     from bathpair.entanglement import UnphysicalCovarianceError
 
-    real = getattr(cli, point_fn)
+    real = getattr(cli, library_fn)
 
-    def third_fails(args):
-        if args[3] == 0.3:
+    def third_fails(params, *args, **kwargs):
+        if params.distance == 0.3:
             raise UnphysicalCovarianceError("refused for the test")
-        return real(args)
+        return real(params, *args, **kwargs)
 
-    monkeypatch.setattr(cli, point_fn, third_fails)
+    monkeypatch.setattr(cli, library_fn, third_fails)
     rc = main([command, "--gamma", "1", "--omega-cut", "10", "--distance", "0.1,0.2,0.3,0.4",
-               "--t-max", "0.5", "--dt", "0.1", "--jobs", "1", "--output-dir", str(tmp_path)])
+               "--t-max", "0.5", "--dt", "0.1", "--output-dir", str(tmp_path)])
     assert rc == 3
     data = _load(tmp_path / csv)
     assert np.unique(data["distance"]) == pytest.approx([0.1, 0.2])
@@ -116,7 +143,7 @@ def test_partial_sweep_keeps_rows_before_the_failure(tmp_path, monkeypatch, comm
 def test_time_trace_and_plot_script(tmp_path):
     rc = main(["time-trace", "--gamma", "1", "--omega-cut", "10",
                "--distance", "0.1", "--t-max", "2", "--dt", "0.05",
-               "--jobs", "1", "--emit-plot-script",
+               "--emit-plot-script",
                "--output-dir", str(tmp_path)])
     assert rc == 0
     data = _load(tmp_path / "fig2.csv")
@@ -133,7 +160,7 @@ def test_config_file_with_flag_override(tmp_path):
     cfg.write_text("gamma = 1.0\nomega_cut = 10\ndistance = 0.4\n"
                    "t_max = 1.0\ndt = 0.05\n")
     rc = main(["time-trace", "--config", str(cfg), "--distance", "0.1",
-               "--jobs", "1", "--output-dir", str(tmp_path)])
+               "--output-dir", str(tmp_path)])
     assert rc == 0
     data = _load(tmp_path / "fig2.csv")
     assert np.unique(data["distance"]) == pytest.approx([0.1])
@@ -159,6 +186,20 @@ def test_critical_distance_command(tmp_path):
     assert rc == 0
     data = _load(tmp_path / "d0.csv")
     assert abs(float(data["d0"][0]) - 0.151) <= 0.005
+
+
+@pytest.mark.parametrize("argv, csv", [
+    (["slope-fit", "--omega-cut", "2,5,10,20"], "slopefit.csv"),
+    (["critical-distance", "--omega-cut", "2"], "d0.csv"),
+], ids=["slope-fit", "critical-distance"])
+def test_thermal_d0_commands_complete(tmp_path, argv, csv):
+    """At T = 0.3 and Omega = 2 the critical distance sits below 0.1 = 0.2/Omega;
+    the library's own bracket finds it, where a fixed one reported no zero."""
+    rc = main(argv + ["--gamma", "1", "--temperature", "0.3", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    assert "status: COMPLETE" in (tmp_path / "MANIFEST").read_text()
+    data = _load(tmp_path / csv)
+    assert np.all((data["d0"] > 0.0) & (data["d0"] < 0.1))
 
 
 def test_oracle_compare_exit_codes(tmp_path):

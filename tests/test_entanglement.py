@@ -8,6 +8,7 @@ from bathpair.entanglement import (
     PairingError,
     UnphysicalCovarianceError,
     log_negativity,
+    negativity_margin,
     partial_transpose,
     positive_definite,
     require_physical,
@@ -250,3 +251,78 @@ def test_series_refusal_names_first_unphysical_time(monkeypatch):
     monkeypatch.setattr(covariance, "four_by_four", halved_from_t_1_5)
     with pytest.raises(UnphysicalCovarianceError, match=r"t=1\.5\d*\b unphysical"):
         covariance.covariance_time_series(greens, params, [0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+def test_margin_is_the_signed_log_negativity(rng):
+    """E = mu where the state is entangled (past the 1e-12 snap) and 0 elsewhere,
+    bit for bit; mu keeps its sign past separability."""
+    cs = np.array([random_physical_covariance(rng) for _ in range(400)]
+                  + [two_mode_squeezed(s) for s in (1e-14, 0.1, 1.0)] + [2.3 * np.eye(4)])
+    mu = negativity_margin(cs)
+    E = log_negativity(cs)
+    entangled = mu > -math.log2(1.0 - 1e-12)
+    assert entangled.any() and (~entangled).any()
+    assert np.array_equal(E[entangled], mu[entangled])
+    assert np.all(E[~entangled] == 0.0)
+    assert negativity_margin(np.diag([2.0, 3.0, 2.0, 3.0])) == pytest.approx(-1.0, rel=1e-12)
+    assert negativity_margin(two_mode_squeezed(0.5)) == pytest.approx(1.0 / LN2, rel=1e-11)
+    with pytest.raises(UnphysicalCovarianceError):
+        negativity_margin(0.5 * np.eye(4))
+
+
+def _count_members(monkeypatch, name):
+    """Spy on an `entanglement` function: the stack size of every call."""
+    from bathpair import entanglement
+
+    seen = []
+    real = getattr(entanglement, name)
+
+    def spy(c):
+        seen.append(int(np.prod(np.shape(c)[:-2])))
+        return real(c)
+
+    monkeypatch.setattr(entanglement, name, spy)
+    return seen
+
+
+def test_asymptotic_state_is_checked_once(monkeypatch):
+    """One spectrum for the physicality check, one for the partial transpose."""
+    from bathpair.analysis import asymptotic_log_negativity
+    from bathpair.covariance import covariance_asymptotic
+    from bathpair.model import ModelParams
+
+    params = ModelParams(gamma=1.0, omega_cut=10.0, temperature=0.1, distance=0.1)
+    seen = _count_members(monkeypatch, "symplectic_eigenvalues")
+    asymptotic_log_negativity(params)
+    assert seen == [1, 1]
+    seen.clear()
+    c = covariance_asymptotic(params)
+    negativity_margin(c)
+    log_negativity(c)
+    assert seen == [1, 1, 1]
+
+
+def test_trace_checks_each_output_once(monkeypatch):
+    from bathpair.analysis import trace
+    from bathpair.model import ModelParams
+
+    seen = _count_members(monkeypatch, "positive_definite")
+    tr = trace(ModelParams(gamma=1.0, omega_cut=10.0, distance=0.2), t_max=2.0, dt=0.05)
+    # the initial state, the stack of outputs, the asymptote
+    assert seen == [1, tr.times.size, 1]
+
+
+def test_only_a_passing_covariance_is_marked():
+    from bathpair.covariance import CovarianceMatrix
+
+    bad = CovarianceMatrix(entries=0.5 * np.eye(4))
+    for _ in range(2):
+        with pytest.raises(UnphysicalCovarianceError):
+            require_physical(bad)
+    assert not bad.physical
+    good = CovarianceMatrix(entries=np.eye(4)[None].repeat(3, axis=0), time_label=[0.0, 1.0, 2.0])
+    require_physical(good)
+    assert good.physical and good[1].physical and good[[0, 2]].physical
+    assert not partial_transpose(good).physical
+    with pytest.raises(TypeError):
+        CovarianceMatrix(entries=0.5 * np.eye(4), physical=True)
