@@ -19,7 +19,17 @@ g(omega) the resolvent on the imaginary axis and M the noise structure
 matrix (velocity sector, cross entries cos(omega r)).  In channel
 coordinates M diagonalizes to weights (1 +- cos(omega r)) and C_inf is
 diagonal per channel, which is the form actually integrated.  At r = 0
-the relative coordinate decouples and keeps its ground-state block.
+the relative coordinate decouples and keeps its ground-state block.  The
+whole asymptotic path runs on the real closed form of the Drude channel
+determinant on the imaginary axis: with E = e^{-Omega r} and
+q = Omega^2 + omega^2,
+
+    Re D(i omega) = 1 - omega^2 + 2 gamma Omega [omega^2 (1 +- E) +- Omega omega sin(omega r)] / q,
+    Im D(i omega) = 2 gamma Omega^2 omega (1 +- cos(omega r)) / q,
+
+and its exact omega-derivative: the resonance search and the moment
+integrand (S/2)(1 +- cos(omega r)) / ((Re D)^2 + (Im D)^2) share one sin
+and one cos of omega r / 2 per node.
 
 Transient state:
 
@@ -52,12 +62,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy import fft
-from scipy.optimize import brentq
 
 from ._panels import cos_tail, gauss_panels, merge_edges
 from .entanglement import _first, require_physical
-from .greens import (SIGNS, GreensFunction, channel_blocks, channel_det, channel_kernel_laplace,
-                     channel_kernel_zero, four_by_four)
+from .greens import SIGNS, GreensFunction, channel_blocks, channel_kernel_zero, four_by_four
 from .kernels import coth, noise_spectrum
 from .model import ModelParams
 
@@ -140,10 +148,41 @@ ASYMPTOTIC_TOL = 1e-6    # frequency-tail tolerance of the asymptotic covariance
 # frequency grids
 
 
-def _noise_weight(omega, params: ModelParams, sign):
-    """Per-frequency quadratic-form weight (S/2) * (1 +- cos(omega r))."""
+def _channel_trig(omega, r: float, sign):
+    """(1 +- cos(omega r), +-sin(omega r)) of the channels ``sign``, from one
+    cos and one sin of the half angle: 1 - cos(omega r) = 2 sin^2(omega r/2)
+    keeps its digits at small omega r, where the antisymmetric channel's
+    damping and noise weight are ~ (omega r)^2."""
+    c, s = np.cos(0.5 * r * omega), np.sin(0.5 * r * omega)
+    return 2.0 * np.where(sign > 0, c * c, s * s), 2.0 * sign * (s * c)
+
+
+def _noise_weight(omega, params: ModelParams, sign, trig=None):
+    """Per-frequency quadratic-form weight (S/2) * (1 +- cos(omega r));
+    ``trig`` is `_channel_trig` of the same frequencies, when already at hand."""
     omega = np.asarray(omega, dtype=float)
-    return 0.5 * noise_spectrum(omega, params) * (1.0 + sign * np.cos(omega * params.distance))
+    one_cos, _ = _channel_trig(omega, params.distance, sign) if trig is None else trig
+    return 0.5 * noise_spectrum(omega, params) * one_cos
+
+
+def _det_parts(omega, params: ModelParams, sign, trig, slope: bool = False):
+    """(Re D, Im D) of the channel determinant D(i omega), by the real closed
+    form of the module docstring, and with ``slope`` also the exact
+    d Re D / d omega; ``trig`` is `_channel_trig` of the same frequencies.
+    Im D = omega Re Gamma^(i omega) is the channel damping at omega.
+    """
+    g, Om, r = params.gamma, params.omega_cut, params.distance
+    one_cos, pm_sin = trig
+    one_e = np.where(sign > 0, 1.0 + math.exp(-Om * r), -math.expm1(-Om * r))
+    q = Om * Om + omega * omega
+    num = omega * (omega * one_e + Om * pm_sin)
+    re = (1.0 - omega) * (1.0 + omega) + 2.0 * g * Om * num / q   # exact 1 - omega near 1
+    im = 2.0 * g * Om * Om * omega * one_cos / q
+    if not slope:
+        return re, im
+    # d/d omega of +-sin(omega r) is r (+-cos(omega r)) = r (one_cos - 1)
+    d_num = 2.0 * omega * one_e + Om * (pm_sin + omega * r * (one_cos - 1.0))
+    return re, im, -2.0 * omega + 2.0 * g * Om * (d_num - 2.0 * omega * num / q) / q
 
 
 def _tail_prefactor(params: ModelParams) -> float:
@@ -151,42 +190,88 @@ def _tail_prefactor(params: ModelParams) -> float:
     return 4.0 * params.gamma * params.omega_cut**2 / math.pi
 
 
-def channel_resonances(params: ModelParams, sign: int) -> list:
-    """All sharp features of 1/|D(i omega)|^2: [(omega_res, width), ...].
+_NEWTON_MAX = 100     # iterations; bisection alone needs < 40 from the largest scan step
 
-    Zeros of Re D(i omega) mark resonances; their width is
-    omega * Re Gamma^ / |d Re D / d omega|.  At large separation the
-    imaginary kernel oscillates in omega, so Re D can cross zero several
+
+def _refine_roots(params: ModelParams, sign, lo, hi, f_lo, f_hi):
+    """Roots of Re D(i omega) in the brackets [lo, hi], all at once: one
+    safeguarded Newton iteration on arrays, with the exact slope of
+    `_det_parts`, from the secant point of the bracket.  A step that leaves
+    its bracket, or fails to halve the one before, is a bisection.  Stops at
+    brentq's tolerance 1e-13 + 4 eps |omega|.  ``sign`` and Re D at the
+    bracket ends, ``f_lo`` and ``f_hi``, are per bracket."""
+    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    side = np.sign(f_lo)
+    dx_old = hi - lo
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(_NEWTON_MAX):
+        if not active.any():
+            return x
+        xa, a, b, sa = x[active], lo[active], hi[active], sign[active]
+        f, _, df = _det_parts(xa, params, sa, _channel_trig(xa, params.distance, sa), slope=True)
+        left = np.sign(f) == side[active]
+        a, b = np.where(left, xa, a), np.where(left, b, xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(f == 0.0, 0.0, f / df)
+        newton = xa - step
+        tol = 1e-13 + 4.0 * np.finfo(float).eps * np.abs(xa)
+        converged = np.abs(step) <= tol
+        bisect = ~converged & (~((newton > a) & (newton < b))
+                               | (np.abs(2.0 * step) > np.abs(dx_old[active])))
+        new = np.where(bisect, 0.5 * (a + b), newton)
+        x[active] = new
+        lo[active], hi[active], dx_old[active] = a, b, new - xa
+        active[active] = ~(converged | (b - a <= tol))
+    raise RuntimeError("resonance search did not converge")
+
+
+def channel_resonances(params: ModelParams, sign):
+    """All sharp features of 1/|D(i omega)|^2: [(omega_res, width), ...] for a
+    scalar ``sign``, one such list per row for a column such as `SIGNS`.
+
+    Zeros of Re D(i omega) mark resonances.  Re D is scanned on a uniform
+    grid below 3 + 3 gamma, and every sign change of every channel is
+    refined at once by `_refine_roots`, on the real closed form of
+    `_det_parts`.  The width is omega Re Gamma^ / |d Re D / d omega|
+    = Im D / |d Re D / d omega|, with the exact slope.  At large separation
+    the imaginary kernel oscillates in omega, so Re D can cross zero several
     times, and crossings near nulls of the channel damping produce very
-    narrow spikes; every crossing gets its own width estimate.
+    narrow spikes; every crossing gets its own width estimate.  A channel
+    without a crossing lists (1, Re Gamma^(i)).
     """
+    rows = np.reshape(np.asarray(sign, dtype=float), (-1, 1))
+    r = params.distance
     om_hi = 3.0 + 3.0 * params.gamma
-    step = min(0.01, math.pi / (10.0 * (params.distance + 1.0)))
+    step = min(0.01, math.pi / (10.0 * (r + 1.0)))
     grid = np.arange(step, om_hi, step)
-    red = np.real(channel_det(1j * grid, params, sign))
+    red, _ = _det_parts(grid, params, rows, _channel_trig(grid, r, rows))
 
-    def re_d(om):
-        return float(np.real(channel_det(np.asarray(1j * om, dtype=complex),
-                                         params, sign)))
+    # a crossing lies between successive samples of one channel of opposite
+    # sign; a sample that is exactly zero has no sign and sits inside its
+    # crossing's bracket
+    flat = red.ravel()
+    signed = np.flatnonzero(flat)
+    lo, hi = signed[:-1], signed[1:]
+    flips = (np.sign(flat[lo]) != np.sign(flat[hi])) & (lo // grid.size == hi // grid.size)
+    channel, a = np.divmod(lo[flips], grid.size)
+    b = hi[flips] - channel * grid.size
+    ch_sign = rows[channel, 0]
+    om = _refine_roots(params, ch_sign, grid[a], grid[b], red[channel, a], red[channel, b])
+    _, im, slope = _det_parts(om, params, ch_sign, _channel_trig(om, r, ch_sign), slope=True)
+    width = np.maximum(im / np.maximum(np.abs(slope), 1e-9), 1e-9)
 
     out = []
-    # a crossing lies between successive samples of opposite sign; a sample
-    # that is exactly zero has no sign and sits inside its crossing's bracket
-    signed = np.flatnonzero(red)
-    lo, hi = signed[:-1], signed[1:]
-    flips = np.sign(red[lo]) != np.sign(red[hi])
-    for a, b in zip(lo[flips], hi[flips]):
-        om_res = brentq(re_d, grid[a], grid[b], xtol=1e-13)
-        gam_r = float(np.real(channel_kernel_laplace(
-            np.asarray(1j * om_res, dtype=complex), params, sign)))
-        d_red = abs(re_d(om_res + 1e-6) - re_d(om_res - 1e-6)) / 2e-6
-        width = om_res * max(gam_r, 0.0) / max(d_red, 1e-9)
-        out.append((om_res, max(width, 1e-9)))
-    if not out:
-        gam_r = float(np.real(channel_kernel_laplace(
-            np.asarray(1j, dtype=complex), params, sign)))
-        out.append((1.0, max(gam_r, 1e-9)))
-    return out
+    for i, s in enumerate(rows[:, 0]):
+        mine = channel == i
+        found = list(zip(om[mine].tolist(), width[mine].tolist()))
+        if not found:
+            _, im_1 = _det_parts(1.0, params, s, _channel_trig(1.0, r, s))
+            found = [(1.0, max(float(im_1), 1e-9))]
+        out.append(found)
+    return out if np.ndim(sign) else out[0]
+
+
+_LADDER = np.array([0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512])   # in widths
 
 
 def frequency_grid(params: ModelParams, omega_max: float):
@@ -196,7 +281,8 @@ def frequency_grid(params: ModelParams, omega_max: float):
     Panel width is capped so that the retardation oscillation cos(omega r)
     stays resolved, with geometric refinement around each channel resonance;
     the antisymmetric one can be orders of magnitude narrower than everything
-    else.  At r = 0 the antisymmetric channel is not integrated (its weight
+    else.  The resonances of both channels come from one `channel_resonances`
+    call.  At r = 0 the antisymmetric channel is not integrated (its weight
     1 - cos(omega r) vanishes), so its resonance gets no refinement.  At
     strong damping the symmetric channel's 1/|D|^2 also has a Lorentzian peak
     at omega = 0, half-width 1/Gamma_+^(0) = 1/(4 gamma), where Re D has no
@@ -209,20 +295,17 @@ def frequency_grid(params: ModelParams, omega_max: float):
     n_panels = int(math.ceil(omega_max / cap))
     base = np.linspace(0.0, omega_max, n_panels + 1)
 
-    features = channel_resonances(params, +1)
-    if r > 0:
-        features += channel_resonances(params, -1)
+    found = channel_resonances(params, SIGNS if r > 0 else SIGNS[:1])
+    features = [f for row in found for f in row]
     if params.gamma > 0:
         features.append((0.0, 0.25 / params.gamma))
-    clusters = []
-    for om_res, width in features:
-        if width * 2.0 < cap:
-            ladder = width * np.array([0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
-            ladder = ladder[ladder < 8.0 * cap]
-            clusters.append(om_res + ladder)
-            clusters.append(om_res - ladder)
-            clusters.append([om_res])
-    edges = merge_edges(base, [Om / 2, Om, 2 * Om], *clusters, lo=0.0, hi=omega_max)
+    om_res, width = np.array(features).T
+    narrow = width * 2.0 < cap
+    centre = om_res[narrow, None]
+    ladder = width[narrow, None] * _LADDER
+    short = ladder < 8.0 * cap
+    edges = merge_edges(base, [Om / 2, Om, 2 * Om], (centre + ladder)[short],
+                        (centre - ladder)[short], centre, lo=0.0, hi=omega_max)
     return gauss_panels(edges)
 
 
@@ -293,24 +376,27 @@ def channel_asymptotic_moments(params: ModelParams, sign,
     the channels.  The weight of the noise quadratic form against
     |col_2 of g|^2 gives exactly diag(1, omega^2) after taking the
     Hermitian part, so both moments are single integrals of
-    weight / |D(i omega)|^2.  ``grid`` is a `frequency_grid` on
-    [0, omega_max] (built here when not given); it is summed in blocks of
-    nodes, so memory stays flat however many nodes it has.  Beyond
-    omega_max the integrand's leading w_inf (1 +- cos(omega r)) / omega^3
-    term is integrated in closed form; `_asymptotic_tail_error` bounds
-    what that drops.
+    weight / |D(i omega)|^2, in real arithmetic: the integrand is
+    (S/2)(1 +- cos(omega r)) / ((Re D)^2 + (Im D)^2), the weight and the
+    closed form of `_det_parts` sharing one `_channel_trig` per node.
+    ``grid`` is a `frequency_grid` on [0, omega_max] (built here when not
+    given); it is summed in blocks of nodes, so memory stays flat however
+    many nodes it has.  Beyond omega_max the integrand's leading
+    w_inf (1 +- cos(omega r)) / omega^3 term is integrated in closed form;
+    `_asymptotic_tail_error` bounds what that drops.
     """
     sign = np.asarray(sign, dtype=float)
+    r = params.distance
     x, w = frequency_grid(params, omega_max) if grid is None else grid
     alpha = beta = 0.0
     for lo in range(0, x.size, _BLOCK):
         xb = x[lo:lo + _BLOCK]
-        core = (w[lo:lo + _BLOCK] * _noise_weight(xb, params, sign)
-                / np.abs(channel_det(1j * xb, params, sign)) ** 2)
+        trig = _channel_trig(xb, r, sign)
+        re, im = _det_parts(xb, params, sign, trig)
+        core = w[lo:lo + _BLOCK] * _noise_weight(xb, params, sign, trig) / (re * re + im * im)
         alpha = alpha + np.sum(core, axis=-1)
         beta = beta + np.sum(core * xb * xb, axis=-1)
 
-    r = params.distance
     w_inf = _tail_prefactor(params)
     row = sign.reshape(np.shape(alpha))         # one sign per moment
     alpha += w_inf * (cos_tail(0.0, omega_max, 5) + row * cos_tail(r, omega_max, 5))
@@ -549,18 +635,21 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     difference of shifted lags.  S is split into its T = 0 part on
     [0, omega_max] and, at T > 0, the thermal excess S_0 (coth(omega/2T) - 1),
     which lives below 40 T, on its own finer grid; so the node count stays
-    bounded as T -> 0+.
+    bounded as T -> 0+.  At r = 0 only the symmetric row is transformed: the
+    antisymmetric one carries no noise and is zero.
     """
     r, Om, T = params.distance, params.omega_cut, params.temperature
     scale = min(Om, 1.0 / h)
     cold = params.with_(temperature=0.0)
     fold = r * scale < _FOLD_BELOW
-    shifts = [0.0, 0.0] if fold else [0.0, r]
+    # at r = 0 the antisymmetric weight 2 sin^2(omega r / 2) is zero, and so is its row
+    n_rows = 2 if r > 0 else 1
+    shifts = [0.0, 0.0][:n_rows] if fold else [0.0, r]
 
     def with_channels(spectrum):
         if fold:
             return lambda w: 2.0 * spectrum(w) * np.stack([np.cos(0.5 * w * r),
-                                                           np.sin(0.5 * w * r)]) ** 2
+                                                           np.sin(0.5 * w * r)][:n_rows]) ** 2
         return lambda w: np.broadcast_to(spectrum(w), (2,) + np.shape(w))
 
     parts = [(with_channels(lambda w: noise_spectrum(w, cold)), omega_max, scale)]
@@ -573,7 +662,9 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     if not fold:
         # J(-tau) = conj J(tau): tau = 2 m h - r is the conjugate of -2 m h + r
         k = k[0] + SIGNS[:, :, None] * 0.5 * (k[1] + np.conj(j[1, :, n_lags - 1::-1]))
-    return np.concatenate([k[:, :4].real, k[:, 4:].imag], axis=1)
+    out = np.zeros((2, 6, n_lags))
+    out[:n_rows] = np.concatenate([k[:, :4].real, k[:, 4:].imag], axis=1)
+    return out
 
 
 def _transient_omega_max(params: ModelParams, tol: float) -> float:
