@@ -29,7 +29,13 @@ q = Omega^2 + omega^2,
 
 and its exact omega-derivative: the resonance search and the moment
 integrand (S/2)(1 +- cos(omega r)) / ((Re D)^2 + (Im D)^2) share one sin
-and one cos of omega r / 2 per node.
+and one cos of omega r / 2 per node.  It is summed on 12-point
+Gauss-Legendre panels (`frequency_grid`): uniform, with a ladder around
+each resonance, up to a knee above the resonance band and the Drude
+scale; graded above it, [omega, (9/8) omega] capped at 2.5/r, where the
+integrand is a smooth power law times cos(omega r) with its singularities
+of order omega off the axis, so that the rule is exact to rounding on
+each panel and the node count grows like log(omega_max).
 
 Transient state:
 
@@ -56,6 +62,7 @@ stack, which `entanglement.log_negativity` takes as it is.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -80,6 +87,8 @@ __all__ = [
     "frequency_grid",
     "TruncationError",
 ]
+
+_log = logging.getLogger("bathpair")
 
 
 class TruncationError(RuntimeError):
@@ -190,6 +199,11 @@ def _tail_prefactor(params: ModelParams) -> float:
     return 4.0 * params.gamma * params.omega_cut**2 / math.pi
 
 
+def _scan_top(params: ModelParams) -> float:
+    """Where the resonance scan of Re D(i omega) stops: 3 + 3 gamma."""
+    return 3.0 + 3.0 * params.gamma
+
+
 _NEWTON_MAX = 100     # iterations; bisection alone needs < 40 from the largest scan step
 
 
@@ -241,7 +255,7 @@ def channel_resonances(params: ModelParams, sign):
     """
     rows = np.reshape(np.asarray(sign, dtype=float), (-1, 1))
     r = params.distance
-    om_hi = 3.0 + 3.0 * params.gamma
+    om_hi = _scan_top(params)
     step = min(0.01, math.pi / (10.0 * (r + 1.0)))
     grid = np.arange(step, om_hi, step)
     red, _ = _det_parts(grid, params, rows, _channel_trig(grid, r, rows))
@@ -272,28 +286,69 @@ def channel_resonances(params: ModelParams, sign):
 
 
 _LADDER = np.array([0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512])   # in widths
+_LADDER_REACH = 8.0   # in caps: the rungs kept on either side of a resonance
+_GRADE = 8.0          # above the knee a panel starting at omega is omega / _GRADE wide
+
+
+def _graded_edges(knee: float, osc: float, omega_max: float) -> np.ndarray:
+    """Panel edges from ``knee`` up: a panel starting at omega is
+    min(omega / `_GRADE`, ``osc``) wide.  In closed form, the geometric
+    edges knee (1 + 1/_GRADE)^i up to the first one past _GRADE osc, then
+    steps of ``osc`` below ``omega_max``; an edge past omega_max is left for
+    `merge_edges` to clip."""
+    ratio = 1.0 + 1.0 / _GRADE
+    top = min(_GRADE * osc, omega_max)
+    n_geo = int(math.log(top / knee) / math.log(ratio)) + 1 if top > knee else 0
+    start = knee * ratio**n_geo
+    n_uniform = math.ceil((omega_max - start) / osc)
+    return np.concatenate([knee * ratio ** np.arange(n_geo + 1),
+                           start + osc * np.arange(1, n_uniform)])
 
 
 def frequency_grid(params: ModelParams, omega_max: float):
     """Gauss-Legendre panel grid (12 nodes per panel) on [0, omega_max] for
     the asymptotic noise integrals.
 
-    Panel width is capped so that the retardation oscillation cos(omega r)
-    stays resolved, with geometric refinement around each channel resonance;
-    the antisymmetric one can be orders of magnitude narrower than everything
-    else.  The resonances of both channels come from one `channel_resonances`
-    call.  At r = 0 the antisymmetric channel is not integrated (its weight
+    Below a knee omega_k the panels are uniform, at most
+    cap = min(0.5, Omega/4, 2.5/r) wide (and at least omega_max / 200000), so
+    that the retardation oscillation cos(omega r) stays resolved, with
+    geometric refinement around each channel resonance; the antisymmetric
+    one can be orders of magnitude narrower than everything else.  The
+    resonances of both channels come from one `channel_resonances` call.  At
+    r = 0 the antisymmetric channel is not integrated (its weight
     1 - cos(omega r) vanishes), so its resonance gets no refinement.  At
-    strong damping the symmetric channel's 1/|D|^2 also has a Lorentzian peak
-    at omega = 0, half-width 1/Gamma_+^(0) = 1/(4 gamma), where Re D has no
-    zero.
+    strong damping the symmetric channel's 1/|D|^2 also has a Lorentzian
+    peak at omega = 0, half-width 1/Gamma_+^(0) = 1/(4 gamma), where Re D
+    has no zero.
+
+    The knee, omega_k = min(omega_max, max(3 + 3 gamma + 8 cap, 4 Omega)),
+    lies above every feature the grid refines: every resonance (the scan of
+    `channel_resonances` stops at 3 + 3 gamma), every ladder (its rungs stay
+    within `_LADDER_REACH` caps of the resonance) and the Drude edges
+    Omega/2, Omega, 2 Omega.  Above it the integrand
+    (S/2)(1 +- cos omega r) / |D(i omega)|^2 is a smooth power law times
+    cos(omega r): its singularities, the Drude poles +-i Omega and the poles
+    of coth on the imaginary axis, lie at least omega away from the real
+    point omega, and the complex roots of D sit next to the resonances,
+    below the knee.  So the panels are graded there, [omega, (9/8) omega],
+    with the width still capped at the oscillation scale 2.5/r
+    (`_graded_edges`).  On a panel [a, 9a/8] a singularity a distance d
+    from its centre gives a Bernstein ellipse parameter rho ~ 32 d / a, and
+    the 12-point rule an error ~ rho^-24: exact to rounding for d of order
+    a (Davis & Rabinowitz, Methods of Numerical Integration, on graded
+    composite Gauss rules).  A decade of frequency then costs 20 panels,
+    where uniform panels cost omega / cap; doubling omega_max adds at most
+    ceil(ln 2 / ln(9/8)) = 6.  Below the knee the edges are those of the
+    all-uniform grid, linspace(0, omega_max, ceil(omega_max / cap) + 1),
+    unchanged, so the resonance refinement sees the edges it always did.
     """
     r = params.distance
     Om = params.omega_cut
-    cap = min(0.5, Om / 4.0, 2.5 / max(r, 1e-9))
-    cap = max(cap, omega_max / 200000.0)
+    osc = 2.5 / max(r, 1e-9)
+    cap = max(min(0.5, Om / 4.0, osc), omega_max / 200000.0)
     n_panels = int(math.ceil(omega_max / cap))
     base = np.linspace(0.0, omega_max, n_panels + 1)
+    knee = min(omega_max, max(_scan_top(params) + _LADDER_REACH * cap, 4.0 * Om))
 
     found = channel_resonances(params, SIGNS if r > 0 else SIGNS[:1])
     features = [f for row in found for f in row]
@@ -303,8 +358,9 @@ def frequency_grid(params: ModelParams, omega_max: float):
     narrow = width * 2.0 < cap
     centre = om_res[narrow, None]
     ladder = width[narrow, None] * _LADDER
-    short = ladder < 8.0 * cap
-    edges = merge_edges(base, [Om / 2, Om, 2 * Om], (centre + ladder)[short],
+    short = ladder < _LADDER_REACH * cap
+    edges = merge_edges(base[base <= knee], _graded_edges(knee, max(cap, osc), omega_max),
+                        [Om / 2, Om, 2 * Om], (centre + ladder)[short],
                         (centre - ladder)[short], centre, lo=0.0, hi=omega_max)
     return gauss_panels(edges)
 
@@ -418,7 +474,8 @@ def covariance_asymptotic(params: ModelParams) -> CovarianceMatrix:
     the antisymmetric block keeps its ground-state value, the identity.
     The frequency cut is `asymptotic_omega_max(params, ASYMPTOTIC_TOL)`:
     the smallest cut whose tail estimate meets ``ASYMPTOTIC_TOL``, and at
-    least 15 max(Omega, 1).
+    least 15 max(Omega, 1).  The grid's omega_max, node count and tail
+    estimate are logged at DEBUG on the "bathpair" logger.
     """
     if params.gamma <= 0:
         raise ValueError("covariance_asymptotic requires gamma > 0")
@@ -427,7 +484,10 @@ def covariance_asymptotic(params: ModelParams) -> CovarianceMatrix:
     omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
     grid = frequency_grid(params, omega_max)
     damped = SIGNS if params.distance > 0 else SIGNS[:1]
-    alpha, beta, _ = channel_asymptotic_moments(params, damped, omega_max, ASYMPTOTIC_TOL, grid)
+    alpha, beta, tail_err = channel_asymptotic_moments(params, damped, omega_max,
+                                                       ASYMPTOTIC_TOL, grid)
+    _log.debug("asymptotic grid for %s: omega_max %.6g, %d nodes, tail estimate %.3e",
+               params, omega_max, grid[0].size, tail_err)
     blocks = np.array([np.eye(2), np.eye(2)])   # the ground state where not integrated
     blocks[:len(damped), 0, 0] = alpha
     blocks[:len(damped), 1, 1] = beta
@@ -576,12 +636,13 @@ def _zoom_dft(g: np.ndarray, period: int, m_lo: int, n_out: int) -> np.ndarray:
 
 
 def _fourier_part(spectrum, end: float, dw_max: float, h: float, n_lags: int,
-                  shifts) -> np.ndarray:
-    """Fourier integrals of spectrum rows against the six Filon-moment rows:
-    (n_shifts, 6, 2 n_lags - 1) complex,
+                  shifts, first_lag: int) -> np.ndarray:
+    """Fourier integrals of spectrum rows against the six Filon-moment rows,
+    at the lags first_lag <= m < n_lags: (n_shifts, 6, n_lags - first_lag)
+    complex,
 
         J[s, :, i] = int_0^end (spectrum(omega)[s]/2) F(omega h) e^{i omega tau} d omega,
-        tau = 2 m h + shifts[s],  m = i - n_lags + 1,
+        tau = 2 m h + shifts[s],  m = first_lag + i,
 
     with F = `_moment_rows` and ``spectrum`` giving one row per shift.  The
     nodes omega_k = k dw are uniform, dw = pi / (h period) <= dw_max for an
@@ -598,11 +659,11 @@ def _fourier_part(spectrum, end: float, dw_max: float, h: float, n_lags: int,
     omega = dw * np.arange(n + 1)
     f = 0.5 * spectrum(omega)[:, None] * _moment_rows(omega, h)          # (n_shifts, 6, n + 1)
     shifts = np.asarray(shifts, dtype=float)[:, None]
-    tau = 2.0 * h * np.arange(1 - n_lags, n_lags) + shifts              # (n_shifts, 2 n_lags - 1)
+    tau = 2.0 * h * np.arange(first_lag, n_lags) + shifts               # (n_shifts, n_out)
     theta = dw * tau
     w, alpha = _filon_weights(theta)
     out = w[:, None] * _zoom_dft(f * np.exp(1j * omega * shifts)[:, None], period,
-                                 1 - n_lags, 2 * n_lags - 1)
+                                 first_lag, n_lags - first_lag)
     out += f[..., :4] @ alpha.swapaxes(0, 1)
     out += (f[..., n - np.arange(4)] @ alpha.conj().swapaxes(0, 1)) * np.exp(1j * n * theta)[:, None]
     out *= dw
@@ -636,7 +697,8 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     [0, omega_max] and, at T > 0, the thermal excess S_0 (coth(omega/2T) - 1),
     which lives below 40 T, on its own finer grid; so the node count stays
     bounded as T -> 0+.  At r = 0 only the symmetric row is transformed: the
-    antisymmetric one carries no noise and is zero.
+    antisymmetric one carries no noise and is zero.  Unshifted rows need
+    only the lags m >= 0; a shifted one also needs m < 0, for J(-tau).
     """
     r, Om, T = params.distance, params.omega_cut, params.temperature
     scale = min(Om, 1.0 / h)
@@ -644,7 +706,7 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     fold = r * scale < _FOLD_BELOW
     # at r = 0 the antisymmetric weight 2 sin^2(omega r / 2) is zero, and so is its row
     n_rows = 2 if r > 0 else 1
-    shifts = [0.0, 0.0][:n_rows] if fold else [0.0, r]
+    shifts, first_lag = ([0.0, 0.0][:n_rows], 0) if fold else ([0.0, r], 1 - n_lags)
 
     def with_channels(spectrum):
         if fold:
@@ -656,9 +718,9 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     if T > _THERMAL_FLOOR * Om:
         parts.append((with_channels(lambda w: noise_spectrum(w, params) - noise_spectrum(w, cold)),
                       min(omega_max, _THERMAL_CUT * T), min(scale, 2.0 * math.pi * T)))
-    j = sum(_fourier_part(spectrum, end, smooth / _NODES_PER_SCALE, h, n_lags, shifts)
-            for spectrum, end, smooth in parts)
-    k = j[..., n_lags - 1:]                                              # m >= 0
+    j = sum(_fourier_part(spectrum, end, smooth / _NODES_PER_SCALE, h, n_lags, shifts,
+                          first_lag) for spectrum, end, smooth in parts)
+    k = j[..., -n_lags:]                                                 # m >= 0
     if not fold:
         # J(-tau) = conj J(tau): tau = 2 m h - r is the conjugate of -2 m h + r
         k = k[0] + SIGNS[:, :, None] * 0.5 * (k[1] + np.conj(j[1, :, n_lags - 1::-1]))

@@ -4,6 +4,22 @@ import pytest
 from bathpair.model import ModelParams
 
 
+BOX = {"gamma": (0.01, 50.0), "omega_cut": (0.5, 100.0),
+       "temperature": (0.01, 10.0), "distance": (1e-4, 20.0)}
+
+
+def box_points(seed: int, n: int = 64) -> list[ModelParams]:
+    """Log-uniform sample of the parameter box, a quarter of it at T = 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        vals = {k: lo * (hi / lo) ** rng.uniform() for k, (lo, hi) in BOX.items()}
+        if rng.uniform() < 0.25:
+            vals["temperature"] = 0.0
+        out.append(ModelParams(**vals))
+    return out
+
+
 @pytest.fixture(scope="session")
 def base_params() -> ModelParams:
     """Reference parameter point used across the suite."""

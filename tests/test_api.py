@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pathlib
@@ -32,3 +33,18 @@ def test_library_import_does_not_load_scipy_signal():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_library_never_prints():
+    """The library reports through the "bathpair" logger; only the CLI
+    writes to standard output.  No module but `cli.py` calls `print`."""
+    package = pathlib.Path(bathpair.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"print() in the library: {offenders}"

@@ -1,7 +1,8 @@
 """The real closed form of D(i omega) on the asymptotic path, against the
 complex-arithmetic forms it replaced: the channel determinant, the scalar
 brentq resonance finder with a finite-difference slope, the per-edge loop
-of `merge_edges`, and the two-row lag kernels at r = 0."""
+of `merge_edges`, the two-row lag kernels at r = 0, and the two-sided lag
+transform of the unshifted rows."""
 
 import math
 
@@ -21,22 +22,9 @@ from bathpair.covariance import (
 from bathpair.entanglement import UnphysicalCovarianceError
 from bathpair.greens import SIGNS, channel_det, channel_kernel_laplace
 from bathpair.model import ModelParams
+from conftest import box_points
 
-BOX = {"gamma": (0.01, 50.0), "omega_cut": (0.5, 100.0),
-       "temperature": (0.01, 10.0), "distance": (1e-4, 20.0)}
 MANY_CROSSINGS = ModelParams(16.5, 87.0, 4.90, 18.1)    # 229 crossings of Re D per channel
-
-
-def _box_points(seed, n=64):
-    """Log-uniform sample of the parameter box, a quarter of it at T = 0."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        vals = {k: lo * (hi / lo) ** rng.uniform() for k, (lo, hi) in BOX.items()}
-        if rng.uniform() < 0.25:
-            vals["temperature"] = 0.0
-        out.append(ModelParams(**vals))
-    return out
 
 
 def _reference_resonances(params, sign):
@@ -83,7 +71,7 @@ def _assert_same_resonances(params):
 def test_array_search_matches_scalar_brentq_on_box(seed):
     """Same crossing count per channel, omega_res within 1e-12 and widths
     within 1e-6 relative, on 32 box points per seed."""
-    for params in _box_points(seed, 32):
+    for params in box_points(seed, 32):
         _assert_same_resonances(params)
 
 
@@ -102,7 +90,7 @@ def test_closed_form_matches_channel_det():
     |s Gamma^|: near a resonance |D| itself is far smaller), and the analytic
     slope against a central difference of the closed form itself."""
     omega = np.concatenate([np.geomspace(1e-3, 1e3, 400), [1.0, 3.0]])
-    for params in _box_points(3, 16) + [ModelParams(1.0, 10.0, 0.0, 0.0)]:
+    for params in box_points(3, 16) + [ModelParams(1.0, 10.0, 0.0, 0.0)]:
         for sign in (+1.0, -1.0):
             trig = covariance._channel_trig(omega, params.distance, sign)
             re, im, slope = covariance._det_parts(omega, params, sign, trig, slope=True)
@@ -212,7 +200,7 @@ def test_merge_edges_matches_loop_on_box_grids(monkeypatch):
         return out
 
     monkeypatch.setattr(covariance, "merge_edges", spy)
-    for params in _box_points(4):
+    for params in box_points(4):
         frequency_grid(params, asymptotic_omega_max(params, ASYMPTOTIC_TOL))
     assert len(calls) == 64 and all(calls)
 
@@ -232,8 +220,8 @@ def test_lag_kernels_at_r0_transform_one_row(monkeypatch, temperature):
     rows = []
     real = covariance._fourier_part
 
-    def spy(spectrum, end, dw_max, h, n_lags, shifts):
-        out = real(spectrum, end, dw_max, h, n_lags, shifts)
+    def spy(*args):
+        out = real(*args)
         rows.append(out.shape[0])
         return out
 
@@ -252,9 +240,36 @@ def test_lag_kernels_at_r0_transform_one_row(monkeypatch, temperature):
         parts.append((two_rows(lambda w: noise_spectrum(w, params) - noise_spectrum(w, cold)),
                       min(omega_max, covariance._THERMAL_CUT * temperature),
                       min(scale, 2.0 * math.pi * temperature)))
-    j = sum(real(spectrum, end, smooth / covariance._NODES_PER_SCALE, h, n_lags, [0.0, 0.0])
-            for spectrum, end, smooth in parts)[..., n_lags - 1:]
+    j = sum(real(spectrum, end, smooth / covariance._NODES_PER_SCALE, h, n_lags, [0.0, 0.0], 0)
+            for spectrum, end, smooth in parts)
     ref = np.concatenate([j[:, :4].real, j[:, 4:].imag], axis=1)
     assert ours.shape == (2, 6, n_lags)
     assert np.array_equal(ours, ref)
     assert not np.any(ours[1])
+
+
+@pytest.mark.parametrize("temperature, distance", [
+    (0.0, 0.0), (0.2, 0.0),         # the oracle-check points at r = 0
+    (0.0, 0.01), (0.2, 0.02),       # both rows unshifted
+    (0.2, 0.3),                     # the antisymmetric row shifted by r
+])
+def test_lag_kernels_match_two_sided_transform(monkeypatch, temperature, distance):
+    """Unshifted rows transform only the lags m >= 0.  Against the transform
+    of every lag, -n_lags < m < n_lags, cut to m >= 0, each kernel row
+    agrees to 1e-12 of its largest value (h = 0.005, 2000 lags); with a
+    shifted row both are the same two-sided transform, bit for bit."""
+    params = ModelParams(1.0, 10.0, temperature, distance)
+    h, n_lags = 0.005, 2000
+    omega_max = covariance._transient_omega_max(params, 1e-5)
+    ours = covariance._lag_kernels(params, h, n_lags, omega_max)
+    real = covariance._fourier_part
+
+    def two_sided(spectrum, end, dw_max, h, n_lags, shifts, first_lag):
+        return real(spectrum, end, dw_max, h, n_lags, shifts, 1 - n_lags)[..., first_lag - n_lags:]
+
+    monkeypatch.setattr(covariance, "_fourier_part", two_sided)
+    ref = covariance._lag_kernels(params, h, n_lags, omega_max)
+    if covariance._FOLD_BELOW <= distance * min(params.omega_cut, 1.0 / h):
+        assert np.array_equal(ours, ref)
+    scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+    assert np.max(np.abs(ours - ref) / np.where(scale > 0, scale, 1.0)) <= 1e-12
