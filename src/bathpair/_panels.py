@@ -8,7 +8,6 @@ import numpy as np
 from scipy.special import sici
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)   # Gauss-Legendre rule per panel
-_MIN_GAP = 1e-10         # edges closer than this merge into one
 
 
 def gauss_panels(edges):
@@ -26,27 +25,6 @@ def gauss_panels(edges):
     nodes = 0.5 * (b - a) * _NODES[None, :] + 0.5 * (a + b)
     weights = 0.5 * (b - a) * _WEIGHTS[None, :]
     return nodes.ravel(), weights.ravel()
-
-
-def merge_edges(*edge_groups, lo: float, hi: float):
-    """Merge edge candidates into a sorted grid on [lo, hi], dropping edges
-    within _MIN_GAP of the last edge kept.
-
-    An edge more than _MIN_GAP above its neighbour is always kept; only the
-    few closer ones are walked, so that (0, 6e-11, 1.2e-10) keeps 0 and
-    1.2e-10.  ``hi`` replaces the last edge kept if it was dropped itself.
-    """
-    vals = [np.asarray(g, dtype=float).ravel() for g in edge_groups]
-    edges = np.concatenate([[lo, hi]] + vals) if vals else np.array([lo, hi])
-    edges = np.unique(edges[(edges >= lo) & (edges <= hi)])
-    keep = np.ones(edges.size, dtype=bool)
-    for j in (np.flatnonzero(np.diff(edges) <= _MIN_GAP) + 1).tolist():
-        if keep[j - 1]:
-            last = edges[j - 1]
-        keep[j] = edges[j] - last > _MIN_GAP
-    edges = edges[keep]
-    edges[-1] = hi
-    return edges
 
 
 def cos_tail(a, W: float, power: int):

@@ -181,9 +181,11 @@ def _checked_params(gamma, omega_cut, temperature, distance) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _sweep(config: RunConfig, name: str, columns, points, rows_of) -> list[str]:
+def _sweep(config: RunConfig, name: str, columns, points, rows_of,
+           plot_keys=None) -> list[str]:
     """The rows of each point in turn into one CSV; a numerical failure keeps
-    the rows before it, marks the run PARTIAL and propagates."""
+    the rows before it, marks the run PARTIAL and propagates.  The plot script
+    draws ``plot_keys`` = (group or None, x, y), by default the first columns."""
     path = os.path.join(config.output_dir, name)
     rows = []
     try:
@@ -196,7 +198,7 @@ def _sweep(config: RunConfig, name: str, columns, points, rows_of) -> list[str]:
     write_csv(path, columns, rows, config)
     outputs = [path]
     if config.emit_plot_script:
-        outputs.append(_emit_plot_script(config, name, columns[:3]))
+        outputs.append(_emit_plot_script(config, name, plot_keys or columns[:3]))
     write_manifest(config, outputs, "COMPLETE")
     return outputs
 
@@ -247,18 +249,16 @@ def run_critical_distance(config: RunConfig) -> list[str]:
 def run_short_time_check(config: RunConfig) -> list[str]:
     gamma = _scalar(config, "gamma")
     omega_cut = _scalar(config, "omega_cut")
-    dists = config.params.get("distance", [0.0])
-    rows = []
-    for r in dists:
-        p = _checked_params(gamma, omega_cut, 0.0, r)
-        measured = measured_initial_slope(p)
-        formula = short_time_slope(p)
-        rows.append((r, measured, formula, measured / formula))
-    path = os.path.join(config.output_dir, "shorttime.csv")
-    write_csv(path, ("distance", "slope_measured", "slope_formula", "ratio"),
-              rows, config)
-    write_manifest(config, [path], "COMPLETE")
-    return [path]
+    points = [_checked_params(gamma, omega_cut, 0.0, r)
+              for r in config.params.get("distance", [0.0])]
+
+    def rows_of(p):
+        measured, formula = measured_initial_slope(p), short_time_slope(p)
+        return [(p.distance, measured, formula, measured / formula)]
+
+    return _sweep(config, "shorttime.csv",
+                  ("distance", "slope_measured", "slope_formula", "ratio"), points, rows_of,
+                  plot_keys=(None, "distance", "ratio"))
 
 
 def run_oracle_compare(config: RunConfig) -> list[str]:

@@ -30,12 +30,13 @@ q = Omega^2 + omega^2,
 and its exact omega-derivative: the resonance search and the moment
 integrand (S/2)(1 +- cos(omega r)) / ((Re D)^2 + (Im D)^2) share one sin
 and one cos of omega r / 2 per node.  It is summed on 12-point
-Gauss-Legendre panels (`frequency_grid`): uniform, with a ladder around
-each resonance, up to a knee above the resonance band and the Drude
-scale; graded above it, [omega, (9/8) omega] capped at 2.5/r, where the
-integrand is a smooth power law times cos(omega r) with its singularities
-of order omega off the axis, so that the rule is exact to rounding on
-each panel and the node count grows like log(omega_max).
+Gauss-Legendre panels (`frequency_grid`): uniform, with a ladder of edges
+w 2^k around each feature of true half-width w, up to a knee above the
+resonance band and the Drude scale; graded above it, [omega, (9/8) omega]
+capped at 2.5/r, where the integrand is a smooth power law times
+cos(omega r) with its singularities of order omega off the axis, so that
+the rule is exact to rounding on each panel and the node count grows like
+log(omega_max).  Resonances too narrow for float64 nodes are refused.
 
 Transient state:
 
@@ -70,7 +71,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 from scipy import fft
 
-from ._panels import cos_tail, gauss_panels, merge_edges
+from ._panels import cos_tail, gauss_panels
 from .entanglement import _first, require_physical
 from .greens import SIGNS, GreensFunction, channel_blocks, channel_kernel_zero, four_by_four
 from .kernels import coth, noise_spectrum
@@ -92,7 +93,7 @@ _log = logging.getLogger("bathpair")
 
 
 class TruncationError(RuntimeError):
-    """Frequency-truncation error estimate exceeded the requested tolerance."""
+    """A frequency tail exceeds its tolerance, or a resonance is too narrow to resolve."""
 
 
 @dataclass(frozen=True)
@@ -246,12 +247,13 @@ def channel_resonances(params: ModelParams, sign):
     Zeros of Re D(i omega) mark resonances.  Re D is scanned on a uniform
     grid below 3 + 3 gamma, and every sign change of every channel is
     refined at once by `_refine_roots`, on the real closed form of
-    `_det_parts`.  The width is omega Re Gamma^ / |d Re D / d omega|
-    = Im D / |d Re D / d omega|, with the exact slope.  At large separation
-    the imaginary kernel oscillates in omega, so Re D can cross zero several
+    `_det_parts`.  The half-width is omega Re Gamma^ / |d Re D / d omega|
+    = Im D / |d Re D / d omega|, with the exact slope, and has no floor: the
+    antisymmetric one falls as r^2 as r -> 0+.  At large separation the
+    imaginary kernel oscillates in omega, so Re D can cross zero several
     times, and crossings near nulls of the channel damping produce very
-    narrow spikes; every crossing gets its own width estimate.  A channel
-    without a crossing lists (1, Re Gamma^(i)).
+    narrow spikes; every crossing gets its own width.  A channel without a
+    crossing lists (1, Re Gamma^(i)).
     """
     rows = np.reshape(np.asarray(sign, dtype=float), (-1, 1))
     r = params.distance
@@ -272,7 +274,7 @@ def channel_resonances(params: ModelParams, sign):
     ch_sign = rows[channel, 0]
     om = _refine_roots(params, ch_sign, grid[a], grid[b], red[channel, a], red[channel, b])
     _, im, slope = _det_parts(om, params, ch_sign, _channel_trig(om, r, ch_sign), slope=True)
-    width = np.maximum(im / np.maximum(np.abs(slope), 1e-9), 1e-9)
+    width = im / np.abs(slope)
 
     out = []
     for i, s in enumerate(rows[:, 0]):
@@ -280,13 +282,13 @@ def channel_resonances(params: ModelParams, sign):
         found = list(zip(om[mine].tolist(), width[mine].tolist()))
         if not found:
             _, im_1 = _det_parts(1.0, params, s, _channel_trig(1.0, r, s))
-            found = [(1.0, max(float(im_1), 1e-9))]
+            found = [(1.0, float(im_1))]
         out.append(found)
     return out if np.ndim(sign) else out[0]
 
 
-_LADDER = np.array([0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512])   # in widths
 _LADDER_REACH = 8.0   # in caps: the rungs kept on either side of a resonance
+_MIN_SPACINGS = 1e4   # resonance half-widths resolved, in float spacings, weighted by area
 _GRADE = 8.0          # above the knee a panel starting at omega is omega / _GRADE wide
 
 
@@ -294,8 +296,8 @@ def _graded_edges(knee: float, osc: float, omega_max: float) -> np.ndarray:
     """Panel edges from ``knee`` up: a panel starting at omega is
     min(omega / `_GRADE`, ``osc``) wide.  In closed form, the geometric
     edges knee (1 + 1/_GRADE)^i up to the first one past _GRADE osc, then
-    steps of ``osc`` below ``omega_max``; an edge past omega_max is left for
-    `merge_edges` to clip."""
+    steps of ``osc`` below ``omega_max``; the caller clips an edge past
+    omega_max and closes the grid at omega_max itself."""
     ratio = 1.0 + 1.0 / _GRADE
     top = min(_GRADE * osc, omega_max)
     n_geo = int(math.log(top / knee) / math.log(ratio)) + 1 if top > knee else 0
@@ -305,64 +307,83 @@ def _graded_edges(knee: float, osc: float, omega_max: float) -> np.ndarray:
                            start + osc * np.arange(1, n_uniform)])
 
 
+def _require_resolvable(params: ModelParams, sign, om, width) -> None:
+    """Log the narrowest of the resonances (omega_r, w) = (``om``, ``width``)
+    of the channels ``sign`` at DEBUG, and raise `TruncationError` for a
+    channel with sum A spacing(omega_r) / w > sum A / `_MIN_SPACINGS`.  A node off by
+    two ulps of omega_r moves the area A of a Lorentzian of half-width w by up
+    to (4/pi) eps omega_r / w of it (total variation 2/w^2 over area pi/w);
+    A = 2 coth(omega_r/2T) / |d Re D / d omega| in alpha, as the weight over
+    Im D is (2/pi) coth(omega/2T).  So a lone resonance (the antisymmetric one
+    as r -> 0+, width ~ r^2) is refused below 1e4 spacings, a narrow one among
+    the many crossings at large r only where it carries their area."""
+    _, _, slope = _det_parts(om, params, sign, _channel_trig(om, params.distance, sign), slope=True)
+    T = params.temperature
+    area = (coth(om / (2.0 * T)) if T > 0 else 1.0) / np.abs(slope)
+    spacings = width / np.spacing(om)
+    i = int(np.argmin(spacings))
+    _log.debug("narrowest resonance: omega_r %.17g, half-width %.6g, %.3g float spacings",
+               om[i], width[i], spacings[i])
+    with np.errstate(divide="ignore"):      # Im D underflows to 0 as r -> 0+
+        blur = area / spacings
+    for s in np.unique(sign):
+        mine = sign == s
+        if blur[mine].sum() * _MIN_SPACINGS > area[mine].sum():
+            i = np.flatnonzero(mine)[np.argmax(blur[mine])]
+            raise TruncationError(
+                f"resonance at omega_r = {float(om[i])!r}, half-width {width[i]:.3e} "
+                f"({spacings[i]:.3g} float spacings, {area[i] / area[mine].sum():.3g} of its "
+                f"channel's area), is too narrow for the frequency grid to resolve")
+
+
 def frequency_grid(params: ModelParams, omega_max: float):
     """Gauss-Legendre panel grid (12 nodes per panel) on [0, omega_max] for
     the asymptotic noise integrals.
 
     Below a knee omega_k the panels are uniform, at most
     cap = min(0.5, Omega/4, 2.5/r) wide (and at least omega_max / 200000), so
-    that the retardation oscillation cos(omega r) stays resolved, with
-    geometric refinement around each channel resonance; the antisymmetric
-    one can be orders of magnitude narrower than everything else.  The
-    resonances of both channels come from one `channel_resonances` call.  At
-    r = 0 the antisymmetric channel is not integrated (its weight
-    1 - cos(omega r) vanishes), so its resonance gets no refinement.  At
-    strong damping the symmetric channel's 1/|D|^2 also has a Lorentzian
-    peak at omega = 0, half-width 1/Gamma_+^(0) = 1/(4 gamma), where Re D
-    has no zero.
+    that the retardation oscillation cos(omega r) stays resolved.  A feature
+    of half-width w < cap/2 gets edges at omega_r and omega_r +- w 2^k,
+    k = -1, 0, 1, ... below `_LADDER_REACH` caps, so that the 12-point rule
+    sees a Lorentzian as smooth however small w is, down to float spacing
+    (`_require_resolvable`).  The features: both channels' resonances with
+    their true widths (at r = 0 only the symmetric one, the antisymmetric
+    weight vanishing), and one at omega = 0 of half-width 1/(4 gamma) (the
+    symmetric peak) or 2 pi T (the poles of coth(omega/2T)), the smaller.
 
     The knee, omega_k = min(omega_max, max(3 + 3 gamma + 8 cap, 4 Omega)),
-    lies above every feature the grid refines: every resonance (the scan of
-    `channel_resonances` stops at 3 + 3 gamma), every ladder (its rungs stay
-    within `_LADDER_REACH` caps of the resonance) and the Drude edges
-    Omega/2, Omega, 2 Omega.  Above it the integrand
-    (S/2)(1 +- cos omega r) / |D(i omega)|^2 is a smooth power law times
-    cos(omega r): its singularities, the Drude poles +-i Omega and the poles
-    of coth on the imaginary axis, lie at least omega away from the real
-    point omega, and the complex roots of D sit next to the resonances,
-    below the knee.  So the panels are graded there, [omega, (9/8) omega],
-    with the width still capped at the oscillation scale 2.5/r
-    (`_graded_edges`).  On a panel [a, 9a/8] a singularity a distance d
-    from its centre gives a Bernstein ellipse parameter rho ~ 32 d / a, and
-    the 12-point rule an error ~ rho^-24: exact to rounding for d of order
-    a (Davis & Rabinowitz, Methods of Numerical Integration, on graded
-    composite Gauss rules).  A decade of frequency then costs 20 panels,
-    where uniform panels cost omega / cap; doubling omega_max adds at most
-    ceil(ln 2 / ln(9/8)) = 6.  Below the knee the edges are those of the
-    all-uniform grid, linspace(0, omega_max, ceil(omega_max / cap) + 1),
-    unchanged, so the resonance refinement sees the edges it always did.
+    lies above every resonance (`channel_resonances` scans below 3 + 3 gamma),
+    ladder and Drude edge Omega/2, Omega, 2 Omega.  Above it the integrand is
+    a smooth power law times cos(omega r), with its singularities at least
+    omega off the axis, so the panels are graded, [omega, (9/8) omega] capped
+    at 2.5/r (`_graded_edges`): a singularity a distance d from the centre of
+    [a, 9a/8] gives the 12-point rule an error ~ (32 d / a)^-24 (Davis &
+    Rabinowitz, Methods of Numerical Integration, on graded composite Gauss
+    rules), and doubling omega_max adds at most 6 panels.
     """
     r = params.distance
     Om = params.omega_cut
     osc = 2.5 / max(r, 1e-9)
     cap = max(min(0.5, Om / 4.0, osc), omega_max / 200000.0)
-    n_panels = int(math.ceil(omega_max / cap))
-    base = np.linspace(0.0, omega_max, n_panels + 1)
+    base = np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1)
     knee = min(omega_max, max(_scan_top(params) + _LADDER_REACH * cap, 4.0 * Om))
 
-    found = channel_resonances(params, SIGNS if r > 0 else SIGNS[:1])
-    features = [f for row in found for f in row]
-    if params.gamma > 0:
-        features.append((0.0, 0.25 / params.gamma))
-    om_res, width = np.array(features).T
+    rows = SIGNS if r > 0 else SIGNS[:1]
+    found = channel_resonances(params, rows)
+    om_res, width = np.array([f for row in found for f in row]).T
+    _require_resolvable(params, np.repeat(rows[:, 0], [len(row) for row in found]), om_res, width)
+    if params.gamma > 0:    # at omega = 0: the symmetric peak, or the poles of coth if narrower
+        om_res, width = np.append(om_res, 0.0), np.append(width, min(
+            0.25 / params.gamma, 2.0 * math.pi * params.temperature or math.inf))
     narrow = width * 2.0 < cap
-    centre = om_res[narrow, None]
-    ladder = width[narrow, None] * _LADDER
-    short = ladder < _LADDER_REACH * cap
-    edges = merge_edges(base[base <= knee], _graded_edges(knee, max(cap, osc), omega_max),
-                        [Om / 2, Om, 2 * Om], (centre + ladder)[short],
-                        (centre - ladder)[short], centre, lo=0.0, hi=omega_max)
-    return gauss_panels(edges)
+    centre, width = om_res[narrow], width[narrow]
+    reach = _LADDER_REACH * cap
+    ladder = width[:, None] * 2.0 ** np.arange(-1.0, math.log2(reach / width.min(initial=reach)))
+    short = ladder < reach
+    edges = np.concatenate([base[base <= knee], _graded_edges(knee, max(cap, osc), omega_max),
+                            [Om / 2, Om, 2 * Om, omega_max], (centre[:, None] + ladder)[short],
+                            (centre[:, None] - ladder)[short], centre])
+    return gauss_panels(np.unique(np.clip(edges, 0.0, omega_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ BOX = {"gamma": (0.01, 50.0), "omega_cut": (0.5, 100.0),
        "temperature": (0.01, 10.0), "distance": (1e-4, 20.0)}
 
 
-def box_points(seed: int, n: int = 64) -> list[ModelParams]:
-    """Log-uniform sample of the parameter box, a quarter of it at T = 0."""
+def box_points(seed: int, n: int = 64, **bounds) -> list[ModelParams]:
+    """Log-uniform sample of the parameter box, a quarter of it at T = 0;
+    ``bounds`` replaces the (lo, hi) of the axes it names."""
     rng = np.random.default_rng(seed)
+    box = {**BOX, **bounds}
     out = []
     for _ in range(n):
-        vals = {k: lo * (hi / lo) ** rng.uniform() for k, (lo, hi) in BOX.items()}
+        vals = {k: lo * (hi / lo) ** rng.uniform() for k, (lo, hi) in box.items()}
         if rng.uniform() < 0.25:
             vals["temperature"] = 0.0
         out.append(ModelParams(**vals))

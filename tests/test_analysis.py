@@ -253,12 +253,12 @@ def _log_uniform(lo, hi):
        temperature=st.one_of(st.just(0.0), _log_uniform(0.01, 10.0)),
        distance=_log_uniform(1e-4, 20.0))
 def test_asymptote_is_physical_or_a_named_refusal(gamma, omega_cut, temperature, distance):
-    """Over the ROADMAP box: a finite E >= 0, or an exception bathpair defines."""
+    """Over the ROADMAP box every point is physical, with a finite E >= 0:
+    no refusal.  The narrowest lone resonance, antisymmetric at
+    (0.01, 0.5, ., 1e-4), is 9.0e4 float spacings of omega_r ~ 1 wide, above
+    the frequency grid's refusal at 1e4; narrower spikes among the many
+    crossings at large r carry little of their channel's area and pass."""
     params = ModelParams(gamma=gamma, omega_cut=omega_cut,
                          temperature=temperature, distance=distance)
-    try:
-        e = asymptotic_log_negativity(params)
-    except Exception as exc:   # the contract is about the exception class
-        assert type(exc).__module__.startswith("bathpair."), repr(exc)
-    else:
-        assert math.isfinite(e) and e >= 0.0
+    e = asymptotic_log_negativity(params)
+    assert math.isfinite(e) and e >= 0.0

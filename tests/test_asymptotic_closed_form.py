@@ -1,8 +1,7 @@
 """The real closed form of D(i omega) on the asymptotic path, against the
 complex-arithmetic forms it replaced: the channel determinant, the scalar
-brentq resonance finder with a finite-difference slope, the per-edge loop
-of `merge_edges`, the two-row lag kernels at r = 0, and the two-sided lag
-transform of the unshifted rows."""
+brentq resonance finder with a finite-difference slope, the two-row lag
+kernels at r = 0, and the two-sided lag transform of the unshifted rows."""
 
 import math
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from bathpair import _panels, covariance
+from bathpair import covariance
 from bathpair.covariance import (
     ASYMPTOTIC_TOL,
     asymptotic_omega_max,
@@ -49,8 +48,8 @@ def _reference_resonances(params, sign):
     for a, b in zip(lo[flips], hi[flips]):
         om = brentq(re_d, grid[a], grid[b], xtol=1e-13)
         slope = abs(re_d(om + 1e-6) - re_d(om - 1e-6)) / 2e-6
-        out.append((om, max(om * max(gam_r(om), 0.0) / max(slope, 1e-9), 1e-9)))
-    return out or [(1.0, max(gam_r(1.0), 1e-9))]
+        out.append((om, om * max(gam_r(om), 0.0) / slope))
+    return out or [(1.0, gam_r(1.0))]
 
 
 def _assert_same_resonances(params):
@@ -160,49 +159,6 @@ def test_box_corners_raise_no_floating_point_warning(gamma, omega_cut, temperatu
     except (UnphysicalCovarianceError, covariance.TruncationError):
         return
     assert np.all(np.isfinite(c))
-
-
-# ---------------------------------------------------------------------------
-# merge_edges
-
-
-def _merge_edges_loop(*edge_groups, lo, hi):
-    """The per-edge loop `_panels.merge_edges` replaced."""
-    vals = [np.asarray(g, dtype=float).ravel() for g in edge_groups]
-    edges = np.concatenate([[lo, hi]] + vals) if vals else np.array([lo, hi])
-    edges = edges[(edges >= lo) & (edges <= hi)]
-    edges = np.unique(edges)
-    keep = [edges[0]]
-    for e in edges[1:]:
-        if e - keep[-1] > _panels._MIN_GAP:
-            keep.append(e)
-    if keep[-1] < hi:
-        keep[-1] = hi
-    return np.asarray(keep)
-
-
-def test_merge_edges_chains_close_edges():
-    """Each edge is measured from the last edge kept, not from its neighbour."""
-    assert _panels.merge_edges([6e-11], lo=0.0, hi=1.2e-10).tolist() == [0.0, 1.2e-10]
-    assert _panels.merge_edges([6e-11, 1.2e-10, 1.5e-10, 2.6e-10, 3.0], lo=0.0,
-                               hi=3.0).tolist() == [0.0, 1.2e-10, 2.6e-10, 3.0]
-    assert _panels.merge_edges([1.0, 3.0 - 5e-11], lo=0.0, hi=3.0).tolist() == [0.0, 1.0, 3.0]
-
-
-def test_merge_edges_matches_loop_on_box_grids(monkeypatch):
-    """Bit-equal to the per-edge loop on the edges of 64 box grids."""
-    calls = []
-    real = _panels.merge_edges
-
-    def spy(*groups, lo, hi):
-        out = real(*groups, lo=lo, hi=hi)
-        calls.append(np.array_equal(out, _merge_edges_loop(*groups, lo=lo, hi=hi)))
-        return out
-
-    monkeypatch.setattr(covariance, "merge_edges", spy)
-    for params in box_points(4):
-        frequency_grid(params, asymptotic_omega_max(params, ASYMPTOTIC_TOL))
-    assert len(calls) == 64 and all(calls)
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,10 @@ def test_config_file_with_flag_override(tmp_path):
 
 def test_short_time_check(tmp_path):
     rc = main(["short-time-check", "--gamma", "1", "--omega-cut", "10",
-               "--distance", "0,0.1", "--output-dir", str(tmp_path)])
+               "--distance", "0,0.1", "--emit-plot-script", "--output-dir", str(tmp_path)])
     assert rc == 0
+    assert "status: COMPLETE" in (tmp_path / "MANIFEST").read_text()
+    assert "None, 'distance', 'ratio'" in (tmp_path / "plot_short-time-check.py").read_text()
     data = _load(tmp_path / "shorttime.csv")
     assert data["distance"].size == 2
     assert np.all(data["slope_measured"] > 0)
@@ -177,6 +179,29 @@ def test_short_time_check(tmp_path):
     expect = [short_time_slope(ModelParams(gamma=1.0, omega_cut=10.0, distance=r))
               for r in (0.0, 0.1)]
     assert data["slope_formula"] == pytest.approx(expect, rel=1e-11)
+
+
+def test_short_time_check_keeps_the_rows_before_a_failure(tmp_path, monkeypatch):
+    """A refusal at the second distance keeps the first row under a PARTIAL
+    MANIFEST, and writes no plot script."""
+    from bathpair import cli
+    from bathpair.greens import DurbinConvergenceError
+
+    real = cli.measured_initial_slope
+
+    def second_fails(params):
+        if params.distance == 0.1:
+            raise DurbinConvergenceError("refused for the test")
+        return real(params)
+
+    monkeypatch.setattr(cli, "measured_initial_slope", second_fails)
+    rc = main(["short-time-check", "--gamma", "1", "--omega-cut", "10", "--distance", "0,0.1",
+               "--emit-plot-script", "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert _load(tmp_path / "shorttime.csv")["distance"].tolist() == [0.0]
+    manifest = (tmp_path / "MANIFEST").read_text()
+    assert "status: PARTIAL" in manifest and "DurbinConvergenceError" in manifest
+    assert not (tmp_path / "plot_short-time-check.py").exists()
 
 
 def test_critical_distance_command(tmp_path):

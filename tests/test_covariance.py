@@ -354,7 +354,7 @@ def _panel_grid(params, omega_max, t_scale):
     `frequency_grid` with the panel width also capped at 2.5 / t_scale, so
     that the fastest lag phase stays resolved, and both channels' resonances
     refined."""
-    from bathpair._panels import gauss_panels, merge_edges
+    from bathpair._panels import gauss_panels
 
     om = params.omega_cut
     cap = min(0.5, om / 4.0, 2.5 / max(t_scale, params.distance, 1e-9))
@@ -368,8 +368,8 @@ def _panel_grid(params, omega_max, t_scale):
             ladder = width * 2.0 ** np.arange(-1, 10)
             ladder = ladder[ladder < 8.0 * cap]
             clusters += [om_res + ladder, om_res - ladder, [om_res]]
-    edges = merge_edges(base, [om / 2, om, 2 * om], *clusters, lo=0.0, hi=omega_max)
-    return gauss_panels(edges)
+    edges = np.concatenate([base, [om / 2, om, 2 * om], *clusters])
+    return gauss_panels(np.unique(np.clip(edges, 0.0, omega_max)))
 
 
 def _panel_weights(params, h, n_lags, omega_max):

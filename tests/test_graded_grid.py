@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bathpair import covariance
-from bathpair._panels import gauss_panels, merge_edges
+from bathpair._panels import gauss_panels
 from bathpair.covariance import (
     ASYMPTOTIC_TOL,
     asymptotic_omega_max,
@@ -42,19 +42,22 @@ def _knee(params, omega_max):
 
 def _uniform_edges(params, omega_max):
     """Panel edges of the all-uniform grid: panels no wider than the cap
-    all the way to omega_max, with the resonance ladders."""
+    all the way to omega_max, with a ladder omega_r +- w 2^k, k >= -1,
+    below 8 caps around each feature of half-width w < cap / 2: the
+    resonances, and at omega = 0 the narrower of the symmetric peak,
+    1/(4 gamma), and the poles of coth(omega/2T), 2 pi T."""
     r, om = params.distance, params.omega_cut
     cap = _cap(params, omega_max)
-    base = np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1)
+    edges = [np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1),
+             [om / 2, om, 2 * om]]
     found = channel_resonances(params, SIGNS if r > 0 else SIGNS[:1])
-    features = [f for row in found for f in row] + [(0.0, 0.25 / params.gamma)]
-    om_res, width = np.array(features).T
-    narrow = width * 2.0 < cap
-    centre = om_res[narrow, None]
-    ladder = width[narrow, None] * covariance._LADDER
-    short = ladder < 8.0 * cap
-    return merge_edges(base, [om / 2, om, 2 * om], (centre + ladder)[short],
-                       (centre - ladder)[short], centre, lo=0.0, hi=omega_max)
+    zero = min(0.25 / params.gamma, 2.0 * math.pi * params.temperature or math.inf)
+    for om_res, width in [f for row in found for f in row] + [(0.0, zero)]:
+        if width * 2.0 < cap:
+            k = np.arange(-1, 64)
+            ladder = width * 2.0 ** k[width * 2.0 ** k < 8.0 * cap]
+            edges += [om_res + ladder, om_res - ladder, [om_res]]
+    return np.unique(np.clip(np.concatenate(edges), 0.0, omega_max))
 
 
 def _graded_edges(monkeypatch, params, omega_max):
@@ -136,6 +139,11 @@ def test_doubling_omega_max_adds_a_bounded_number_of_panels():
         assert 0 < panels[1] - panels[0] <= bound, cut
 
 
+def _records_of(caplog, function):
+    """The log records ``function`` made; the frequency grid logs its own."""
+    return [rec for rec in caplog.records if rec.funcName == function]
+
+
 def test_asymptotic_grid_is_logged_at_debug(caplog):
     """`covariance_asymptotic` logs omega_max, the node count and the tail
     estimate of its grid on the "bathpair" logger, at DEBUG only."""
@@ -148,7 +156,7 @@ def test_asymptotic_grid_is_logged_at_debug(caplog):
     assert not caplog.records
     with caplog.at_level(logging.DEBUG, logger="bathpair"):
         covariance_asymptotic(params)
-    (record,) = caplog.records
+    (record,) = _records_of(caplog, "covariance_asymptotic")
     assert record.name == "bathpair" and record.levelno == logging.DEBUG
     assert record.args == (params, omega_max, nodes, tail)
     assert f"{nodes} nodes" in record.getMessage()
@@ -164,4 +172,4 @@ def test_a_refused_point_still_logs_its_grid(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="bathpair"):
         with pytest.raises(UnphysicalCovarianceError):
             covariance_asymptotic(ModelParams(1.0, 10.0, 0.0, 0.2))
-    assert len(caplog.records) == 1
+    assert len(_records_of(caplog, "covariance_asymptotic")) == 1
