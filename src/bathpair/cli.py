@@ -182,10 +182,11 @@ def _checked_params(gamma, omega_cut, temperature, distance) -> ModelParams:
 
 
 def _sweep(config: RunConfig, name: str, columns, points, rows_of,
-           plot_keys=None) -> list[str]:
+           plot_keys=None, note=None) -> list[str]:
     """The rows of each point in turn into one CSV; a numerical failure keeps
     the rows before it, marks the run PARTIAL and propagates.  The plot script
-    draws ``plot_keys`` = (group or None, x, y), by default the first columns."""
+    draws ``plot_keys`` = (group or None, x, y), by default the first columns;
+    ``note`` of the rows, if given, goes into a COMPLETE MANIFEST."""
     path = os.path.join(config.output_dir, name)
     rows = []
     try:
@@ -199,7 +200,7 @@ def _sweep(config: RunConfig, name: str, columns, points, rows_of,
     outputs = [path]
     if config.emit_plot_script:
         outputs.append(_emit_plot_script(config, name, plot_keys or columns[:3]))
-    write_manifest(config, outputs, "COMPLETE")
+    write_manifest(config, outputs, "COMPLETE", note(rows) if note else "")
     return outputs
 
 
@@ -236,14 +237,14 @@ def run_critical_distance(config: RunConfig) -> list[str]:
     given = [_scalar(config, k) for k in ("r_lo", "r_hi") if k in config.params]
     if given and not (len(given) == 2 and 0.0 <= given[0] < given[1] < math.inf):
         raise ConfigError(f"a d0 bracket needs both 0 <= r_lo < r_hi < inf (got {given})")
-    res = find_d0(p, r_bracket=given or None, tol=min(config.tol, 1e-3))
-    path = os.path.join(config.output_dir, "d0.csv")
-    rows = [(p.gamma, p.omega_cut, p.temperature, res.d0,
-             res.bracket[0], res.bracket[1])]
-    write_csv(path, ("gamma", "omega_cut", "temperature", "d0",
-                     "bracket_lo", "bracket_hi"), rows, config)
-    write_manifest(config, [path], "COMPLETE")
-    return [path]
+
+    def rows_of(p):
+        res = find_d0(p, r_bracket=given or None, tol=min(config.tol, 1e-3))
+        return [(p.gamma, p.omega_cut, p.temperature, res.d0, *res.bracket)]
+
+    return _sweep(config, "d0.csv", ("gamma", "omega_cut", "temperature", "d0",
+                                     "bracket_lo", "bracket_hi"), [p], rows_of,
+                  plot_keys=(None, "temperature", "d0"))
 
 
 def run_short_time_check(config: RunConfig) -> list[str]:
@@ -310,19 +311,15 @@ def run_slope_fit(config: RunConfig) -> list[str]:
     if not omegas or len(omegas) < 3:
         raise ConfigError("slope-fit needs >= 3 omega_cut values")
     points = [_checked_params(gamma, om, temperature, 0.0) for om in omegas]
-    rows = []
-    samples = []
-    for p in points:
-        d0 = find_d0(p, tol=1e-3).d0
-        rows.append((p.omega_cut, 1.0 / p.omega_cut, d0))
-        samples.append((1.0 / p.omega_cut, d0))
-    fit = fit_slope(samples)
-    path = os.path.join(config.output_dir, "slopefit.csv")
-    write_csv(path, ("omega_cut", "inv_omega", "d0"), rows, config)
-    write_manifest(config, [path], "COMPLETE",
-                   note=f"slope={fit.slope:.6f} residual={fit.residual:.3e} "
-                        f"ill_conditioned={fit.ill_conditioned}")
-    return [path]
+
+    def note(rows):
+        fit = fit_slope([(inv_omega, d0) for _, inv_omega, d0 in rows])
+        return (f"slope={fit.slope:.6f} residual={fit.residual:.3e} "
+                f"ill_conditioned={fit.ill_conditioned}")
+
+    return _sweep(config, "slopefit.csv", ("omega_cut", "inv_omega", "d0"), points,
+                  lambda p: [(p.omega_cut, 1.0 / p.omega_cut, find_d0(p, tol=1e-3).d0)],
+                  plot_keys=(None, "inv_omega", "d0"), note=note)
 
 
 # ---------------------------------------------------------------------------

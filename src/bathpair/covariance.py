@@ -30,13 +30,13 @@ q = Omega^2 + omega^2,
 and its exact omega-derivative: the resonance search and the moment
 integrand (S/2)(1 +- cos(omega r)) / ((Re D)^2 + (Im D)^2) share one sin
 and one cos of omega r / 2 per node.  It is summed on 12-point
-Gauss-Legendre panels (`frequency_grid`): uniform, with a ladder of edges
-w 2^k around each feature of true half-width w, up to a knee above the
-resonance band and the Drude scale; graded above it, [omega, (9/8) omega]
-capped at 2.5/r, where the integrand is a smooth power law times
-cos(omega r) with its singularities of order omega off the axis, so that
-the rule is exact to rounding on each panel and the node count grows like
-log(omega_max).  Resonances too narrow for float64 nodes are refused.
+Gauss-Legendre panels (`frequency_grid`): uniform up to a knee above the
+resonance band and the Drude scale, with one ladder of edges w 2^k around
+every feature of true half-width w (the record of `channel_resonances`,
+and omega = 0); graded above it, [omega, (9/8) omega] capped at 2.5/r,
+where the integrand is a smooth power law times cos(omega r), so that the
+node count grows like log(omega_max).  Resonances too narrow for float64
+nodes, and grids past a node budget at large r, are refused.
 
 Transient state:
 
@@ -93,7 +93,7 @@ _log = logging.getLogger("bathpair")
 
 
 class TruncationError(RuntimeError):
-    """A frequency tail exceeds its tolerance, or a resonance is too narrow to resolve."""
+    """A frequency tail exceeds its tolerance, a resonance is too narrow, or a grid too large."""
 
 
 @dataclass(frozen=True)
@@ -241,19 +241,18 @@ def _refine_roots(params: ModelParams, sign, lo, hi, f_lo, f_hi):
 
 
 def channel_resonances(params: ModelParams, sign):
-    """All sharp features of 1/|D(i omega)|^2: [(omega_res, width), ...] for a
-    scalar ``sign``, one such list per row for a column such as `SIGNS`.
+    """All sharp features of 1/|D(i omega)|^2 of the channels ``sign`` (+1,
+    -1 or a column such as `SIGNS`), as one record of arrays over all of
+    them: (row, omega_res, width, slope), row the channel's index in
+    ``sign``, width the half-width and slope |d Re D / d omega| at omega_res.
 
     Zeros of Re D(i omega) mark resonances.  Re D is scanned on a uniform
     grid below 3 + 3 gamma, and every sign change of every channel is
-    refined at once by `_refine_roots`, on the real closed form of
-    `_det_parts`.  The half-width is omega Re Gamma^ / |d Re D / d omega|
-    = Im D / |d Re D / d omega|, with the exact slope, and has no floor: the
-    antisymmetric one falls as r^2 as r -> 0+.  At large separation the
-    imaginary kernel oscillates in omega, so Re D can cross zero several
-    times, and crossings near nulls of the channel damping produce very
-    narrow spikes; every crossing gets its own width.  A channel without a
-    crossing lists (1, Re Gamma^(i)).
+    refined at once by `_refine_roots`.  The half-width Im D / |d Re D / d omega|
+    = omega Re Gamma^ / |d Re D / d omega| has no floor: the antisymmetric
+    one falls as r^2 as r -> 0+.  At large r Re D crosses zero many times,
+    near nulls of the channel damping in very narrow spikes.  A channel
+    without a crossing lists omega_res = 1 with width Re Gamma^(i).
     """
     rows = np.reshape(np.asarray(sign, dtype=float), (-1, 1))
     r = params.distance
@@ -271,25 +270,20 @@ def channel_resonances(params: ModelParams, sign):
     flips = (np.sign(flat[lo]) != np.sign(flat[hi])) & (lo // grid.size == hi // grid.size)
     channel, a = np.divmod(lo[flips], grid.size)
     b = hi[flips] - channel * grid.size
+    om = _refine_roots(params, rows[channel, 0], grid[a], grid[b], red[channel, a], red[channel, b])
+
+    lone = np.setdiff1d(np.arange(len(rows)), channel)     # channels without a crossing
+    crossed = np.arange(om.size + lone.size) < om.size
+    channel, om = np.append(channel, lone), np.append(om, np.ones(lone.size))
     ch_sign = rows[channel, 0]
-    om = _refine_roots(params, ch_sign, grid[a], grid[b], red[channel, a], red[channel, b])
     _, im, slope = _det_parts(om, params, ch_sign, _channel_trig(om, r, ch_sign), slope=True)
-    width = im / np.abs(slope)
-
-    out = []
-    for i, s in enumerate(rows[:, 0]):
-        mine = channel == i
-        found = list(zip(om[mine].tolist(), width[mine].tolist()))
-        if not found:
-            _, im_1 = _det_parts(1.0, params, s, _channel_trig(1.0, r, s))
-            found = [(1.0, float(im_1))]
-        out.append(found)
-    return out if np.ndim(sign) else out[0]
+    return channel, om, im / np.where(crossed, np.abs(slope), 1.0), np.abs(slope)
 
 
-_LADDER_REACH = 8.0   # in caps: the rungs kept on either side of a resonance
+_LADDER_REACH = 8.0   # in caps: the rungs kept on either side of a feature
 _MIN_SPACINGS = 1e4   # resonance half-widths resolved, in float spacings, weighted by area
 _GRADE = 8.0          # above the knee a panel starting at omega is omega / _GRADE wide
+_MAX_NODES = 20_000_000   # asymptotic grid nodes, ladders aside: 320 MB of nodes and weights
 
 
 def _graded_edges(knee: float, osc: float, omega_max: float) -> np.ndarray:
@@ -307,27 +301,28 @@ def _graded_edges(knee: float, osc: float, omega_max: float) -> np.ndarray:
                            start + osc * np.arange(1, n_uniform)])
 
 
-def _require_resolvable(params: ModelParams, sign, om, width) -> None:
-    """Log the narrowest of the resonances (omega_r, w) = (``om``, ``width``)
-    of the channels ``sign`` at DEBUG, and raise `TruncationError` for a
-    channel with sum A spacing(omega_r) / w > sum A / `_MIN_SPACINGS`.  A node off by
-    two ulps of omega_r moves the area A of a Lorentzian of half-width w by up
-    to (4/pi) eps omega_r / w of it (total variation 2/w^2 over area pi/w);
-    A = 2 coth(omega_r/2T) / |d Re D / d omega| in alpha, as the weight over
-    Im D is (2/pi) coth(omega/2T).  So a lone resonance (the antisymmetric one
-    as r -> 0+, width ~ r^2) is refused below 1e4 spacings, a narrow one among
-    the many crossings at large r only where it carries their area."""
-    _, _, slope = _det_parts(om, params, sign, _channel_trig(om, params.distance, sign), slope=True)
+def _require_resolvable(params: ModelParams, resonances) -> None:
+    """Log the narrowest of the `channel_resonances` record ``resonances`` at
+    DEBUG, and raise `TruncationError` for a channel whose resonances
+    (omega_r, w) have sum A spacing(omega_r) / w > sum A / `_MIN_SPACINGS`.
+    A node off by two ulps of omega_r moves the area A of a Lorentzian of
+    half-width w by up to (4/pi) eps omega_r / w of it (total variation 2/w^2
+    over area pi/w); A = 2 coth(omega_r/2T) / |d Re D / d omega| in alpha,
+    the weight over Im D being (2/pi) coth(omega/2T).  So a lone resonance
+    (the antisymmetric one as r -> 0+, width ~ r^2) is refused below 1e4
+    spacings, a narrow one among the many crossings at large r only where
+    it carries their area."""
+    row, om, width, slope = resonances
     T = params.temperature
-    area = (coth(om / (2.0 * T)) if T > 0 else 1.0) / np.abs(slope)
+    area = (coth(om / (2.0 * T)) if T > 0 else 1.0) / slope
     spacings = width / np.spacing(om)
     i = int(np.argmin(spacings))
     _log.debug("narrowest resonance: omega_r %.17g, half-width %.6g, %.3g float spacings",
                om[i], width[i], spacings[i])
     with np.errstate(divide="ignore"):      # Im D underflows to 0 as r -> 0+
         blur = area / spacings
-    for s in np.unique(sign):
-        mine = sign == s
+    for channel in np.unique(row):
+        mine = row == channel
         if blur[mine].sum() * _MIN_SPACINGS > area[mine].sum():
             i = np.flatnonzero(mine)[np.argmax(blur[mine])]
             raise TruncationError(
@@ -341,15 +336,16 @@ def frequency_grid(params: ModelParams, omega_max: float):
     the asymptotic noise integrals.
 
     Below a knee omega_k the panels are uniform, at most
-    cap = min(0.5, Omega/4, 2.5/r) wide (and at least omega_max / 200000), so
-    that the retardation oscillation cos(omega r) stays resolved.  A feature
-    of half-width w < cap/2 gets edges at omega_r and omega_r +- w 2^k,
-    k = -1, 0, 1, ... below `_LADDER_REACH` caps, so that the 12-point rule
-    sees a Lorentzian as smooth however small w is, down to float spacing
-    (`_require_resolvable`).  The features: both channels' resonances with
-    their true widths (at r = 0 only the symmetric one, the antisymmetric
-    weight vanishing), and one at omega = 0 of half-width 1/(4 gamma) (the
-    symmetric peak) or 2 pi T (the poles of coth(omega/2T)), the smaller.
+    cap = min(0.5, Omega/4, 2.5/r) wide, so that the retardation oscillation
+    cos(omega r) stays resolved.  One ladder rule serves every feature of
+    half-width w at omega_f: edges at omega_f and omega_f +- w 2^k, k = -1,
+    0, 1, ... below `_LADDER_REACH` caps, so that the 12-point rule sees a
+    Lorentzian as smooth however small w is, down to float spacing
+    (`_require_resolvable`).  The features: every resonance of
+    `channel_resonances` (at r = 0 the symmetric channel's only, the
+    antisymmetric weight vanishing), and one at omega = 0 of half-width
+    1/(4 gamma) (the symmetric peak) or 2 pi T (the poles of coth), the
+    smaller.
 
     The knee, omega_k = min(omega_max, max(3 + 3 gamma + 8 cap, 4 Omega)),
     lies above every resonance (`channel_resonances` scans below 3 + 3 gamma),
@@ -360,23 +356,29 @@ def frequency_grid(params: ModelParams, omega_max: float):
     [a, 9a/8] gives the 12-point rule an error ~ (32 d / a)^-24 (Davis &
     Rabinowitz, Methods of Numerical Integration, on graded composite Gauss
     rules), and doubling omega_max adds at most 6 panels.
+
+    At large r the node count grows like omega_max r, to 1.7e7 at
+    (1, 10, 0, 1e4).  A grid whose uniform and graded panels alone pass
+    `_MAX_NODES` (2e7 nodes, 320 MB of nodes and weights) is refused with
+    `TruncationError` before the resonance scan, which grows with r alike.
     """
     r = params.distance
     Om = params.omega_cut
     osc = 2.5 / max(r, 1e-9)
-    cap = max(min(0.5, Om / 4.0, osc), omega_max / 200000.0)
-    base = np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1)
+    cap = min(0.5, Om / 4.0, osc)
     knee = min(omega_max, max(_scan_top(params) + _LADDER_REACH * cap, 4.0 * Om))
+    nodes = 12.0 * (knee / cap + (omega_max - knee) / max(cap, osc))
+    if nodes > _MAX_NODES:
+        raise TruncationError(f"the asymptotic frequency grid at r = {r!r} needs about "
+                              f"{nodes:.3g} nodes, past the budget of {_MAX_NODES:.3g}")
+    base = np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1)
 
-    rows = SIGNS if r > 0 else SIGNS[:1]
-    found = channel_resonances(params, rows)
-    om_res, width = np.array([f for row in found for f in row]).T
-    _require_resolvable(params, np.repeat(rows[:, 0], [len(row) for row in found]), om_res, width)
+    found = channel_resonances(params, SIGNS if r > 0 else SIGNS[:1])
+    _require_resolvable(params, found)
+    _, centre, width, _ = found
     if params.gamma > 0:    # at omega = 0: the symmetric peak, or the poles of coth if narrower
-        om_res, width = np.append(om_res, 0.0), np.append(width, min(
+        centre, width = np.append(centre, 0.0), np.append(width, min(
             0.25 / params.gamma, 2.0 * math.pi * params.temperature or math.inf))
-    narrow = width * 2.0 < cap
-    centre, width = om_res[narrow], width[narrow]
     reach = _LADDER_REACH * cap
     ladder = width[:, None] * 2.0 ** np.arange(-1.0, math.log2(reach / width.min(initial=reach)))
     short = ladder < reach

@@ -45,25 +45,28 @@ def _reference_resonances(params, sign):
     signed = np.flatnonzero(red)
     lo, hi = signed[:-1], signed[1:]
     flips = np.sign(red[lo]) != np.sign(red[hi])
+    def slope(om):
+        return abs(re_d(om + 1e-6) - re_d(om - 1e-6)) / 2e-6
+
     for a, b in zip(lo[flips], hi[flips]):
         om = brentq(re_d, grid[a], grid[b], xtol=1e-13)
-        slope = abs(re_d(om + 1e-6) - re_d(om - 1e-6)) / 2e-6
-        out.append((om, om * max(gam_r(om), 0.0) / slope))
-    return out or [(1.0, gam_r(1.0))]
+        out.append((om, om * max(gam_r(om), 0.0) / slope(om), slope(om)))
+    return out or [(1.0, gam_r(1.0), slope(1.0))]
 
 
 def _assert_same_resonances(params):
+    """Each channel's rows of the two-channel record are its own record;
+    against the reference, the same crossings, omega_res within 1e-12, and
+    widths and slopes within 1e-6 relative."""
     rows = SIGNS if params.distance > 0 else SIGNS[:1]
-    found = channel_resonances(params, rows)
-    assert len(found) == len(rows)
-    for row, sign in zip(found, rows[:, 0]):
-        ref = _reference_resonances(params, sign)
-        assert row == channel_resonances(params, sign)
-        assert len(row) == len(ref), (params, sign)
-        om, width = np.array(row).T
-        om_ref, width_ref = np.array(ref).T
-        assert np.max(np.abs(om - om_ref)) <= 1e-12, (params, sign)
-        assert np.max(np.abs(width / width_ref - 1.0)) <= 1e-6, (params, sign)
+    row, *found = channel_resonances(params, rows)
+    for i, sign in enumerate(rows[:, 0]):
+        ours = np.array(found)[:, row == i]
+        assert np.array_equal(ours, channel_resonances(params, sign)[1:])
+        ref = np.array(_reference_resonances(params, sign)).T
+        assert ours.shape == ref.shape, (params, sign)
+        assert np.max(np.abs(ours[0] - ref[0])) <= 1e-12, (params, sign)
+        assert np.max(np.abs(ours[1:] / ref[1:] - 1.0)) <= 1e-6, (params, sign)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -152,8 +155,8 @@ def test_antisymmetric_moment_against_mpmath_grid_sum():
 def test_box_corners_raise_no_floating_point_warning(gamma, omega_cut, temperature, distance):
     """The closed forms overflow nowhere in the box; a named refusal is an answer."""
     params = ModelParams(gamma, omega_cut, temperature, distance)
-    found = channel_resonances(params, SIGNS)
-    assert all(np.isfinite(row).all() and len(row) for row in map(np.array, found))
+    row, *found = channel_resonances(params, SIGNS)
+    assert np.array_equal(np.unique(row), [0, 1]) and np.isfinite(found).all()
     try:
         c = covariance_asymptotic(params).entries
     except (UnphysicalCovarianceError, covariance.TruncationError):

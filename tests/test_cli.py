@@ -227,6 +227,43 @@ def test_thermal_d0_commands_complete(tmp_path, argv, csv):
     assert np.all((data["d0"] > 0.0) & (data["d0"] < 0.1))
 
 
+def test_slope_fit_keeps_the_rows_before_a_failing_search(tmp_path, monkeypatch):
+    """A d0 search that fails at the second Omega keeps the first row under a
+    PARTIAL MANIFEST that names the error."""
+    from bathpair import cli
+    from bathpair.analysis import BracketError
+
+    real = cli.find_d0
+
+    def second_fails(params, **kwargs):
+        if params.omega_cut == 5.0:
+            raise BracketError("refused for the test")
+        return real(params, **kwargs)
+
+    monkeypatch.setattr(cli, "find_d0", second_fails)
+    rc = main(["slope-fit", "--gamma", "1", "--omega-cut", "2,5,10",
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert _load(tmp_path / "slopefit.csv")["omega_cut"].tolist() == [2.0]
+    manifest = (tmp_path / "MANIFEST").read_text()
+    assert "status: PARTIAL" in manifest and "BracketError: refused for the test" in manifest
+
+
+@pytest.mark.parametrize("argv, csv", [
+    (["slope-fit", "--omega-cut", "2,5,10"], "slopefit.csv"),
+    (["critical-distance", "--omega-cut", "10"], "d0.csv"),
+], ids=["slope-fit", "critical-distance"])
+def test_d0_commands_that_fail_still_write_csv_and_manifest(tmp_path, argv, csv):
+    """At T = 3 the asymptotic E is zero at the smallest r the bracket tries:
+    exit 3, with the CSV header and a PARTIAL MANIFEST naming the error."""
+    rc = main(argv + ["--gamma", "1", "--temperature", "3", "--output-dir", str(tmp_path)])
+    assert rc == 3
+    header = (tmp_path / csv).read_text().splitlines()[-1]
+    assert header.split(",")[-1] in ("d0", "bracket_hi")
+    manifest = (tmp_path / "MANIFEST").read_text()
+    assert "status: PARTIAL" in manifest and "BracketError" in manifest
+
+
 def test_oracle_compare_exit_codes(tmp_path):
     rc = main(["oracle-compare", "--gamma", "1", "--omega-cut", "10",
                "--distance", "0.1", "--t-max", "4", "--dt", "1",

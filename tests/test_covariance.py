@@ -20,7 +20,7 @@ from bathpair.entanglement import (
     log_negativity,
     symplectic_eigenvalues,
 )
-from bathpair.greens import channel_blocks, greens_time
+from bathpair.greens import SIGNS, channel_blocks, greens_time
 from bathpair.kernels import noise_spectrum
 from bathpair.model import ModelParams
 from conftest import random_physical_covariance
@@ -116,7 +116,8 @@ def test_truncation_guard(p):
 
 
 def _narrowest_resonance(params, sign):
-    return min(channel_resonances(params, sign), key=lambda pair: pair[1])
+    _, om, width, _ = channel_resonances(params, sign)
+    return om[np.argmin(width)], np.min(width)
 
 
 def test_resonance_finder(p):
@@ -134,8 +135,8 @@ def test_resonance_on_a_scan_node_is_listed_once():
     """At r = 0 the antisymmetric channel is undamped, Re D = 1 - omega^2,
     and its root omega = 1 falls on a node of the scan grid: one crossing,
     listed once."""
-    found = channel_resonances(ModelParams(1.0, 10.0, 0.0, 0.0), -1)
-    assert len(found) == 1 and found[0][0] == pytest.approx(1.0, abs=1e-12)
+    _, om, _, _ = channel_resonances(ModelParams(1.0, 10.0, 0.0, 0.0), -1)
+    assert om.size == 1 and om[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_time_zero_returns_initial_exactly(p, greens_cache):
@@ -360,8 +361,8 @@ def _panel_grid(params, omega_max, t_scale):
     cap = min(0.5, om / 4.0, 2.5 / max(t_scale, params.distance, 1e-9))
     cap = max(cap, omega_max / 200000.0)
     base = np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1)
-    features = channel_resonances(params, +1) + channel_resonances(params, -1)
-    features.append((0.0, 0.25 / params.gamma))
+    _, om_res, width, _ = channel_resonances(params, SIGNS)
+    features = list(zip(om_res, width)) + [(0.0, 0.25 / params.gamma)]
     clusters = []
     for om_res, width in features:
         if width * 2.0 < cap:
@@ -613,7 +614,7 @@ def test_overdamped_zero_frequency_peak_is_resolved(gamma, omega_cut, temperatur
     doubling = 2.0 ** np.arange(-12, 14)
     groups = [np.linspace(0.0, w_max, int(math.ceil(w_max / 0.5)) + 1),
               0.25 / gamma * doubling, [omega_cut / 2, omega_cut, 2 * omega_cut]]
-    for om_res, width in channel_resonances(q, +1):
+    for om_res, width in zip(*channel_resonances(q, +1)[1:3]):
         groups += [om_res + width * doubling, om_res - width * doubling, [om_res]]
     edges = np.concatenate(groups)
     edges = np.unique(edges[(edges >= 0.0) & (edges <= w_max)])

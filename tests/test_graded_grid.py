@@ -29,8 +29,7 @@ CORNERS = [ModelParams(g, om, t, r) for g in (0.01, 50.0) for om in (0.5, 100.0)
 
 
 def _cap(params, omega_max):
-    return max(min(0.5, params.omega_cut / 4.0, 2.5 / max(params.distance, 1e-9)),
-               omega_max / 200000.0)
+    return min(0.5, params.omega_cut / 4.0, 2.5 / max(params.distance, 1e-9))
 
 
 def _knee(params, omega_max):
@@ -42,21 +41,20 @@ def _knee(params, omega_max):
 
 def _uniform_edges(params, omega_max):
     """Panel edges of the all-uniform grid: panels no wider than the cap
-    all the way to omega_max, with a ladder omega_r +- w 2^k, k >= -1,
-    below 8 caps around each feature of half-width w < cap / 2: the
+    all the way to omega_max, with its centre and a ladder omega_r +- w 2^k,
+    k >= -1, below 8 caps around each feature of half-width w: the
     resonances, and at omega = 0 the narrower of the symmetric peak,
     1/(4 gamma), and the poles of coth(omega/2T), 2 pi T."""
     r, om = params.distance, params.omega_cut
     cap = _cap(params, omega_max)
     edges = [np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1),
              [om / 2, om, 2 * om]]
-    found = channel_resonances(params, SIGNS if r > 0 else SIGNS[:1])
+    _, om_res, width, _ = channel_resonances(params, SIGNS if r > 0 else SIGNS[:1])
     zero = min(0.25 / params.gamma, 2.0 * math.pi * params.temperature or math.inf)
-    for om_res, width in [f for row in found for f in row] + [(0.0, zero)]:
-        if width * 2.0 < cap:
-            k = np.arange(-1, 64)
-            ladder = width * 2.0 ** k[width * 2.0 ** k < 8.0 * cap]
-            edges += [om_res + ladder, om_res - ladder, [om_res]]
+    for centre, w in list(zip(om_res, width)) + [(0.0, zero)]:
+        k = np.arange(-1, 64)
+        ladder = w * 2.0 ** k[w * 2.0 ** k < 8.0 * cap]
+        edges += [centre + ladder, centre - ladder, [centre]]
     return np.unique(np.clip(np.concatenate(edges), 0.0, omega_max))
 
 
@@ -137,6 +135,54 @@ def test_doubling_omega_max_adds_a_bounded_number_of_panels():
     for cut in omega_max * np.array([1.0, 2.0, 4.0, 8.0]):
         panels = [frequency_grid(params, c)[0].size // 12 for c in (cut, 2.0 * cut)]
         assert 0 < panels[1] - panels[0] <= bound, cut
+
+
+@pytest.mark.parametrize("params", [ModelParams(1.0, 10.0, 0.0, 2.0),
+                                    ModelParams(1.0, 10.0, 0.3, 1.0),
+                                    ModelParams(1.6, 16.4, 0.28, 0.83)], ids=str)
+def test_moments_match_the_grid_split_eight_ways(monkeypatch, params):
+    """alpha and beta of both channels within 1e-10 relative of the same
+    grid with every panel split into 8 (the 4- and 8-way splits agree to
+    rounding here).  Resonances between cap/2 and 16 caps wide once had no
+    ladder, and missed this by 2e-10 to 3e-9."""
+    omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
+    edges = _graded_edges(monkeypatch, params, omega_max)
+    a, b = edges[:-1, None], edges[1:, None]
+    split = np.append((a + (b - a) * np.arange(8) / 8).ravel(), edges[-1])
+    ours = channel_asymptotic_moments(params, SIGNS, omega_max, ASYMPTOTIC_TOL)
+    ref = channel_asymptotic_moments(params, SIGNS, omega_max, ASYMPTOTIC_TOL,
+                                     gauss_panels(split))
+    for x, y in zip(ours[:2], ref[:2]):
+        assert np.max(np.abs(x / y - 1.0)) <= 1e-10
+
+
+def _edges_only(monkeypatch):
+    """Replace `gauss_panels` by a spy that keeps the edges and builds no nodes."""
+    seen = []
+    monkeypatch.setattr(covariance, "gauss_panels",
+                        lambda edges: seen.append(edges) or (edges[:1], edges[:1]))
+    return seen
+
+
+def test_no_panel_is_wider_than_the_oscillation_at_large_r(monkeypatch):
+    """At r = 1e4 every panel is at most 2.5 / r wide: the cap has no floor
+    (omega_max / 200000 once, 6 times 2.5 / r here, which left cos(omega r)
+    under-resolved and alpha off by 1.6e-4)."""
+    params = ModelParams(1.0, 10.0, 0.0, 1e4)
+    seen = _edges_only(monkeypatch)
+    frequency_grid(params, asymptotic_omega_max(params, ASYMPTOTIC_TOL))
+    assert np.max(np.diff(seen[0])) <= 2.5 / params.distance * (1.0 + 1e-9)
+
+
+def test_a_grid_past_the_node_budget_is_refused_before_it_is_built(monkeypatch):
+    """At r = 1e7 the grid would need 1.5e10 nodes: a named refusal, raised
+    before the resonance scan or `gauss_panels` allocates anything."""
+    params = ModelParams(1.0, 10.0, 0.0, 1e7)
+    seen = _edges_only(monkeypatch)
+    monkeypatch.setattr(covariance, "channel_resonances", None)
+    with pytest.raises(covariance.TruncationError, match=r"r = 10000000\.0 needs about 1\.48e\+10"):
+        frequency_grid(params, asymptotic_omega_max(params, ASYMPTOTIC_TOL))
+    assert not seen
 
 
 def _records_of(caplog, function):
