@@ -30,7 +30,6 @@ __all__ = [
     "CriticalDistanceResult",
     "SlopeFit",
     "trace",
-    "short_time_expansion",
     "short_time_slope",
     "asymptotic_log_negativity",
     "measured_initial_slope",
@@ -125,29 +124,11 @@ def asymptotic_log_negativity(params: ModelParams) -> float:
 
 
 def short_time_slope(params: ModelParams) -> float:
-    """Linear coefficient of `short_time_expansion`: (4/ln 2) gamma Omega e^{-r Omega/c}."""
+    """dE/dt at t -> 0+ and T = 0 by the short-time law
+    E(t) ~ (4/ln 2) gamma {e^{-r Omega/c} Omega t - a(Omega t) (Omega t)^2}:
+    (4/ln 2) gamma Omega e^{-r Omega/c}."""
     return (SHORT_TIME_PREFACTOR * params.gamma * params.omega_cut
             * math.exp(-params.distance * params.omega_cut))
-
-
-def short_time_expansion(t, params: ModelParams):
-    """Leading short-time behavior of E(t) at zero temperature.
-
-    E(t) ~ (4/ln 2) gamma { e^{-r Omega/c} Omega t - a(Omega t) (Omega t)^2 }
-    with a(x) ~ 0.2937 - ln(x)/pi, clamped at zero from below.
-    Valid for 0 < Omega t << 1; rejects T > 0.
-    """
-    if params.temperature != 0.0:
-        raise ValueError("short-time expansion is derived at zero temperature")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("short-time expansion needs t > 0")
-    x = params.omega_cut * t
-    alpha = 0.2937 - np.log(x) / math.pi
-    val = SHORT_TIME_PREFACTOR * params.gamma * (
-        math.exp(-params.distance * params.omega_cut) * x - alpha * x * x)
-    out = np.maximum(val, 0.0)
-    return out if out.ndim else float(out)
 
 
 def measured_initial_slope(params: ModelParams) -> float:

@@ -17,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -248,6 +248,9 @@ def run_critical_distance(config: RunConfig) -> list[str]:
 
 
 def run_short_time_check(config: RunConfig) -> list[str]:
+    if any(config.params.get("temperature", [0.0])):
+        raise ConfigError("short-time-check runs at T = 0, where its short-time law holds; "
+                          f"got temperature {config.params['temperature']}")
     gamma = _scalar(config, "gamma")
     omega_cut = _scalar(config, "omega_cut")
     points = [_checked_params(gamma, omega_cut, 0.0, r)
@@ -263,10 +266,12 @@ def run_short_time_check(config: RunConfig) -> list[str]:
 
 
 def run_oracle_compare(config: RunConfig) -> list[str]:
+    # rows at least 0.25 apart; the CSV and MANIFEST echo the step used
+    config = replace(config, dt=max(config.dt, 0.25))
     p = _base_params(config)
     n_modes = config.oracle_modes
     t_max = config.t_max
-    dt = max(config.dt, 0.25)
+    dt = config.dt
     n_out = int(round(t_max / dt))
     if n_out < 1:
         raise ConfigError(f"t_max = {t_max:g} holds no output step of {dt:g}")

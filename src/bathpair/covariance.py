@@ -27,16 +27,17 @@ q = Omega^2 + omega^2,
     Re D(i omega) = 1 - omega^2 + 2 gamma Omega [omega^2 (1 +- E) +- Omega omega sin(omega r)] / q,
     Im D(i omega) = 2 gamma Omega^2 omega (1 +- cos(omega r)) / q,
 
-and its exact omega-derivative: the resonance search and the moment
+and its exact omega-derivative: the singularity search and the moment
 integrand (S/2)(1 +- cos(omega r)) / ((Re D)^2 + (Im D)^2) share one sin
 and one cos of omega r / 2 per node.  It is summed on 12-point
-Gauss-Legendre panels (`frequency_grid`): uniform up to a knee above the
-resonance band and the Drude scale, with one ladder of edges w 2^k around
-every feature of true half-width w (the record of `channel_resonances`,
-and omega = 0); graded above it, [omega, (9/8) omega] capped at 2.5/r,
-where the integrand is a smooth power law times cos(omega r), so that the
-node count grows like log(omega_max).  Resonances too narrow for float64
-nodes, and grids past a node budget at large r, are refused.
+Gauss-Legendre panels (`frequency_grid`) by one rule, a panel no wider than
+its distance to the nearest singularity: one record (`channel_resonances`)
+lists every singularity near the real axis as a centre a and a distance b
+(the zeros of Re D, the complex roots of D where Re D only nears zero, the
+Drude pole and the poles at omega = 0), each gets a ladder of edges
+a +- b 2^k, and the rest of the grid is uniform at 2.5/r, which resolves
+cos(omega r).  Resonances too narrow for float64 nodes, and grids past a
+node budget at large r, are refused.
 
 Transient state:
 
@@ -178,8 +179,9 @@ def _noise_weight(omega, params: ModelParams, sign, trig=None):
 def _det_parts(omega, params: ModelParams, sign, trig, slope: bool = False):
     """(Re D, Im D) of the channel determinant D(i omega), by the real closed
     form of the module docstring, and with ``slope`` also the exact
-    d Re D / d omega; ``trig`` is `_channel_trig` of the same frequencies.
-    Im D = omega Re Gamma^(i omega) is the channel damping at omega.
+    d Re D / d omega and d Im D / d omega; ``trig`` is `_channel_trig` of the
+    same frequencies.  Im D = omega Re Gamma^(i omega) is the channel damping
+    at omega.
     """
     g, Om, r = params.gamma, params.omega_cut, params.distance
     one_cos, pm_sin = trig
@@ -190,19 +192,17 @@ def _det_parts(omega, params: ModelParams, sign, trig, slope: bool = False):
     im = 2.0 * g * Om * Om * omega * one_cos / q
     if not slope:
         return re, im
-    # d/d omega of +-sin(omega r) is r (+-cos(omega r)) = r (one_cos - 1)
+    # d/d omega of +-sin(omega r) is r (+-cos(omega r)) = r (one_cos - 1),
+    # and of one_cos it is -r (+-sin(omega r))
     d_num = 2.0 * omega * one_e + Om * (pm_sin + omega * r * (one_cos - 1.0))
-    return re, im, -2.0 * omega + 2.0 * g * Om * (d_num - 2.0 * omega * num / q) / q
+    d_im = one_cos - omega * r * pm_sin - 2.0 * omega * omega * one_cos / q
+    return (re, im, -2.0 * omega + 2.0 * g * Om * (d_num - 2.0 * omega * num / q) / q,
+            2.0 * g * Om * Om * d_im / q)
 
 
 def _tail_prefactor(params: ModelParams) -> float:
     """Large-frequency coefficient of the weight: (S/2) -> w_inf / omega."""
     return 4.0 * params.gamma * params.omega_cut**2 / math.pi
-
-
-def _scan_top(params: ModelParams) -> float:
-    """Where the resonance scan of Re D(i omega) stops: 3 + 3 gamma."""
-    return 3.0 + 3.0 * params.gamma
 
 
 _NEWTON_MAX = 100     # iterations; bisection alone needs < 40 from the largest scan step
@@ -223,7 +223,7 @@ def _refine_roots(params: ModelParams, sign, lo, hi, f_lo, f_hi):
         if not active.any():
             return x
         xa, a, b, sa = x[active], lo[active], hi[active], sign[active]
-        f, _, df = _det_parts(xa, params, sa, _channel_trig(xa, params.distance, sa), slope=True)
+        f, _, df, _ = _det_parts(xa, params, sa, _channel_trig(xa, params.distance, sa), slope=True)
         left = np.sign(f) == side[active]
         a, b = np.where(left, xa, a), np.where(left, b, xa)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -241,25 +241,37 @@ def _refine_roots(params: ModelParams, sign, lo, hi, f_lo, f_hi):
 
 
 def channel_resonances(params: ModelParams, sign):
-    """All sharp features of 1/|D(i omega)|^2 of the channels ``sign`` (+1,
-    -1 or a column such as `SIGNS`), as one record of arrays over all of
-    them: (row, omega_res, width, slope), row the channel's index in
-    ``sign``, width the half-width and slope |d Re D / d omega| at omega_res.
+    """Every near-axis singularity of the moment integrand of the channels
+    ``sign`` (+1, -1 or a column such as `SIGNS`), as one record of arrays
+    over all of them: (row, centre, distance, slope), row the channel's index
+    in ``sign``, a singularity at distance b from the point a = centre of the
+    real omega axis, and slope |d Re D / d omega| at a resonance, 0 elsewhere.
 
-    Zeros of Re D(i omega) mark resonances.  Re D is scanned on a uniform
-    grid below 3 + 3 gamma, and every sign change of every channel is
-    refined at once by `_refine_roots`.  The half-width Im D / |d Re D / d omega|
-    = omega Re Gamma^ / |d Re D / d omega| has no floor: the antisymmetric
-    one falls as r^2 as r -> 0+.  At large r Re D crosses zero many times,
-    near nulls of the channel damping in very narrow spikes.  A channel
-    without a crossing lists omega_res = 1 with width Re Gamma^(i).
+    Re D(i omega), Im D and their exact slopes are scanned on one grid,
+    uniform below 3 + 3 gamma and on to twice that at 4 times the step.  The
+    record lists, per channel:
+
+    - the resonances, the zeros of Re D(i omega): every sign change of every
+      channel is refined at once by `_refine_roots`, and b is the half-width
+      Im D / |d Re D / d omega| = omega Re Gamma^ / |d Re D / d omega|.  It has
+      no floor: the antisymmetric one falls as r^2 as r -> 0+.  At large r
+      Re D crosses zero many times, near nulls of the channel damping in very
+      narrow spikes.  These are the only entries `_require_resolvable` reads.
+    - the near misses, the interior local minima of |D / D'| (D' = dD/d omega)
+      on scan nodes away from any sign change of Re D: a complex root of D
+      close to the axis where Re D does not cross zero.  a is the node and b
+      = |D / D'| there, the Newton distance to that root.
+    - the Drude pole, (0, Omega), and at omega = 0 the symmetric peak of
+      half-width 1/(4 gamma) or the poles of coth(omega/2T) at 2 pi T, the
+      nearer.
     """
     rows = np.reshape(np.asarray(sign, dtype=float), (-1, 1))
     r = params.distance
-    om_hi = _scan_top(params)
+    top = 3.0 + 3.0 * params.gamma
     step = min(0.01, math.pi / (10.0 * (r + 1.0)))
-    grid = np.arange(step, om_hi, step)
-    red, _ = _det_parts(grid, params, rows, _channel_trig(grid, r, rows))
+    grid = np.concatenate([np.arange(step, top, step), np.arange(top, 2.0 * top, 4.0 * step)])
+    red, im_scan, d_re, d_im = _det_parts(grid, params, rows, _channel_trig(grid, r, rows),
+                                          slope=True)
 
     # a crossing lies between successive samples of one channel of opposite
     # sign; a sample that is exactly zero has no sign and sits inside its
@@ -270,41 +282,40 @@ def channel_resonances(params: ModelParams, sign):
     flips = (np.sign(flat[lo]) != np.sign(flat[hi])) & (lo // grid.size == hi // grid.size)
     channel, a = np.divmod(lo[flips], grid.size)
     b = hi[flips] - channel * grid.size
-    om = _refine_roots(params, rows[channel, 0], grid[a], grid[b], red[channel, a], red[channel, b])
-
-    lone = np.setdiff1d(np.arange(len(rows)), channel)     # channels without a crossing
-    crossed = np.arange(om.size + lone.size) < om.size
-    channel, om = np.append(channel, lone), np.append(om, np.ones(lone.size))
     ch_sign = rows[channel, 0]
-    _, im, slope = _det_parts(om, params, ch_sign, _channel_trig(om, r, ch_sign), slope=True)
-    return channel, om, im / np.where(crossed, np.abs(slope), 1.0), np.abs(slope)
+    om = _refine_roots(params, ch_sign, grid[a], grid[b], red[channel, a], red[channel, b])
+    _, im, slope, _ = _det_parts(om, params, ch_sign, _channel_trig(om, r, ch_sign), slope=True)
+    slope = np.abs(slope)
+
+    # near misses: the interior minima of |D / D'|^2 off the crossings' brackets,
+    # a node with D' = 0 counting as far from every root
+    size, turn = red * red + im_scan * im_scan, d_re * d_re + d_im * d_im
+    newton = np.divide(size, turn, out=np.full_like(size, np.inf), where=turn > 0)
+    s = np.sign(red)
+    low = ((newton[:, 1:-1] < newton[:, :-2]) & (newton[:, 1:-1] <= newton[:, 2:])
+           & (s[:, :-2] == s[:, 1:-1]) & (s[:, 1:-1] == s[:, 2:]))
+    near, node = np.nonzero(low)
+
+    every = np.arange(len(rows))
+    zero = min(0.25 / params.gamma if params.gamma > 0 else math.inf,
+               2.0 * math.pi * params.temperature or math.inf)
+    return (np.concatenate([channel, near, every, every]),
+            np.concatenate([om, grid[node + 1], np.zeros(2 * len(rows))]),
+            np.concatenate([im / slope, np.sqrt(newton[near, node + 1]),
+                            np.full(len(rows), params.omega_cut), np.full(len(rows), zero)]),
+            np.concatenate([slope, np.zeros(near.size + 2 * len(rows))]))
 
 
-_LADDER_REACH = 8.0   # in caps: the rungs kept on either side of a feature
 _MIN_SPACINGS = 1e4   # resonance half-widths resolved, in float spacings, weighted by area
-_GRADE = 8.0          # above the knee a panel starting at omega is omega / _GRADE wide
-_MAX_NODES = 20_000_000   # asymptotic grid nodes, ladders aside: 320 MB of nodes and weights
-
-
-def _graded_edges(knee: float, osc: float, omega_max: float) -> np.ndarray:
-    """Panel edges from ``knee`` up: a panel starting at omega is
-    min(omega / `_GRADE`, ``osc``) wide.  In closed form, the geometric
-    edges knee (1 + 1/_GRADE)^i up to the first one past _GRADE osc, then
-    steps of ``osc`` below ``omega_max``; the caller clips an edge past
-    omega_max and closes the grid at omega_max itself."""
-    ratio = 1.0 + 1.0 / _GRADE
-    top = min(_GRADE * osc, omega_max)
-    n_geo = int(math.log(top / knee) / math.log(ratio)) + 1 if top > knee else 0
-    start = knee * ratio**n_geo
-    n_uniform = math.ceil((omega_max - start) / osc)
-    return np.concatenate([knee * ratio ** np.arange(n_geo + 1),
-                           start + osc * np.arange(1, n_uniform)])
+_MAX_NODES = 20_000_000   # uniform asymptotic grid nodes, at 2.5 / r: 320 MB of nodes and weights
 
 
 def _require_resolvable(params: ModelParams, resonances) -> None:
-    """Log the narrowest of the `channel_resonances` record ``resonances`` at
-    DEBUG, and raise `TruncationError` for a channel whose resonances
-    (omega_r, w) have sum A spacing(omega_r) / w > sum A / `_MIN_SPACINGS`.
+    """Log the narrowest resonance of the `channel_resonances` record
+    ``resonances`` at DEBUG, and raise `TruncationError` for a channel whose
+    resonances (omega_r, w) have sum A spacing(omega_r) / w > sum A / `_MIN_SPACINGS`.
+    It reads only the resonances, the zeros of Re D (the entries with a
+    slope), whose Lorentzian areas A the bound weighs.
     A node off by two ulps of omega_r moves the area A of a Lorentzian of
     half-width w by up to (4/pi) eps omega_r / w of it (total variation 2/w^2
     over area pi/w); A = 2 coth(omega_r/2T) / |d Re D / d omega| in alpha,
@@ -312,7 +323,7 @@ def _require_resolvable(params: ModelParams, resonances) -> None:
     (the antisymmetric one as r -> 0+, width ~ r^2) is refused below 1e4
     spacings, a narrow one among the many crossings at large r only where
     it carries their area."""
-    row, om, width, slope = resonances
+    row, om, width, slope = (v[resonances[3] > 0] for v in resonances)
     T = params.temperature
     area = (coth(om / (2.0 * T)) if T > 0 else 1.0) / slope
     spacings = width / np.spacing(om)
@@ -333,58 +344,41 @@ def _require_resolvable(params: ModelParams, resonances) -> None:
 
 def frequency_grid(params: ModelParams, omega_max: float):
     """Gauss-Legendre panel grid (12 nodes per panel) on [0, omega_max] for
-    the asymptotic noise integrals.
+    the asymptotic noise integrals, by one rule: no panel wider than its
+    distance to the nearest singularity of the integrand (Trefethen,
+    Approximation Theory and Approximation Practice, ch. 19).
 
-    Below a knee omega_k the panels are uniform, at most
-    cap = min(0.5, Omega/4, 2.5/r) wide, so that the retardation oscillation
-    cos(omega r) stays resolved.  One ladder rule serves every feature of
-    half-width w at omega_f: edges at omega_f and omega_f +- w 2^k, k = -1,
-    0, 1, ... below `_LADDER_REACH` caps, so that the 12-point rule sees a
-    Lorentzian as smooth however small w is, down to float spacing
-    (`_require_resolvable`).  The features: every resonance of
-    `channel_resonances` (at r = 0 the symmetric channel's only, the
-    antisymmetric weight vanishing), and one at omega = 0 of half-width
-    1/(4 gamma) (the symmetric peak) or 2 pi T (the poles of coth), the
-    smaller.
-
-    The knee, omega_k = min(omega_max, max(3 + 3 gamma + 8 cap, 4 Omega)),
-    lies above every resonance (`channel_resonances` scans below 3 + 3 gamma),
-    ladder and Drude edge Omega/2, Omega, 2 Omega.  Above it the integrand is
-    a smooth power law times cos(omega r), with its singularities at least
-    omega off the axis, so the panels are graded, [omega, (9/8) omega] capped
-    at 2.5/r (`_graded_edges`): a singularity a distance d from the centre of
-    [a, 9a/8] gives the 12-point rule an error ~ (32 d / a)^-24 (Davis &
-    Rabinowitz, Methods of Numerical Integration, on graded composite Gauss
-    rules), and doubling omega_max adds at most 6 panels.
+    Each entry (a, b) of the `channel_resonances` record, a singularity a
+    distance b from omega = a (at r = 0 the symmetric channel's only, the
+    antisymmetric weight vanishing), gets the edges a and a +- b 2^k,
+    k = -1, 0, 1, ... below min(2.5/r, omega_max): panels that grow with
+    their distance from it, so that the 12-point rule sees a Lorentzian as
+    smooth however small b is, down to float spacing (`_require_resolvable`).
+    The rest of [0, omega_max] is uniform at 2.5/r, which keeps the
+    retardation oscillation cos(omega r) resolved.  As r -> 0 that leaves
+    the ladders alone, which grade the grid geometrically out to omega_max.
 
     At large r the node count grows like omega_max r, to 1.7e7 at
-    (1, 10, 0, 1e4).  A grid whose uniform and graded panels alone pass
-    `_MAX_NODES` (2e7 nodes, 320 MB of nodes and weights) is refused with
-    `TruncationError` before the resonance scan, which grows with r alike.
+    (1, 10, 0, 1e4).  A grid whose uniform panels alone, 12 omega_max r / 2.5
+    nodes, pass `_MAX_NODES` (2e7 nodes, 320 MB of nodes and weights) is
+    refused with `TruncationError` before the resonance scan, which grows
+    with r alike.
     """
     r = params.distance
-    Om = params.omega_cut
     osc = 2.5 / max(r, 1e-9)
-    cap = min(0.5, Om / 4.0, osc)
-    knee = min(omega_max, max(_scan_top(params) + _LADDER_REACH * cap, 4.0 * Om))
-    nodes = 12.0 * (knee / cap + (omega_max - knee) / max(cap, osc))
+    nodes = 12.0 * omega_max / osc
     if nodes > _MAX_NODES:
         raise TruncationError(f"the asymptotic frequency grid at r = {r!r} needs about "
                               f"{nodes:.3g} nodes, past the budget of {_MAX_NODES:.3g}")
-    base = np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1)
-
     found = channel_resonances(params, SIGNS if r > 0 else SIGNS[:1])
     _require_resolvable(params, found)
     _, centre, width, _ = found
-    if params.gamma > 0:    # at omega = 0: the symmetric peak, or the poles of coth if narrower
-        centre, width = np.append(centre, 0.0), np.append(width, min(
-            0.25 / params.gamma, 2.0 * math.pi * params.temperature or math.inf))
-    reach = _LADDER_REACH * cap
-    ladder = width[:, None] * 2.0 ** np.arange(-1.0, math.log2(reach / width.min(initial=reach)))
+    reach = min(osc, omega_max)
+    ladder = width[:, None] * 2.0 ** np.arange(-1.0, math.log2(reach / width.min()))
     short = ladder < reach
-    edges = np.concatenate([base[base <= knee], _graded_edges(knee, max(cap, osc), omega_max),
-                            [Om / 2, Om, 2 * Om, omega_max], (centre[:, None] + ladder)[short],
-                            (centre[:, None] - ladder)[short], centre])
+    edges = np.concatenate([np.linspace(0.0, omega_max, math.ceil(omega_max / osc) + 1),
+                            (centre[:, None] + ladder)[short], (centre[:, None] - ladder)[short],
+                            centre])
     return gauss_panels(np.unique(np.clip(edges, 0.0, omega_max)))
 
 

@@ -1,6 +1,10 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from bathpair import covariance
 from bathpair.model import ModelParams
 
 
@@ -20,6 +24,31 @@ def box_points(seed: int, n: int = 64, **bounds) -> list[ModelParams]:
             vals["temperature"] = 0.0
         out.append(ModelParams(**vals))
     return out
+
+
+def resonances(params: ModelParams, sign):
+    """The resonances of the `covariance.channel_resonances` record: its
+    entries with a slope, the zeros of Re D(i omega)."""
+    record = covariance.channel_resonances(params, sign)
+    return tuple(v[record[3] > 0] for v in record)
+
+
+def production_edges(params: ModelParams, omega_max: float) -> np.ndarray:
+    """The panel edges `covariance.frequency_grid` hands to `gauss_panels`."""
+    with mock.patch.object(covariance, "gauss_panels", wraps=covariance.gauss_panels) as spy:
+        covariance.frequency_grid(params, omega_max)
+    return spy.call_args.args[0]
+
+
+def rule_free_edges(params: ModelParams, omega_max: float) -> np.ndarray:
+    """Reference panel edges that copy none of `frequency_grid`'s rules: its
+    own edges merged with a uniform grid of step min(0.5, Omega/4, 2.5/r)/2,
+    and every panel split 8 ways."""
+    step = 0.5 * min(0.5, params.omega_cut / 4.0, 2.5 / max(params.distance, 1e-9))
+    edges = np.union1d(production_edges(params, omega_max),
+                       np.linspace(0.0, omega_max, math.ceil(omega_max / step) + 1))
+    a, b = edges[:-1, None], edges[1:, None]
+    return np.unique(np.append(a + (b - a) * np.arange(8) / 8, edges[-1]))
 
 
 @pytest.fixture(scope="session")

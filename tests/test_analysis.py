@@ -17,7 +17,6 @@ from bathpair.analysis import (
     measured_initial_slope,
     oscillation_frequency,
     second_peak_height,
-    short_time_expansion,
     short_time_slope,
     trace,
     _d1_probe,
@@ -71,28 +70,12 @@ def test_trace_decoupled_is_zero():
     assert np.max(tr.values) == 0.0
 
 
-def test_short_time_expansion_values():
-    p = ModelParams(gamma=1.0, omega_cut=10.0, temperature=0.0, distance=0.0)
-    x = 0.01
-    expect = (4.0 / LN2) * (x - (0.2937 + math.log(100.0) / math.pi) * x * x)
-    assert short_time_expansion(x / 10.0, p) == pytest.approx(expect, rel=1e-12)
-    # exponential suppression of the leading term with separation
-    p5 = p.with_(distance=0.5)
-    lead = short_time_expansion(1e-8, p5) / 1e-8
-    assert lead == pytest.approx((4.0 / LN2) * 10.0 * math.exp(-5.0), rel=1e-3)
-    assert short_time_slope(p5) == pytest.approx(lead, rel=1e-3)
+def test_short_time_slope_value():
+    """(4/ln 2) gamma Omega e^{-r Omega}, the slope the CLI's short-time-check
+    compares against, suppressed exponentially with separation."""
+    p5 = ModelParams(gamma=1.0, omega_cut=10.0, temperature=0.0, distance=0.5)
     assert short_time_slope(p5) == pytest.approx((4.0 / LN2) * 10.0 * math.exp(-5.0),
                                                  rel=1e-14)
-    with pytest.raises(ValueError, match="temperature"):
-        short_time_expansion(0.001, p.with_(temperature=0.1))
-    with pytest.raises(ValueError, match="t > 0"):
-        short_time_expansion(0.0, p)
-
-
-def test_short_time_expansion_clamps():
-    p = ModelParams(gamma=1.0, omega_cut=10.0, temperature=0.0, distance=2.0)
-    # for large r the (negative) quadratic term dominates: clamped at zero
-    assert short_time_expansion(0.09, p) == 0.0
 
 
 def test_measured_initial_slope_runs(p):

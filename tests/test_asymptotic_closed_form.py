@@ -21,7 +21,7 @@ from bathpair.covariance import (
 from bathpair.entanglement import UnphysicalCovarianceError
 from bathpair.greens import SIGNS, channel_det, channel_kernel_laplace
 from bathpair.model import ModelParams
-from conftest import box_points
+from conftest import box_points, resonances
 
 MANY_CROSSINGS = ModelParams(16.5, 87.0, 4.90, 18.1)    # 229 crossings of Re D per channel
 
@@ -31,7 +31,8 @@ def _reference_resonances(params, sign):
     in complex arithmetic, one scalar brentq per sign change, and the slope
     by a central difference of step 1e-6."""
     step = min(0.01, math.pi / (10.0 * (params.distance + 1.0)))
-    grid = np.arange(step, 3.0 + 3.0 * params.gamma, step)
+    top = 3.0 + 3.0 * params.gamma
+    grid = np.concatenate([np.arange(step, top, step), np.arange(top, 2.0 * top, 4.0 * step)])
     red = np.real(channel_det(1j * grid, params, sign))
 
     def re_d(om):
@@ -51,7 +52,7 @@ def _reference_resonances(params, sign):
     for a, b in zip(lo[flips], hi[flips]):
         om = brentq(re_d, grid[a], grid[b], xtol=1e-13)
         out.append((om, om * max(gam_r(om), 0.0) / slope(om), slope(om)))
-    return out or [(1.0, gam_r(1.0), slope(1.0))]
+    return out
 
 
 def _assert_same_resonances(params):
@@ -61,8 +62,8 @@ def _assert_same_resonances(params):
     rows = SIGNS if params.distance > 0 else SIGNS[:1]
     row, *found = channel_resonances(params, rows)
     for i, sign in enumerate(rows[:, 0]):
-        ours = np.array(found)[:, row == i]
-        assert np.array_equal(ours, channel_resonances(params, sign)[1:])
+        assert np.array_equal(np.array(found)[:, row == i], channel_resonances(params, sign)[1:])
+        ours = np.array(resonances(params, sign)[1:])
         ref = np.array(_reference_resonances(params, sign)).T
         assert ours.shape == ref.shape, (params, sign)
         assert np.max(np.abs(ours[0] - ref[0])) <= 1e-12, (params, sign)
@@ -90,23 +91,25 @@ def test_closed_form_matches_channel_det():
     """Re D and Im D of the closed form against the complex determinant of
     `greens.channel_det`, within 1e-12 of the terms D sums (1, omega^2 and
     |s Gamma^|: near a resonance |D| itself is far smaller), and the analytic
-    slope against a central difference of the closed form itself."""
+    slopes of Re D and Im D against central differences of the closed form
+    itself."""
     omega = np.concatenate([np.geomspace(1e-3, 1e3, 400), [1.0, 3.0]])
     for params in box_points(3, 16) + [ModelParams(1.0, 10.0, 0.0, 0.0)]:
         for sign in (+1.0, -1.0):
             trig = covariance._channel_trig(omega, params.distance, sign)
-            re, im, slope = covariance._det_parts(omega, params, sign, trig, slope=True)
+            re, im, *slopes = covariance._det_parts(omega, params, sign, trig, slope=True)
             d = channel_det(1j * omega, params, sign)
             terms = 1.0 + omega**2 + omega * np.abs(channel_kernel_laplace(1j * omega, params, sign))
             assert np.max(np.abs(re - d.real) / terms) <= 1e-12
             assert np.max(np.abs(im - d.imag) / terms) <= 1e-12
             h = 1e-6 * np.maximum(omega, 1.0)
             parts = [covariance._det_parts(w, params, sign,
-                                           covariance._channel_trig(w, params.distance, sign))[0]
+                                           covariance._channel_trig(w, params.distance, sign))
                      for w in (omega + h, omega - h)]
-            fd = (parts[0] - parts[1]) / (2.0 * h)
-            scale = np.abs(slope) + 2.0 * omega + params.gamma * params.omega_cut
-            assert np.max(np.abs(slope - fd) / scale) <= 1e-6
+            for part, slope in enumerate(slopes):
+                fd = (parts[0][part] - parts[1][part]) / (2.0 * h)
+                scale = np.abs(slope) + 2.0 * omega + params.gamma * params.omega_cut
+                assert np.max(np.abs(slope - fd) / scale) <= 1e-6
 
 
 def test_antisymmetric_damping_keeps_its_digits_at_small_r():

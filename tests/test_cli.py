@@ -181,6 +181,16 @@ def test_short_time_check(tmp_path):
     assert data["slope_formula"] == pytest.approx(expect, rel=1e-11)
 
 
+def test_short_time_check_refuses_a_temperature(tmp_path, capsys):
+    """The check runs at T = 0 only: a non-zero temperature is a config error
+    (exit 2), not a value echoed into a T = 0 run."""
+    rc = main(["short-time-check", "--gamma", "1", "--omega-cut", "10", "--distance", "0",
+               "--temperature", "0.1", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert "temperature" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_short_time_check_keeps_the_rows_before_a_failure(tmp_path, monkeypatch):
     """A refusal at the second distance keeps the first row under a PARTIAL
     MANIFEST, and writes no plot script."""
@@ -277,3 +287,16 @@ def test_oracle_compare_exit_codes(tmp_path):
                "--oracle-modes", "3000", "--tol", "1e-12",
                "--output-dir", str(tmp_path)])
     assert rc == 4
+
+
+def test_oracle_compare_echoes_the_step_it_used(tmp_path):
+    """Rows are at least 0.25 apart; asked for dt = 0.01, the CSV and the
+    MANIFEST echo dt = 0.25, the step of the rows written."""
+    rc = main(["oracle-compare", "--gamma", "1", "--omega-cut", "10",
+               "--distance", "0.1", "--t-max", "1", "--dt", "0.01",
+               "--oracle-modes", "3000", "--output-dir", str(tmp_path)])
+    assert rc == 0
+    assert np.diff(_load(tmp_path / "deviation.csv")["t"]) == pytest.approx([0.25] * 4)
+    for name in ("deviation.csv", "MANIFEST"):
+        text = (tmp_path / name).read_text()
+        assert "dt=0.25 " in text and "dt=0.01" not in text, name

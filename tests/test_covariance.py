@@ -8,7 +8,6 @@ from bathpair.covariance import (
     CovarianceMatrix,
     TruncationError,
     channel_asymptotic_moments,
-    channel_resonances,
     covariance_asymptotic,
     covariance_time_series,
     frequency_grid,
@@ -23,7 +22,7 @@ from bathpair.entanglement import (
 from bathpair.greens import SIGNS, channel_blocks, greens_time
 from bathpair.kernels import noise_spectrum
 from bathpair.model import ModelParams
-from conftest import random_physical_covariance
+from conftest import random_physical_covariance, resonances
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +115,7 @@ def test_truncation_guard(p):
 
 
 def _narrowest_resonance(params, sign):
-    _, om, width, _ = channel_resonances(params, sign)
+    _, om, width, _ = resonances(params, sign)
     return om[np.argmin(width)], np.min(width)
 
 
@@ -135,7 +134,7 @@ def test_resonance_on_a_scan_node_is_listed_once():
     """At r = 0 the antisymmetric channel is undamped, Re D = 1 - omega^2,
     and its root omega = 1 falls on a node of the scan grid: one crossing,
     listed once."""
-    _, om, _, _ = channel_resonances(ModelParams(1.0, 10.0, 0.0, 0.0), -1)
+    _, om, _, _ = resonances(ModelParams(1.0, 10.0, 0.0, 0.0), -1)
     assert om.size == 1 and om[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -361,7 +360,7 @@ def _panel_grid(params, omega_max, t_scale):
     cap = min(0.5, om / 4.0, 2.5 / max(t_scale, params.distance, 1e-9))
     cap = max(cap, omega_max / 200000.0)
     base = np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1)
-    _, om_res, width, _ = channel_resonances(params, SIGNS)
+    _, om_res, width, _ = resonances(params, SIGNS)
     features = list(zip(om_res, width)) + [(0.0, 0.25 / params.gamma)]
     clusters = []
     for om_res, width in features:
@@ -614,7 +613,7 @@ def test_overdamped_zero_frequency_peak_is_resolved(gamma, omega_cut, temperatur
     doubling = 2.0 ** np.arange(-12, 14)
     groups = [np.linspace(0.0, w_max, int(math.ceil(w_max / 0.5)) + 1),
               0.25 / gamma * doubling, [omega_cut / 2, omega_cut, 2 * omega_cut]]
-    for om_res, width in zip(*channel_resonances(q, +1)[1:3]):
+    for om_res, width in zip(*resonances(q, +1)[1:3]):
         groups += [om_res + width * doubling, om_res - width * doubling, [om_res]]
     edges = np.concatenate(groups)
     edges = np.unique(edges[(edges >= 0.0) & (edges <= w_max)])

@@ -1,7 +1,8 @@
-"""The asymptotic frequency grid, graded above the resonance band, against
-the all-uniform grid it replaced: the same moments, the same edges below
-the knee, and a panel count that grows like log(omega_max) above it; and
-the grid's diagnostics on the library logger."""
+"""The asymptotic frequency grid, one ladder rule over the singularity
+record of `channel_resonances`, against a reference that copies none of its
+rules: the same moments, a panel count that grows like log(omega_max) at
+small r, the near misses in the record, and the grid's diagnostics on the
+library logger."""
 
 import logging
 import math
@@ -22,70 +23,39 @@ from bathpair.covariance import (
 from bathpair.entanglement import UnphysicalCovarianceError
 from bathpair.greens import SIGNS
 from bathpair.model import ModelParams
-from conftest import box_points
+from conftest import box_points, production_edges, resonances, rule_free_edges
 
+EPS = np.finfo(float).eps
 CORNERS = [ModelParams(g, om, t, r) for g in (0.01, 50.0) for om in (0.5, 100.0)
            for t in (0.0, 10.0) for r in (0.0, 1e-4, 18.1, 20.0)]
 
 
-def _cap(params, omega_max):
-    return min(0.5, params.omega_cut / 4.0, 2.5 / max(params.distance, 1e-9))
-
-
-def _knee(params, omega_max):
-    """Where the graded panels start: above the resonance scan, every
-    ladder and the Drude scale."""
-    return min(omega_max, max(3.0 + 3.0 * params.gamma + 8.0 * _cap(params, omega_max),
-                              4.0 * params.omega_cut))
-
-
-def _uniform_edges(params, omega_max):
-    """Panel edges of the all-uniform grid: panels no wider than the cap
-    all the way to omega_max, with its centre and a ladder omega_r +- w 2^k,
-    k >= -1, below 8 caps around each feature of half-width w: the
-    resonances, and at omega = 0 the narrower of the symmetric peak,
-    1/(4 gamma), and the poles of coth(omega/2T), 2 pi T."""
-    r, om = params.distance, params.omega_cut
-    cap = _cap(params, omega_max)
-    edges = [np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1),
-             [om / 2, om, 2 * om]]
-    _, om_res, width, _ = channel_resonances(params, SIGNS if r > 0 else SIGNS[:1])
-    zero = min(0.25 / params.gamma, 2.0 * math.pi * params.temperature or math.inf)
-    for centre, w in list(zip(om_res, width)) + [(0.0, zero)]:
-        k = np.arange(-1, 64)
-        ladder = w * 2.0 ** k[w * 2.0 ** k < 8.0 * cap]
-        edges += [centre + ladder, centre - ladder, [centre]]
-    return np.unique(np.clip(np.concatenate(edges), 0.0, omega_max))
-
-
-def _graded_edges(monkeypatch, params, omega_max):
-    """The edges `frequency_grid` hands to `gauss_panels`."""
-    seen = []
-
-    def spy(edges):
-        seen.append(edges)
-        return gauss_panels(edges)
-
-    monkeypatch.setattr(covariance, "gauss_panels", spy)
-    frequency_grid(params, omega_max)
-    monkeypatch.undo()
-    return seen[0]
-
-
 def _assert_same_moments(params):
+    """alpha and beta of both channels within 1e-8 + (4/pi) eps omega_r / w
+    relative of the `rule_free_edges` grid, omega_r / w the largest of the
+    channel's resonances: a node rounded by two ulps of omega_r, over a
+    Lorentzian of half-width w, moves its area by up to (4/pi) eps omega_r / w
+    of it, in either grid.  The edges span [0, omega_max]."""
     omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
     rows = SIGNS if params.distance > 0 else SIGNS[:1]
-    ours = channel_asymptotic_moments(params, rows, omega_max, ASYMPTOTIC_TOL)
+    edges = production_edges(params, omega_max)
+    assert edges[0] == 0.0 and edges[-1] == omega_max
+    ours = channel_asymptotic_moments(params, rows, omega_max, ASYMPTOTIC_TOL, gauss_panels(edges))
     ref = channel_asymptotic_moments(params, rows, omega_max, ASYMPTOTIC_TOL,
-                                     gauss_panels(_uniform_edges(params, omega_max)))
+                                     gauss_panels(rule_free_edges(params, omega_max)))
+    row, om, width, _ = resonances(params, rows)
+    sharpest = np.array([np.max(om[row == i] / width[row == i]) for i in range(len(rows))])
+    bound = 1e-8 + 4.0 / math.pi * EPS * sharpest
     for a, b in zip(ours[:2], ref[:2]):
-        assert np.max(np.abs(a / b - 1.0)) <= 1e-13, params
+        assert np.all(np.abs(a / b - 1.0) <= bound), (params, a / b - 1.0)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_moments_match_uniform_grid_on_box(seed):
-    """alpha and beta of both channels within 1e-13 relative (6.7e-16
-    measured) on 64 box points per seed."""
+    """64 box points per seed.  The knee, the grading and the crossing-only
+    ladders this grid replaced missed this by up to 6.8e-6 (box_points(2)[23],
+    past the last crossing of a comb) and 3.2e-7 (box_points(1)[0]); now
+    1.9e-10 and 5e-15."""
     for params in box_points(seed):
         _assert_same_moments(params)
 
@@ -96,57 +66,41 @@ def test_moments_match_uniform_grid_at_box_corners(params):
     _assert_same_moments(params)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_edges_below_the_knee_are_the_uniform_grid_s(monkeypatch, seed):
-    """Below the knee the graded grid has exactly the edges of the uniform
-    one, so the resonance refinement is untouched; and its weights still
-    sum to omega_max."""
-    for params in box_points(seed) + CORNERS:
-        omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
-        knee = _knee(params, omega_max)
-        ours = _graded_edges(monkeypatch, params, omega_max)
-        ref = _uniform_edges(params, omega_max)
-        assert np.array_equal(ours[ours < knee], ref[ref < knee]), params
-        assert ours[-1] == omega_max
-        _, w = frequency_grid(params, omega_max)
-        assert w.sum() == pytest.approx(omega_max, rel=1e-12)
-
-
-def test_panel_widths_above_the_knee(monkeypatch):
-    """Above the knee a panel starting at omega is min(omega / 8, 2.5 / r)
-    wide, but for the last one, cut at omega_max."""
-    for params in box_points(1, 16) + CORNERS:
-        omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
-        edges = _graded_edges(monkeypatch, params, omega_max)
-        above = edges[edges >= _knee(params, omega_max)]
-        width = np.minimum(above[:-2] / 8.0, max(_cap(params, omega_max),
-                                                 2.5 / max(params.distance, 1e-9)))
-        assert np.allclose(np.diff(above)[:-1], width, rtol=1e-9, atol=0.0), params
-        assert above[-1] - above[-2] <= 1.0000001 * max(width[-1:], default=omega_max)
-
-
 def test_doubling_omega_max_adds_a_bounded_number_of_panels():
-    """The panel count grows like log(omega_max): doubling the cut adds at
-    most ceil(ln 2 / ln(9/8)) = 6 panels, where the uniform grid doubles."""
+    """At small r the grid is its ladders alone, so the panel count grows
+    like log(omega_max): doubling the cut adds at most one rung to each
+    ladder of the record, where a uniform grid doubles."""
     params = ModelParams(1.0, 10.0, 0.0, 1e-3)
     omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
-    bound = math.ceil(math.log(2.0) / math.log(9.0 / 8.0))
-    assert bound == 6
+    bound = channel_resonances(params, SIGNS)[0].size
     for cut in omega_max * np.array([1.0, 2.0, 4.0, 8.0]):
         panels = [frequency_grid(params, c)[0].size // 12 for c in (cut, 2.0 * cut)]
         assert 0 < panels[1] - panels[0] <= bound, cut
 
 
+def test_near_miss_of_the_symmetric_channel_is_listed():
+    """At (5.16, 29, 0, 7.10) Re D_+ rises to -1.0 near omega = 12.61 past
+    its last crossing (11.78) without crossing zero: a root of D_+ close to
+    the axis, which the record lists as a near miss (no slope) at a distance
+    between 0.03 and 0.1."""
+    params = ModelParams(5.16, 29.0, 0.0, 7.10)
+    row, centre, distance, slope = channel_resonances(params, SIGNS)
+    near = (row == 0) & (slope == 0) & (np.abs(centre - 12.71) < 0.05)
+    assert np.count_nonzero(near) == 1
+    assert 0.03 < distance[near][0] < 0.1
+    assert np.max(centre[(row == 0) & (slope > 0)]) < 12.0
+
+
 @pytest.mark.parametrize("params", [ModelParams(1.0, 10.0, 0.0, 2.0),
                                     ModelParams(1.0, 10.0, 0.3, 1.0),
                                     ModelParams(1.6, 16.4, 0.28, 0.83)], ids=str)
-def test_moments_match_the_grid_split_eight_ways(monkeypatch, params):
+def test_moments_match_the_grid_split_eight_ways(params):
     """alpha and beta of both channels within 1e-10 relative of the same
     grid with every panel split into 8 (the 4- and 8-way splits agree to
     rounding here).  Resonances between cap/2 and 16 caps wide once had no
     ladder, and missed this by 2e-10 to 3e-9."""
     omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
-    edges = _graded_edges(monkeypatch, params, omega_max)
+    edges = production_edges(params, omega_max)
     a, b = edges[:-1, None], edges[1:, None]
     split = np.append((a + (b - a) * np.arange(8) / 8).ravel(), edges[-1])
     ours = channel_asymptotic_moments(params, SIGNS, omega_max, ASYMPTOTIC_TOL)

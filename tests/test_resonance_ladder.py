@@ -22,7 +22,7 @@ from bathpair.covariance import (
 )
 from bathpair.greens import SIGNS
 from bathpair.model import ModelParams
-from conftest import box_points
+from conftest import box_points, resonances, rule_free_edges
 
 LD = np.longdouble
 EPS = np.finfo(float).eps
@@ -39,28 +39,19 @@ def _rows(params):
 
 
 def _reference_edges(params, omega_max):
-    """The reference grid's panel edges, in long double: the uniform edges
-    below the knee, the graded ones above it and the Drude edges, as in
-    `frequency_grid`; around every feature of half-width w a ladder
-    omega_r +- (w/4) sqrt(2)^k below 8 caps; then every panel split in two."""
-    r, om = params.distance, params.omega_cut
-    osc = 2.5 / max(r, 1e-9)
-    cap = min(0.5, om / 4.0, osc)
-    base = np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1)
-    knee = min(omega_max, max(3.0 + 3.0 * params.gamma + 8.0 * cap, 4.0 * om))
-    edges = [base[base <= knee], covariance._graded_edges(knee, max(cap, osc), omega_max),
-             [om / 2, om, 2 * om, omega_max]]
-    edges = [np.asarray(e, dtype=LD) for e in edges]
+    """The reference grid's panel edges, in long double: `rule_free_edges`,
+    which copies none of `frequency_grid`'s rules, and around every entry of
+    the `channel_resonances` record, a singularity a distance w from omega_r,
+    a ladder omega_r +- (w/4) sqrt(2)^k below 8 caps, cap = min(0.5, Omega/4,
+    2.5/r), with rungs finer than float64 can place."""
+    cap = min(0.5, params.omega_cut / 4.0, 2.5 / max(params.distance, 1e-9))
+    edges = [np.asarray(rule_free_edges(params, omega_max), dtype=LD)]
     _, om_res, width, _ = channel_resonances(params, _rows(params))
-    features = list(zip(om_res, width)) + [(0.0, 0.25 / params.gamma)]
-    if params.temperature > 0:
-        features.append((0.0, 2.0 * math.pi * params.temperature))
-    for om_res, width in features:
+    for om_res, width in zip(om_res, width):
         rungs = LD(width) / 4 * np.sqrt(LD(2)) ** np.arange(256, dtype=LD)
         rungs = rungs[rungs < 8.0 * cap]
         edges += [LD(om_res) + rungs, LD(om_res) - rungs, np.array([om_res], dtype=LD)]
-    edges = np.unique(np.clip(np.concatenate(edges), LD(0), LD(omega_max)))
-    return np.unique(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    return np.unique(np.clip(np.concatenate(edges), LD(0), LD(omega_max)))
 
 
 def _reference_moments(params, omega_max):
@@ -96,7 +87,7 @@ def test_moments_match_long_double_reference(params):
     ours = np.array(channel_asymptotic_moments(params, _rows(params), omega_max,
                                                ASYMPTOTIC_TOL)[:2])
     ref = _reference_moments(params, omega_max)
-    row, om, width, _ = channel_resonances(params, _rows(params))
+    row, om, width, _ = resonances(params, _rows(params))
     sharpest = [np.max(om[row == i] / width[row == i]) for i in range(len(_rows(params)))]
     bound = 4.0 / math.pi * EPS * np.array(sharpest) + 1e-10
     assert np.all(np.abs(ours - ref) <= bound * np.abs(ref)), (ours - ref) / ref
@@ -130,7 +121,7 @@ def test_a_narrow_spike_of_the_comb_is_resolved():
     spacings; but it carries under 1e-3 of its channel's resonance area, so
     its rounding is harmless and the point is answered."""
     params = ModelParams(50.0, 100.0, 0.0, 20.0)
-    _, om, width, _ = channel_resonances(params, -1.0)
+    _, om, width, _ = resonances(params, -1.0)
     assert np.min(width / np.spacing(om)) < 1e4
     assert covariance_asymptotic(params).physical
 
@@ -140,7 +131,7 @@ def test_narrowest_resonance_is_logged(caplog):
     narrowest resonance at DEBUG, also ahead of a refusal."""
     params = ModelParams(1.0, 10.0, 0.0, 1e-3)
     omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
-    _, (om,), (width,), _ = channel_resonances(params, -1.0)
+    _, (om,), (width,), _ = resonances(params, -1.0)
     with caplog.at_level(logging.DEBUG, logger="bathpair"):
         frequency_grid(params, omega_max)
     (record,) = caplog.records
