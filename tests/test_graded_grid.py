@@ -66,6 +66,33 @@ def test_moments_match_uniform_grid_at_box_corners(params):
     _assert_same_moments(params)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_no_panel_is_wider_than_twice_its_distance_to_a_singularity(seed):
+    """The grid's one rule, on 64 box points per seed and the corners: no
+    panel is wider than 2.5 / r, every entry (a, b) of the record is an edge,
+    and within min(2.5 / r, omega_max) of a, a panel whose nearer edge is d
+    from a is at most max(2 d, b) wide (the last rung, past half that reach,
+    to the next uniform edge up to 2 d; the first, [a, a + b/2], b/2).
+    Further out 2.5 / r <= 2 d already.  The weights sum to omega_max."""
+    for params in box_points(seed) + CORNERS:
+        omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
+        osc = 2.5 / max(params.distance, 1e-9)
+        reach = min(osc, omega_max)
+        edges = production_edges(params, omega_max)
+        assert np.max(np.diff(edges)) <= osc * (1.0 + 1e-9), params
+        _, centre, distance, _ = channel_resonances(
+            params, SIGNS if params.distance > 0 else SIGNS[:1])
+        slack = 4.0 * EPS * omega_max
+        for a, b in zip(np.minimum(centre, omega_max), distance):
+            assert a in edges, (params, a)
+            i, j = np.searchsorted(edges, [a - reach, a + reach])
+            j = min(j, edges.size - 1)
+            lo, hi = edges[max(i - 1, 0):j], edges[max(i, 1):j + 1]
+            near = np.minimum(np.abs(lo - a), np.abs(hi - a))
+            assert np.all(hi - lo <= np.maximum(2.0 * near, b) * (1.0 + 1e-9) + slack), (params, a)
+        assert gauss_panels(edges)[1].sum() == pytest.approx(omega_max, rel=1e-12)
+
+
 def test_doubling_omega_max_adds_a_bounded_number_of_panels():
     """At small r the grid is its ladders alone, so the panel count grows
     like log(omega_max): doubling the cut adds at most one rung to each
