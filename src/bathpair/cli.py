@@ -394,6 +394,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         value = getattr(config, name)
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigError(f"{name} must be positive and finite (got {value})")
+    if config.oracle_modes < 100:               # the floor of oracle.build_bath
+        raise ConfigError(f"oracle_modes must be >= 100 (got {config.oracle_modes})")
     if not os.path.isdir(config.output_dir):
         try:
             os.makedirs(config.output_dir, exist_ok=True)

@@ -9,8 +9,8 @@ the quadratic counter-term that cancels the bath-induced frequency shift.
 Each chain's position-sector quadratic form V is an arrowhead: the bath
 modes couple only to the collective coordinate, so V is diag(omega_k^2)
 bordered by the couplings lambda_k, with corner
-omega0^2 + sum lambda_k^2 / omega_k^2.  Its eigenpairs cost O(N^2), not the
-O(N^3) of a dense solver (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15,
+omega0^2 + sum lambda_k^2 / omega_k^2.  Its eigenpairs cost O(N^2) time, not
+the O(N^3) of a dense solver (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15,
 1266, 1994): a zero coupling (all of them at gamma = 0, the antisymmetric
 ones at r = 0) deflates its bath mode; the squared normal-mode frequencies
 mu^2 of the rest are the roots of the secular equation
@@ -18,15 +18,17 @@ omega0^2 + sum lambda_k^2/omega_k^2 - mu^2 - sum lambda_k^2/(omega_k^2 - mu^2) =
 one in each interval between successive omega_k^2 and one beyond each end;
 the couplings are recomputed from those roots (Loewner's formula), and the
 eigenvectors are (1, lambda_k / (mu^2 - omega_k^2)) normalized, orthonormal
-to rounding.  Each chain is then evolved exactly, as the symplectic
-propagator
+to rounding.  They stay in that closed form: the (N+1)^2 mode matrix U is
+never built, so memory is O(_ROWS N + N N_t) for N_t times.  Each chain is
+then evolved exactly, as the symplectic propagator
 
     S(t) = [[ U cos(mu t) U^T,        U sin(mu t)/mu U^T ],
             [ -U mu sin(mu t) U^T,    U cos(mu t) U^T    ]]
 
 is exp(t * Sigma * H) in closed form, so there is no step error for the
 discrete bath at any t.  Only the two system rows of S(t) are ever
-materialized, which makes long series of reduced covariances cheap.
+materialized, one block of bath columns at a time, which makes long series of
+reduced covariances cheap.
 
 Against the continuum bath the discrete one differs in two ways, and
 `reduced_covariance_series` corrects both from the oracle's own channel
@@ -54,8 +56,8 @@ Green's function g = (G12, G22) (the response of (u, udot) to a kick):
   I(tau) = sum_{m != 0} (-1)^m nu(tau + m t_rec), is computed on a
   midpoint grid in u and subtracted.
 
-Both corrections act on the noise only; the mean dynamics
-(`system_propagator_series`) is the discrete bath's own.
+Both corrections act on the noise only; the mean dynamics (the system
+columns of the system rows) is the discrete bath's own.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ __all__ = [
     "DiscreteBath",
     "build_bath",
     "reduced_covariance_series",
-    "system_propagator_series",
     "RecurrenceHorizonError",
     "SymplecticityError",
 ]
@@ -141,10 +142,27 @@ def build_bath(params: ModelParams, n_modes: int, omega_max_bath: float,
 
 @dataclass(frozen=True)
 class _ChannelModes:
-    """Eigenmodes of one channel chain (collective coordinate + bath)."""
+    """Eigenmodes of one channel chain (collective coordinate + bath), the
+    eigenvectors kept in the closed form of `_solve_arrowhead`.
 
-    mu: np.ndarray              # normal-mode frequencies, shape (N+1,)
-    modes: np.ndarray           # orthogonal eigenvectors, columns
+    The first m + 1 modes are coupled: mode j has eigenvalue
+    x_j = d[origin_j] + tau_j and the eigenvector head_j (1, b_k / (x_j - d_k))
+    over the chain's coordinates (collective, then bath columns ``cols``).
+    The deflated modes follow, each a unit vector on its own bath column,
+    with head 0.  (origin, tau) are empty when no bath mode couples.
+    """
+
+    mu2: np.ndarray             # squared normal-mode frequencies, shape (N+1,)
+    head: np.ndarray            # first row of the mode matrix, u_0j
+    origin: np.ndarray          # nearer pole of each coupled root
+    tau: np.ndarray             # its offset from that pole
+    d: np.ndarray               # coupled diagonal entries d_k, ascending
+    border: np.ndarray          # Loewner border b_k
+    cols: np.ndarray            # chain columns of the coupled bath modes
+
+    @property
+    def mu(self) -> np.ndarray:
+        return np.sqrt(self.mu2)
 
 
 def _channel_couplings(bath: DiscreteBath, params: ModelParams, sign: int) -> np.ndarray:
@@ -164,23 +182,23 @@ def _channel_potential(bath: DiscreteBath, params: ModelParams, sign: int):
 
 
 def _channel_modes(bath: DiscreteBath, params: ModelParams, sign: int) -> _ChannelModes:
-    mu2, u = _solve_arrowhead(*_channel_potential(bath, params, sign))
-    if mu2.min() <= 0:
+    modes = _solve_arrowhead(*_channel_potential(bath, params, sign))
+    if modes.mu2.min() <= 0:
         raise SymplecticityError(
-            f"channel potential not positive definite (min eig {mu2.min():.3e}); "
+            f"channel potential not positive definite (min eig {modes.mu2.min():.3e}); "
             "counter-term wiring broken?")
-    return _ChannelModes(mu=np.sqrt(mu2), modes=u)
+    return modes
 
 
 # ---------------------------------------------------------------------------
 # arrowhead eigensolver: secular equation, Loewner border, closed-form vectors
 
-_ROWS = 256                     # rows per block of the O(N^2) passes
+_ROWS = 256                     # rows (or columns) per block of the O(N^2) passes
 _EPS = np.finfo(float).eps
 
 
-def _solve_arrowhead(corner: float, border: np.ndarray, diag: np.ndarray):
-    """Eigenvalues and orthonormal eigenvectors (columns) of the arrowhead
+def _solve_arrowhead(corner: float, border: np.ndarray, diag: np.ndarray) -> _ChannelModes:
+    """Eigenvalues and eigenvectors, in closed form, of the arrowhead
     [[corner, border^T], [border, diag(diag)]], ``diag`` strictly ascending.
 
     A border entry below eps times the matrix scale decouples its diagonal
@@ -190,30 +208,28 @@ def _solve_arrowhead(corner: float, border: np.ndarray, diag: np.ndarray):
     d_m.  The border is recomputed from those roots (`_loewner_border`), so
     that they are the exact eigenvalues of a matrix within rounding of the
     input, and the eigenvector of root x is (1, b_k / (x - d_k)) normalized.
-    Cost O(N^2) in time, and the eigenvector matrix plus row blocks in memory.
+    The mode matrix is never built: only its first row, the norms' inverses,
+    is kept (`_ChannelModes`).  Cost O(N^2) in time and O(_ROWS N) in memory.
     """
     n = diag.size
     scale = max(abs(corner), abs(diag[-1])) + float(np.linalg.norm(border))
     live = np.abs(border) > _EPS * scale
     d, lam = diag[live], border[live]
-    ut = np.zeros((n + 1, n + 1))           # eigenvectors as rows
+    dead = np.flatnonzero(~live)
+    head = np.zeros(n + 1)
     if d.size == 0:
-        x = np.array([corner])
-        ut[0, 0] = 1.0
+        x, origin, tau, b = np.array([corner]), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
+        head[0] = 1.0
     else:
         origin, tau = _secular_roots(corner, lam * lam, d)
         x = d[origin] + tau
         b = np.copysign(np.sqrt(_loewner_border(d, origin, tau)), lam)
-        cols = 1 + np.flatnonzero(live)
         for lo in range(0, d.size + 1, _ROWS):
             j = slice(lo, min(lo + _ROWS, d.size + 1))
             v = b / ((d[origin[j], None] - d) + tau[j, None])   # b_k / (x_j - d_k)
-            norm = np.sqrt(1.0 + np.einsum("ij,ij->i", v, v))
-            ut[j, 0] = 1.0 / norm
-            ut[j, cols] = v / norm[:, None]
-    dead = np.flatnonzero(~live)
-    ut[n + 1 - dead.size + np.arange(dead.size), 1 + dead] = 1.0
-    return np.concatenate([x, diag[dead]]), ut.T
+            head[j] = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", v, v))
+    return _ChannelModes(mu2=np.concatenate([x, diag[dead]]), head=head, origin=origin,
+                         tau=tau, d=d, border=b, cols=1 + np.flatnonzero(live))
 
 
 def _secular_terms(z, lam2, d, origin, tau):
@@ -372,14 +388,26 @@ def _system_rows(ch: _ChannelModes, t):
     """Two system rows of the channel propagator S(t), shape t.shape + (2, 2N+2).
 
     Row 0 propagates onto the collective position, row 1 onto its momentum;
-    columns are (positions, momenta) of (system, bath modes).  All times
-    share one matrix product with the mode matrix.
+    columns are (positions, momenta) of (system, bath modes).  Each row is
+    f U^T for phase rows f over the modes; U^T is applied in its closed form
+    (`_ChannelModes`), one block of _ROWS bath columns at a time, so that all
+    times share each block's Cauchy matrix b_k / (x_j - d_k).  Deflated bath
+    columns stay zero.
     """
-    mu, u = ch.mu, ch.modes
+    mu = ch.mu
     ph = np.multiply.outer(np.asarray(t, dtype=float), mu)
     c, s = np.cos(ph), np.sin(ph)
-    f = u[0, :] * np.stack([c, s / mu, -mu * s])
-    a_row, b_row, c_row = (f.reshape(-1, mu.size) @ u.T).reshape(f.shape)
+    f = ch.head * np.stack([c, s / mu, -mu * s])
+    flat = f.reshape(-1, mu.size)
+    out = np.zeros_like(flat)
+    out[:, 0] = flat @ ch.head
+    m = ch.d.size
+    w = flat[:, :m + 1] * ch.head[:m + 1]
+    base = ch.d[ch.origin]
+    for lo in range(0, m, _ROWS):
+        k = slice(lo, min(lo + _ROWS, m))
+        out[:, ch.cols[k]] = w @ (ch.border[k] / ((base[:, None] - ch.d[k]) + ch.tau[:, None]))
+    a_row, b_row, c_row = out.reshape(f.shape)
     return np.stack([np.concatenate([a_row, b_row], axis=-1),
                      np.concatenate([c_row, a_row], axis=-1)], axis=-2)
 
@@ -455,13 +483,13 @@ def _image_noise(chans: dict, bath: DiscreteBath, params: ModelParams,
     for sign, ch in chans.items():
         kern = -(4.0 * params.gamma / math.pi) * (img[0] + sign * 0.5 * (img[1] + img[2]))
         # g = (G12, G22) on the midpoints, one block of rows at a time
-        w0 = ch.modes[0, :] ** 2
-        ph = np.exp(1j * np.outer(u, ch.mu))
-        jump = np.exp(1j * ch.mu * block * du)
+        w0, mu = ch.head ** 2, ch.mu
+        ph = np.exp(1j * np.outer(u, mu))
+        jump = np.exp(1j * mu * block * du)
         g = np.empty((n, 2))
         for lo in range(0, n, block):
             rows = ph[:min(block, n - lo)]
-            g[lo:lo + block, 0] = rows.imag @ (w0 / ch.mu)
+            g[lo:lo + block, 0] = rows.imag @ (w0 / mu)
             g[lo:lo + block, 1] = rows.real @ w0
             ph = ph * jump
         # c_k = sum_{j<k} kern[k-j] g_j; step k adds g_k c_k^T + c_k g_k^T + kern[0] g_k g_k^T
@@ -482,8 +510,9 @@ def reduced_covariance_series(params: ModelParams, times, n_modes: int,
     as one stack in the order requested.
 
     The workhorse for cross-validation runs: the normal modes of each
-    channel from its secular equation (module docstring), then one product
-    of the mode matrix with all the times.  Times
+    channel from its secular equation (module docstring), then the closed-form
+    eigenvectors applied to the phase rows of all the times at once.  Cost
+    O(N^2) time and O(_ROWS N + N N_t) memory for N_t times.  Times
     must stay below half the recurrence horizon.  The noise of each channel
     is corrected to the continuum bath: the missing modes above
     ``omega_max_bath`` are added and the recurrence images of the frequency
@@ -513,20 +542,3 @@ def reduced_covariance_series(params: ModelParams, times, n_modes: int,
     c4 = four_by_four(blocks[+1], blocks[-1], cross)
     return CovarianceMatrix(entries=c4, time_label=times)
 
-
-def system_propagator_series(params: ModelParams, times, n_modes: int,
-                             omega_max_bath: float):
-    """Mean-value propagator of the system block, shape (Nt, 4, 4).
-
-    This is the oracle's homogeneous solution operator restricted to the
-    oscillators: evolution of first moments from each system basis vector
-    with the bath initially empty and noise-free (mean dynamics is
-    temperature independent).
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    bath = build_bath(params, n_modes, omega_max_bath,
-                      compare_time=float(times.max()))
-    sys_cols = np.array([0, bath.n_modes + 1])
-    blocks = {s: _system_rows(_channel_modes(bath, params, s), times)[..., sys_cols]
-              for s in (+1, -1)}
-    return four_by_four(blocks[+1], blocks[-1])

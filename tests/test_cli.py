@@ -63,6 +63,31 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert "error: config" in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("modes, where", [("50", "flag"), ("0", "flag"), ("-3", "flag"),
+                                          ("50", "file")])
+def test_oracle_modes_below_the_floor_are_refused(tmp_path, capsys, monkeypatch, modes, where):
+    """Fewer than the oracle's 100 modes is a config error (exit 2), raised
+    before the pipeline or the oracle computes anything."""
+    from bathpair import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before refusing the mode count")
+
+    monkeypatch.setattr(cli, "greens_time", no_work)
+    monkeypatch.setattr(cli, "reduced_covariance_series", no_work)
+    argv = ["oracle-compare", "--gamma", "1", "--omega-cut", "10", "--distance", "0.1",
+            "--t-max", "1", "--output-dir", str(tmp_path)]
+    if where == "flag":
+        argv += ["--oracle-modes", modes]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"oracle_modes = {modes}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "oracle_modes must be >= 100" in capsys.readouterr().err
+    assert not (tmp_path / "MANIFEST").exists()
+
+
 def test_jobs_option_is_refused(tmp_path, capsys):
     """Points run in one process; the retired --jobs is an unknown option."""
     with pytest.raises(SystemExit) as exc:

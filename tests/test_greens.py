@@ -5,7 +5,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from bathpair import greens
+from bathpair import greens, oracle
 from bathpair.greens import (
     DurbinConvergenceError,
     PoleProximityError,
@@ -287,17 +287,28 @@ def test_durbin_tail_diagnostic_raises(p, monkeypatch):
         greens_time(np.linspace(0.0, 5.0, 501), p)
 
 
+def _system_propagator_series(params, times, n_modes, omega_max_bath):
+    """Mean-value propagator of the system block from the oracle, shape
+    (Nt, 4, 4): the homogeneous evolution of first moments from each system
+    basis vector, with the bath initially empty and noise-free (the mean
+    dynamics is temperature independent)."""
+    bath = oracle.build_bath(params, n_modes, omega_max_bath,
+                             compare_time=float(np.max(times)))
+    sys_cols = np.array([0, bath.n_modes + 1])
+    blocks = {s: oracle._system_rows(oracle._channel_modes(bath, params, s), times)[..., sys_cols]
+              for s in (+1, -1)}
+    return four_by_four(blocks[+1], blocks[-1])
+
+
 def test_greens_matches_oracle_propagator(p):
     """Mean-value dynamics: Durbin-inverted G against the discrete-bath
     homogeneous propagator restricted to the system block."""
-    from bathpair.oracle import system_propagator_series
-
     t = np.linspace(0.0, 20.0, 2001)
     g = greens_time(t, p)
     sel = np.arange(0, 2001, 100)
-    oracle = system_propagator_series(p, t[sel], n_modes=2100,
-                                      omega_max_bath=100.0 * math.pi)
-    dev = np.max(np.abs(g.time_values[sel] - oracle))
+    ref = _system_propagator_series(p, t[sel], n_modes=2100,
+                                    omega_max_bath=100.0 * math.pi)
+    dev = np.max(np.abs(g.time_values[sel] - ref))
     assert dev <= 1e-3
 
 
