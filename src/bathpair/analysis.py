@@ -6,9 +6,10 @@ mu stays smooth where E is clamped to an exact zero, so one bracketed
 `brentq` finds it.  The second-peak distance d1 is bisected against a small
 positive threshold on the clamped peak height, above quadrature noise.
 
-Every covariance comes from the channel layers through three calls:
-`greens_time` and `covariance_time_series` for a trace, and
-`covariance_asymptotic` for the late-time E at every r >= 0.
+Every covariance comes from the channel layers through two calls:
+`transient_covariances` (one `greens_time` and one `covariance_time_series`)
+at the output times of a trace, and `covariance_asymptotic` for the
+late-time E at every r >= 0.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "CriticalDistanceResult",
     "SlopeFit",
     "trace",
+    "transient_covariances",
     "short_time_slope",
     "asymptotic_log_negativity",
     "measured_initial_slope",
@@ -85,12 +87,29 @@ class SlopeFit:
 # traces
 
 
-def _grid_step(params: ModelParams, dt: float) -> float:
+def _trace_step(params: ModelParams) -> float:
+    """The largest Green's-function grid step of a trace: resolves Omega and r."""
     h_max = min(0.01, 0.1 / params.omega_cut)
     if params.distance > 0:
         h_max = min(h_max, max(params.distance / 20.0, 2.5e-3))
+    return h_max
+
+
+def _transient_grid(dt: float, n_out: int, h_max: float):
+    """The output times k dt, k = 0..n_out, and a Green's-function grid of
+    step dt/2m <= h_max, whose pair grid (step dt/m) holds every one of them."""
     m = max(1, int(math.ceil(dt / (2.0 * h_max))))
-    return dt / (2.0 * m)
+    t_end = n_out * dt
+    return np.linspace(0.0, t_end, n_out + 1), np.linspace(0.0, t_end, 2 * m * n_out + 1)
+
+
+def transient_covariances(params: ModelParams, dt: float, n_out: int, h_max: float,
+                          tol: float = 1e-5):
+    """(times, covariances) at t = k dt, k = 0..n_out: one `greens_time` on a
+    grid of step <= h_max whose pair grid holds those times, and one
+    `covariance_time_series` at ``tol``."""
+    times, grid = _transient_grid(dt, n_out, h_max)
+    return times, covariance_time_series(greens_time(grid, params), params, times, tol=tol)
 
 
 def trace(params: ModelParams, t_max: float, dt: float,
@@ -102,13 +121,8 @@ def trace(params: ModelParams, t_max: float, dt: float,
     n_out = int(round(t_max / dt))
     if abs(n_out * dt - t_max) > 1e-9 * t_max:
         n_out = int(math.ceil(t_max / dt))
-    t_end = n_out * dt
-    h = _grid_step(params, dt)
-    n_grid = int(round(t_end / h))
-    grid = np.linspace(0.0, t_end, n_grid + 1)
-    greens = greens_time(grid, params)
-    times = np.linspace(0.0, t_end, n_out + 1)
-    values = log_negativity(covariance_time_series(greens, params, times, tol=tol))
+    times, covs = transient_covariances(params, dt, n_out, _trace_step(params), tol)
+    values = log_negativity(covs)
     peaks = detect_peaks(times, values)
     # the undamped limit has no initial-state-free asymptote; everything
     # else gets one, or the library's refusal propagates
@@ -132,18 +146,12 @@ def short_time_slope(params: ModelParams) -> float:
 
 
 def measured_initial_slope(params: ModelParams) -> float:
-    """dE/dt measured from the covariance pipeline: a line through 10 points
-    over Omega*t in [1e-3, 1e-2]."""
-    n_points = 10
-    t_lo, t_hi = 1e-3 / params.omega_cut, 1e-2 / params.omega_cut
-    step = (t_hi - t_lo) / (n_points - 1)
-    h = step / 4.0
-    n_grid = int(round(t_hi / h))
-    grid = np.linspace(0.0, t_hi, n_grid + 1)
-    greens = greens_time(grid, params)
-    times = np.linspace(t_lo, t_hi, n_points)
-    values = log_negativity(covariance_time_series(greens, params, times, tol=1e-7))
-    return float(np.polyfit(times, values, 1)[0])
+    """dE/dt measured from the covariance pipeline: a line through the 10
+    points Omega*t = 1e-3 ... 1e-2, on a Green's-function grid of step
+    1e-3/(4 Omega)."""
+    dt = 1e-3 / params.omega_cut
+    times, covs = transient_covariances(params, dt, 10, dt / 4.0, tol=1e-7)
+    return float(np.polyfit(times[1:], log_negativity(covs)[1:], 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Command-line front end: parameter sweeps, figure data, oracle comparisons.
 
 Every command writes CSV files (12 significant digits, full resolved config
-echoed in a comment block) plus a MANIFEST recording completion state.
-Outputs are deterministic for a given config: the numerical pipeline has no
-randomness anywhere.  Points run in turn in one process.  `analysis.find_d0`
-grows its own d0 bracket unless ``--r-lo`` and ``--r-hi`` give one.  A
-config-file key that names no value option is a config error.
+echoed in a comment block) plus a MANIFEST recording completion state.  A
+numerical failure keeps the rows before it under a PARTIAL MANIFEST, then
+exits 3.  Outputs are deterministic for a given config: the numerical
+pipeline has no randomness anywhere.  Points run in turn in one process.
+Each command sweeps some model parameters over the values given (a scalar,
+a comma list or a start:stop:step range); every other one takes exactly one
+value, and a list there is a config error.  `analysis.find_d0` grows its own
+d0 bracket unless ``--r-lo`` and ``--r-hi`` give one.  ``t_max``, ``dt`` and
+``tol`` must be positive and finite.  `_OPTIONS` is the one table of value
+options: each is a flag and a config-file key, and a config-file key that
+names none of them is a config error.
 
 Exit codes: 0 success, 2 config error, 3 numerical-tolerance failure,
 4 oracle disagreement beyond tolerance.
@@ -14,10 +20,11 @@ Exit codes: 0 success, 2 config error, 3 numerical-tolerance failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,15 +37,13 @@ from .analysis import (
     measured_initial_slope,
     short_time_slope,
     trace,
+    transient_covariances,
 )
-from .covariance import TruncationError, covariance_time_series
+from .covariance import TruncationError
 from .entanglement import UnphysicalCovarianceError, log_negativity
-from .greens import DurbinConvergenceError, greens_time
+from .greens import DurbinConvergenceError
 from .model import ModelParams, read_config_file, validate
 from .oracle import RecurrenceHorizonError, reduced_covariance_series
-
-COMMANDS = ("asymptotic-sweep", "time-trace", "critical-distance",
-            "short-time-check", "oracle-compare", "slope-fit")
 
 _NUMERICAL_ERRORS = (TruncationError, DurbinConvergenceError,
                      UnphysicalCovarianceError, BracketError,
@@ -56,13 +61,13 @@ class OracleDisagreement(RuntimeError):
 @dataclass
 class RunConfig:
     command: str
-    params: dict = field(default_factory=dict)      # name -> list of floats
-    t_max: float = 30.0
-    dt: float = 0.01
-    tol: float = 1e-3
-    oracle_modes: int = 2000
-    output_dir: str = "."
-    emit_plot_script: bool = False
+    params: dict                # name -> list of floats, as given
+    t_max: float
+    dt: float
+    tol: float
+    oracle_modes: int
+    output_dir: str
+    emit_plot_script: bool
 
 
 def _number(cast, raw):
@@ -89,18 +94,48 @@ def parse_values(text: str) -> list[float]:
     return [_number(float, text)]
 
 
+# Every value option, as flag --name-with-dashes and config-file key name:
+# (type, default).  A `parse_values` option is a list, kept in
+# RunConfig.params only when given; its default is applied per point.  A
+# float option must be positive and finite.
+_OPTIONS = {
+    "gamma": (parse_values, None),
+    "omega_cut": (parse_values, None),
+    "temperature": (parse_values, [0.0]),
+    "distance": (parse_values, [0.0]),
+    "r_lo": (parse_values, None),
+    "r_hi": (parse_values, None),
+    "t_max": (float, 30.0),
+    "dt": (float, 0.01),
+    "tol": (float, 1e-3),
+    "oracle_modes": (int, 2000),
+    "output_dir": (str, "."),
+}
+
+
 def _scalar(config: RunConfig, name: str) -> float:
-    vals = config.params.get(name)
+    vals = config.params.get(name, _OPTIONS[name][1])
     if not vals or len(vals) != 1:
         raise ConfigError(f"{config.command} needs a single value for {name}, "
                           f"got {vals}")
     return vals[0]
 
 
-def _base_params(config: RunConfig) -> ModelParams:
-    return _checked_params(_scalar(config, "gamma"), _scalar(config, "omega_cut"),
-                           config.params.get("temperature", [0.0])[0],
-                           config.params.get("distance", [0.0])[0])
+def _points(config: RunConfig, swept=(), required=()) -> list[ModelParams]:
+    """One validated point per combination of the ``swept`` parameters' values
+    (the last varying fastest); every other model parameter takes one value.
+    A ``required`` parameter has no default."""
+    for name in required:
+        if name not in config.params:
+            raise ConfigError(f"{config.command} needs --{name}")
+    names = ("gamma", "omega_cut", "temperature", "distance")
+    axes = [config.params.get(n, _OPTIONS[n][1]) if n in swept else [_scalar(config, n)]
+            for n in names]
+    try:
+        return [validate(ModelParams(**dict(zip(names, combo))))
+                for combo in itertools.product(*axes)]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +208,6 @@ def _emit_plot_script(config: RunConfig, csv_name: str, keys) -> str:
 # commands
 
 
-def _checked_params(gamma, omega_cut, temperature, distance) -> ModelParams:
-    try:
-        return validate(ModelParams(gamma=gamma, omega_cut=omega_cut,
-                                    temperature=temperature, distance=distance))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _sweep(config: RunConfig, name: str, columns, points, rows_of,
            plot_keys=None, note=None) -> list[str]:
     """The rows of each point in turn into one CSV; a numerical failure keeps
@@ -205,35 +232,22 @@ def _sweep(config: RunConfig, name: str, columns, points, rows_of,
 
 
 def run_asymptotic_sweep(config: RunConfig) -> list[str]:
-    gamma = _scalar(config, "gamma")
-    omega_cut = _scalar(config, "omega_cut")
-    temps = config.params.get("temperature", [0.0])
-    dists = config.params.get("distance")
-    if not dists:
-        raise ConfigError("asymptotic-sweep needs --distance")
-    points = [_checked_params(gamma, omega_cut, T, r) for T in temps for r in dists]
-    return _sweep(config, "fig1.csv", ("temperature", "distance", "E"), points,
+    return _sweep(config, "fig1.csv", ("temperature", "distance", "E"),
+                  _points(config, ("temperature", "distance"), required=("distance",)),
                   lambda p: [(p.temperature, p.distance, asymptotic_log_negativity(p))])
 
 
 def run_time_trace(config: RunConfig) -> list[str]:
-    gamma = _scalar(config, "gamma")
-    omega_cut = _scalar(config, "omega_cut")
-    temperature = config.params.get("temperature", [0.0])[0]
-    dists = config.params.get("distance")
-    if not dists:
-        raise ConfigError("time-trace needs --distance")
-    points = [_checked_params(gamma, omega_cut, temperature, r) for r in dists]
-
     def rows_of(p):
         tr = trace(p, t_max=config.t_max, dt=config.dt)
         return [(p.distance, t, e, tr.asymptote) for t, e in zip(tr.times, tr.values)]
 
-    return _sweep(config, "fig2.csv", ("distance", "t", "E", "asymptote"), points, rows_of)
+    return _sweep(config, "fig2.csv", ("distance", "t", "E", "asymptote"),
+                  _points(config, ("distance",), required=("distance",)), rows_of)
 
 
 def run_critical_distance(config: RunConfig) -> list[str]:
-    p = _base_params(config)
+    points = _points(config)
     given = [_scalar(config, k) for k in ("r_lo", "r_hi") if k in config.params]
     if given and not (len(given) == 2 and 0.0 <= given[0] < given[1] < math.inf):
         raise ConfigError(f"a d0 bracket needs both 0 <= r_lo < r_hi < inf (got {given})")
@@ -243,18 +257,15 @@ def run_critical_distance(config: RunConfig) -> list[str]:
         return [(p.gamma, p.omega_cut, p.temperature, res.d0, *res.bracket)]
 
     return _sweep(config, "d0.csv", ("gamma", "omega_cut", "temperature", "d0",
-                                     "bracket_lo", "bracket_hi"), [p], rows_of,
+                                     "bracket_lo", "bracket_hi"), points, rows_of,
                   plot_keys=(None, "temperature", "d0"))
 
 
 def run_short_time_check(config: RunConfig) -> list[str]:
-    if any(config.params.get("temperature", [0.0])):
+    points = _points(config, ("distance",))
+    if points[0].temperature != 0.0:
         raise ConfigError("short-time-check runs at T = 0, where its short-time law holds; "
                           f"got temperature {config.params['temperature']}")
-    gamma = _scalar(config, "gamma")
-    omega_cut = _scalar(config, "omega_cut")
-    points = [_checked_params(gamma, omega_cut, 0.0, r)
-              for r in config.params.get("distance", [0.0])]
 
     def rows_of(p):
         measured, formula = measured_initial_slope(p), short_time_slope(p)
@@ -268,61 +279,50 @@ def run_short_time_check(config: RunConfig) -> list[str]:
 def run_oracle_compare(config: RunConfig) -> list[str]:
     # rows at least 0.25 apart; the CSV and MANIFEST echo the step used
     config = replace(config, dt=max(config.dt, 0.25))
-    p = _base_params(config)
-    n_modes = config.oracle_modes
-    t_max = config.t_max
-    dt = config.dt
-    n_out = int(round(t_max / dt))
+    points = _points(config)
+    n_out = int(round(config.t_max / config.dt))
     if n_out < 1:
-        raise ConfigError(f"t_max = {t_max:g} holds no output step of {dt:g}")
-    times = np.linspace(0.0, n_out * dt, n_out + 1)
+        raise ConfigError(f"t_max = {config.t_max:g} holds no output step of {config.dt:g}")
+    worst = []
 
-    # pair grid aligned with the output times: dt = per_out * grid_h, even
-    h_max = min(0.005, 0.05 / p.omega_cut)
-    per_out = int(math.ceil(dt / h_max))
-    per_out += per_out % 2
-    grid_h = dt / per_out
-    steps = n_out * per_out
-    grid = np.linspace(0.0, n_out * dt, steps + 1)
-    greens = greens_time(grid, p)
-    ours = covariance_time_series(greens, p, times)
+    def rows_of(p):
+        times, ours = transient_covariances(p, config.dt, n_out,
+                                            min(0.005, 0.05 / p.omega_cut))
+        # recurrence horizon at least 30% past the comparison window; within
+        # that constraint prefer a denser grid over a cutoff beyond ~40 Omega
+        # (the spectral weight out there is already handled analytically
+        # pipeline-side)
+        omega_max_bath = min(config.oracle_modes * math.pi / (1.3 * config.t_max),
+                             40.0 * p.omega_cut)
+        oracle = reduced_covariance_series(p, times, n_modes=config.oracle_modes,
+                                           omega_max_bath=max(omega_max_bath,
+                                                              20.0 * p.omega_cut))
+        dc = np.abs(ours.entries - oracle.entries).max(axis=(1, 2))
+        de = np.abs(log_negativity(ours) - log_negativity(oracle))
+        worst[:] = float(dc.max()), float(de.max())
+        return list(zip(times, dc, de))
 
-    # recurrence horizon at least 30% past the comparison window; within that
-    # constraint prefer a denser grid over a cutoff beyond ~40 Omega (the
-    # spectral weight out there is already handled analytically pipeline-side)
-    omega_max_bath = min(n_modes * math.pi / (1.3 * t_max), 40.0 * p.omega_cut)
-    omega_max_bath = max(omega_max_bath, 20.0 * p.omega_cut)
-    oracle = reduced_covariance_series(p, times, n_modes=n_modes,
-                                       omega_max_bath=omega_max_bath)
-    dc = np.abs(ours.entries - oracle.entries).max(axis=(1, 2))
-    de = np.abs(log_negativity(ours) - log_negativity(oracle))
-    rows = list(zip(times, dc, de))
-    worst_c, worst_e = float(dc.max()), float(de.max())
-    path = os.path.join(config.output_dir, "deviation.csv")
-    write_csv(path, ("t", "max_abs_dC", "abs_dE"), rows, config)
-    write_manifest(config, [path], "COMPLETE",
-                   note=f"max|dC|={worst_c:.3e} max|dE|={worst_e:.3e}")
-    if worst_c > config.tol or worst_e > 2.0 * config.tol:
+    outputs = _sweep(config, "deviation.csv", ("t", "max_abs_dC", "abs_dE"), points,
+                     rows_of, plot_keys=(None, "t", "max_abs_dC"),
+                     note=lambda rows: "max|dC|={:.3e} max|dE|={:.3e}".format(*worst))
+    if worst[0] > config.tol or worst[1] > 2.0 * config.tol:
         raise OracleDisagreement(
-            f"oracle deviation max|dC|={worst_c:.3e}, max|dE|={worst_e:.3e} "
+            f"oracle deviation max|dC|={worst[0]:.3e}, max|dE|={worst[1]:.3e} "
             f"beyond tolerance {config.tol:g}")
-    return [path]
+    return outputs
 
 
 def run_slope_fit(config: RunConfig) -> list[str]:
-    gamma = _scalar(config, "gamma")
-    temperature = config.params.get("temperature", [0.0])[0]
-    omegas = config.params.get("omega_cut")
-    if not omegas or len(omegas) < 3:
+    if len(config.params.get("omega_cut") or ()) < 3:
         raise ConfigError("slope-fit needs >= 3 omega_cut values")
-    points = [_checked_params(gamma, om, temperature, 0.0) for om in omegas]
 
     def note(rows):
         fit = fit_slope([(inv_omega, d0) for _, inv_omega, d0 in rows])
         return (f"slope={fit.slope:.6f} residual={fit.residual:.3e} "
                 f"ill_conditioned={fit.ill_conditioned}")
 
-    return _sweep(config, "slopefit.csv", ("omega_cut", "inv_omega", "d0"), points,
+    return _sweep(config, "slopefit.csv", ("omega_cut", "inv_omega", "d0"),
+                  _points(config, ("omega_cut",)),
                   lambda p: [(p.omega_cut, 1.0 / p.omega_cut, find_d0(p, tol=1e-3).d0)],
                   plot_keys=(None, "inv_omega", "d0"), note=note)
 
@@ -335,25 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bathpair",
         description="Entanglement of two oscillators in a common 1D heat bath.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--gamma", type=str)
-    parser.add_argument("--omega-cut", type=str)
-    parser.add_argument("--temperature", type=str)
-    parser.add_argument("--distance", type=str)
-    parser.add_argument("--r-lo", type=str, help="d0 search interval low end (with --r-hi)")
-    parser.add_argument("--r-hi", type=str, help="d0 search interval high end (with --r-lo)")
-    parser.add_argument("--t-max", type=float)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--oracle-modes", type=int)
-    parser.add_argument("--output-dir", type=str)
+    parser.add_argument("command", choices=_RUNNERS)
+    for name in _OPTIONS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name)
     parser.add_argument("--config", type=str, help="flat key = value file")
     parser.add_argument("--emit-plot-script", action="store_true")
     return parser
-
-
-_PARAM_KEYS = ("gamma", "omega_cut", "temperature", "distance", "r_lo", "r_hi")
-_FILE_KEYS = _PARAM_KEYS + ("t_max", "dt", "tol", "oracle_modes", "output_dir")
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -363,37 +350,24 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             file_cfg = read_config_file(args.config)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-        unknown = sorted(set(file_cfg) - set(_FILE_KEYS))
+        unknown = sorted(set(file_cfg) - set(_OPTIONS))
         if unknown:
             raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
-                              f"known: {', '.join(_FILE_KEYS)}")
+                              f"known: {', '.join(_OPTIONS)}")
 
-    params = {}
-    for key in _PARAM_KEYS:
-        flag = getattr(args, key, None)
-        raw = flag if flag is not None else file_cfg.get(key)
-        if raw is not None:
-            params[key] = parse_values(str(raw))
-
-    def pick(name, cast, default):
-        flag = getattr(args, name, None)
-        raw = flag if flag is not None else file_cfg.get(name)
-        return default if raw is None else _number(cast, raw)
-
-    config = RunConfig(
-        command=args.command,
-        params=params,
-        t_max=pick("t_max", float, 30.0),
-        dt=pick("dt", float, 0.01),
-        tol=pick("tol", float, 1e-3),
-        oracle_modes=pick("oracle_modes", int, 2000),
-        output_dir=pick("output_dir", str, "."),
-        emit_plot_script=bool(args.emit_plot_script),
-    )
-    for name in ("t_max", "dt"):
-        value = getattr(config, name)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{name} must be positive and finite (got {value})")
+    params, values = {}, {}
+    for name, (cast, default) in _OPTIONS.items():
+        raw = getattr(args, name)
+        raw = raw if raw is not None else file_cfg.get(name)
+        if cast is parse_values:
+            if raw is not None:
+                params[name] = parse_values(raw)
+        else:
+            values[name] = default if raw is None else _number(cast, raw)
+            if cast is float and not (math.isfinite(values[name]) and values[name] > 0.0):
+                raise ConfigError(f"{name} must be positive and finite (got {values[name]})")
+    config = RunConfig(command=args.command, params=params,
+                       emit_plot_script=bool(args.emit_plot_script), **values)
     if config.oracle_modes < 100:               # the floor of oracle.build_bath
         raise ConfigError(f"oracle_modes must be >= 100 (got {config.oracle_modes})")
     if not os.path.isdir(config.output_dir):

@@ -73,7 +73,7 @@ def test_oracle_modes_below_the_floor_are_refused(tmp_path, capsys, monkeypatch,
     def no_work(*args, **kwargs):
         raise AssertionError("computed before refusing the mode count")
 
-    monkeypatch.setattr(cli, "greens_time", no_work)
+    monkeypatch.setattr(cli, "transient_covariances", no_work)
     monkeypatch.setattr(cli, "reduced_covariance_series", no_work)
     argv = ["oracle-compare", "--gamma", "1", "--omega-cut", "10", "--distance", "0.1",
             "--t-max", "1", "--output-dir", str(tmp_path)]
@@ -86,6 +86,50 @@ def test_oracle_modes_below_the_floor_are_refused(tmp_path, capsys, monkeypatch,
     assert main(argv) == 2
     assert "oracle_modes must be >= 100" in capsys.readouterr().err
     assert not (tmp_path / "MANIFEST").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["time-trace", "--omega-cut", "10", "--distance", "0.1", "--temperature", "0,0.3"],
+     "temperature"),
+    (["slope-fit", "--omega-cut", "2,5,10", "--temperature", "0,0.3"], "temperature"),
+    (["critical-distance", "--omega-cut", "10", "--temperature", "0,0.3"], "temperature"),
+    (["critical-distance", "--omega-cut", "10", "--distance", "0.1,5"], "distance"),
+    (["oracle-compare", "--omega-cut", "10", "--temperature", "0,0.2"], "temperature"),
+    (["oracle-compare", "--omega-cut", "10", "--distance", "0.1,5"], "distance"),
+], ids=["time-trace-T", "slope-fit-T", "critical-distance-T", "critical-distance-r",
+        "oracle-compare-T", "oracle-compare-r"])
+def test_a_list_where_one_value_is_taken_is_refused(tmp_path, capsys, argv, name):
+    """A parameter a command does not sweep takes one value: a list there is a
+    config error (exit 2) naming it, not a run at its first value."""
+    rc = main(argv + ["--gamma", "1", "--t-max", "1", "--output-dir", str(tmp_path)])
+    assert rc == 2
+    assert f"needs a single value for {name}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("tol, where", [("-1", "flag"), ("0", "flag"), ("nan", "flag"),
+                                        ("inf", "flag"), ("0", "file"), ("nan", "file")])
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused(tmp_path, capsys,
+                                                                 monkeypatch, tol, where):
+    """``tol`` <= 0 or not finite is a config error (exit 2) before any search,
+    not a traceback from inside one."""
+    from bathpair import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("searched before refusing the tolerance")
+
+    monkeypatch.setattr(cli, "find_d0", no_work)
+    argv = ["critical-distance", "--gamma", "1", "--omega-cut", "10",
+            "--output-dir", str(tmp_path / "out")]
+    if where == "flag":
+        argv += ["--tol", tol]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tol = {tol}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_jobs_option_is_refused(tmp_path, capsys):
@@ -163,6 +207,26 @@ def test_partial_sweep_keeps_rows_before_the_failure(tmp_path, monkeypatch, comm
     data = _load(tmp_path / csv)
     assert np.unique(data["distance"]) == pytest.approx([0.1, 0.2])
     assert "status: PARTIAL" in (tmp_path / "MANIFEST").read_text()
+
+
+def test_time_trace_rows_match_library(tmp_path):
+    """Every row is `analysis.trace` at its distance, to CSV precision."""
+    from bathpair.analysis import trace
+
+    assert main(["time-trace", "--gamma", "1", "--omega-cut", "10", "--temperature", "0.2",
+                 "--distance", "0.1,0.25", "--t-max", "1.5", "--dt", "0.05",
+                 "--output-dir", str(tmp_path)]) == 0
+    data = _load(tmp_path / "fig2.csv")
+    expect = {"distance": [], "t": [], "E": [], "asymptote": []}
+    for r in (0.1, 0.25):
+        tr = trace(ModelParams(gamma=1.0, omega_cut=10.0, temperature=0.2, distance=r),
+                   t_max=1.5, dt=0.05)
+        expect["distance"] += [r] * tr.times.size
+        expect["t"] += tr.times.tolist()
+        expect["E"] += tr.values.tolist()
+        expect["asymptote"] += [tr.asymptote] * tr.times.size
+    for column, values in expect.items():
+        assert data[column] == pytest.approx(values, rel=1e-11, abs=1e-300), column
 
 
 def test_time_trace_and_plot_script(tmp_path):
@@ -325,3 +389,51 @@ def test_oracle_compare_echoes_the_step_it_used(tmp_path):
     for name in ("deviation.csv", "MANIFEST"):
         text = (tmp_path / name).read_text()
         assert "dt=0.25 " in text and "dt=0.01" not in text, name
+
+
+def test_oracle_compare_rows_match_library(tmp_path):
+    """Every row is the pipeline's deviation from the oracle at its time, by
+    the chain of library calls the command stands for: G on a grid of step
+    <= min(0.005, 0.05/Omega) whose pair grid holds t = 0, dt, ..., then the
+    transient covariances and the oracle's."""
+    from bathpair.covariance import covariance_time_series
+    from bathpair.entanglement import log_negativity
+    from bathpair.greens import greens_time
+    from bathpair.oracle import reduced_covariance_series
+
+    assert main(["oracle-compare", "--gamma", "1", "--omega-cut", "10", "--temperature", "0.2",
+                 "--distance", "0.3", "--t-max", "2", "--dt", "0.5",
+                 "--output-dir", str(tmp_path)]) == 0
+    data = _load(tmp_path / "deviation.csv")
+    p = ModelParams(gamma=1.0, omega_cut=10.0, temperature=0.2, distance=0.3)
+    times = np.linspace(0.0, 2.0, 5)
+    ours = covariance_time_series(greens_time(np.linspace(0.0, 2.0, 401), p), p, times)
+    oracle = reduced_covariance_series(p, times, n_modes=2000, omega_max_bath=400.0)
+    assert data["t"].tolist() == times.tolist()
+    assert data["max_abs_dC"] == pytest.approx(
+        np.abs(ours.entries - oracle.entries).max(axis=(1, 2)), rel=1e-11, abs=1e-300)
+    assert data["abs_dE"] == pytest.approx(
+        np.abs(log_negativity(ours) - log_negativity(oracle)), rel=1e-11, abs=1e-300)
+
+
+def test_oracle_compare_keeps_a_partial_manifest_on_a_numerical_failure(tmp_path, capsys):
+    """100 modes recur before t = 2: exit 3 with the CSV header and a PARTIAL
+    MANIFEST naming the error, as every other command leaves."""
+    rc = main(["oracle-compare", "--gamma", "1", "--omega-cut", "10", "--distance", "0.1",
+               "--t-max", "2", "--oracle-modes", "100", "--emit-plot-script",
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert "RecurrenceHorizonError" in capsys.readouterr().err
+    assert (tmp_path / "deviation.csv").read_text().splitlines()[-1] == "t,max_abs_dC,abs_dE"
+    manifest = (tmp_path / "MANIFEST").read_text()
+    assert "status: PARTIAL" in manifest and "RecurrenceHorizonError" in manifest
+    assert not (tmp_path / "plot_oracle-compare.py").exists()
+
+
+def test_oracle_compare_plot_script(tmp_path):
+    rc = main(["oracle-compare", "--gamma", "1", "--omega-cut", "10", "--distance", "0.1",
+               "--t-max", "1", "--dt", "0.5", "--emit-plot-script",
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    assert "None, 't', 'max_abs_dC'" in (tmp_path / "plot_oracle-compare.py").read_text()
+    assert "output: plot_oracle-compare.py" in (tmp_path / "MANIFEST").read_text()

@@ -195,7 +195,7 @@ def test_greens_time_matches_mpmath_inversion(p):
     _assert_matches_mpmath(g, p, (0.7, 3.3, 12.1))
 
 
-# points of the trace grid (`analysis._grid_step` at dt = 0.02) where a term
+# points of the trace grid (`analysis._trace_step` at dt = 0.02) where a term
 # count fixed per unit of period left G(0) off by 1.4e-6 to 1.5e-5, or the
 # tail at 1.85e-5: (gamma, Omega, r, t_max)
 _STIFF_POINTS = [(1.0, 20.0, 0.2, 40.0), (0.5, 20.0, 0.2, 40.0), (1.0, 50.0, 0.2, 5.0),
@@ -204,11 +204,10 @@ _STIFF_POINTS = [(1.0, 20.0, 0.2, 40.0), (0.5, 20.0, 0.2, 40.0), (1.0, 50.0, 0.2
 
 
 def _trace_grid(params, t_max):
-    from bathpair.analysis import _grid_step
+    """The Green's-function grid of `analysis.trace` at dt = 0.02."""
+    from bathpair.analysis import _trace_step, _transient_grid
 
-    h = _grid_step(params, 0.02)
-    n = int(round(t_max / h))
-    return np.linspace(0.0, n * h, n + 1)
+    return _transient_grid(0.02, int(round(t_max / 0.02)), _trace_step(params))[1]
 
 
 @pytest.mark.parametrize("gamma, omega_cut, distance, t_max", _STIFF_POINTS)
