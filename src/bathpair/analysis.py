@@ -95,20 +95,28 @@ def _trace_step(params: ModelParams) -> float:
     return h_max
 
 
-def _transient_grid(dt: float, n_out: int, h_max: float):
+def _transient_grid(dt: float, t_max: float, h_max: float):
     """The output times k dt, k = 0..n_out, and a Green's-function grid of
-    step dt/2m <= h_max, whose pair grid (step dt/m) holds every one of them."""
+    step dt/2m <= h_max, whose pair grid (step dt/m) holds every one of them.
+    The window ends at t_max when t_max is a multiple of dt (to 1e-9
+    relative), else at the first step past it."""
+    if not (0.0 < t_max < math.inf and 0.0 < dt < math.inf):
+        raise ValueError(f"t_max and dt must be positive and finite "
+                         f"(got t_max={t_max}, dt={dt})")
+    n_out = int(round(t_max / dt))
+    if abs(n_out * dt - t_max) > 1e-9 * t_max:
+        n_out = int(math.ceil(t_max / dt))
     m = max(1, int(math.ceil(dt / (2.0 * h_max))))
     t_end = n_out * dt
     return np.linspace(0.0, t_end, n_out + 1), np.linspace(0.0, t_end, 2 * m * n_out + 1)
 
 
-def transient_covariances(params: ModelParams, dt: float, n_out: int, h_max: float,
+def transient_covariances(params: ModelParams, dt: float, t_max: float, h_max: float,
                           tol: float = 1e-5):
-    """(times, covariances) at t = k dt, k = 0..n_out: one `greens_time` on a
-    grid of step <= h_max whose pair grid holds those times, and one
-    `covariance_time_series` at ``tol``."""
-    times, grid = _transient_grid(dt, n_out, h_max)
+    """(times, covariances) at t = k dt up to the window end of `_transient_grid`:
+    one `greens_time` on a grid of step <= h_max whose pair grid holds those
+    times, and one `covariance_time_series` at ``tol``."""
+    times, grid = _transient_grid(dt, t_max, h_max)
     return times, covariance_time_series(greens_time(grid, params), params, times, tol=tol)
 
 
@@ -116,12 +124,7 @@ def trace(params: ModelParams, t_max: float, dt: float,
           tol: float = 1e-5) -> EntanglementTrace:
     """E(t) from the two-oscillator ground state on a uniform grid, with
     detected peaks and the asymptote."""
-    if t_max <= 0 or dt <= 0:
-        raise ValueError("t_max and dt must be positive")
-    n_out = int(round(t_max / dt))
-    if abs(n_out * dt - t_max) > 1e-9 * t_max:
-        n_out = int(math.ceil(t_max / dt))
-    times, covs = transient_covariances(params, dt, n_out, _trace_step(params), tol)
+    times, covs = transient_covariances(params, dt, t_max, _trace_step(params), tol)
     values = log_negativity(covs)
     peaks = detect_peaks(times, values)
     # the undamped limit has no initial-state-free asymptote; everything
@@ -150,7 +153,7 @@ def measured_initial_slope(params: ModelParams) -> float:
     points Omega*t = 1e-3 ... 1e-2, on a Green's-function grid of step
     1e-3/(4 Omega)."""
     dt = 1e-3 / params.omega_cut
-    times, covs = transient_covariances(params, dt, 10, dt / 4.0, tol=1e-7)
+    times, covs = transient_covariances(params, dt, 10 * dt, dt / 4.0, tol=1e-7)
     return float(np.polyfit(times[1:], log_negativity(covs)[1:], 1)[0])
 
 

@@ -9,9 +9,10 @@ Each command sweeps some model parameters over the values given (a scalar,
 a comma list or a start:stop:step range); every other one takes exactly one
 value, and a list there is a config error.  `analysis.find_d0` grows its own
 d0 bracket unless ``--r-lo`` and ``--r-hi`` give one.  ``t_max``, ``dt`` and
-``tol`` must be positive and finite.  `_OPTIONS` is the one table of value
-options: each is a flag and a config-file key, and a config-file key that
-names none of them is a config error.
+``tol`` must be positive and finite; the commands of `_TOL_FREE` take no
+``tol``.  `_OPTIONS` is the one table of value options: each is a flag and
+a config-file key, and a config-file key that names none of them is a
+config error.
 
 Exit codes: 0 success, 2 config error, 3 numerical-tolerance failure,
 4 oracle disagreement beyond tolerance.
@@ -64,7 +65,7 @@ class RunConfig:
     params: dict                # name -> list of floats, as given
     t_max: float
     dt: float
-    tol: float
+    tol: float | None           # None for a command that reads no tolerance
     oracle_modes: int
     output_dir: str
     emit_plot_script: bool
@@ -111,6 +112,9 @@ _OPTIONS = {
     "oracle_modes": (int, 2000),
     "output_dir": (str, "."),
 }
+# commands whose numbers depend on no tolerance: they echo none, and a tol
+# given to them is a config error
+_TOL_FREE = ("asymptotic-sweep", "time-trace", "short-time-check")
 
 
 def _scalar(config: RunConfig, name: str) -> float:
@@ -146,7 +150,8 @@ def _config_echo(config: RunConfig) -> list[str]:
     parts = []
     for key, vals in sorted(config.params.items()):
         parts.append(f"{key}=" + ",".join(f"{v:g}" for v in vals))
-    parts.append(f"t_max={config.t_max:g} dt={config.dt:g} tol={config.tol:g}")
+    tol = "" if config.tol is None else f" tol={config.tol:g}"
+    parts.append(f"t_max={config.t_max:g} dt={config.dt:g}{tol}")
     parts.append(f"oracle_modes={config.oracle_modes}")
     return parts
 
@@ -280,19 +285,18 @@ def run_oracle_compare(config: RunConfig) -> list[str]:
     # rows at least 0.25 apart; the CSV and MANIFEST echo the step used
     config = replace(config, dt=max(config.dt, 0.25))
     points = _points(config)
-    n_out = int(round(config.t_max / config.dt))
-    if n_out < 1:
+    if round(config.t_max / config.dt) < 1:      # a window under half a step
         raise ConfigError(f"t_max = {config.t_max:g} holds no output step of {config.dt:g}")
     worst = []
 
     def rows_of(p):
-        times, ours = transient_covariances(p, config.dt, n_out,
+        times, ours = transient_covariances(p, config.dt, config.t_max,
                                             min(0.005, 0.05 / p.omega_cut))
         # recurrence horizon at least 30% past the comparison window; within
         # that constraint prefer a denser grid over a cutoff beyond ~40 Omega
         # (the spectral weight out there is already handled analytically
         # pipeline-side)
-        omega_max_bath = min(config.oracle_modes * math.pi / (1.3 * config.t_max),
+        omega_max_bath = min(config.oracle_modes * math.pi / (1.3 * float(times[-1])),
                              40.0 * p.omega_cut)
         oracle = reduced_covariance_series(p, times, n_modes=config.oracle_modes,
                                            omega_max_bath=max(omega_max_bath,
@@ -323,7 +327,8 @@ def run_slope_fit(config: RunConfig) -> list[str]:
 
     return _sweep(config, "slopefit.csv", ("omega_cut", "inv_omega", "d0"),
                   _points(config, ("omega_cut",)),
-                  lambda p: [(p.omega_cut, 1.0 / p.omega_cut, find_d0(p, tol=1e-3).d0)],
+                  lambda p: [(p.omega_cut, 1.0 / p.omega_cut,
+                              find_d0(p, tol=min(config.tol, 1e-3)).d0)],
                   plot_keys=(None, "inv_omega", "d0"), note=note)
 
 
@@ -366,6 +371,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             values[name] = default if raw is None else _number(cast, raw)
             if cast is float and not (math.isfinite(values[name]) and values[name] > 0.0):
                 raise ConfigError(f"{name} must be positive and finite (got {values[name]})")
+    if args.command in _TOL_FREE:
+        if args.tol is not None or "tol" in file_cfg:
+            raise ConfigError(f"{args.command} reads no tol (got {values['tol']:g})")
+        values["tol"] = None
     config = RunConfig(command=args.command, params=params,
                        emit_plot_script=bool(args.emit_plot_script), **values)
     if config.oracle_modes < 100:               # the floor of oracle.build_bath

@@ -28,16 +28,18 @@ On the uniform grid t_j = j h the series is a discrete Fourier transform
 (Dubner & Abate, J. ACM 15, 115, 1968): with the period P rounded up so
 that M = 2P/h is an integer, exp(i pi k t_j / P) = exp(2 pi i k j / M), so
 the coefficients fold modulo M and one inverse FFT per entry sums the
-series at every grid point, in O(M log M + n_terms) instead of
-O(n_terms * N_t).
+series at every grid point.  The K + 1 terms are made and folded in one
+pass, one block of M contour nodes at a time, so memory is O(M) with
+M = 2P/h ~ 8 t_max/h, time is O(K + M log M), and K sizes no array.
 
 The period, the contour shift and the subtraction are fixed; every pole
-lies at Re s <= 0 (on it only for the undamped relative channel at r = 0).
-The term count is derived from the residual: it falls off as c4/s^4 with
-c4 = max(w0^2, 2 gamma Omega^3), w0 = 1 + K(0), so the truncation error
-is ~ c4 (P/K)^3 and K grows with P c4^(1/3).  Each call checks the tail,
-the reflection residual and |G(0) - I| <= 1e-6 (above the aliasing
-floor), raising `DurbinConvergenceError`.
+lies at Re s <= 0 (on it only for the undamped relative channel at r = 0),
+left of the contour, so no node meets one.  The term count is derived
+from the residual: it falls off as c4/s^4 with c4 = max(w0^2, 2 gamma
+Omega^3), w0 = 1 + K(0), so the truncation error is ~ c4 (P/K)^3 and K
+grows with P c4^(1/3).  Each call checks the tail, the reflection
+residual and |G(0) - I| <= 1e-6 (above the aliasing floor), raising
+`DurbinConvergenceError`.
 """
 
 from __future__ import annotations
@@ -55,17 +57,11 @@ __all__ = [
     "GreensFunction",
     "channel_kernel_laplace",
     "channel_det",
-    "channel_greens_laplace",
     "greens_time",
     "four_by_four",
     "channel_blocks",
-    "PoleProximityError",
     "DurbinConvergenceError",
 ]
-
-
-class PoleProximityError(ValueError):
-    """Requested s is too close to a pole of the resolvent."""
 
 
 class DurbinConvergenceError(RuntimeError):
@@ -98,25 +94,6 @@ def channel_det(s, params: ModelParams, sign):
     """Channel determinant D(s) = s^2 + 1 + s * Gamma_channel^(s)."""
     s = np.asarray(s, dtype=complex)
     return s * s + 1.0 + s * channel_kernel_laplace(s, params, sign)
-
-
-def channel_greens_laplace(s, params: ModelParams, sign):
-    """2x2 channel resolvent [[s, 1], [-(1 + s*K^), s]] / D(s).
-
-    Vectorized over s and ``sign``: returns shape D.shape + (2, 2).  Raises
-    PoleProximityError when |D| < 1e-14 (pole of the channel).
-    """
-    s = np.asarray(s, dtype=complex)
-    kern = channel_kernel_laplace(s, params, sign)
-    D = s * s + 1.0 + s * kern
-    if np.any(np.abs(D) < 1e-14):
-        raise PoleProximityError(f"channel determinant below 1e-14 near s = {s}")
-    out = np.empty(D.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = s / D
-    out[..., 0, 1] = 1.0 / D
-    out[..., 1, 0] = -(1.0 + s * kern) / D
-    out[..., 1, 1] = s / D
-    return out
 
 
 # channel coordinates: rows u_+, udot_+, u_-, udot_- of (Q1, Q2, V1, V2);
@@ -177,35 +154,11 @@ class GreensFunction:
     tail_contribution: float
 
 
-def _durbin_sum(coeff_rows, h, n_t, period, shift, tail_start):
-    """Durbin sums for several coefficient rows on t_j = j h.
-
-    coeff_rows: (n_series, K) complex, already including the k = 0 halving;
-    2 * period / h must be an integer M > n_t - 1.  Terms k and k + M share
-    their phase on the grid, so each row folds onto M bins and one inverse
-    FFT evaluates it; the terms from ``tail_start`` on are folded apart,
-    one block of M terms at a time, so no copy of the rows is made.
-    Returns (values (n_series, n_t), tail_max (n_series,)).
-    """
-    n_series, K = coeff_rows.shape
-    M = int(round(2.0 * period / h))
-    folded = np.zeros((2, n_series, M), dtype=complex)
-    for lo in range(0, K, M):
-        block = coeff_rows[:, lo:lo + M]
-        cut = min(max(tail_start - lo, 0), block.shape[1])
-        folded[0, :, :cut] += block[:, :cut]
-        folded[1, :, cut:block.shape[1]] += block[:, cut:]
-    main, tail = (M * np.fft.ifft(folded, axis=-1)[..., :n_t]).real
-    # two-sided trapezoid of the Bromwich integral collapses to twice the
-    # real part of the half-weighted one-sided sum, i.e. prefactor 1/period
-    t = h * np.arange(n_t)
-    pref = (1.0 / period) * np.exp(shift * t)[None, :]
-    return pref * (main + tail), np.max(np.abs(pref * tail), axis=1)
-
-
-def _reflection_defect(params: ModelParams, s_k: np.ndarray) -> float:
-    """Max |F(conj s) - conj F(s)| over a subsample; guards Schwarz symmetry."""
-    sub = s_k[:: max(1, s_k.size // 64)]
+def _reflection_defect(params: ModelParams, a: float, period: float, n_nodes: int) -> float:
+    """Max |F(conj s) - conj F(s)| over about 64 of the ``n_nodes`` contour
+    nodes a + i pi k / period; guards Schwarz symmetry."""
+    k = np.arange(0, n_nodes, max(1, n_nodes // 64))
+    sub = a + 1j * math.pi * k / period
     f = channel_det(sub, params, SIGNS)
     fc = channel_det(np.conj(sub), params, SIGNS)
     return float(np.max(np.abs(fc - np.conj(f))))
@@ -214,6 +167,10 @@ def _reflection_defect(params: ModelParams, s_k: np.ndarray) -> float:
 def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams):
     """Durbin-invert both channel resolvents on the uniform grid ``t``.
 
+    The K + 1 contour nodes are taken one fold block of M = 2 period / h at
+    a time: the block's three distinct entries (G11 = G22, G12, G21) of both
+    channels, less their closed-form terms, are added into M main bins, or
+    into M tail bins from ``tail_start`` on, and one inverse FFT sums them.
     Returns ((2, Nt, 2, 2), tail_max, imag_residual).
     """
     a = SHIFT_SCALE / period
@@ -224,33 +181,39 @@ def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams
     # holds it at c4 = 2000 (gamma = 1, Omega = 10); above that K grows as c4^(1/3)
     c4 = max(float(np.max(w0)) ** 2, 2.0 * params.gamma * params.omega_cut**3)
     K = int(N_TERMS * max(1.0, period / 60.0 * max(1.0, (c4 / 2000.0) ** (1.0 / 3.0))))
-    k = np.arange(K + 1)
-    s_k = a + 1j * math.pi * k / period
-
-    sub1 = 1.0 / (s_k + b)          # <- e^{-b t}
-    sub2 = 1.0 / (s_k + b) ** 2     # <- t e^{-b t}
-    sub3 = 1.0 / (s_k + b) ** 3     # <- t^2 e^{-b t} / 2
-    r = params.distance
-    # retarded image of the 1/s^3 coefficient of G21 (kink of G''' at t = r);
-    # without it the series truncation leaves a coherent glitch near t = r
-    sub3_r = np.exp(-s_k * r) * sub3
-    gO2 = 2.0 * params.gamma * params.omega_cut**2
-
     tail_start = int(math.floor((1.0 - TAIL_FRACTION) * (K + 1)))
-
-    g = channel_greens_laplace(s_k, params, SIGNS)          # (2, K + 1, 2, 2)
+    r = params.distance
+    gO2 = 2.0 * params.gamma * params.omega_cut**2
     c_u = b * b - w0
     c_v = 2.0 * b
     c_g = gO2 - 2.0 * b * w0
-    rows = np.stack([
-        g[..., 0, 0] - sub1 - b * sub2 - c_u * sub3,                       # G11 = G22
-        g[..., 0, 1] - sub2 - c_v * sub3,                                  # G12
-        g[..., 1, 0] + w0 * sub2 - c_g * sub3 - SIGNS * gO2 * sub3_r,     # G21
-    ], axis=1)
-    del g                  # the largest array here; the sum needs only the rows
-    rows[..., 0] *= 0.5    # k = 0 term enters with half weight
-    vals, tails = _durbin_sum(rows.reshape(6, -1), h, t.size, period, a, tail_start)
-    vals = vals.reshape(2, 3, t.size)
+
+    M = int(round(2.0 * period / h))
+    folded = np.zeros((2, 2, 3, M), dtype=complex)          # (main | tail, channel, entry, bin)
+    for lo in range(0, K + 1, M):
+        s = a + 1j * math.pi * np.arange(lo, min(lo + M, K + 1)) / period
+        sK = s * channel_kernel_laplace(s, params, SIGNS)   # (2, n)
+        D = s * s + 1.0 + sK
+        sub1 = 1.0 / (s + b)          # <- e^{-b t}
+        sub2 = 1.0 / (s + b) ** 2     # <- t e^{-b t}
+        sub3 = 1.0 / (s + b) ** 3     # <- t^2 e^{-b t} / 2
+        # retarded image of the 1/s^3 coefficient of G21 (kink of G''' at t = r);
+        # without it the series truncation leaves a coherent glitch near t = r
+        sub3_r = np.exp(-s * r) * sub3
+        rows = (s / D - sub1 - b * sub2 - c_u * sub3,                              # G11 = G22
+                1.0 / D - sub2 - c_v * sub3,                                       # G12
+                -(1.0 + sK) / D + w0 * sub2 - c_g * sub3 - SIGNS * gO2 * sub3_r)  # G21
+        cut = min(max(tail_start - lo, 0), s.size)
+        for j, row in enumerate(rows):
+            if lo == 0:
+                row[:, 0] *= 0.5      # k = 0 term enters with half weight
+            folded[0, :, j, :cut] += row[:, :cut]
+            folded[1, :, j, cut:s.size] += row[:, cut:]
+    main, tail = (M * np.fft.ifft(folded, axis=-1)[..., :t.size]).real
+    # two-sided trapezoid of the Bromwich integral collapses to twice the
+    # real part of the half-weighted one-sided sum, i.e. prefactor 1/period
+    pref = (1.0 / period) * np.exp(a * (h * np.arange(t.size)))
+    vals = pref * (main + tail)
 
     ebt = np.exp(-b * t)
     tr = np.where(t > r, t - r, 0.0)
@@ -260,9 +223,9 @@ def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams
            + SIGNS * gO2 * 0.5 * tr * tr * np.exp(-b * tr) + vals[:, 2])
     series = np.stack([np.stack([g11, g12], axis=-1), np.stack([g21, g11], axis=-1)], axis=-2)
 
-    defect = _reflection_defect(params, s_k)
+    defect = _reflection_defect(params, a, period, K + 1)
     imag_residual = defect * (2.0 / period) * (K + 1) * math.exp(a * float(t[-1]))
-    return series, float(np.max(tails)), imag_residual
+    return series, float(np.max(np.abs(pref * tail))), imag_residual
 
 
 def greens_time(t_grid, params: ModelParams) -> GreensFunction:

@@ -63,6 +63,22 @@ def test_trace_asymptote_is_finite_or_a_named_refusal():
         assert math.isfinite(tr.asymptote)
 
 
+@pytest.mark.parametrize("t_max, dt", [(math.inf, 0.05), (math.nan, 0.05), (2.0, math.inf),
+                                       (2.0, math.nan), (0.0, 0.05), (2.0, -0.05)])
+def test_trace_refuses_a_window_that_is_not_positive_and_finite(p, t_max, dt):
+    """The window rule names both values in a ValueError before any work, in
+    place of an OverflowError or a failed float-to-integer conversion."""
+    with pytest.raises(ValueError, match="t_max and dt must be positive and finite"):
+        trace(p, t_max=t_max, dt=dt)
+
+
+def test_trace_window_ends_at_or_just_past_t_max(p):
+    """A multiple of dt (to 1e-9 relative) ends the window; anything else is
+    rounded up to the next step."""
+    assert trace(p, t_max=1.1, dt=0.25).times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
+    assert trace(p, t_max=0.3 * (1.0 + 1e-12), dt=0.1).times[-1] == pytest.approx(0.3)
+
+
 def test_trace_decoupled_is_zero():
     # gamma = 0 bypasses validation deliberately: couplings off, no entanglement
     free = ModelParams(gamma=0.0, omega_cut=10.0, distance=0.1)

@@ -132,6 +132,50 @@ def test_a_tolerance_that_is_not_positive_and_finite_is_refused(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["asymptotic-sweep", "time-trace", "short-time-check"])
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_a_tolerance_is_refused_where_no_number_reads_it(tmp_path, capsys, command, where):
+    """These commands read no tolerance: a given tol is a config error (exit 2)
+    before any output, and a run without one echoes none."""
+    point = ["--gamma", "1", "--omega-cut", "10", "--distance", "0.1", "--t-max", "0.2",
+             "--dt", "0.1"]
+    argv = [command, *point, "--output-dir", str(tmp_path / "out")]
+    if where == "flag":
+        argv += ["--tol", "1e-4"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-4\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert f"{command} reads no tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main([command, *point, "--output-dir", str(tmp_path / "ok")]) == 0
+    for path in (tmp_path / "ok").iterdir():
+        assert "tol=" not in path.read_text(), path.name
+
+
+def test_slope_fit_searches_at_the_tolerance_it_echoes(tmp_path, monkeypatch):
+    """slope-fit runs each d0 search at min(tol, 1e-3), as critical-distance
+    does, so the default tol 1e-3 keeps its searches as they were."""
+    from bathpair import cli
+    from bathpair.analysis import CriticalDistanceResult
+
+    seen = []
+
+    def spy(params, tol):
+        seen.append(tol)
+        return CriticalDistanceResult(d0=0.1 / params.omega_cut)
+
+    monkeypatch.setattr(cli, "find_d0", spy)
+    argv = ["slope-fit", "--gamma", "1", "--omega-cut", "5,10,20",
+            "--output-dir", str(tmp_path)]
+    assert main(argv + ["--tol", "1e-5"]) == 0
+    assert main(argv + ["--tol", "0.1"]) == 0
+    assert main(argv) == 0
+    assert seen == [1e-5] * 3 + [1e-3] * 6
+    assert "tol=0.001" in (tmp_path / "MANIFEST").read_text()
+
+
 def test_jobs_option_is_refused(tmp_path, capsys):
     """Points run in one process; the retired --jobs is an unknown option."""
     with pytest.raises(SystemExit) as exc:
@@ -389,6 +433,19 @@ def test_oracle_compare_echoes_the_step_it_used(tmp_path):
     for name in ("deviation.csv", "MANIFEST"):
         text = (tmp_path / name).read_text()
         assert "dt=0.25 " in text and "dt=0.01" not in text, name
+
+
+def test_oracle_compare_window_ends_where_trace_ends(tmp_path):
+    """t_max = 1.1 is no multiple of the step 0.25: the rows run to 1.25,
+    the step `analysis.trace` ends at, not to 1.0, short of the t_max echoed."""
+    from bathpair.analysis import trace
+
+    assert main(["oracle-compare", "--gamma", "1", "--omega-cut", "10", "--distance", "0.1",
+                 "--t-max", "1.1", "--output-dir", str(tmp_path)]) == 0
+    times = trace(ModelParams(gamma=1.0, omega_cut=10.0, distance=0.1),
+                  t_max=1.1, dt=0.25).times
+    assert times[-1] == 1.25
+    assert _load(tmp_path / "deviation.csv")["t"].tolist() == times.tolist()
 
 
 def test_oracle_compare_rows_match_library(tmp_path):
