@@ -285,8 +285,6 @@ def run_oracle_compare(config: RunConfig) -> list[str]:
     # rows at least 0.25 apart; the CSV and MANIFEST echo the step used
     config = replace(config, dt=max(config.dt, 0.25))
     points = _points(config)
-    if round(config.t_max / config.dt) < 1:      # a window under half a step
-        raise ConfigError(f"t_max = {config.t_max:g} holds no output step of {config.dt:g}")
     worst = []
 
     def rows_of(p):

@@ -29,8 +29,9 @@ On the uniform grid t_j = j h the series is a discrete Fourier transform
 that M = 2P/h is an integer, exp(i pi k t_j / P) = exp(2 pi i k j / M), so
 the coefficients fold modulo M and one inverse FFT per entry sums the
 series at every grid point.  The K + 1 terms are made and folded in one
-pass, one block of M contour nodes at a time, so memory is O(M) with
-M = 2P/h ~ 8 t_max/h, time is O(K + M log M), and K sizes no array.
+pass, whole blocks of M contour nodes at a time (at least 2^14 nodes), so
+memory is O(M) with M = 2P/h ~ 8 t_max/h, time is O(K + M log M), and K
+sizes no array.
 
 The period, the contour shift and the subtraction are fixed; every pole
 lies at Re s <= 0 (on it only for the undamped relative channel at r = 0),
@@ -167,10 +168,11 @@ def _reflection_defect(params: ModelParams, a: float, period: float, n_nodes: in
 def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams):
     """Durbin-invert both channel resolvents on the uniform grid ``t``.
 
-    The K + 1 contour nodes are taken one fold block of M = 2 period / h at
-    a time: the block's three distinct entries (G11 = G22, G12, G21) of both
-    channels, less their closed-form terms, are added into M main bins, or
-    into M tail bins from ``tail_start`` on, and one inverse FFT sums them.
+    The K + 1 contour nodes are made whole fold blocks of M = 2 period / h
+    at a time: each block's three distinct entries (G11 = G22, G12, G21) of
+    both channels, less their closed-form terms, are added in order into M
+    main bins, or into M tail bins from ``tail_start`` on, and one inverse
+    FFT sums them.
     Returns ((2, Nt, 2, 2), tail_max, imag_residual).
     """
     a = SHIFT_SCALE / period
@@ -189,9 +191,12 @@ def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams
     c_g = gO2 - 2.0 * b * w0
 
     M = int(round(2.0 * period / h))
+    # nodes made at once: whole fold blocks, at least 2^14, so a grid of few
+    # points does not pay numpy's per-call cost once per block of few nodes
+    width = M * -(-2**14 // M)
     folded = np.zeros((2, 2, 3, M), dtype=complex)          # (main | tail, channel, entry, bin)
-    for lo in range(0, K + 1, M):
-        s = a + 1j * math.pi * np.arange(lo, min(lo + M, K + 1)) / period
+    for lo in range(0, K + 1, width):
+        s = a + 1j * math.pi * np.arange(lo, min(lo + width, K + 1)) / period
         sK = s * channel_kernel_laplace(s, params, SIGNS)   # (2, n)
         D = s * s + 1.0 + sK
         sub1 = 1.0 / (s + b)          # <- e^{-b t}
@@ -203,12 +208,15 @@ def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams
         rows = (s / D - sub1 - b * sub2 - c_u * sub3,                              # G11 = G22
                 1.0 / D - sub2 - c_v * sub3,                                       # G12
                 -(1.0 + sK) / D + w0 * sub2 - c_g * sub3 - SIGNS * gO2 * sub3_r)  # G21
-        cut = min(max(tail_start - lo, 0), s.size)
-        for j, row in enumerate(rows):
-            if lo == 0:
+        if lo == 0:
+            for row in rows:
                 row[:, 0] *= 0.5      # k = 0 term enters with half weight
-            folded[0, :, j, :cut] += row[:, :cut]
-            folded[1, :, j, cut:s.size] += row[:, cut:]
+        for q in range(0, s.size, M):                       # fold block by block, in order
+            n = min(M, s.size - q)
+            cut = min(max(tail_start - lo - q, 0), n)
+            for j, row in enumerate(rows):
+                folded[0, :, j, :cut] += row[:, q:q + cut]
+                folded[1, :, j, cut:n] += row[:, q + cut:q + n]
     main, tail = (M * np.fft.ifft(folded, axis=-1)[..., :t.size]).real
     # two-sided trapezoid of the Bromwich integral collapses to twice the
     # real part of the half-weighted one-sided sum, i.e. prefactor 1/period

@@ -48,8 +48,6 @@ def test_config_error_exit_code(tmp_path, capsys):
                  ["time-trace", *point, "--dt", "nan"],
                  ["time-trace", *point, "--t-max", "-1"],
                  ["time-trace", *point, "--t-max", "inf"],
-                 # no output step fits into the window
-                 ["oracle-compare", *point, "--t-max", "0.1", "--dt", "0.25"],
                  # every command validates its points before any work
                  ["slope-fit", "--gamma", "-1", "--omega-cut", "2,5,10"],
                  ["slope-fit", "--gamma", "1", "--omega-cut", "2,5,10",
@@ -435,16 +433,18 @@ def test_oracle_compare_echoes_the_step_it_used(tmp_path):
         assert "dt=0.25 " in text and "dt=0.01" not in text, name
 
 
-def test_oracle_compare_window_ends_where_trace_ends(tmp_path):
-    """t_max = 1.1 is no multiple of the step 0.25: the rows run to 1.25,
-    the step `analysis.trace` ends at, not to 1.0, short of the t_max echoed."""
+@pytest.mark.parametrize("t_max, t_end", [(1.1, 1.25), (0.1, 0.25)])
+def test_oracle_compare_window_ends_where_trace_ends(tmp_path, t_max, t_end):
+    """A t_max that is no multiple of the step 0.25 ends the rows at the
+    step `analysis.trace` ends at, the first one past it: not short of the
+    t_max echoed (1.1), and not a refusal for a window under half a step (0.1)."""
     from bathpair.analysis import trace
 
     assert main(["oracle-compare", "--gamma", "1", "--omega-cut", "10", "--distance", "0.1",
-                 "--t-max", "1.1", "--output-dir", str(tmp_path)]) == 0
+                 "--t-max", str(t_max), "--output-dir", str(tmp_path)]) == 0
     times = trace(ModelParams(gamma=1.0, omega_cut=10.0, distance=0.1),
-                  t_max=1.1, dt=0.25).times
-    assert times[-1] == 1.25
+                  t_max=t_max, dt=0.25).times
+    assert times[-1] == t_end
     assert _load(tmp_path / "deviation.csv")["t"].tolist() == times.tolist()
 
 

@@ -413,8 +413,9 @@ def test_fft_durbin_sum_matches_dense_sum(p, monkeypatch):
 def test_inversion_memory_is_set_by_the_grid_not_the_term_count():
     """At (gamma, Omega, T, r) = (50, 100, 0, 0.2) on [0, 5] with h = 2e-3 the
     period is 20 and c4 = w0^2 = 1.0e8, so the series has K + 1 = 184,214 terms
-    on M = 2 * 20 / h = 20,000 bins: K > 9 M.  Summed one fold block of M
-    terms at a time, what is live at once is the main and tail bins of three
+    on M = 2 * 20 / h = 20,000 bins: K > 9 M.  Made one fold block of M
+    terms at a time (M is above 2^14, the fewest nodes made at once), what
+    is live at once is the main and tail bins of three
     entries in two channels, 2 * 2 * 3 * 16 = 192 bytes a bin, and one
     block's work arrays: its nodes, s K^ and D of both channels, the four
     subtracted terms, three entries of both channels and one expression's
