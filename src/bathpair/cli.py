@@ -9,10 +9,11 @@ Each command sweeps some model parameters over the values given (a scalar,
 a comma list or a start:stop:step range); every other one takes exactly one
 value, and a list there is a config error.  `analysis.find_d0` grows its own
 d0 bracket unless ``--r-lo`` and ``--r-hi`` give one.  ``t_max``, ``dt`` and
-``tol`` must be positive and finite; the commands of `_TOL_FREE` take no
-``tol``.  `_OPTIONS` is the one table of value options: each is a flag and
-a config-file key, and a config-file key that names none of them is a
-config error.
+``tol`` must be positive and finite.  `_OPTIONS` is the one table of
+value options: each is a flag and a config-file key, and a config-file key
+that names none of them is a config error.  Each command in `_RUNNERS`
+declares the options it reads: one given to a command that does not read
+it is a config error, and only the options read are echoed.
 
 Exit codes: 0 success, 2 config error, 3 numerical-tolerance failure,
 4 oracle disagreement beyond tolerance.
@@ -65,7 +66,7 @@ class RunConfig:
     params: dict                # name -> list of floats, as given
     t_max: float
     dt: float
-    tol: float | None           # None for a command that reads no tolerance
+    tol: float
     oracle_modes: int
     output_dir: str
     emit_plot_script: bool
@@ -112,9 +113,6 @@ _OPTIONS = {
     "oracle_modes": (int, 2000),
     "output_dir": (str, "."),
 }
-# commands whose numbers depend on no tolerance: they echo none, and a tol
-# given to them is a config error
-_TOL_FREE = ("asymptotic-sweep", "time-trace", "short-time-check")
 
 
 def _scalar(config: RunConfig, name: str) -> float:
@@ -147,12 +145,16 @@ def _points(config: RunConfig, swept=(), required=()) -> list[ModelParams]:
 
 
 def _config_echo(config: RunConfig) -> list[str]:
-    parts = []
-    for key, vals in sorted(config.params.items()):
-        parts.append(f"{key}=" + ",".join(f"{v:g}" for v in vals))
-    tol = "" if config.tol is None else f" tol={config.tol:g}"
-    parts.append(f"t_max={config.t_max:g} dt={config.dt:g}{tol}")
-    parts.append(f"oracle_modes={config.oracle_modes}")
+    """The given model parameters, then the scalar options the command reads."""
+    reads = _RUNNERS[config.command][1]
+    parts = [f"{key}=" + ",".join(f"{v:g}" for v in vals)
+             for key, vals in sorted(config.params.items())]
+    scalars = " ".join(f"{name}={getattr(config, name):g}" for name in ("t_max", "dt", "tol")
+                       if name in reads)
+    if scalars:
+        parts.append(scalars)
+    if "oracle_modes" in reads:
+        parts.append(f"oracle_modes={config.oracle_modes}")
     return parts
 
 
@@ -358,6 +360,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
                               f"known: {', '.join(_OPTIONS)}")
 
+    reads = _RUNNERS[args.command][1]
+    unread = [name for name in _OPTIONS if name not in reads
+              and (getattr(args, name) is not None or name in file_cfg)]
+    if unread:
+        raise ConfigError(f"{args.command} reads no {', '.join(unread)}")
     params, values = {}, {}
     for name, (cast, default) in _OPTIONS.items():
         raw = getattr(args, name)
@@ -369,10 +376,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             values[name] = default if raw is None else _number(cast, raw)
             if cast is float and not (math.isfinite(values[name]) and values[name] > 0.0):
                 raise ConfigError(f"{name} must be positive and finite (got {values[name]})")
-    if args.command in _TOL_FREE:
-        if args.tol is not None or "tol" in file_cfg:
-            raise ConfigError(f"{args.command} reads no tol (got {values['tol']:g})")
-        values["tol"] = None
     config = RunConfig(command=args.command, params=params,
                        emit_plot_script=bool(args.emit_plot_script), **values)
     if config.oracle_modes < 100:               # the floor of oracle.build_bath
@@ -385,13 +388,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+# every command: its runner and the value options it reads
+_MODEL = ("gamma", "omega_cut", "temperature", "distance", "output_dir")
+_D0 = ("gamma", "omega_cut", "temperature", "tol", "output_dir")   # the distance is searched
 _RUNNERS = {
-    "asymptotic-sweep": run_asymptotic_sweep,
-    "time-trace": run_time_trace,
-    "critical-distance": run_critical_distance,
-    "short-time-check": run_short_time_check,
-    "oracle-compare": run_oracle_compare,
-    "slope-fit": run_slope_fit,
+    "asymptotic-sweep": (run_asymptotic_sweep, _MODEL),
+    "time-trace": (run_time_trace, (*_MODEL, "t_max", "dt")),
+    "critical-distance": (run_critical_distance, (*_D0, "r_lo", "r_hi")),
+    "short-time-check": (run_short_time_check, _MODEL),
+    "oracle-compare": (run_oracle_compare, (*_MODEL, "t_max", "dt", "tol", "oracle_modes")),
+    "slope-fit": (run_slope_fit, _D0),
 }
 
 
@@ -400,7 +406,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        outputs = _RUNNERS[config.command](config)
+        outputs = _RUNNERS[config.command][0](config)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -33,13 +33,16 @@ pass, whole blocks of M contour nodes at a time (at least 2^14 nodes), so
 memory is O(M) with M = 2P/h ~ 8 t_max/h, time is O(K + M log M), and K
 sizes no array.
 
-The period, the contour shift and the subtraction are fixed; every pole
+The period and the contour shift are fixed, and so is the subtraction but
+for its damping b: on a short window the subtracted terms, which grow as
+2 gamma Omega^2 t^2 e^{-bt}, would alias back from t = 2 P, so b grows
+above 1 until that image is a tenth of the G(0) tolerance.  Every pole
 lies at Re s <= 0 (on it only for the undamped relative channel at r = 0),
 left of the contour, so no node meets one.  The term count is derived
 from the residual: it falls off as c4/s^4 with c4 = max(w0^2, 2 gamma
 Omega^3), w0 = 1 + K(0), so the truncation error is ~ c4 (P/K)^3 and K
 grows with P c4^(1/3).  Each call checks the tail, the reflection
-residual and |G(0) - I| <= 1e-6 (above the aliasing floor), raising
+residual and |G(0) - I| <= G0_TOL (above the aliasing floor), raising
 `DurbinConvergenceError`.
 """
 
@@ -138,7 +141,8 @@ def channel_blocks(c4):
 N_TERMS = 15000          # terms per 60 time units of period at c4 <= 2000, and at least this
 PERIOD_FACTOR = 4.0      # period / t_max; the series representation needs > 2
 SHIFT_SCALE = 9.0        # contour at Re s = 9/P, right of every pole; aliasing floor e^-18 = 1.5e-8
-DAMP_SHIFT = 1.0         # b > 0 in the closed-form subtracted terms e^{-bt}
+DAMP_SHIFT = 1.0         # least b > 0 in the closed-form subtracted terms e^{-bt}
+G0_TOL = 1e-6            # largest |G(0) - I| accepted
 TAIL_FRACTION = 0.1      # share of the series summed apart as the tail
 TAIL_TOL = 1e-5          # largest tail contribution accepted
 
@@ -176,7 +180,13 @@ def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams
     Returns ((2, Nt, 2, 2), tail_max, imag_residual).
     """
     a = SHIFT_SCALE / period
-    b = DAMP_SHIFT
+    gO2 = 2.0 * params.gamma * params.omega_cut**2
+    # the subtracted G21 terms t^2/2 e^{-bt} and its image at t = r, each
+    # with a coefficient near gO2, come back into the window from t = 2 period
+    # with weight e^{-2 a period}: b is the least b >= DAMP_SHIFT that holds
+    # e^{-2 a period} gO2 (2 period)^2 e^{-2 b period} to a tenth of G0_TOL
+    alias = math.exp(-2.0 * SHIFT_SCALE) * gO2 * (2.0 * period) ** 2 / (0.1 * G0_TOL)
+    b = max(DAMP_SHIFT, math.log(max(alias, 1.0)) / (2.0 * period))
     w0 = 1.0 + channel_kernel_zero(params, SIGNS)           # (2, 1)
     # the residual left after the 1/s..1/s^3 subtraction falls off as c4/s^4,
     # so the truncation error is ~ c4 (P/K)^3; N_TERMS per 60 time units
@@ -185,7 +195,6 @@ def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams
     K = int(N_TERMS * max(1.0, period / 60.0 * max(1.0, (c4 / 2000.0) ** (1.0 / 3.0))))
     tail_start = int(math.floor((1.0 - TAIL_FRACTION) * (K + 1)))
     r = params.distance
-    gO2 = 2.0 * params.gamma * params.omega_cut**2
     c_u = b * b - w0
     c_v = 2.0 * b
     c_g = gO2 - 2.0 * b * w0
@@ -268,9 +277,9 @@ def greens_time(t_grid, params: ModelParams) -> GreensFunction:
 
     values = four_by_four(*channel_series)
     defect0 = float(np.max(np.abs(values[0] - np.eye(4))))
-    if defect0 > 1e-6:
+    if defect0 > G0_TOL:
         raise DurbinConvergenceError(
-            f"G(0) deviates from identity by {defect0:.3e} > 1e-6")
+            f"G(0) deviates from identity by {defect0:.3e} > {G0_TOL:g}")
 
     return GreensFunction(
         time_grid=t, time_values=values, channel_series=channel_series, spacing=h,

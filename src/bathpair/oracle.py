@@ -30,6 +30,16 @@ discrete bath at any t.  Only the two system rows of S(t) are ever
 materialized, one block of bath columns at a time, which makes long series of
 reduced covariances cheap.
 
+Every O(N^2) pass (the secular function, Loewner's products, the head norms,
+the system rows, the image noise's phases) works on one block of _ROWS rows
+of an N-wide array at a time.  At N = 2000, 64 rows of float64 are 1 MB,
+which stays in a 2 MiB per-core L2 cache through the half-dozen passes over
+the block; 256 rows (4 MB) did not.  A block's rows are neighbouring roots,
+so its columns split at the block: the poles below every row, the poles
+above every row, and a band about as wide as the block between them.  The
+secular sums and Loewner's factors take whole column views outside the band
+and choose per entry only inside it.
+
 Against the continuum bath the discrete one differs in two ways, and
 `reduced_covariance_series` corrects both from the oracle's own channel
 Green's function g = (G12, G22) (the response of (u, udot) to a kick):
@@ -66,6 +76,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.special import polygamma
 
 from ._panels import cos_tail
@@ -193,8 +204,20 @@ def _channel_modes(bath: DiscreteBath, params: ModelParams, sign: int) -> _Chann
 # ---------------------------------------------------------------------------
 # arrowhead eigensolver: secular equation, Loewner border, closed-form vectors
 
-_ROWS = 256                     # rows (or columns) per block of the O(N^2) passes
+_ROWS = 64                      # rows (or columns) per block of the O(N^2) passes: L2-sized
 _EPS = np.finfo(float).eps
+
+
+def _gaps(d, *shifts):
+    """d_k - shift_j - ..., row j over the columns d_k, rounded left to
+    right: with shifts (d[origin], tau), x_j - d_k keeps full relative
+    precision next to x_j's own pole.  Each shift is a rank-1 update of the
+    rows, exact but for its one rounding; numpy broadcasts a per-row scalar
+    several times slower."""
+    w = np.repeat(d[None], shifts[0].size, axis=0)
+    for shift in shifts:
+        w = dger(-1.0, np.ones(d.size), shift, a=w.T, overwrite_a=True).T
+    return w
 
 
 def _solve_arrowhead(corner: float, border: np.ndarray, diag: np.ndarray) -> _ChannelModes:
@@ -209,7 +232,10 @@ def _solve_arrowhead(corner: float, border: np.ndarray, diag: np.ndarray) -> _Ch
     that they are the exact eigenvalues of a matrix within rounding of the
     input, and the eigenvector of root x is (1, b_k / (x - d_k)) normalized.
     The mode matrix is never built: only its first row, the norms' inverses,
-    is kept (`_ChannelModes`).  Cost O(N^2) in time and O(_ROWS N) in memory.
+    is kept (`_ChannelModes`).  Cost O(N^2) in time and O(_ROWS N) in memory:
+    the secular iteration, Loewner's products and the norms each take the
+    roots _ROWS at a time, and the first two split the columns at the block
+    (module docstring).
     """
     n = diag.size
     scale = max(abs(corner), abs(diag[-1])) + float(np.linalg.norm(border))
@@ -226,7 +252,8 @@ def _solve_arrowhead(corner: float, border: np.ndarray, diag: np.ndarray) -> _Ch
         b = np.copysign(np.sqrt(_loewner_border(d, origin, tau)), lam)
         for lo in range(0, d.size + 1, _ROWS):
             j = slice(lo, min(lo + _ROWS, d.size + 1))
-            v = b / ((d[origin[j], None] - d) + tau[j, None])   # b_k / (x_j - d_k)
+            v = _gaps(d, d[origin[j]], tau[j])
+            np.divide(b, v, out=v)                              # b_k / (d_k - x_j)
             head[j] = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", v, v))
     return _ChannelModes(mu2=np.concatenate([x, diag[dead]]), head=head, origin=origin,
                          tau=tau, d=d, border=b, cols=1 + np.flatnonzero(live))
@@ -236,19 +263,29 @@ def _secular_terms(z, lam2, d, origin, tau):
     """The secular function f(x) = z - x - sum_k lam2_k / (d_k - x) at
     x = d[origin] + tau, one point per row, with the sums of
     lam2_k / (d_k - x)^2 over the poles below and above x and the sum of the
-    magnitudes of f's terms, which sets its rounding error."""
-    w = d - d[origin, None]
-    w -= tau[:, None]
+    magnitudes of f's terms, which sets its rounding error.
+
+    Row i has the poles d[:split_i] below its x.  The poles below every
+    row's split and those from the highest split on are summed as whole
+    column views; only the band between the lowest and highest split, as
+    wide as the rows' spread, is masked."""
+    split = origin + (tau > 0.0)
+    lo, hi = int(split.min()), int(split.max())
+    under = np.arange(lo, hi) < split[:, None]
+    w = _gaps(d, d[origin], tau)
     np.reciprocal(w, out=w)                 # 1 / (d_k - x)
-    below = np.minimum(w, 0.0)
-    psi, psi_below = w @ lam2, below @ lam2
-    below *= below
+
+    def below_above(w):
+        band = np.where(under, w[:, lo:hi], 0.0)
+        return (w[:, :lo] @ lam2[:lo] + band @ lam2[lo:hi],
+                w[:, hi:] @ lam2[hi:] + (w[:, lo:hi] - band) @ lam2[lo:hi])
+
+    psi_below, psi_above = below_above(w)
     w *= w
-    slope_below = below @ lam2
-    slope_above = np.maximum(w @ lam2 - slope_below, 0.0)
+    slope_below, slope_above = below_above(w)
     base = z - d[origin]
-    f = base - tau - psi
-    size = np.abs(base) + np.abs(tau) + psi - 2.0 * psi_below
+    f = base - tau - (psi_below + psi_above)
+    size = np.abs(base) + np.abs(tau) + psi_above - psi_below
     return f, slope_below, slope_above, size
 
 
@@ -360,19 +397,26 @@ def _loewner_border(d, origin, tau):
         b_k^2 = (d_k - x_0)(x_m - d_k) prod_{l<k} (d_k - x_{l+1})/(d_k - d_l)
                                        prod_{l>k} (x_l - d_k)/(d_l - d_k),
 
-    every factor of the products in (0, 1) by interlacing."""
+    every factor of the products in (0, 1) by interlacing.  A block of
+    k in [lo, hi) holds factor l of b_k^2 in row l, column k: the rows
+    l < lo all take the first form and l >= hi the second, so only the band
+    of rows l in [lo, hi) chooses per entry."""
     m = d.size
     base = d[origin]
     out = np.empty(m)
     for lo in range(0, m, _ROWS):
-        k = np.arange(lo, min(lo + _ROWS, m))
-        dk = d[k, None]
-        under = k[:, None] > np.arange(m)               # l < k
-        num = np.where(under, (dk - base[1:]) - tau[1:], (dk - base[:-1]) - tau[:-1])
-        den = dk - d
-        num[k - lo, k] = den[k - lo, k] = 1.0
-        out[k] = (((dk[:, 0] - base[0]) - tau[0]) * ((base[-1] - dk[:, 0]) + tau[-1])
-                  * np.prod(num / den, axis=1))
+        hi = min(lo + _ROWS, m)
+        k = np.arange(lo, hi)
+        dk = d[lo:hi]
+        # row l, column k: the root x_{l+1} for l < lo, x_l for l >= lo
+        roots = np.r_[1:lo + 1, lo:m]
+        num = _gaps(dk, base[roots], tau[roots])
+        num[lo:hi] = np.where(k > k[:, None], _gaps(dk, base[lo + 1:hi + 1], tau[lo + 1:hi + 1]),
+                              num[lo:hi])
+        den = _gaps(dk, d)
+        num[k, k - lo] = den[k, k - lo] = 1.0
+        num /= den
+        out[lo:hi] = ((dk - base[0]) - tau[0]) * ((base[-1] - dk) + tau[-1]) * np.prod(num, axis=0)
     return out
 
 
@@ -406,7 +450,9 @@ def _system_rows(ch: _ChannelModes, t):
     base = ch.d[ch.origin]
     for lo in range(0, m, _ROWS):
         k = slice(lo, min(lo + _ROWS, m))
-        out[:, ch.cols[k]] = w @ (ch.border[k] / ((base[:, None] - ch.d[k]) + ch.tau[:, None]))
+        cauchy = _gaps(ch.d[k], base, ch.tau)
+        np.divide(-ch.border[k], cauchy, out=cauchy)           # b_k / (x_j - d_k)
+        out[:, ch.cols[k]] = w @ cauchy
     a_row, b_row, c_row = out.reshape(f.shape)
     return np.stack([np.concatenate([a_row, b_row], axis=-1),
                      np.concatenate([c_row, a_row], axis=-1)], axis=-2)
@@ -456,6 +502,26 @@ def _image_sum(x: np.ndarray, period: float, T: float) -> np.ndarray:
     return out
 
 
+def _midpoint_response(ch: _ChannelModes, n: int, du: float) -> np.ndarray:
+    """The channel's g = (G12, G22) = sum_j w_j (sin(mu_j u) / mu_j, cos(mu_j u)),
+    w = head^2, at the n midpoints u = (i + 1/2) du, shape (n, 2).
+
+    The phases e^{i mu u} of one block of _ROWS midpoints are made once and
+    advanced in place to the next block; each block is one product of their
+    interleaved (cos, sin) columns with the weights (0, w) and (w / mu, 0)."""
+    w, mu = ch.head ** 2, ch.mu
+    weights = np.zeros((mu.size, 2, 2))
+    weights[:, 1, 0], weights[:, 0, 1] = w / mu, w
+    weights = weights.reshape(-1, 2)
+    ph = np.exp(1j * np.outer((np.arange(_ROWS) + 0.5) * du, mu))
+    jump = np.exp(1j * mu * _ROWS * du)
+    g = np.empty((n, 2))
+    for lo in range(0, n, _ROWS):
+        g[lo:lo + _ROWS] = ph[:min(_ROWS, n - lo)].view(float) @ weights
+        ph *= jump
+    return g
+
+
 def _image_noise(chans: dict, bath: DiscreteBath, params: ModelParams,
                  times: np.ndarray) -> dict:
     """Doubled noise that the recurrence images add, per channel sign and
@@ -477,21 +543,10 @@ def _image_noise(chans: dict, bath: DiscreteBath, params: ModelParams,
                      bath.recurrence_time, params.temperature).reshape(3, n)
     k = np.minimum((times / du).astype(int), n - 1)
     frac = (times / du - k)[:, None, None]
-    block = 256
-    u = (np.arange(block) + 0.5) * du
     out = {}
     for sign, ch in chans.items():
         kern = -(4.0 * params.gamma / math.pi) * (img[0] + sign * 0.5 * (img[1] + img[2]))
-        # g = (G12, G22) on the midpoints, one block of rows at a time
-        w0, mu = ch.head ** 2, ch.mu
-        ph = np.exp(1j * np.outer(u, mu))
-        jump = np.exp(1j * mu * block * du)
-        g = np.empty((n, 2))
-        for lo in range(0, n, block):
-            rows = ph[:min(block, n - lo)]
-            g[lo:lo + block, 0] = rows.imag @ (w0 / mu)
-            g[lo:lo + block, 1] = rows.real @ w0
-            ph = ph * jump
+        g = _midpoint_response(ch, n, du)
         # c_k = sum_{j<k} kern[k-j] g_j; step k adds g_k c_k^T + c_k g_k^T + kern[0] g_k g_k^T
         shifted = np.concatenate([[0.0], kern[1:]])
         c = np.stack([np.convolve(shifted, g[:, i])[:n] for i in range(2)], axis=1)
@@ -512,7 +567,9 @@ def reduced_covariance_series(params: ModelParams, times, n_modes: int,
     The workhorse for cross-validation runs: the normal modes of each
     channel from its secular equation (module docstring), then the closed-form
     eigenvectors applied to the phase rows of all the times at once.  Cost
-    O(N^2) time and O(_ROWS N + N N_t) memory for N_t times.  Times
+    O(N^2) time and O(_ROWS N + N N_t) memory for N_t times; every O(N^2)
+    pass runs on blocks of _ROWS rows, each small enough to stay in a core's
+    L2 cache at the criterion-9 N (module docstring).  Times
     must stay below half the recurrence horizon.  The noise of each channel
     is corrected to the continuum bath: the missing modes above
     ``omega_max_bath`` are added and the recurrence images of the frequency

@@ -87,19 +87,21 @@ def test_oracle_modes_below_the_floor_are_refused(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["time-trace", "--omega-cut", "10", "--distance", "0.1", "--temperature", "0,0.3"],
-     "temperature"),
+    (["time-trace", "--omega-cut", "10", "--distance", "0.1", "--temperature", "0,0.3",
+      "--t-max", "1"], "temperature"),
     (["slope-fit", "--omega-cut", "2,5,10", "--temperature", "0,0.3"], "temperature"),
     (["critical-distance", "--omega-cut", "10", "--temperature", "0,0.3"], "temperature"),
-    (["critical-distance", "--omega-cut", "10", "--distance", "0.1,5"], "distance"),
-    (["oracle-compare", "--omega-cut", "10", "--temperature", "0,0.2"], "temperature"),
-    (["oracle-compare", "--omega-cut", "10", "--distance", "0.1,5"], "distance"),
-], ids=["time-trace-T", "slope-fit-T", "critical-distance-T", "critical-distance-r",
+    (["critical-distance", "--omega-cut", "10", "--r-lo", "0.1,0.2", "--r-hi", "1"], "r_lo"),
+    (["oracle-compare", "--omega-cut", "10", "--temperature", "0,0.2", "--t-max", "1"],
+     "temperature"),
+    (["oracle-compare", "--omega-cut", "10", "--distance", "0.1,5", "--t-max", "1"],
+     "distance"),
+], ids=["time-trace-T", "slope-fit-T", "critical-distance-T", "critical-distance-r_lo",
         "oracle-compare-T", "oracle-compare-r"])
 def test_a_list_where_one_value_is_taken_is_refused(tmp_path, capsys, argv, name):
     """A parameter a command does not sweep takes one value: a list there is a
     config error (exit 2) naming it, not a run at its first value."""
-    rc = main(argv + ["--gamma", "1", "--t-max", "1", "--output-dir", str(tmp_path)])
+    rc = main(argv + ["--gamma", "1", "--output-dir", str(tmp_path)])
     assert rc == 2
     assert f"needs a single value for {name}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -135,8 +137,9 @@ def test_a_tolerance_that_is_not_positive_and_finite_is_refused(tmp_path, capsys
 def test_a_tolerance_is_refused_where_no_number_reads_it(tmp_path, capsys, command, where):
     """These commands read no tolerance: a given tol is a config error (exit 2)
     before any output, and a run without one echoes none."""
-    point = ["--gamma", "1", "--omega-cut", "10", "--distance", "0.1", "--t-max", "0.2",
-             "--dt", "0.1"]
+    point = ["--gamma", "1", "--omega-cut", "10", "--distance", "0.1"]
+    if command == "time-trace":
+        point += ["--t-max", "0.2", "--dt", "0.1"]
     argv = [command, *point, "--output-dir", str(tmp_path / "out")]
     if where == "flag":
         argv += ["--tol", "1e-4"]
@@ -150,6 +153,47 @@ def test_a_tolerance_is_refused_where_no_number_reads_it(tmp_path, capsys, comma
     assert main([command, *point, "--output-dir", str(tmp_path / "ok")]) == 0
     for path in (tmp_path / "ok").iterdir():
         assert "tol=" not in path.read_text(), path.name
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+@pytest.mark.parametrize("command, name", [
+    ("asymptotic-sweep", "t_max"), ("asymptotic-sweep", "dt"), ("critical-distance", "t_max"),
+    ("critical-distance", "distance"), ("slope-fit", "dt"), ("slope-fit", "r_lo"),
+    ("time-trace", "oracle_modes"), ("short-time-check", "oracle_modes"),
+])
+def test_an_option_the_command_does_not_read_is_refused(tmp_path, capsys, command, name,
+                                                        where):
+    """A value option given to a command that does not read it, by flag or by
+    config file, is a config error (exit 2) naming it, before any output."""
+    value = "500" if name == "oracle_modes" else "0.5"
+    argv = [command, "--gamma", "1", "--omega-cut", "10", "--output-dir", str(tmp_path / "out")]
+    if where == "flag":
+        argv += ["--" + name.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert f"{command} reads no {name}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, echoed", [
+    ("asymptotic-sweep", []), ("time-trace", ["t_max", "dt"]), ("critical-distance", ["tol"]),
+    ("short-time-check", []), ("oracle-compare", ["t_max", "dt", "tol", "oracle_modes"]),
+    ("slope-fit", ["tol"]),
+], ids=["asymptotic-sweep", "time-trace", "critical-distance", "short-time-check",
+        "oracle-compare", "slope-fit"])
+def test_the_echo_lists_only_the_options_the_command_reads(tmp_path, command, echoed):
+    """The config echo of CSV and MANIFEST names the given model parameters and
+    then each scalar option the command reads, defaults included, and no
+    other: no t_max or dt without a time axis, no oracle_modes without the
+    oracle."""
+    from bathpair.cli import _config_echo, build_parser, config_from_args
+
+    args = build_parser().parse_args([command, "--gamma", "1", "--output-dir", str(tmp_path)])
+    echo = " ".join(_config_echo(config_from_args(args)))
+    assert [part.split("=")[0] for part in echo.split()] == ["gamma", *echoed]
 
 
 def test_slope_fit_searches_at_the_tolerance_it_echoes(tmp_path, monkeypatch):
@@ -243,8 +287,9 @@ def test_partial_sweep_keeps_rows_before_the_failure(tmp_path, monkeypatch, comm
         return real(params, *args, **kwargs)
 
     monkeypatch.setattr(cli, library_fn, third_fails)
+    window = ["--t-max", "0.5", "--dt", "0.1"] if command == "time-trace" else []
     rc = main([command, "--gamma", "1", "--omega-cut", "10", "--distance", "0.1,0.2,0.3,0.4",
-               "--t-max", "0.5", "--dt", "0.1", "--output-dir", str(tmp_path)])
+               *window, "--output-dir", str(tmp_path)])
     assert rc == 3
     data = _load(tmp_path / csv)
     assert np.unique(data["distance"]) == pytest.approx([0.1, 0.2])

@@ -234,6 +234,22 @@ def test_stiff_point_matches_mpmath_inversion():
     _assert_matches_mpmath(g, q, (0.7, 3.3, 12.1))
 
 
+@pytest.mark.parametrize("t_max", [0.5, 1.0])
+def test_short_window_at_the_box_corner_is_inverted(t_max):
+    """At (gamma, Omega, T, r) = (50, 100, 0, 0.2) the subtracted terms reach
+    2 gamma Omega^2 t^2 e^{-bt} = 1e6 t^2 e^{-bt}, and their image from
+    t = 2P (P = 4 t_max) comes back with weight e^{-18}.  With b = 1 that
+    left G(0) off by 2.5e-3 at t_max 0.5 and 1.9e-4 at t_max 1, and the
+    inversion was refused; b derived from the period holds the image to a
+    tenth of the G(0) tolerance.  G then matches, on the shared grid points,
+    the inversion of the t_max = 5 window (period 20, b = 1)."""
+    q = ModelParams(gamma=50.0, omega_cut=100.0, distance=0.2)
+    g = greens_time(_trace_grid(q, t_max), q)
+    long = greens_time(_trace_grid(q, 5.0), q)
+    assert np.max(np.abs(g.time_values[0] - np.eye(4))) <= 5e-7
+    assert np.max(np.abs(g.time_values - long.time_values[:g.time_grid.size])) <= 5e-7
+
+
 def test_greens_time_ode_residual(p):
     """d/dt G = -(Z G + d/dt int C G): residual vanishes to grid order."""
     h = 0.002

@@ -350,3 +350,104 @@ def test_initial_slope_matches_pipeline(r):
     oracle_slope = np.polyfit(times, log_negativity(covs), 1)[0]
     bound = 2.0 * (2.0 / math.pi) * params.omega_cut / W
     assert abs(oracle_slope / measured_initial_slope(params) - 1.0) <= bound
+
+
+def _secular_terms_full_width(z, lam2, d, origin, tau):
+    """`oracle._secular_terms` as one full-width pass per sum: each pole is
+    below or above its row's x by the sign of d_k - x, not by its index."""
+    w = 1.0 / ((d - d[origin, None]) - tau[:, None])
+    below = w < 0.0
+    psi_below = np.sum(np.where(below, w, 0.0) * lam2, axis=1)
+    psi_above = np.sum(np.where(below, 0.0, w) * lam2, axis=1)
+    slope_below = np.sum(np.where(below, w * w, 0.0) * lam2, axis=1)
+    slope_above = np.sum(np.where(below, 0.0, w * w) * lam2, axis=1)
+    base = z - d[origin]
+    size = np.abs(base) + np.abs(tau) + psi_above - psi_below
+    return base - tau - (psi_below + psi_above), slope_below, slope_above, size
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_secular_terms_match_a_full_width_evaluation(p):
+    """The column split of `_secular_terms` (poles below every row, above
+    every row, and the band between) against a full-width evaluation, to
+    1e-12 relative (f to 1e-12 of the size of its terms, as it vanishes at a
+    root): at N = 2000 in both channels and in a chain with one coupling
+    zeroed, on blocks of gap midpoints, on the converged roots in blocks and
+    as a scattered subset (the rows an iteration keeps), and on the edge
+    roots below d_1 and above d_m."""
+    bath = build_bath(p, n_modes=2000, omega_max_bath=265.0)
+    corner, border, diag = oracle._channel_potential(bath, p, +1)
+    border = border.copy()
+    border[57] = 0.0
+    chains = [oracle._channel_potential(bath, p, +1), oracle._channel_potential(bath, p, -1),
+              (corner, border, diag)]
+    rng = np.random.default_rng(5)
+    for z, lam, diag in chains:
+        live = lam != 0.0
+        lam2, d = lam[live] ** 2, diag[live]
+        m = d.size
+        origin, tau = oracle._secular_roots(z, lam2, d)
+        mid = np.arange(1, m)
+        rows = [(mid[:64] - 1, 0.5 * np.diff(d)[:64]),
+                (mid[-64:] - 1, 0.5 * np.diff(d)[-64:]),
+                (origin[640:704], tau[640:704]),
+                (origin[[0, m]], tau[[0, m]])]
+        scattered = np.sort(rng.choice(np.arange(1000, 1064), 20, replace=False))
+        rows.append((origin[scattered], tau[scattered]))
+        for org, t in rows:
+            got = oracle._secular_terms(z, lam2, d, org, t)
+            ref = _secular_terms_full_width(z, lam2, d, org, t)
+            assert np.all(np.abs(got[0] - ref[0]) <= 1e-12 * ref[3])
+            for a, b in zip(got[1:], ref[1:]):
+                assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
+
+
+def test_loewner_border_matches_an_mpmath_product(p):
+    """`_loewner_border`, whose blocks take the two forms of Loewner's factors
+    apart and choose per entry only on their band, against the same products
+    in 40-digit arithmetic at N = 300, to 1e-12 relative."""
+    mpmath = pytest.importorskip("mpmath")
+    bath = build_bath(p, n_modes=300, omega_max_bath=200.0)
+    z, lam, d = oracle._channel_potential(bath, p, +1)
+    origin, tau = oracle._secular_roots(z, lam * lam, d)
+    got = oracle._loewner_border(d, origin, tau)
+    m = d.size
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(d[o])) + mpmath.mpf(float(t)) for o, t in zip(origin, tau)]
+        dm = [mpmath.mpf(float(v)) for v in d]
+        for k in range(m):
+            ref = (dm[k] - x[0]) * (x[m] - dm[k])
+            for l in range(m):
+                if l != k:
+                    ref *= (dm[k] - x[l + 1 if l < k else l]) / (dm[k] - dm[l])
+            assert abs(got[k] / float(ref) - 1.0) <= 1e-12, k
+
+
+def test_midpoint_response_matches_a_direct_sum(p):
+    """The image noise's g = (G12, G22) on its midpoints, whose phases advance
+    one block at a time, against the direct cos/sin sum over the modes in
+    long double, to 1e-13, at N = 2000 and the 2000 midpoints of the
+    criterion-9 window (t_max = 20, du = 0.01)."""
+    bath = build_bath(p, n_modes=2000, omega_max_bath=265.0)
+    n, du = 2000, 0.01
+    u = (np.arange(n, dtype=np.longdouble) + 0.5) * np.longdouble(du)
+    for sign in (+1, -1):
+        ch = oracle._channel_modes(bath, p, sign)
+        w, mu = ch.head.astype(np.longdouble) ** 2, ch.mu.astype(np.longdouble)
+        ph = np.outer(u, mu)
+        ref = np.stack([np.sin(ph) @ (w / mu), np.cos(ph) @ w], axis=1)
+        assert np.max(np.abs(oracle._midpoint_response(ch, n, du) - ref)) <= 1e-13
+
+
+def test_gaps_round_as_numpy_broadcasting_does(p):
+    """`_gaps` makes d_k - base_j - tau_j by rank-1 updates, each rounded once:
+    the same doubles as numpy's broadcast (d - base) - tau, which keeps
+    x_j - d_k exact at x_j's own pole, on the roots of the N = 2000 channel."""
+    bath = build_bath(p, n_modes=2000, omega_max_bath=265.0)
+    z, lam, d = oracle._channel_potential(bath, p, +1)
+    origin, tau = oracle._secular_roots(z, lam * lam, d)
+    for j in (slice(0, 64), slice(1000, 1064), slice(1937, 2001)):
+        base = d[origin[j]]
+        assert np.array_equal(oracle._gaps(d, base, tau[j]), (d - base[:, None]) - tau[j, None])
+        assert np.array_equal(oracle._gaps(d[j.start:j.start + 64], d),
+                              d[j.start:j.start + 64] - d[:, None])
