@@ -92,7 +92,10 @@ def parse_values(text: str) -> list[float]:
         n = int(math.floor((stop - start) / step + 1e-9))
         return [start + k * step for k in range(n + 1)]
     if "," in text:
-        return [_number(float, x) for x in text.split(",") if x.strip()]
+        values = [_number(float, x) for x in text.split(",") if x.strip()]
+        if not values:
+            raise ConfigError(f"no values in the list {text!r}")
+        return values
     return [_number(float, text)]
 
 

@@ -27,17 +27,15 @@ q = Omega^2 + omega^2,
     Re D(i omega) = 1 - omega^2 + 2 gamma Omega [omega^2 (1 +- E) +- Omega omega sin(omega r)] / q,
     Im D(i omega) = 2 gamma Omega^2 omega (1 +- cos(omega r)) / q,
 
-and its exact omega-derivative: the singularity search and the moment
-integrand (S/2)(1 +- cos(omega r)) / ((Re D)^2 + (Im D)^2) share one sin
-and one cos of omega r / 2 per node.  It is summed on 12-point
-Gauss-Legendre panels (`frequency_grid`) by one rule, a panel no wider than
-its distance to the nearest singularity: one record (`channel_resonances`)
-lists every singularity near the real axis as a centre a and a distance b
-(the zeros of Re D, the complex roots of D where Re D only nears zero, the
-Drude pole and the poles at omega = 0), each gets a ladder of edges
-a +- b 2^k, and the rest of the grid is uniform at 2.5/r, which resolves
-cos(omega r).  Resonances too narrow for float64 nodes, and grids past a
-node budget at large r, are refused.
+and its exact omega-derivative, analytic, so also the complex roots of D
+(`channel_resonances`).  The moment integrand (S/2)(1 +- cos(omega r)) /
+((Re D)^2 + (Im D)^2) is summed on 12-point Gauss-Legendre panels
+(`frequency_grid`) by one rule, a panel no wider than its distance to the
+nearest singularity: each singularity near the real axis, a root
+z = a + i b of D, the Drude pole or a pole at omega = 0, gets a ladder of
+edges a +- b 2^k, and the rest of the grid is uniform at 2.5/r, which
+resolves cos(omega r).  Roots too near the axis for float64 nodes, and
+grids past a node budget at large r, are refused.
 
 Transient state:
 
@@ -205,105 +203,94 @@ def _tail_prefactor(params: ModelParams) -> float:
     return 4.0 * params.gamma * params.omega_cut**2 / math.pi
 
 
-_NEWTON_MAX = 100     # iterations; bisection alone needs < 40 from the largest scan step
-
-
-def _refine_roots(params: ModelParams, sign, lo, hi, f_lo, f_hi):
-    """Roots of Re D(i omega) in the brackets [lo, hi], all at once: one
-    safeguarded Newton iteration on arrays, with the exact slope of
-    `_det_parts`, from the secant point of the bracket.  A step that leaves
-    its bracket, or fails to halve the one before, is a bisection.  Stops at
-    brentq's tolerance 1e-13 + 4 eps |omega|.  ``sign`` and Re D at the
-    bracket ends, ``f_lo`` and ``f_hi``, are per bracket."""
-    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-    side = np.sign(f_lo)
-    dx_old = hi - lo
-    active = np.ones(x.shape, dtype=bool)
-    for _ in range(_NEWTON_MAX):
-        if not active.any():
-            return x
-        xa, a, b, sa = x[active], lo[active], hi[active], sign[active]
-        f, _, df, _ = _det_parts(xa, params, sa, _channel_trig(xa, params.distance, sa), slope=True)
-        left = np.sign(f) == side[active]
-        a, b = np.where(left, xa, a), np.where(left, b, xa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(f == 0.0, 0.0, f / df)
-        newton = xa - step
-        tol = 1e-13 + 4.0 * np.finfo(float).eps * np.abs(xa)
-        converged = np.abs(step) <= tol
-        bisect = ~converged & (~((newton > a) & (newton < b))
-                               | (np.abs(2.0 * step) > np.abs(dx_old[active])))
-        new = np.where(bisect, 0.5 * (a + b), newton)
-        x[active] = new
-        lo[active], hi[active], dx_old[active] = a, b, new - xa
-        active[active] = ~(converged | (b - a <= tol))
-    raise RuntimeError("resonance search did not converge")
+_REACH = 2.5          # / r: the widest panel resolving cos(omega r), and the root search's reach
+_NEWTON_MAX = 40      # complex Newton steps; an iterate not converged by then is dropped
 
 
 def channel_resonances(params: ModelParams, sign):
     """Every near-axis singularity of the moment integrand of the channels
-    ``sign`` (+1, -1 or a column such as `SIGNS`), as one record of arrays
-    over all of them: (row, centre, distance, slope), row the channel's index
-    in ``sign``, a singularity at distance b from the point a = centre of the
-    real omega axis, and slope |d Re D / d omega| at a resonance, 0 elsewhere.
-
-    Re D(i omega), Im D and their exact slopes are scanned on one grid,
-    uniform below 3 + 3 gamma and on to twice that at 4 times the step.  The
-    record lists, per channel:
-
-    - the resonances, the zeros of Re D(i omega): every sign change of every
-      channel is refined at once by `_refine_roots`, and b is the half-width
-      Im D / |d Re D / d omega| = omega Re Gamma^ / |d Re D / d omega|.  It has
-      no floor: the antisymmetric one falls as r^2 as r -> 0+.  At large r
-      Re D crosses zero many times, near nulls of the channel damping in very
-      narrow spikes.  These are the only entries `_require_resolvable` reads.
-    - the near misses, the interior local minima of |D / D'| (D' = dD/d omega)
-      on scan nodes away from any sign change of Re D: a complex root of D
-      close to the axis where Re D does not cross zero.  a is the node and b
-      = |D / D'| there, the Newton distance to that root.
-    - the Drude pole, (0, Omega), and at omega = 0 the symmetric peak of
-      half-width 1/(4 gamma) or the poles of coth(omega/2T) at 2 pi T, the
-      nearer.
+    ``sign`` (+1, -1 or a column such as `SIGNS`), as one record of arrays:
+    (row, centre, distance, slope), row the channel's index in ``sign``, a
+    singularity at distance b from omega = a = centre, and slope |D'| at a
+    root of D, 0 elsewhere.  The roots z of D(i z), Im z >= 0, are listed
+    as (Re z, Im z, |dD/d omega|).  Every interior local minimum of the
+    Newton distance |D / D'| within `_REACH` / r, on a scan uniform below
+    3 + 3 gamma and on to twice that at 4 times the step (a channel with
+    none: the roots of a small-r quartic), seeds a complex Newton iteration
+    on the analytic closed form of `_det_parts`.  A step below
+    sqrt(eps) (1 + |z|), which leaves an error ~ step^2, ends it; an iterate
+    that leaves |Im z| <= `_REACH` / r or has not ended in `_NEWTON_MAX`
+    steps is dropped.  Mirror roots -conj(z) are folded onto Re z >= 0 and
+    copies merged.  Im z has no floor: the antisymmetric root near omega = 1
+    leaves the axis as r^2 as r -> 0+.  Per channel, the record also lists
+    the Drude pole, (0, Omega), and at omega = 0 the symmetric peak of
+    half-width 1/(4 gamma) or the poles of coth(omega/2T) at 2 pi T, the
+    nearer.
     """
     rows = np.reshape(np.asarray(sign, dtype=float), (-1, 1))
     r = params.distance
+    reach = _REACH / max(r, 1e-9)
     top = 3.0 + 3.0 * params.gamma
     step = min(0.01, math.pi / (10.0 * (r + 1.0)))
     grid = np.concatenate([np.arange(step, top, step), np.arange(top, 2.0 * top, 4.0 * step)])
-    red, im_scan, d_re, d_im = _det_parts(grid, params, rows, _channel_trig(grid, r, rows),
-                                          slope=True)
-
-    # a crossing lies between successive samples of one channel of opposite
-    # sign; a sample that is exactly zero has no sign and sits inside its
-    # crossing's bracket
-    flat = red.ravel()
-    signed = np.flatnonzero(flat)
-    lo, hi = signed[:-1], signed[1:]
-    flips = (np.sign(flat[lo]) != np.sign(flat[hi])) & (lo // grid.size == hi // grid.size)
-    channel, a = np.divmod(lo[flips], grid.size)
-    b = hi[flips] - channel * grid.size
-    ch_sign = rows[channel, 0]
-    om = _refine_roots(params, ch_sign, grid[a], grid[b], red[channel, a], red[channel, b])
-    _, im, slope, _ = _det_parts(om, params, ch_sign, _channel_trig(om, r, ch_sign), slope=True)
-    slope = np.abs(slope)
-
-    # near misses: the interior minima of |D / D'|^2 off the crossings' brackets,
-    # a node with D' = 0 counting as far from every root
-    size, turn = red * red + im_scan * im_scan, d_re * d_re + d_im * d_im
+    re, im, d_re, d_im = _det_parts(grid, params, rows, _channel_trig(grid, r, rows), slope=True)
+    # a node with D' = 0 counts as far from every root
+    size, turn = re * re + im * im, d_re * d_re + d_im * d_im
     newton = np.divide(size, turn, out=np.full_like(size, np.inf), where=turn > 0)
-    s = np.sign(red)
     low = ((newton[:, 1:-1] < newton[:, :-2]) & (newton[:, 1:-1] <= newton[:, 2:])
-           & (s[:, :-2] == s[:, 1:-1]) & (s[:, 1:-1] == s[:, 2:]))
-    near, node = np.nonzero(low)
+           & (newton[:, 1:-1] <= reach**2))
+    row, node = np.nonzero(low)
+    node += 1       # the scan's D and D' give each seed its first Newton step
+    z = grid[node] - (re[row, node] + 1j * im[row, node]) / (d_re[row, node] + 1j * d_im[row, node])
+    # a strongly damped channel's roots can be as deep as they are far out,
+    # with no minimum on the axis; at small r they are near those of the
+    # quartic (s^2 - Omega^2) D(s) with e^{-s r} ~ 1 - s r, s = i z, which
+    # seed such a channel: the eigenvalues of its companion matrix
+    bare = np.setdiff1d(np.arange(len(rows)), row)
+    if bare.size:
+        g, Om, sg = 2.0 * params.gamma * params.omega_cut, params.omega_cut, rows[bare, 0]
+        companion = np.zeros((bare.size, 4, 4))
+        companion[:, 1:, :3] = np.eye(3)
+        companion[:, 0, 1] = Om * Om - 1.0 - g * (1.0 + sg * (math.exp(-Om * r) + Om * r))
+        companion[:, 0, 2:] = np.column_stack([g * Om * (1.0 + sg), np.full(bare.size, Om * Om)])
+        q = -1j * np.linalg.eigvals(companion)
+        # one of each mirror pair; Newton from the imaginary axis stays on it,
+        # where a root deeper than the Drude pole is never the nearer singularity
+        seed = (q.real >= 0.0) & (q.imag > 0.0) & ((q.real > 0.0) | (q.imag < Om))
+        row, z = np.concatenate([row, bare[np.nonzero(seed)[0]]]), np.concatenate([z, q[seed]])
+    at = np.flatnonzero(np.abs(z.imag) <= reach)       # the iterates still running
+    za, sa, slope = z[at], rows[row[at], 0], np.zeros(z.size)
+    with np.errstate(all="ignore"):         # a diverging iterate overflows, and is dropped
+        for _ in range(_NEWTON_MAX):
+            re, im, d_re, d_im = _det_parts(za, params, sa, _channel_trig(za, r, sa), slope=True)
+            d = d_re + 1j * d_im
+            step = (re + 1j * im) / d
+            za = za - step
+            done = np.abs(step) <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(za))
+            z[at[done]], slope[at[done]] = za[done], np.abs(d[done])
+            run = ~done & (np.abs(za.imag) <= reach)
+            at, za, sa = at[run], za[run], sa[run]
+            if not at.size:
+                break
+    # below the axis (Re s > 0) D has no root, and the closed form cancels
+    # exponentially large terms: an iterate that ends there diverged
+    found = np.flatnonzero((slope > 0) & (z.imag >= 0.0))
+    z = np.abs(z[found].real) + 1j * z[found].imag
+    order = np.lexsort((z.imag, z.real, row[found]))
+    row, z, slope = row[found][order], z[order], slope[found][order]
+    # copies of one root agree well within the stopping step sqrt(eps) (1 + |z|)
+    copy = (row[1:] == row[:-1]) & (np.abs(z[1:] - z[:-1])
+                                    <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(z[1:])))
+    row, z, slope = (v[np.append(True, ~copy)[:z.size]] for v in (row, z, slope))
 
     every = np.arange(len(rows))
     zero = min(0.25 / params.gamma if params.gamma > 0 else math.inf,
                2.0 * math.pi * params.temperature or math.inf)
-    return (np.concatenate([channel, near, every, every]),
-            np.concatenate([om, grid[node + 1], np.zeros(2 * len(rows))]),
-            np.concatenate([im / slope, np.sqrt(newton[near, node + 1]),
-                            np.full(len(rows), params.omega_cut), np.full(len(rows), zero)]),
-            np.concatenate([slope, np.zeros(near.size + 2 * len(rows))]))
+    return (np.concatenate([row, every, every]),
+            np.concatenate([z.real, np.zeros(2 * len(rows))]),
+            np.concatenate([z.imag, np.full(len(rows), params.omega_cut),
+                            np.full(len(rows), zero)]),
+            np.concatenate([slope, np.zeros(2 * len(rows))]))
 
 
 _MIN_SPACINGS = 1e4   # resonance half-widths resolved, in float spacings, weighted by area
@@ -311,27 +298,29 @@ _MAX_NODES = 20_000_000   # uniform asymptotic grid nodes, at 2.5 / r: 320 MB of
 
 
 def _require_resolvable(params: ModelParams, resonances) -> None:
-    """Log the narrowest resonance of the `channel_resonances` record
+    """Log the narrowest root of the `channel_resonances` record
     ``resonances`` at DEBUG, and raise `TruncationError` for a channel whose
-    resonances (omega_r, w) have sum A spacing(omega_r) / w > sum A / `_MIN_SPACINGS`.
-    It reads only the resonances, the zeros of Re D (the entries with a
-    slope), whose Lorentzian areas A the bound weighs.
+    roots z = omega_r + i w have sum A spacing(omega_r) / w > sum A / `_MIN_SPACINGS`.
+    It reads only the roots off the imaginary axis (the entries with a slope
+    and omega_r > 0), whose Lorentzian areas A the bound weighs.
     A node off by two ulps of omega_r moves the area A of a Lorentzian of
     half-width w by up to (4/pi) eps omega_r / w of it (total variation 2/w^2
-    over area pi/w); A = 2 coth(omega_r/2T) / |d Re D / d omega| in alpha,
-    the weight over Im D being (2/pi) coth(omega/2T).  So a lone resonance
-    (the antisymmetric one as r -> 0+, width ~ r^2) is refused below 1e4
-    spacings, a narrow one among the many crossings at large r only where
-    it carries their area."""
-    row, om, width, slope = (v[resonances[3] > 0] for v in resonances)
+    over area pi/w); A = 2 coth(omega_r/2T) / |D'(z)| in alpha, the weight
+    over Im D being (2/pi) coth(omega/2T).  So a lone resonance (the
+    antisymmetric one as r -> 0+, width ~ r^2) is refused below 1e4
+    spacings, a narrow one among the many at large r only where it carries
+    their area.  A channel with no root is accepted."""
+    row, om, width, slope = (v[(resonances[3] > 0) & (resonances[1] > 0)] for v in resonances)
+    if not row.size:
+        return
     T = params.temperature
     area = (coth(om / (2.0 * T)) if T > 0 else 1.0) / slope
-    spacings = width / np.spacing(om)
+    with np.errstate(divide="ignore", over="ignore"):   # Im z -> 0 as r -> 0+; Re z can be tiny
+        spacings = width / np.spacing(om)
+        blur = area / spacings
     i = int(np.argmin(spacings))
     _log.debug("narrowest resonance: omega_r %.17g, half-width %.6g, %.3g float spacings",
                om[i], width[i], spacings[i])
-    with np.errstate(divide="ignore"):      # Im D underflows to 0 as r -> 0+
-        blur = area / spacings
     for channel in np.unique(row):
         mine = row == channel
         if blur[mine].sum() * _MIN_SPACINGS > area[mine].sum():
@@ -365,7 +354,7 @@ def frequency_grid(params: ModelParams, omega_max: float):
     with r alike.
     """
     r = params.distance
-    osc = 2.5 / max(r, 1e-9)
+    osc = _REACH / max(r, 1e-9)
     nodes = 12.0 * omega_max / osc
     if nodes > _MAX_NODES:
         raise TruncationError(f"the asymptotic frequency grid at r = {r!r} needs about "
@@ -715,7 +704,8 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     which lives below 40 T, on its own finer grid; so the node count stays
     bounded as T -> 0+.  At r = 0 only the symmetric row is transformed: the
     antisymmetric one carries no noise and is zero.  Unshifted rows need
-    only the lags m >= 0; a shifted one also needs m < 0, for J(-tau).
+    only the lags m >= 0; the shifted one also needs m < 0, for J(-tau), and
+    is transformed on its own.
     """
     r, Om, T = params.distance, params.omega_cut, params.temperature
     scale = min(Om, 1.0 / h)
@@ -723,24 +713,27 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     fold = r * scale < _FOLD_BELOW
     # at r = 0 the antisymmetric weight 2 sin^2(omega r / 2) is zero, and so is its row
     n_rows = 2 if r > 0 else 1
-    shifts, first_lag = ([0.0, 0.0][:n_rows], 0) if fold else ([0.0, r], 1 - n_lags)
 
-    def with_channels(spectrum):
-        if fold:
-            return lambda w: 2.0 * spectrum(w) * np.stack([np.cos(0.5 * w * r),
-                                                           np.sin(0.5 * w * r)][:n_rows]) ** 2
-        return lambda w: np.broadcast_to(spectrum(w), (2,) + np.shape(w))
-
-    parts = [(with_channels(lambda w: noise_spectrum(w, cold)), omega_max, scale)]
+    parts = [(lambda w: noise_spectrum(w, cold), omega_max, scale)]
     if T > _THERMAL_FLOOR * Om:
-        parts.append((with_channels(lambda w: noise_spectrum(w, params) - noise_spectrum(w, cold)),
+        parts.append((lambda w: noise_spectrum(w, params) - noise_spectrum(w, cold),
                       min(omega_max, _THERMAL_CUT * T), min(scale, 2.0 * math.pi * T)))
-    j = sum(_fourier_part(spectrum, end, smooth / _NODES_PER_SCALE, h, n_lags, shifts,
-                          first_lag) for spectrum, end, smooth in parts)
-    k = j[..., -n_lags:]                                                 # m >= 0
-    if not fold:
-        # J(-tau) = conj J(tau): tau = 2 m h - r is the conjugate of -2 m h + r
-        k = k[0] + SIGNS[:, :, None] * 0.5 * (k[1] + np.conj(j[1, :, n_lags - 1::-1]))
+
+    def transform(shifts, first_lag):
+        def rows(spectrum):        # one row per shift, with cos(omega r) in the weight if folded
+            if fold:
+                return lambda w: 2.0 * spectrum(w) * np.stack(
+                    [np.cos(0.5 * w * r), np.sin(0.5 * w * r)][:len(shifts)]) ** 2
+            return lambda w: np.broadcast_to(spectrum(w), (len(shifts),) + np.shape(w))
+        return sum(_fourier_part(rows(spectrum), end, smooth / _NODES_PER_SCALE, h, n_lags,
+                                 shifts, first_lag) for spectrum, end, smooth in parts)
+
+    if fold:
+        k = transform([0.0, 0.0][:n_rows], 0)
+    else:       # J(-tau) = conj J(tau): tau = 2 m h - r is the conjugate of -2 m h + r
+        j = transform([r], 1 - n_lags)[0]
+        k = transform([0.0], 0) + SIGNS[:, :, None] * 0.5 * (j[:, n_lags - 1:]
+                                                            + np.conj(j[:, n_lags - 1::-1]))
     out = np.zeros((2, 6, n_lags))
     out[:n_rows] = np.concatenate([k[:, :4].real, k[:, 4:].imag], axis=1)
     return out

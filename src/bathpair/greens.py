@@ -39,9 +39,11 @@ for its damping b: on a short window the subtracted terms, which grow as
 above 1 until that image is a tenth of the G(0) tolerance.  Every pole
 lies at Re s <= 0 (on it only for the undamped relative channel at r = 0),
 left of the contour, so no node meets one.  The term count is derived
-from the residual: it falls off as c4/s^4 with c4 = max(w0^2, 2 gamma
-Omega^3), w0 = 1 + K(0), so the truncation error is ~ c4 (P/K)^3 and K
-grows with P c4^(1/3).  Each call checks the tail, the reflection
+from the residual, which falls off as 1/s^4 with a coefficient bounded by
+c4 = max(w0^2, 2 gamma Omega^3), w0 = 1 + K(0), so the truncation error is
+~ c4 (P/K)^3 and K grows with P c4^(1/3).  c4 is a bound, not the
+coefficient: where it is loose K over-counts (1.47e6 terms at (gamma, Omega,
+r) = (50, 100, 0.2), t_max 40).  Each call checks the tail, the reflection
 residual and |G(0) - I| <= G0_TOL (above the aliasing floor), raising
 `DurbinConvergenceError`.
 """
@@ -188,9 +190,10 @@ def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams
     alias = math.exp(-2.0 * SHIFT_SCALE) * gO2 * (2.0 * period) ** 2 / (0.1 * G0_TOL)
     b = max(DAMP_SHIFT, math.log(max(alias, 1.0)) / (2.0 * period))
     w0 = 1.0 + channel_kernel_zero(params, SIGNS)           # (2, 1)
-    # the residual left after the 1/s..1/s^3 subtraction falls off as c4/s^4,
-    # so the truncation error is ~ c4 (P/K)^3; N_TERMS per 60 time units
-    # holds it at c4 = 2000 (gamma = 1, Omega = 10); above that K grows as c4^(1/3)
+    # the residual left after the 1/s..1/s^3 subtraction falls off as 1/s^4 with
+    # a coefficient bounded (loosely at large gamma Omega) by c4, so the truncation
+    # error is ~ c4 (P/K)^3; N_TERMS per 60 time units holds it at c4 = 2000
+    # (gamma = 1, Omega = 10); above that K grows as c4^(1/3)
     c4 = max(float(np.max(w0)) ** 2, 2.0 * params.gamma * params.omega_cut**3)
     K = int(N_TERMS * max(1.0, period / 60.0 * max(1.0, (c4 / 2000.0) ** (1.0 / 3.0))))
     tail_start = int(math.floor((1.0 - TAIL_FRACTION) * (K + 1)))

@@ -10,6 +10,9 @@ from bathpair.model import ModelParams
 
 BOX = {"gamma": (0.01, 50.0), "omega_cut": (0.5, 100.0),
        "temperature": (0.01, 10.0), "distance": (1e-4, 20.0)}
+# the corners of BOX, T = 0 at its low end, with r = 0 and r = 18.1 besides
+CORNERS = [ModelParams(g, om, t, r) for g in (0.01, 50.0) for om in (0.5, 100.0)
+           for t in (0.0, 10.0) for r in (0.0, 1e-4, 18.1, 20.0)]
 
 
 def box_points(seed: int, n: int = 64, **bounds) -> list[ModelParams]:
@@ -27,8 +30,8 @@ def box_points(seed: int, n: int = 64, **bounds) -> list[ModelParams]:
 
 
 def resonances(params: ModelParams, sign):
-    """The resonances of the `covariance.channel_resonances` record: its
-    entries with a slope, the zeros of Re D(i omega)."""
+    """The roots of the `covariance.channel_resonances` record: its entries
+    with a slope, the complex roots z = centre + i distance of D(i z)."""
     record = covariance.channel_resonances(params, sign)
     return tuple(v[record[3] > 0] for v in record)
 

@@ -34,6 +34,24 @@ def test_parse_values():
         parse_values("2:1:0.5")
 
 
+@pytest.mark.parametrize("name", ["distance", "temperature"])
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_a_list_with_no_values_is_refused(tmp_path, capsys, name, where):
+    """A list with no values (",") is a config error (exit 2) before any
+    output, not a sweep of no points that reports itself complete."""
+    argv = ["asymptotic-sweep", "--gamma", "1", "--omega-cut", "10",
+            "--output-dir", str(tmp_path / "out")]
+    if where == "flag":
+        argv += ["--" + name, ","]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = ,\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "no values in the list ','" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     point = ["--gamma", "1", "--omega-cut", "10", "--distance", "0.1"]
     bad_file = tmp_path / "bad.cfg"

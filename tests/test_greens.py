@@ -168,13 +168,16 @@ def test_channel_axis_orientation():
 
 
 def _assert_matches_mpmath(g, params, times):
-    """Every channel entry of ``g`` at ``times`` against a 30-digit Talbot
-    inversion of the channel resolvent, to 3e-7."""
+    """Every channel entry of ``g`` at ``times`` against a 30-digit de Hoog
+    inversion of the channel resolvent (de Hoog, Knight & Stokes, SIAM J.
+    Sci. Stat. Comput. 3, 357, 1982), to 3e-7.  A degree-40 Talbot
+    inversion read G11 = -0.004345 at t = 0.1 at the box corner
+    (50, 100, 0, 0.2), where de Hoog gives -0.0022839243."""
     mpmath = pytest.importorskip("mpmath")
 
     def entry(sign, i, j):
-        # analytic continuation of the channel resolvent: Talbot contours
-        # probe Re(s) < -Omega where the defining integral no longer converges
+        # analytic continuation of the channel resolvent: the inversion may
+        # probe Re(s) < -Omega, where the defining integral no longer converges
         def fhat(s):
             s = mpmath.mpf(1) * s
             gam, Om, r = map(mpmath.mpf, (params.gamma, params.omega_cut, params.distance))
@@ -191,8 +194,7 @@ def _assert_matches_mpmath(g, params, times):
         for row, sign in enumerate((+1, -1)):
             for (i, j) in ((0, 0), (0, 1), (1, 0)):
                 for t in times:
-                    ref = float(mpmath.invertlaplace(entry(sign, i, j), t,
-                                                     method="talbot", degree=40))
+                    ref = float(mpmath.invertlaplace(entry(sign, i, j), t, method="dehoog"))
                     idx = int(round(t / g.spacing))
                     ours = g.channel_series[row, idx, i, j]
                     assert ours == pytest.approx(ref, abs=3e-7), (sign, i, j, t)
@@ -232,6 +234,17 @@ def test_stiff_point_matches_mpmath_inversion():
     q = ModelParams(gamma=1.0, omega_cut=20.0, distance=0.2)
     g = greens_time(_trace_grid(q, 40.0), q)
     _assert_matches_mpmath(g, q, (0.7, 3.3, 12.1))
+
+
+def test_box_corner_matches_mpmath_inversion():
+    """At the box corner (50, 100, 0, 0.2), t = 0.1 on the t_max = 1 trace
+    grid: all six entries within 1.6e-7 of the reference.  Past the retarded
+    kink at t = r, de Hoog at its default degree is itself off: at t = 0.4 it
+    reads G21 = 11.08867 in the symmetric channel, where degrees 150-300 at
+    50 digits converge to 11.0878577 and `greens_time` gives 11.0878576."""
+    q = ModelParams(gamma=50.0, omega_cut=100.0, distance=0.2)
+    g = greens_time(_trace_grid(q, 1.0), q)
+    _assert_matches_mpmath(g, q, (0.1,))
 
 
 @pytest.mark.parametrize("t_max", [0.5, 1.0])

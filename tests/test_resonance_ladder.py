@@ -117,9 +117,9 @@ def test_unresolvable_resonance_is_refused(distance):
 
 def test_a_narrow_spike_of_the_comb_is_resolved():
     """At (50, 100, 0, 20) Re D crosses zero 637 times per channel, and the
-    antisymmetric crossing at omega ~ 10.05 is 3.2e-12 wide, below 1e4 float
-    spacings; but it carries under 1e-3 of its channel's resonance area, so
-    its rounding is harmless and the point is answered."""
+    antisymmetric root at omega ~ 10.05 is 3.2e-12 deep, below 1e4 float
+    spacings; but it carries 2.2e-3 of its channel's root area, so its
+    rounding is harmless and the point is answered."""
     params = ModelParams(50.0, 100.0, 0.0, 20.0)
     _, om, width, _ = resonances(params, -1.0)
     assert np.min(width / np.spacing(om)) < 1e4
@@ -128,10 +128,14 @@ def test_a_narrow_spike_of_the_comb_is_resolved():
 
 def test_narrowest_resonance_is_logged(caplog):
     """`frequency_grid` logs omega_r, w and w in float spacings of the
-    narrowest resonance at DEBUG, also ahead of a refusal."""
+    narrowest root omega_r + i w off the imaginary axis at DEBUG, also ahead
+    of a refusal."""
     params = ModelParams(1.0, 10.0, 0.0, 1e-3)
     omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
-    _, (om,), (width,), _ = resonances(params, -1.0)
+    _, om, width, _ = resonances(params, SIGNS)
+    om, width = om[om > 0], width[om > 0]           # the roots off the imaginary axis
+    i = np.argmin(width / np.spacing(om))
+    om, width = om[i], width[i]
     with caplog.at_level(logging.DEBUG, logger="bathpair"):
         frequency_grid(params, omega_max)
     (record,) = caplog.records
