@@ -115,6 +115,17 @@ def test_unresolvable_resonance_is_refused(distance):
         covariance_asymptotic(ModelParams(1.0, 10.0, 0.0, distance))
 
 
+def test_a_channel_with_no_root_off_the_axis_is_accepted():
+    """At (2.3564, 45.804, 0.6009, 0) the symmetric channel is overdamped: its
+    roots 0.107i, 13.14i and 32.55i lie on the imaginary axis, so the
+    resolution check reads no root at all, and the point is answered."""
+    params = ModelParams(2.3564, 45.804, 0.6009, 0.0)
+    _, om, depth, _ = resonances(params, +1.0)
+    assert np.allclose(depth, [0.10706, 13.142, 32.555], rtol=1e-4) and not np.any(om > 0)
+    c = covariance_asymptotic(params)
+    assert c.physical and c.entries[0, 0] == pytest.approx(1.16124093, rel=1e-8)
+
+
 def test_a_narrow_spike_of_the_comb_is_resolved():
     """At (50, 100, 0, 20) Re D crosses zero 637 times per channel, and the
     antisymmetric root at omega ~ 10.05 is 3.2e-12 deep, below 1e4 float
