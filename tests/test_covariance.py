@@ -489,6 +489,17 @@ def test_zoom_dft_matches_direct_sum():
         assert np.max(np.abs(zoom - direct)) <= 1e-12 * np.abs(g).sum()
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_fast_length_is_scipys(real):
+    """`covariance._next_fast_len` gives the integer `scipy.fft.next_fast_len`
+    gives, for every n <= 3000 and 300 random n up to 1e8: exact equality."""
+    from scipy.fft import next_fast_len
+
+    rng = np.random.default_rng(7)
+    for n in list(range(1, 3001)) + rng.integers(3001, 10**8, 300).tolist():
+        assert covariance._next_fast_len(n, real) == next_fast_len(n, real), n
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("temperature", [1e-6, 0.0])
 def test_noise_work_is_bounded(monkeypatch, temperature):
@@ -497,7 +508,7 @@ def test_noise_work_is_bounded(monkeypatch, temperature):
     count does not grow once omega_max stops moving (K(0) no longer depends
     on r), and every FFT stays below 2^20.  Each point gives a physical
     stack."""
-    real_len, real_zoom = covariance.fft.next_fast_len, covariance._zoom_dft
+    real_len, real_zoom = covariance._next_fast_len, covariance._zoom_dft
     runs = {}
     for r in (0.2, 50.0, 1e4):
         q = ModelParams(1.0, 10.0, temperature, r)
@@ -513,7 +524,7 @@ def test_noise_work_is_bounded(monkeypatch, temperature):
             return real_zoom(g, period, m_lo, n_out)
 
         with monkeypatch.context() as m:
-            m.setattr(covariance.fft, "next_fast_len", spy_len)
+            m.setattr(covariance, "_next_fast_len", spy_len)
             m.setattr(covariance, "_zoom_dft", spy_zoom)
             out = covariance_time_series(g, q, np.arange(0.0, 2.001, 0.02))
         assert len(out) == 101 and np.all(np.isfinite(out.entries))

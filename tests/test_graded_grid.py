@@ -119,6 +119,25 @@ def test_near_miss_of_the_symmetric_channel_is_listed():
         assert not np.any((row == 0) & (np.abs(centre - crossing) < 0.05))
 
 
+@pytest.mark.parametrize("temperature, entry", [(0.0, None), (0.3, None),
+                                                 (0.02, 2.0 * math.pi * 0.02)])
+def test_a_root_on_the_axis_replaces_the_stand_in(temperature, entry):
+    """At (1, 10, T, 0.1) the symmetric channel's overdamped root 0 + 0.2586i
+    is its peak at omega = 0, so the record lists no stand-in 1/(4 gamma) =
+    0.25 beside it, and a thermal pole 2 pi T only where it is nearer than
+    the root.  The antisymmetric channel, with no root on the axis, keeps
+    the nearer of the stand-in and 2 pi T."""
+    params = ModelParams(1.0, 10.0, temperature, 0.1)
+    row, centre, distance, slope = channel_resonances(params, SIGNS)
+    at_zero = (centre == 0.0) & (distance < params.omega_cut)
+    sym = distance[at_zero & (row == 0)]
+    root = distance[at_zero & (row == 0) & (slope > 0)]
+    assert root.size == 1 and root[0] == pytest.approx(0.2586, abs=1e-4)
+    assert sorted(sym) == sorted([root[0]] + ([entry] if entry else []))
+    anti = distance[at_zero & (row == 1)]
+    assert anti.tolist() == [min(0.25, 2.0 * math.pi * temperature or math.inf)]
+
+
 @pytest.mark.parametrize("params", [ModelParams(1.0, 10.0, 0.0, 2.0),
                                     ModelParams(1.0, 10.0, 0.3, 1.0),
                                     ModelParams(1.6, 16.4, 0.28, 0.83)], ids=str)

@@ -259,6 +259,34 @@ def test_image_sum_closed_form_matches_series():
         assert abs(got / float(ref) - 1.0) <= 1e-13
 
 
+def _trigamma_tolerance(x: float) -> float:
+    """Relative bound on `oracle._trigamma`, set before comparing; u = eps/2.
+    The series at y = x + n >= 20 is 1/y plus terms below 1/(2y), the
+    Horner sum of the small ones is good to u of them, and the sums,
+    products and reciprocals that join them to 1/y round four times: 4u.
+    Each of the n = ceil(20 - x) positive terms 1/(x + j)^2 is off by at
+    most 3u (sum, square, reciprocal), and a sum of positive terms is off
+    by at most the largest of those, 3u, plus u per addition: (n + 3) u.
+    The reference rounded to a double adds u: (n + 8) u in all."""
+    n = max(math.ceil(20.0 - x), 0)
+    return 0.5 * np.finfo(float).eps * (n + 8)
+
+
+def test_trigamma_matches_mpmath():
+    """psi'(x) against mpmath's psi(1, x) at 30 digits on (0, 1.5], where the
+    T = 0 image sum takes it, on both sides of the switch to the series at
+    x + n = 20, and on to 1e6."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    x = np.concatenate([np.geomspace(1e-6, 1.5, 300), np.linspace(0.01, 1.5, 150),
+                        [np.nextafter(20.0, 0.0), 20.0, np.nextafter(20.0, 30.0), 19.5, 21.0],
+                        np.geomspace(1.5, 1e6, 100)])
+    ref = np.array([float(mpmath.psi(1, mpmath.mpf(float(v)))) for v in x])
+    tol = np.array([_trigamma_tolerance(float(v)) for v in x])
+    rel = np.abs(oracle._trigamma(x) / ref - 1.0)
+    assert np.all(rel <= tol), x[np.argmax(rel / tol)]
+
+
 def test_reduce_initial_product_state(p):
     """At t = 0 the reduced covariance is the initial system state."""
     c0 = CovarianceMatrix(entries=random_physical_covariance(np.random.default_rng(3)))
@@ -440,8 +468,9 @@ def test_midpoint_response_matches_a_direct_sum(p):
 
 
 def test_gaps_round_as_numpy_broadcasting_does(p):
-    """`_gaps` makes d_k - base_j - tau_j by rank-1 updates, each rounded once:
-    the same doubles as numpy's broadcast (d - base) - tau, which keeps
+    """`_gaps` makes d_k - base_j - tau_j by one matrix product whose every
+    product is exact, each shift rounded once, left to right: the same
+    doubles as numpy's broadcast (d - base) - tau, which keeps
     x_j - d_k exact at x_j's own pole, on the roots of the N = 2000 channel."""
     bath = build_bath(p, n_modes=2000, omega_max_bath=265.0)
     z, lam, d = oracle._channel_potential(bath, p, +1)
