@@ -3,9 +3,9 @@
 The critical distance d0 is a root of the signed margin mu = -log2 lambda~_-
 of the asymptotic state (`entanglement.negativity_margin`, E = max(0, mu)):
 mu stays smooth where E is clamped to an exact zero, so one bracketed
-Brent search (`_brent`) finds it.  The second-peak distance d1 is
-bisected against a small positive threshold on the clamped peak height,
-above quadrature noise.
+Brent search (`_brent`) finds it.  The second-peak distance d1 is the root
+of the same search on the largest mu of a transient window that leaves out
+the initial peak and t = 0 (`_exchange_margin`), which is signed as well.
 
 Every covariance comes from the channel layers through two calls:
 `transient_covariances` (one `greens_time` and one `covariance_time_series`)
@@ -39,13 +39,11 @@ __all__ = [
     "find_d1",
     "fit_slope",
     "detect_peaks",
-    "second_peak_height",
     "oscillation_frequency",
     "BracketError",
     "AmbiguousPeakError",
 ]
 
-ZERO_THRESHOLD = 1e-8    # entanglement below this counts as zero
 PEAK_FLOOR = 1e-10       # samples at or below this are never part of a peak
 # 4/ln 2 of the short-time law; the model's own equations of motion give
 # 2/ln 2 (acceptance criterion 5, CHANGES.md)
@@ -195,24 +193,6 @@ def _peak_onset(times, values, i_peak: int) -> float:
     return float(times[0])
 
 
-def second_peak_height(trace_obj: EntanglementTrace) -> float:
-    """Height of the tallest peak whose onset lies beyond 0.8 r/c.
-
-    Boson-exchange causality separates the peaks: anything switched on
-    before ~r/c belongs to the initial (bath-preexisting) peak.
-    """
-    r = trace_obj.params.distance
-    t = trace_obj.times
-    v = trace_obj.values
-    best = 0.0
-    for i in range(1, v.size - 1):
-        if v[i] <= PEAK_FLOOR or not (v[i] >= v[i - 1] and v[i] >= v[i + 1]):
-            continue
-        if _peak_onset(t, v, i) > 0.8 * r:
-            best = max(best, float(v[i]))
-    return best
-
-
 def oscillation_frequency(trace_obj: EntanglementTrace, t_lo: float,
                           t_hi: float) -> float:
     """Angular frequency 2*pi / (mean peak spacing) within [t_lo, t_hi]."""
@@ -291,21 +271,31 @@ def _brent(f, a: float, b: float, xtol: float) -> float:
     raise RuntimeError(f"Brent search not converged in {_BRENT_MAXITER} iterations")
 
 
+def _margin_root(margin, bracket, tol: float, what: str):
+    """The root r of a signed margin by Brent's method (`_brent`) at xtol
+    tol/2, with r -+ tol/2 clipped to the interval (lo, hi) as a bracket.
+    ``bracket`` is (lo, hi), or a function that grows one from the margin;
+    margin(lo) > 0 >= margin(hi), or BracketError naming ``what``.  The
+    margin is cached, so the ends are evaluated once."""
+    margin = lru_cache(maxsize=None)(margin)
+    lo, hi = bracket(margin) if callable(bracket) else bracket
+    if margin(lo) <= 0.0:
+        raise BracketError(f"{what} already zero at r = {lo}")
+    if margin(hi) > 0.0:
+        raise BracketError(f"{what} still positive at r = {hi}")
+    root = _brent(margin, lo, hi, xtol=0.5 * tol)
+    return root, (max(lo, root - 0.5 * tol), min(hi, root + 0.5 * tol))
+
+
 def find_d0(params: ModelParams, r_bracket: tuple | None = None,
             tol: float = 1e-3) -> CriticalDistanceResult:
     """Distance where the asymptotic state turns separable: the root of its
-    margin mu(r), by Brent's method (`_brent`) at xtol tol/2, with
-    ``bracket`` = d0 -+ tol/2 clipped to the search interval (lo, hi), which
-    needs mu(lo) > 0 >= mu(hi).
+    margin mu(r) by `_margin_root`.
     With no ``r_bracket`` it grows from the cutoff length: hi from 8/Omega by
     x1.5 while mu > 0, up to r = 1e3; lo from 2/Omega by /2 while mu <= 0,
     down to 1e-4.  No such interval raises BracketError.
     """
-    @lru_cache(maxsize=None)        # the ends of the interval are evaluated once
-    def margin(r: float) -> float:
-        return negativity_margin(covariance_asymptotic(params.with_(distance=r)))
-
-    if r_bracket is None:
+    def grow(margin):
         lo, hi = 2.0 / params.omega_cut, 8.0 / params.omega_cut
         while margin(hi) > 0.0:
             hi *= 1.5
@@ -313,46 +303,40 @@ def find_d0(params: ModelParams, r_bracket: tuple | None = None,
                 raise BracketError(f"asymptotic E still positive at r = {hi}")
         while lo > 1e-4 and margin(lo) <= 0.0:
             lo /= 2.0
-    else:
-        lo, hi = r_bracket
-    if margin(lo) <= 0.0:
-        raise BracketError(f"asymptotic E already zero at r = {lo}")
-    if margin(hi) > 0.0:
-        raise BracketError(f"asymptotic E still positive at r = {hi}")
-    d0 = _brent(margin, lo, hi, xtol=0.5 * tol)
-    return CriticalDistanceResult(d0=d0, bracket=(max(lo, d0 - 0.5 * tol),
-                                                  min(hi, d0 + 0.5 * tol)))
+        return lo, hi
+
+    d0, bracket = _margin_root(
+        lambda r: negativity_margin(covariance_asymptotic(params.with_(distance=r))),
+        r_bracket or grow, tol, "asymptotic E")
+    return CriticalDistanceResult(d0=d0, bracket=bracket)
 
 
-def _d1_probe(params: ModelParams, r: float) -> float:
-    Om = params.omega_cut
-    t_max = r + 14.0 / Om
-    dt = min(0.01, 1.0 / (10.0 * Om), t_max / 150.0)
-    tr = trace(params.with_(distance=r), t_max=t_max, dt=dt, tol=1e-7)
-    return second_peak_height(tr)
+def _exchange_margin(params: ModelParams, r: float) -> float:
+    """Signed margin of the boson-exchange peak at distance r: the largest
+    `negativity_margin` at the output times t >= 0.8 r of one
+    `transient_covariances` window, r + 14/Omega long at step
+    min(0.01, 1/(10 Omega), t_max/150).  Boson-exchange causality separates
+    the peaks: the initial one switches on before ~r/c and is left out, and
+    so is t = 0, where the margin is 0 exactly."""
+    om, q = params.omega_cut, params.with_(distance=r)
+    t_max = r + 14.0 / om
+    times, covs = transient_covariances(q, min(0.01, 1.0 / (10.0 * om), t_max / 150.0),
+                                        t_max, _trace_step(q), tol=1e-7)
+    return float(np.max(negativity_margin(covs)[times >= 0.8 * r]))
 
 
 def find_d1(params: ModelParams, r_bracket: tuple, tol: float = 2e-3) -> CriticalDistanceResult:
-    """Bisection for the distance where the boson-exchange peak falls to ZERO_THRESHOLD.
+    """Distance where the boson-exchange peak dies out: the root of its
+    signed margin (`_exchange_margin`) by `_margin_root`.
 
     Refuses brackets reaching into r*Omega/c < 1, where the two peaks
-    overlap and the onset classification is meaningless.
+    overlap and the window cannot tell them apart.
     """
-    lo, hi = float(r_bracket[0]), float(r_bracket[1])
+    lo, hi = map(float, r_bracket)
     if lo * params.omega_cut < 1.0:
-        raise AmbiguousPeakError(
-            f"bracket low end r = {lo} has r*Omega < 1; peaks unresolvable")
-    if _d1_probe(params, lo) <= ZERO_THRESHOLD:
-        raise BracketError(f"second peak already gone at r = {lo}")
-    if _d1_probe(params, hi) > ZERO_THRESHOLD:
-        raise BracketError(f"second peak still present at r = {hi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _d1_probe(params, mid) > ZERO_THRESHOLD:
-            lo = mid
-        else:
-            hi = mid
-    return CriticalDistanceResult(d1=0.5 * (lo + hi), bracket=(lo, hi))
+        raise AmbiguousPeakError(f"bracket low end r = {lo} has r*Omega < 1; peaks unresolvable")
+    d1, bracket = _margin_root(lambda r: _exchange_margin(params, r), (lo, hi), tol, "exchange peak")
+    return CriticalDistanceResult(d1=d1, bracket=bracket)
 
 
 def fit_slope(d0_samples) -> SlopeFit:

@@ -35,7 +35,8 @@ nearest singularity: each singularity near the real axis, a root
 z = a + i b of D, the Drude pole or a pole at omega = 0, gets a ladder of
 edges a +- b 2^k, and the rest of the grid is uniform at 2.5/r, which
 resolves cos(omega r).  Roots too near the axis for float64 nodes, and
-grids past a node budget at large r, are refused.
+grids or resonance scans past a node budget (at large r or gamma), are
+refused.
 
 Transient state:
 
@@ -206,6 +207,12 @@ _REACH = 2.5          # / r: the widest panel resolving cos(omega r), and the ro
 _NEWTON_MAX = 40      # complex Newton steps; an iterate not converged by then is dropped
 
 
+def _scan_span(params: ModelParams):
+    """(step, top) of the scan of `channel_resonances`: uniform at the step
+    below top, and on to 2 top at 4 steps, 1.25 top / step nodes per channel."""
+    return min(0.01, math.pi / (10.0 * (params.distance + 1.0))), 3.0 + 3.0 * params.gamma
+
+
 def channel_resonances(params: ModelParams, sign):
     """Every near-axis singularity of the moment integrand of the channels
     ``sign`` (+1, -1 or a column such as `SIGNS`), as one record of arrays:
@@ -230,8 +237,7 @@ def channel_resonances(params: ModelParams, sign):
     rows = np.reshape(np.asarray(sign, dtype=float), (-1, 1))
     r = params.distance
     reach = _REACH / max(r, 1e-9)
-    top = 3.0 + 3.0 * params.gamma
-    step = min(0.01, math.pi / (10.0 * (r + 1.0)))
+    step, top = _scan_span(params)
     grid = np.concatenate([np.arange(step, top, step), np.arange(top, 2.0 * top, 4.0 * step)])
     re, im, d_re, d_im = _det_parts(grid, params, rows, _channel_trig(grid, r, rows), slope=True)
     # a node with D' = 0 counts as far from every root
@@ -303,7 +309,7 @@ def channel_resonances(params: ModelParams, sign):
 
 
 _MIN_SPACINGS = 1e4   # resonance half-widths resolved, in float spacings, weighted by area
-_MAX_NODES = 20_000_000   # uniform asymptotic grid nodes, at 2.5 / r: 320 MB of nodes and weights
+_MAX_NODES = 20_000_000   # uniform grid nodes at 2.5 / r, or scan nodes: 320 MB of grid nodes and weights
 
 
 def _require_resolvable(params: ModelParams, resonances) -> None:
@@ -357,18 +363,23 @@ def frequency_grid(params: ModelParams, omega_max: float):
     the ladders alone, which grade the grid geometrically out to omega_max.
 
     At large r the node count grows like omega_max r, to 1.7e7 at
-    (1, 10, 0, 1e4).  A grid whose uniform panels alone, 12 omega_max r / 2.5
-    nodes, pass `_MAX_NODES` (2e7 nodes, 320 MB of nodes and weights) is
-    refused with `TruncationError` before the resonance scan, which grows
-    with r alike.
+    (1, 10, 0, 1e4).  The resonance scan's 1.25 (3 + 3 gamma) / step nodes
+    per channel (`_scan_span`) grow with gamma, and with r through the step
+    pi / (10 (r + 1)) below 0.01.  Where the uniform panels, 12 omega_max r
+    / 2.5 nodes, or the scan pass the budget `_MAX_NODES` (2e7 nodes, 320 MB
+    of grid nodes and weights), the point is refused with `TruncationError`
+    before either is made.
     """
-    r = params.distance
+    r, channels = params.distance, SIGNS if params.distance > 0 else SIGNS[:1]
     osc = _REACH / max(r, 1e-9)
-    nodes = 12.0 * omega_max / osc
-    if nodes > _MAX_NODES:
-        raise TruncationError(f"the asymptotic frequency grid at r = {r!r} needs about "
-                              f"{nodes:.3g} nodes, past the budget of {_MAX_NODES:.3g}")
-    found = channel_resonances(params, SIGNS if r > 0 else SIGNS[:1])
+    step, top = _scan_span(params)
+    for what, nodes in (("asymptotic frequency grid", 12.0 * omega_max / osc),
+                        (f"resonance scan to omega = {2.0 * top:.3g}",
+                         len(channels) * 1.25 * top / step)):
+        if nodes > _MAX_NODES:
+            raise TruncationError(f"the {what} at r = {r!r} needs about {nodes:.3g} nodes, "
+                                  f"past the budget of {_MAX_NODES:.3g}")
+    found = channel_resonances(params, channels)
     _require_resolvable(params, found)
     _, centre, width, _ = found
     reach = min(osc, omega_max)
@@ -489,13 +500,17 @@ def covariance_asymptotic(params: ModelParams) -> CovarianceMatrix:
     the antisymmetric block keeps its ground-state value, the identity.
     The frequency cut is `asymptotic_omega_max(params, ASYMPTOTIC_TOL)`:
     the smallest cut whose tail estimate meets ``ASYMPTOTIC_TOL``, and at
-    least 15 max(Omega, 1).  The grid's omega_max, node count and tail
-    estimate are logged at DEBUG on the "bathpair" logger.
+    least 15 max(Omega, 1).  A T at or below `_THERMAL_FLOOR` Omega, whose
+    thermal excess is below rounding, is taken as T = 0.  The grid's
+    omega_max, node count and tail estimate are logged at DEBUG on the
+    "bathpair" logger.
     """
     if params.gamma <= 0:
         raise ValueError("covariance_asymptotic requires gamma > 0")
     if params.distance < 0:
         raise ValueError("covariance_asymptotic requires r >= 0")
+    if params.temperature <= _THERMAL_FLOOR * params.omega_cut:
+        params = params.with_(temperature=0.0)      # as in `_lag_kernels`
     omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
     grid = frequency_grid(params, omega_max)
     damped = SIGNS if params.distance > 0 else SIGNS[:1]

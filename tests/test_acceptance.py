@@ -179,7 +179,7 @@ def test_criterion_7_oscillation_frequency():
 
 def test_criterion_8_second_peak_and_d1():
     t0 = time.time()
-    from bathpair.analysis import second_peak_height, _peak_onset
+    from bathpair.analysis import _peak_onset
 
     causality_ok = True
     d1_ok = True

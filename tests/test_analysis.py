@@ -16,10 +16,9 @@ from bathpair.analysis import (
     fit_slope,
     measured_initial_slope,
     oscillation_frequency,
-    second_peak_height,
     short_time_slope,
     trace,
-    _d1_probe,
+    transient_covariances,
 )
 from bathpair.covariance import covariance_asymptotic
 from bathpair.entanglement import negativity_margin
@@ -111,20 +110,6 @@ def test_detect_peaks_quadratic_refinement():
     assert len(found) == len(expect)
     for a, b in zip(found, expect):
         assert a == pytest.approx(b, abs=2e-3)
-
-
-def test_second_peak_onset_classification():
-    t = np.linspace(0.0, 2.0, 801)
-    early = np.exp(-((t - 0.05) / 0.03) ** 2) * 0.1     # onset at t ~ 0
-    late = np.exp(-((t - 0.9) / 0.1) ** 2) * 0.05       # onset past 0.8 r
-    v = np.where(t < 0.4, early, 0.0) + np.where(t > 0.55, late, 0.0)
-    params = ModelParams(gamma=1.0, omega_cut=10.0, distance=0.6)
-    tr = EntanglementTrace(times=t, values=v, params=params)
-    assert second_peak_height(tr) == pytest.approx(0.05, rel=1e-3)
-    # with sufficiently large r even the late bump starts too early
-    tr2 = EntanglementTrace(times=t, values=v,
-                            params=params.with_(distance=1.2))
-    assert second_peak_height(tr2) == 0.0
 
 
 def test_oscillation_frequency_synthetic():
@@ -262,8 +247,33 @@ def test_find_d0_default_bracket_refusals(monkeypatch):
 
 
 def test_d1_probe_sides(p):
-    assert _d1_probe(p, 0.4) > 1e-6
-    assert _d1_probe(p, 0.9) == 0.0
+    """The exchange margin is signed: positive while the peak is there, and
+    negative, not a clamped zero, once it is gone."""
+    from bathpair.analysis import _exchange_margin
+
+    assert _exchange_margin(p, 0.4) > 0.0
+    assert _exchange_margin(p, 0.9) < 0.0
+
+
+@pytest.mark.parametrize("omega, d1_omega", [(5.0, 3.94), (10.0, 5.71), (20.0, 2.32)])
+def test_find_d1_is_the_exchange_margin_root(monkeypatch, omega, d1_omega):
+    """The d1 half of acceptance criterion 8, on its three cases: d1 Omega as
+    the criterion reads it, to 0.01, in at most 10 transient windows (the
+    bisection on the clamped peak height took 13 traces)."""
+    from bathpair import analysis
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return transient_covariances(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "transient_covariances", counting)
+    params = ModelParams(gamma=1.0, omega_cut=omega, temperature=0.0)
+    res = find_d1(params, r_bracket=(2.0 / omega, 8.0 / omega), tol=4.0 / (1000.0 * omega))
+    assert res.d1 * omega == pytest.approx(d1_omega, abs=0.01)
+    assert len(calls) <= 10
+    assert res.bracket[0] < res.d1 < res.bracket[1]
 
 
 def test_find_d1_guard(p):

@@ -12,6 +12,7 @@ import pytest
 
 from bathpair import covariance
 from bathpair._panels import gauss_panels
+from bathpair.analysis import find_d0
 from bathpair.covariance import (
     ASYMPTOTIC_TOL,
     asymptotic_omega_max,
@@ -184,6 +185,50 @@ def test_a_grid_past_the_node_budget_is_refused_before_it_is_built(monkeypatch):
     with pytest.raises(covariance.TruncationError, match=r"r = 10000000\.0 needs about 1\.48e\+10"):
         frequency_grid(params, asymptotic_omega_max(params, ASYMPTOTIC_TOL))
     assert not seen
+
+
+def test_a_resonance_scan_past_the_node_budget_is_refused_before_it_is_made(monkeypatch):
+    """At gamma = 1e8 the scan of `channel_resonances`, 1.25 (3 + 3 gamma) / 0.01
+    nodes per channel, would need 7.5e10 nodes (numpy asked for 224 GiB and
+    raised MemoryError): a named refusal, before `_det_parts` sees a node."""
+    calls = []
+    monkeypatch.setattr(covariance, "_det_parts", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(covariance.TruncationError,
+                       match=r"resonance scan to omega = 6e\+08 at r = 0\.1 needs about 7\.5e\+10"):
+        covariance_asymptotic(ModelParams(1e8, 10.0, 0.0, 0.1))
+    assert not calls
+
+
+def test_the_node_budget_refuses_no_point_the_grid_answers(monkeypatch):
+    """Grid and scan each within the budget at every box point, at the
+    corners and at (1, 10, 0, 1e4), whose 1.78e7 grid nodes are the most
+    any answered point needs: `frequency_grid` gets as far as the scan."""
+    class Reached(Exception):
+        pass
+
+    def reached(params, sign):
+        raise Reached
+
+    points = [p for seed in (1, 2, 3, 4) for p in box_points(seed)] + CORNERS + [
+        ModelParams(1.0, 10.0, 0.0, 1e4)]
+    monkeypatch.setattr(covariance, "channel_resonances", reached)
+    for params in points:
+        with pytest.raises(Reached):
+            frequency_grid(params, asymptotic_omega_max(params, ASYMPTOTIC_TOL))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("temperature", [1e-310, 5e-324])
+def test_a_subnormal_temperature_is_the_zero_temperature_state(temperature):
+    """A T at or below `_THERMAL_FLOOR` Omega is T = 0, as on the transient
+    path: the T = 0 covariance to the bit, and the same d0.  The grid's
+    2 pi T ladder had log2(reach / 2 pi T) = inf rungs here, and the thermal
+    tail overflowed in omega / 2T."""
+    params = ModelParams(1.0, 10.0, 0.0, 0.1)
+    cold = covariance_asymptotic(params).entries
+    assert np.array_equal(covariance_asymptotic(params.with_(temperature=temperature)).entries,
+                          cold)
+    assert find_d0(params.with_(temperature=temperature)).d0 == find_d0(params).d0
 
 
 def _records_of(caplog, function):
