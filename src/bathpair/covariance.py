@@ -33,10 +33,14 @@ and its exact omega-derivative, analytic, so also the complex roots of D
 (`frequency_grid`) by one rule, a panel no wider than its distance to the
 nearest singularity: each singularity near the real axis, a root
 z = a + i b of D, the Drude pole or a pole at omega = 0, gets a ladder of
-edges a +- b 2^k, and the rest of the grid is uniform at 2.5/r, which
-resolves cos(omega r).  Roots too near the axis for float64 nodes, and
-grids or resonance scans past a node budget (at large r or gamma), are
-refused.
+edges a +- b 2^k.  The rest of the grid, the fill, is uniform at 2.5/r
+where the chains of roots of D lie within 5/r of the axis, and past them
+grades with their depth ln(|P0| / |P1|) / r, a closed form, up to the
+width 9/r over which a 12-point panel resolves cos(omega r).  Roots too
+near the axis for float64 nodes, and grids or resonance scans past a node
+budget (at large r or gamma), are refused.  Past the cut omega_max the
+moments take their large-frequency expansions in closed form, beta's to
+two terms, so the cut falls as tol^(-1/5).
 
 Transient state:
 
@@ -200,10 +204,10 @@ def _det_parts(omega, params: ModelParams, sign, trig, slope: bool = False):
 
 def _tail_prefactor(params: ModelParams) -> float:
     """Large-frequency coefficient of the weight: (S/2) -> w_inf / omega."""
-    return 4.0 * params.gamma * params.omega_cut**2 / math.pi
+    return 4.0 * params.gamma * params.omega_cut * params.omega_cut / math.pi
 
 
-_REACH = 2.5          # / r: the widest panel resolving cos(omega r), and the root search's reach
+_REACH = 2.5          # / r: the root search's reach, and the narrowest panel of the fill
 _NEWTON_MAX = 40      # complex Newton steps; an iterate not converged by then is dropped
 
 
@@ -228,11 +232,16 @@ def channel_resonances(params: ModelParams, sign):
     that leaves |Im z| <= `_REACH` / r or has not ended in `_NEWTON_MAX`
     steps is dropped.  Mirror roots -conj(z) are folded onto Re z >= 0 and
     copies merged.  Im z has no floor: the antisymmetric root near omega = 1
-    leaves the axis as r^2 as r -> 0+.  Per channel, the record also lists
-    the Drude pole, (0, Omega), and at omega = 0 the nearer of the poles of
-    coth(omega/2T) at 2 pi T and, for a channel with no root on the
-    imaginary axis (to the stopping step), a stand-in 1/(4 gamma) for its
-    symmetric peak; a root on the axis nearer than both leaves no entry.
+    leaves the axis as r^2 as r -> 0+.  Roots past the scan's top, such as
+    the chain roots within reach at (1, 50, 0, 2) from Re z = 8.7 to 21, are
+    not listed; they are left to the fill of `frequency_grid`, whose panels
+    are no wider than 2.5 / r where the chains lie within 5 / r of the axis.
+    Per channel, the record also lists the Drude pole, (0, Omega), and at
+    omega = 0 the nearer of the poles of coth(omega/2T) at 2 pi T and, for
+    the symmetric channel with no root on the imaginary axis (to the
+    stopping step), a stand-in 1/(4 gamma) for its peak; a root on the axis
+    nearer than both leaves no entry.  The antisymmetric channel has no
+    stand-in: its weight 1 - cos(omega r) vanishes at omega = 0 as omega^2.
     """
     rows = np.reshape(np.asarray(sign, dtype=float), (-1, 1))
     r = params.distance
@@ -298,7 +307,8 @@ def channel_resonances(params: ModelParams, sign):
     thermal = 2.0 * math.pi * params.temperature or math.inf
     at_zero, width = [], []
     for i, a in enumerate(axis):
-        b = min(thermal, stand_in if a == math.inf else math.inf)
+        peak = a == math.inf and rows[i, 0] > 0
+        b = min(thermal, stand_in if peak else math.inf)
         if b < a:
             at_zero.append(i)
             width.append(b)
@@ -309,7 +319,7 @@ def channel_resonances(params: ModelParams, sign):
 
 
 _MIN_SPACINGS = 1e4   # resonance half-widths resolved, in float spacings, weighted by area
-_MAX_NODES = 20_000_000   # uniform grid nodes at 2.5 / r, or scan nodes: 320 MB of grid nodes and weights
+_MAX_NODES = 20_000_000   # fill or scan nodes: 320 MB of grid nodes and weights
 
 
 def _require_resolvable(params: ModelParams, resonances) -> None:
@@ -346,6 +356,74 @@ def _require_resolvable(params: ModelParams, resonances) -> None:
                 f"channel's area), is too narrow for the frequency grid to resolve")
 
 
+# The fill of `frequency_grid` past the chains.  A 12-point Gauss-Legendre
+# panel of half-width h integrates a function analytic inside the Bernstein
+# ellipse E_rho of the panel (semi-minor axis h (rho - 1/rho) / 2), and of
+# modulus at most M there, to within (64/15) M rho^-24 / (rho^2 - 1) of the
+# panel (Trefethen, Approximation Theory and Approximation Practice, ch. 19).
+# Above the chains the integrand is a smooth envelope times cos(omega r) and
+# the geometric series in e^{-+i omega r} of 1 / |D|^2, whose ratio
+# |P1(i omega) / P0(i omega)| = e^{-sigma r} places the chain roots sigma
+# below the axis (`_chain_depth`).  Each factor bounds the panel:
+#   - depth: the ellipse through half the depth, where the series stays
+#     within (1 - e^{-sigma r / 2})^-2 <= 1.19 of its axis value at sigma r >= 5,
+#     with rho = 2 + sqrt(5) has h (rho - 1/rho) / 2 = 2 h = sigma / 2, a
+#     panel sigma / 2 wide, and a bound of 2.3e-16 M;
+#   - phase: e^{i omega r} reaches e^{kappa (rho - 1/rho) / 2} on the ellipse,
+#     kappa = h r; the bound minimized over rho is 2.3e-16 at kappa = 4.56
+#     (rho = 11.3), a panel 9.1 / r wide, of which 9 / r is taken.
+# Both factors on one ellipse give a bound below 2.1e-15 for every depth,
+# the worst where the two widths meet, at sigma r = 18.
+_DEPTH_PANEL = 0.5    # widest fill panel / chain-root depth
+_PHASE_PANEL = 9.0    # / r: widest fill panel over which cos(omega r) is resolved
+_FILL_SAMPLES = 16    # depth samples per octave of the fill
+
+
+def _chain_depth(params: ModelParams, omega):
+    """ln(|P0(i omega)| / |P1(i omega)|) / r at ``omega`` (an array, at or
+    above `_fill_start`): the depth of the chain roots of D near omega
+    (Bellman & Cooke, Differential-Difference Equations, 1963, ch. 12-13).
+    (Omega^2 - s^2) D(s) = P0(s) + P1(s) e^{-s r}, with |P1(i omega)| =
+    2 gamma Omega^2 omega = Im P0(i omega) and Re P0(i omega) = Omega^2 +
+    b omega^2 - omega^4, b = 1 - Omega^2 + K(0), K(0) the channel kernel at
+    t = 0.  Past `_fill_start` Re P0 < 0, so the symmetric channel, whose
+    K(0) is the larger, has the shallower chains: its depth is the one
+    taken.  Where omega^3 overflows, or |P1| underflows to 0, the depth is
+    infinite."""
+    om2 = params.omega_cut * params.omega_cut
+    b = 1.0 - om2 + channel_kernel_zero(params, 1.0)
+    p1 = 2.0 * params.gamma * om2
+    if p1 == 0.0:
+        return np.full(np.shape(omega), math.inf)
+    with np.errstate(over="ignore"):
+        ratio = (om2 / omega + b * omega - omega * omega * omega) / p1
+    return np.log(np.hypot(ratio, 1.0)) / max(params.distance, 1e-9)
+
+
+def _fill_start(params: ModelParams) -> float:
+    """The frequency above which `_DEPTH_PANEL` times the chain depth exceeds
+    `_REACH` / r: ln(|P0| / |P1|) = L = `_REACH` / `_DEPTH_PANEL`, or, with
+    Re P0 < 0 past it, the one positive root y (one sign change) of
+
+        f(y) = y^4 - b y^2 - c y - Omega^2,   c = 2 gamma Omega^2 sqrt(e^{2L} - 1),
+
+    in the symmetric channel's b (`_chain_depth`), whose root is the larger.
+    f is convex and increasing past its root (y^2 >= b there), so Newton's
+    method from above stays above it; it starts where each negative term is
+    at most y^4 / 3.  Above the root |Re P0| / omega, and so the depth,
+    grows with omega."""
+    om2 = params.omega_cut * params.omega_cut
+    b = 1.0 - om2 + channel_kernel_zero(params, 1.0)
+    c = 2.0 * params.gamma * om2 * math.sqrt(math.expm1(2.0 * _REACH / _DEPTH_PANEL))
+    y = max(math.sqrt(3.0 * max(b, 0.0)), (3.0 * c) ** (1.0 / 3.0), (3.0 * om2) ** 0.25)
+    for _ in range(_NEWTON_MAX):
+        step = (((y * y - b) * y - c) * y - om2) / ((4.0 * y * y - 2.0 * b) * y - c)
+        y -= step
+        if step <= 1e-9 * y:
+            break
+    return y
+
+
 def frequency_grid(params: ModelParams, omega_max: float):
     """Gauss-Legendre panel grid (12 nodes per panel) on [0, omega_max] for
     the asymptotic noise integrals, by one rule: no panel wider than its
@@ -358,22 +436,45 @@ def frequency_grid(params: ModelParams, omega_max: float):
     k = -1, 0, 1, ... below min(2.5/r, omega_max): panels that grow with
     their distance from it, so that the 12-point rule sees a Lorentzian as
     smooth however small b is, down to float spacing (`_require_resolvable`).
-    The rest of [0, omega_max] is uniform at 2.5/r, which keeps the
-    retardation oscillation cos(omega r) resolved.  As r -> 0 that leaves
-    the ladders alone, which grade the grid geometrically out to omega_max.
+    Of the entries at omega = 0 (the Drude pole, 2 pi T and the symmetric
+    peak) only the narrowest gets its ladder, whose panels are no wider
+    than the others' would be.
 
-    At large r the node count grows like omega_max r, to 1.7e7 at
-    (1, 10, 0, 1e4).  The resonance scan's 1.25 (3 + 3 gamma) / step nodes
-    per channel (`_scan_span`) grow with gamma, and with r through the step
-    pi / (10 (r + 1)) below 0.01.  Where the uniform panels, 12 omega_max r
-    / 2.5 nodes, or the scan pass the budget `_MAX_NODES` (2e7 nodes, 320 MB
-    of grid nodes and weights), the point is refused with `TruncationError`
-    before either is made.
+    Between the ladders lies the fill.  Below `_fill_start` omega_c, where
+    the chain roots of D come within 5/r of the axis, it is uniform at
+    2.5/r.  Above it, a panel starting at omega is as wide as the smallest
+    of `_DEPTH_PANEL` times the chain depth there (`_chain_depth`), the
+    phase width `_PHASE_PANEL` / r over which cos(omega r) is resolved, and
+    its distance omega - omega_c from the chains and the record, but never
+    narrower than 2.5/r.  That width w(omega) grows with omega, and a panel
+    that reaches omega starts at or above omega - 9/r: the fill takes
+    w(omega - 9/r) as its width from each of `_FILL_SAMPLES` samples an
+    octave to the next, and places its edges at the integers of the panel
+    count.  As r -> 0 the ladders alone are left, which grade the grid
+    geometrically out to omega_max.
+
+    At large r the node count grows like omega_max r, to 7.55e6 at
+    (1, 10, 0, 1e4), where the fill past omega_c = 30 takes 3.8e6.  The
+    resonance scan's 1.25 (3 + 3 gamma) / step nodes per channel
+    (`_scan_span`) grow with gamma, and with r through the step
+    pi / (10 (r + 1)) below 0.01.  Where the fill or the scan passes the
+    budget `_MAX_NODES` (2e7 nodes, 320 MB of grid nodes and weights), the
+    point is refused with `TruncationError` before either is made.
     """
     r, channels = params.distance, SIGNS if params.distance > 0 else SIGNS[:1]
-    osc = _REACH / max(r, 1e-9)
+    osc, phase = _REACH / max(r, 1e-9), _PHASE_PANEL / max(r, 1e-9)
+    start = min(_fill_start(params), omega_max)
+    n = math.ceil(_FILL_SAMPLES * math.log2(omega_max / start)) + 1
+    x = start * (omega_max / start) ** (np.arange(n + 1) / n)
+    x[-1] = omega_max
+    at = np.maximum(x[:-1] - phase, start)  # at or below the start of any panel that reaches x
+    width = np.minimum(np.maximum(np.minimum(_DEPTH_PANEL * _chain_depth(params, at), at - start),
+                                  osc), phase)
+    count = np.zeros(n + 1)                 # fill panels below each sample
+    np.cumsum(np.diff(x) / width, out=count[1:])
+    uniform, fill = math.ceil(start / osc), max(math.ceil(count[-1]), 1)
     step, top = _scan_span(params)
-    for what, nodes in (("asymptotic frequency grid", 12.0 * omega_max / osc),
+    for what, nodes in (("asymptotic frequency grid", 12.0 * (uniform + fill)),
                         (f"resonance scan to omega = {2.0 * top:.3g}",
                          len(channels) * 1.25 * top / step)):
         if nodes > _MAX_NODES:
@@ -382,13 +483,21 @@ def frequency_grid(params: ModelParams, omega_max: float):
     found = channel_resonances(params, channels)
     _require_resolvable(params, found)
     _, centre, width, _ = found
+    # at omega = 0 (the Drude pole, 2 pi T, the symmetric peak) the narrowest
+    # entry's ladder meets the rule for all
+    keep = (centre > 0.0) | (width == width[centre == 0.0].min())
+    centre, width = centre[keep], width[keep]
     reach = min(osc, omega_max)
     ladder = width[:, None] * 2.0 ** np.arange(-1.0, math.log2(reach / width.min()))
     short = ladder < reach
-    edges = np.concatenate([np.linspace(0.0, omega_max, math.ceil(omega_max / osc) + 1),
+    uniform_edges = np.arange(uniform + 1) * (start / uniform)
+    uniform_edges[-1] = start
+    panel = np.arange(fill + 1) * (count[-1] / fill)
+    panel[-1] = count[-1]
+    edges = np.concatenate([uniform_edges, np.interp(panel, count, x),
                             (centre[:, None] + ladder)[short], (centre[:, None] - ladder)[short],
                             centre])
-    return gauss_panels(np.unique(np.clip(edges, 0.0, omega_max)))
+    return gauss_panels(np.unique(np.minimum(np.maximum(edges, 0.0), omega_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,53 +505,140 @@ def frequency_grid(params: ModelParams, omega_max: float):
 
 
 def _tail_coefficient(params: ModelParams, sign):
-    """Bound on the dropped-order coefficient of the beta integrand.
+    """The omega^-5 coefficient c of the beta integrand of the channels ``sign``.
 
-    At large omega, (S/2) = (w_inf/omega)(1 - Omega^2/omega^2 + ...) and
-    Re D(i omega) = -omega^2 + 1 + K(0) + O(1/omega), with K(0) the
-    channel kernel at t = 0, so
+    At large omega, with k = K(0) the channel kernel at t = 0 and
+    A = 1 + k, (S/2) = (w_inf/omega)(1 - Omega^2/omega^2 + Omega^4/omega^4 - ...)
+    and, from the closed form of `_det_parts`,
 
-        (S/2) omega^2 / |D|^2 = (w_inf/omega^3) (1 + c/omega^2 + O(omega^-3)),
-        c = 2 (1 + K(0)) - Omega^2.
+        Re D(i omega) = -omega^2 + A - k Omega^2/omega^2
+                        +- 2 gamma Omega^2 sin(omega r)/omega + ...,
 
-    The two parts of c are bounded separately, so that an accidental
-    cancellation between the Drude and the kernel term cannot hide the
-    next order.
+    Im D = O(1/omega), so that per unit of w_inf (1 +- cos(omega r))
+
+        (S/2) omega^2 / |D|^2 = omega^-3 + c omega^-5 +- 4 gamma Omega^2 sin(omega r) omega^-6
+                                + d omega^-7 + O(omega^-8),
+        c = 2 A - Omega^2,   d = 3 A^2 - 2 k Omega^2 - 2 A Omega^2 + Omega^4,
+
+    and the alpha integrand is (S/2) / |D|^2 = omega^-5 + c omega^-7 + O(omega^-8).
     """
-    return 2.0 * (1.0 + channel_kernel_zero(params, sign)) + params.omega_cut**2
+    return 2.0 * (1.0 + channel_kernel_zero(params, sign)) - params.omega_cut * params.omega_cut
 
 
-def _asymptotic_tail_error(params: ModelParams, sign, omega_max: float):
-    """Bound on what the closed-form tail of `channel_asymptotic_moments`
-    drops from beta (alpha's share is smaller by 1/omega_max^2).
+_SIN_ONE_COS = 3.0 * math.sqrt(3.0) / 4.0   # max |sin x (1 +- cos x)|, at cos x = +-1/2
 
-    Two parts, each with 1 +- cos(omega r) <= 2: the next order of the
-    large-omega expansion (`_tail_coefficient`), and at T > 0 the thermal
-    excess coth(omega/2T) - 1 that the tail sets to zero, bounded by its
-    value at omega_max.
+
+def _tail_orders(params: ModelParams, sign):
+    """(e5, e6) of the channels ``sign``: beyond omega_max = W the closed-form
+    tail of `channel_asymptotic_moments` drops at most e5 / W^5 + e6 / W^6
+    from alpha or beta at T = 0, to the orders of `_tail_coefficient`.
+
+    e5 bounds beta's omega^-6 term, |sin(omega r) (1 +- cos(omega r))| being
+    at most `_SIN_ONE_COS`; e6 bounds the omega^-7 terms of both moments,
+    with 1 +- cos(omega r) <= 2.  d is bounded term by term, so that a
+    cancellation between the kernel and the Drude terms cannot hide the
+    order (and |c| <= 2 A + Omega^2 is below that sum at A >= 1).
     """
+    om2 = params.omega_cut * params.omega_cut
     w_inf = _tail_prefactor(params)
-    err = 2.0 * w_inf * _tail_coefficient(params, sign) * cos_tail(0.0, omega_max, 5)
-    if params.temperature > 0:
-        excess = coth(omega_max / (2.0 * params.temperature)) - 1.0
-        err += 2.0 * w_inf * excess * cos_tail(0.0, omega_max, 3)
-    return err
+    k = channel_kernel_zero(params, sign)
+    a = 1.0 + k
+    d = 3.0 * a * a + 2.0 * k * om2 + 2.0 * a * om2 + om2 * om2
+    return 0.2 * _SIN_ONE_COS * w_inf * 4.0 * params.gamma * om2, w_inf * d / 3.0
+
+
+def _thermal_tail(params: ModelParams, omega_max: float) -> float:
+    """Bound on what the tail drops at T > 0 by setting the thermal excess
+    coth(omega/2T) - 1 = 2 / (e^{omega/T} - 1) to zero beyond omega_max:
+    w_inf (1 +- cos) <= 2 w_inf times the excess at omega_max times
+    int omega^-3 = 1 / (2 omega_max^2)."""
+    T = params.temperature
+    if T <= 0.0:
+        return 0.0
+    u = omega_max / T
+    excess = 2.0 / math.expm1(u) if u < 700.0 else 2.0 * math.exp(-u)
+    return _tail_prefactor(params) * excess / omega_max / omega_max
+
+
+def _expansion_tail(e5: float, e6: float, omega_max: float):
+    """e5 / omega_max^5 + e6 / omega_max^6, by divisions, which underflow
+    where powers of a large omega_max would overflow."""
+    w = omega_max
+    return e5 / w / w / w / w / w + e6 / w / w / w / w / w / w
+
+
+def _asymptotic_tail_error(params: ModelParams, sign, omega_max: float) -> float:
+    """Estimate of what the closed-form tail of `channel_asymptotic_moments`
+    drops from alpha or beta of any of the channels ``sign``: the orders
+    `_tail_orders` leaves out, of the channel with the largest K(0), and at
+    T > 0 `_thermal_tail`."""
+    expansion = _expansion_tail(*_tail_orders(params, float(np.max(sign))), omega_max)
+    return expansion + _thermal_tail(params, omega_max)
+
+
+def _expansion_cut(e5: float, e6: float, floor: float, tol: float) -> float:
+    """The cut W >= floor at which e5 / W^5 + e6 / W^6 <= tol, in closed form:
+    at W0, the larger of floor and each term's own root, the sum is p <= 2 tol,
+    and W0 (p / tol)^(1/5) brings both terms down by at least p / tol."""
+    w = max(floor, (e5 / tol) ** 0.2, (e6 / tol) ** (1.0 / 6.0))
+    return w * max(1.0, _expansion_tail(e5, e6, w) / tol) ** 0.2 * (1.0 + 1e-12)  # rounding margin
+
+
+def _thermal_cut(params: ModelParams, tol: float) -> float:
+    """The cut W at which `_thermal_tail` is at most ``tol``.
+
+    With u = W / T the condition is u^2 (e^u - 1) >= K = 2 w_inf / (tol T^2).
+    In v = ln u, h(v) = ln(u^2 (e^u - 1)) is increasing and convex (h' = 2 +
+    u / (1 - e^-u) grows with u), so Newton's method from above the root
+    stays above it, and every iterate is a valid cut.  It starts from the
+    smaller of u^3 = K (e^u - 1 >= u) and, where it is at least 1,
+    u = ln 2K (e^u - 1 >= e^u / 2 there).  Everything is in logarithms, so
+    that no T or K overflows.
+    """
+    log_k = math.log(2.0 * _tail_prefactor(params) / tol) - 2.0 * math.log(params.temperature)
+    v = log_k / 3.0
+    if log_k + math.log(2.0) >= 1.0:
+        v = min(v, math.log(log_k + math.log(2.0)))
+    for _ in range(_NEWTON_MAX):
+        if v < -30.0:           # u < 1e-13: e^u - 1 = u, and u^3 = K is the root
+            break
+        u = math.exp(v)
+        h = 2.0 * v + (u + math.log1p(-math.exp(-u)) if u > 1.0 else math.log(math.expm1(u)))
+        step = (h - log_k) / (2.0 + u / -math.expm1(-u))
+        v -= max(step, 0.0)
+        if step <= 1e-12:
+            break
+    return math.exp(math.log(params.temperature) + v) * (1.0 + 1e-9)    # a rounding margin
 
 
 def asymptotic_omega_max(params: ModelParams, tol: float) -> float:
     """Frequency cut of the asymptotic noise integrals for tolerance ``tol``.
 
-    Inverts the tail estimate of `channel_asymptotic_moments` for both
-    channels, with a floor of 15 max(Omega, 1) so that the large-omega
-    expansion the tail rests on holds.  The expansion part,
-    w_inf c / (2 omega_max^4) <= tol, is inverted in closed form; the cut
-    is then raised in 5 % steps until the thermal part fits as well.
+    A cut, from the closed forms below, whose tail estimate
+    (`_asymptotic_tail_error`) meets ``tol`` in both channels, and at least
+    15 max(Omega, 1), so that the large-omega expansion the tail rests on
+    holds.  The expansion part, e5 / omega_max^5 + e6 / omega_max^6 (the
+    symmetric channel's, the larger), is inverted in closed form
+    (`_expansion_cut`), so omega_max grows as tol^(-1/5).  Where the thermal
+    part does not fit beside it, ``tol`` is split between the two parts in
+    the proportion they take at the cut that gives each half, and the
+    thermal part is inverted by `_thermal_cut`.  Coefficients or a cut past
+    the float range (Omega or gamma near 1e300) raise `TruncationError`, as
+    no cut can meet ``tol``.
     """
-    c = float(np.max(_tail_coefficient(params, SIGNS)))
-    need = (_tail_prefactor(params) * c / (2.0 * tol)) ** 0.25 * (1.0 + 1e-9)  # rounding margin
-    omega_max = float(max(15.0 * max(params.omega_cut, 1.0), need))
-    while np.max(_asymptotic_tail_error(params, SIGNS, omega_max)) > tol:
-        omega_max *= 1.05
+    e5, e6 = _tail_orders(params, 1.0)
+    floor = 15.0 * max(params.omega_cut, 1.0)      # where the large-omega expansion holds
+    omega_max = _expansion_cut(e5, e6, floor, tol) if math.isfinite(e5 + e6) else math.inf
+    if not math.isfinite(omega_max):
+        raise TruncationError(f"the large-frequency tail at {params} overflows (e5 = {e5:.3g}, "
+                              f"e6 = {e6:.3g}): no frequency cut meets tol {tol:.3g}")
+    if _expansion_tail(e5, e6, omega_max) + _thermal_tail(params, omega_max) > tol:
+        omega_max = max(_expansion_cut(e5, e6, floor, 0.5 * tol), _thermal_cut(params, 0.5 * tol))
+        expansion = _expansion_tail(e5, e6, omega_max)
+        share = tol * expansion / (expansion + _thermal_tail(params, omega_max))
+        if 0.0 < share < tol:
+            omega_max = min(omega_max, max(_expansion_cut(e5, e6, floor, share),
+                                           _thermal_cut(params, tol - share)))
     return omega_max
 
 
@@ -463,9 +659,11 @@ def channel_asymptotic_moments(params: ModelParams, sign,
     closed form of `_det_parts` sharing one `_channel_trig` per node.
     ``grid`` is a `frequency_grid` on [0, omega_max] (built here when not
     given); it is summed in blocks of nodes, so memory stays flat however
-    many nodes it has.  Beyond omega_max the integrand's leading
-    w_inf (1 +- cos(omega r)) / omega^3 term is integrated in closed form;
-    `_asymptotic_tail_error` bounds what that drops.
+    many nodes it has.  Beyond omega_max the integrands' large-omega
+    expansions (`_tail_coefficient`) are integrated in closed form: alpha's
+    w_inf (1 +- cos(omega r)) / omega^5, and beta's
+    w_inf (1 +- cos(omega r)) (1/omega^3 + c/omega^5), whose second term is
+    c times alpha's; `_asymptotic_tail_error` estimates what that drops.
     """
     sign = np.asarray(sign, dtype=float)
     r = params.distance
@@ -481,9 +679,11 @@ def channel_asymptotic_moments(params: ModelParams, sign,
 
     w_inf = _tail_prefactor(params)
     row = sign.reshape(np.shape(alpha))         # one sign per moment
-    alpha += w_inf * (cos_tail(0.0, omega_max, 5) + row * cos_tail(r, omega_max, 5))
-    beta += w_inf * (cos_tail(0.0, omega_max, 3) + row * cos_tail(r, omega_max, 3))
-    tail_err = float(np.max(_asymptotic_tail_error(params, sign, omega_max)))
+    fifth = w_inf * (cos_tail(0.0, omega_max, 5) + row * cos_tail(r, omega_max, 5))
+    alpha += fifth
+    beta += (w_inf * (cos_tail(0.0, omega_max, 3) + row * cos_tail(r, omega_max, 3))
+             + _tail_coefficient(params, row) * fifth)
+    tail_err = _asymptotic_tail_error(params, sign, omega_max)
     if tail_err > tol:
         raise TruncationError(
             f"asymptotic tail estimate {tail_err:.3e} > tol {tol:.3e}; "
@@ -499,8 +699,8 @@ def covariance_asymptotic(params: ModelParams) -> CovarianceMatrix:
     forgets its initial state: only the symmetric row is integrated, and
     the antisymmetric block keeps its ground-state value, the identity.
     The frequency cut is `asymptotic_omega_max(params, ASYMPTOTIC_TOL)`:
-    the smallest cut whose tail estimate meets ``ASYMPTOTIC_TOL``, and at
-    least 15 max(Omega, 1).  A T at or below `_THERMAL_FLOOR` Omega, whose
+    a cut, in closed form, whose tail estimate meets ``ASYMPTOTIC_TOL``,
+    and at least 15 max(Omega, 1).  A T at or below `_THERMAL_FLOOR` Omega, whose
     thermal excess is below rounding, is taken as T = 0.  The grid's
     omega_max, node count and tail estimate are logged at DEBUG on the
     "bathpair" logger.

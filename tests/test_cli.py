@@ -479,6 +479,21 @@ def test_a_resonance_scan_past_the_node_budget_exits_3(tmp_path, capsys):
     assert "status: PARTIAL" in manifest and "resonance scan" in manifest
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flag, value", [("--omega-cut", "1e300"), ("--gamma", "1e300")])
+def test_tail_coefficients_past_the_float_range_exit_3(tmp_path, capsys, flag, value):
+    """Omega = 1e300 once died in a bare OverflowError traceback, and gamma =
+    1e300 overflowed in the tail estimate: now exit 3, with a PARTIAL
+    MANIFEST naming the refusal."""
+    args = {"--gamma": "1", "--omega-cut": "10", flag: value}
+    rc = main(["asymptotic-sweep", *[v for kv in args.items() for v in kv], "--distance", "0.1",
+               "--output-dir", str(tmp_path)])
+    assert rc == 3
+    assert "TruncationError" in capsys.readouterr().err
+    manifest = (tmp_path / "MANIFEST").read_text()
+    assert "status: PARTIAL" in manifest and "large-frequency tail" in manifest
+
+
 def test_oracle_compare_exit_codes(tmp_path):
     rc = main(["oracle-compare", "--gamma", "1", "--omega-cut", "10",
                "--distance", "0.1", "--t-max", "4", "--dt", "1",

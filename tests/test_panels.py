@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bathpair._panels import _CI_SERIES, _CI_SERIES_BELOW, _ci
+from bathpair._panels import _CI_SERIES, _CI_SERIES_BELOW, _ci, cos_tail
 
 mpmath = pytest.importorskip("mpmath")
 EPS = np.finfo(float).eps
@@ -56,3 +56,27 @@ def test_ci_of_an_empty_or_zero_dimensional_array():
     assert _ci(np.array([])).shape == (0,)
     assert _ci(np.array(5.0)).shape == ()
     assert float(_ci(np.array(5.0))) == pytest.approx(_ci(5.0), abs=1e-16)
+
+
+@pytest.mark.parametrize("power", [3, 5])
+def test_cos_tail_matches_mpmath_past_the_cancellation(power):
+    """int_W^inf cos(a w) / w^p dw = W^(1-p) Re E_p(-i a W) of a float and of
+    an array, against mpmath at 30 digits, from aW = 1e-3 to 1.5e6: within
+    1e-14 W^(1-p) min(1, 4 / aW), the size of the continued fraction, and
+    2 eps W^(1-p) for the rounding of aW, which moves the phase by eps aW.  The
+    closed form through Ci, once used past aW = 4 too, cancels there: it
+    gave 7.6e-9 for the power-5 tail at (a, W) = (1e4, 150), which is
+    -6.7e-16."""
+    mpmath.mp.dps = 30
+    for W in (15.0, 150.0, 3000.0):
+        a = np.concatenate([np.geomspace(1e-3, 1.5e6, 60) / W, [4.0 / W, 1e4]])
+        ref = np.array([float(mpmath.mpf(W) ** (1 - power)
+                              * mpmath.re(mpmath.expint(power, -1j * mpmath.mpf(v) * W)))
+                        for v in a])
+        tol = W ** (1 - power) * (1e-14 * np.minimum(1.0, 4.0 / (a * W)) + 2.0 * EPS)
+        scalar = np.array([cos_tail(float(v), W, power) for v in a])
+        assert np.all(np.abs(scalar - ref) <= tol), a[np.argmax(np.abs(scalar - ref) / tol)]
+        array = cos_tail(a, W, power)
+        assert np.all(np.abs(array - ref) <= tol), a[np.argmax(np.abs(array - ref) / tol)]
+    assert cos_tail(0.0, 2.0, power) == cos_tail(np.zeros(1), 2.0, power)[0] == 1.0 / (
+        (power - 1) * 2.0 ** (power - 1))
