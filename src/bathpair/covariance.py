@@ -468,10 +468,10 @@ def frequency_grid(params: ModelParams, omega_max: float):
     x = start * (omega_max / start) ** (np.arange(n + 1) / n)
     x[-1] = omega_max
     at = np.maximum(x[:-1] - phase, start)  # at or below the start of any panel that reaches x
-    width = np.minimum(np.maximum(np.minimum(_DEPTH_PANEL * _chain_depth(params, at), at - start),
-                                  osc), phase)
+    fill_width = np.minimum(np.maximum(np.minimum(_DEPTH_PANEL * _chain_depth(params, at),
+                                                  at - start), osc), phase)
     count = np.zeros(n + 1)                 # fill panels below each sample
-    np.cumsum(np.diff(x) / width, out=count[1:])
+    np.cumsum(np.diff(x) / fill_width, out=count[1:])
     uniform, fill = math.ceil(start / osc), max(math.ceil(count[-1]), 1)
     step, top = _scan_span(params)
     for what, nodes in (("asymptotic frequency grid", 12.0 * (uniform + fill)),
