@@ -27,13 +27,14 @@ q = Omega^2 + omega^2,
     Re D(i omega) = 1 - omega^2 + 2 gamma Omega [omega^2 (1 +- E) +- Omega omega sin(omega r)] / q,
     Im D(i omega) = 2 gamma Omega^2 omega (1 +- cos(omega r)) / q,
 
-and its exact omega-derivative, analytic, so also the complex roots of D
-(`channel_resonances`).  The moment integrand (S/2)(1 +- cos(omega r)) /
-((Re D)^2 + (Im D)^2) is summed on 12-point Gauss-Legendre panels
-(`frequency_grid`) by one rule, a panel no wider than its distance to the
-nearest singularity: each singularity near the real axis, a root
-z = a + i b of D, the Drude pole or a pole at omega = 0, gets a ladder of
-edges a +- b 2^k.  The rest of the grid, the fill, is uniform at 2.5/r
+and its exact omega-derivative, whose scan seeds the complex roots of D
+(`channel_resonances`); each root is then refined on the quasi-polynomial
+(Omega^2 + z^2) D(i z), in complex scalars.  The moment integrand
+(S/2)(1 +- cos(omega r)) / ((Re D)^2 + (Im D)^2) is summed on 12-point
+Gauss-Legendre panels (`frequency_grid`) by one rule, a panel no wider
+than its distance to the nearest singularity: each singularity near the
+real axis, a root z = a + i b of D, the Drude pole or a pole at omega = 0,
+gets a ladder of edges a +- b 2^k.  The rest of the grid, the fill, is uniform at 2.5/r
 where the chains of roots of D lie within 5/r of the axis, and past them
 grades with their depth ln(|P0| / |P1|) / r, a closed form, up to the
 width 9/r over which a 12-point panel resolves cos(omega r).  Roots too
@@ -67,6 +68,7 @@ stack, which `entanglement.log_negativity` takes as it is.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass, field
@@ -179,11 +181,12 @@ def _noise_weight(omega, params: ModelParams, sign, trig=None):
 
 
 def _det_parts(omega, params: ModelParams, sign, trig, slope: bool = False):
-    """(Re D, Im D) of the channel determinant D(i omega), by the real closed
-    form of the module docstring, and with ``slope`` also the exact
-    d Re D / d omega and d Im D / d omega; ``trig`` is `_channel_trig` of the
-    same frequencies.  Im D = omega Re Gamma^(i omega) is the channel damping
-    at omega.
+    """(Re D, Im D) of the channel determinant D(i omega) at real ``omega``
+    (the nodes of the scan of `channel_resonances` and of the moments), by
+    the real closed form of the module docstring, and with ``slope`` also
+    the exact d Re D / d omega and d Im D / d omega; ``trig`` is
+    `_channel_trig` of the same frequencies.  Im D = omega Re Gamma^(i omega)
+    is the channel damping at omega.
     """
     g, Om, r = params.gamma, params.omega_cut, params.distance
     one_cos, pm_sin = trig
@@ -209,6 +212,64 @@ def _tail_prefactor(params: ModelParams) -> float:
 
 _REACH = 2.5          # / r: the root search's reach, and the narrowest panel of the fill
 _NEWTON_MAX = 40      # complex Newton steps; an iterate not converged by then is dropped
+_STOP = math.sqrt(np.finfo(float).eps)   # Newton steps below _STOP (1 + |z|) have converged
+
+
+def _quasi_polynomial(params: ModelParams, sign: float):
+    """The map z -> (q, F(z), dF/dz) on Python complex scalars, for the
+    channel ``sign`` (+1.0 or -1.0), of the quasi-polynomial
+
+        F(z) = q D(i z) = q (1 - z)(1 + z) + K(0) z^2 + i z 2 gamma Omega^2 (1 +- e^{-i r z}),
+
+    q = Omega^2 + z^2 and K(0) = 2 gamma Omega (1 +- e^{-Omega r}) the
+    channel kernel at t = 0: P0(s) + P1(s) e^{-s r} at s = i z (Bellman &
+    Cooke, Differential-Difference Equations, 1963, ch. 12-13).  As in
+    `_det_parts`, (1 - z)(1 + z) keeps its digits at the bare resonance, and
+    K(0) of the antisymmetric channel and 1 +- e^{-i theta} take the forms
+    -expm1 and 2 e^{-i theta/2} (cos(theta/2) or i sin(theta/2)), which keep
+    theirs as r -> 0+, where that channel's roots leave the axis as r^2."""
+    g, Om, r = params.gamma, params.omega_cut, params.distance
+    k0 = 2.0 * g * Om * (1.0 + math.exp(-Om * r) if sign > 0 else -math.expm1(-Om * r))
+    p1, om2 = 2.0 * g * Om * Om, Om * Om
+    # u = i p1 (1 +- e^{-i r z}) = tc half(r z / 2) e^{-i r z / 2} has the
+    # z-derivative sign p1 r e^{-i r z}, so that
+    # F' = z (2 (1 - Omega^2 + K(0)) - 4 z^2 + sign p1 r e^{-i r z}) + u
+    half, tc = (cmath.cos, 2.0j * p1) if sign > 0 else (cmath.sin, -2.0 * p1)
+    ha, hr, swing, c0, exp = -0.5j * r, 0.5 * r, sign * p1 * r, 2.0 * (1.0 - om2 + k0), cmath.exp
+
+    def f(z):
+        zz, h = z * z, exp(ha * z)
+        q, u = om2 + zz, tc * half(hr * z) * h
+        return (q, q * ((1.0 - z) * (1.0 + z)) + z * (k0 * z + u),
+                z * (c0 - 4.0 * zz + swing * (h * h)) + u)
+    return f
+
+
+def _newton_root(z: complex, quasi, reach: float):
+    """(root, |dD/dz| there) that Newton's method on D(i z) reaches from the
+    Python complex ``z``, or None.  ``quasi`` is the channel's
+    `_quasi_polynomial`, and each step D / D' is taken through it, as
+    F / (F' - 2 z F / q) = F q / (F' q - 2 z F), so that the iteration keeps
+    the basins of D, whose pole at z = i Omega F lacks.  A step below
+    sqrt(eps) (1 + |z|), which leaves an error ~ step^2, ends it, and the
+    slope |F' - 2 z F / q| / |q| is taken at the last iterate.  An iterate
+    that leaves |Im z| <= ``reach`` (a NaN one too), sits on the Drude pole
+    (q = 0: ZeroDivisionError) or overflows (OverflowError, or cmath's
+    ValueError where r z does) has no root, nor has one not ended in
+    `_NEWTON_MAX` steps."""
+    try:
+        for _ in range(_NEWTON_MAX):
+            if not -reach <= z.imag <= reach:
+                return None
+            q, f, df = quasi(z)
+            d = df - 2.0 * z * f / q
+            step = f / d
+            z -= step
+            if abs(step) <= _STOP * (1.0 + abs(z)):
+                return z, abs(d) / abs(q)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        pass
+    return None
 
 
 def _scan_span(params: ModelParams):
@@ -224,18 +285,20 @@ def channel_resonances(params: ModelParams, sign):
     singularity at distance b from omega = a = centre, and slope |D'| at a
     root of D, 0 elsewhere.  The roots z of D(i z), Im z >= 0, are listed
     as (Re z, Im z, |dD/d omega|).  Every interior local minimum of the
-    Newton distance |D / D'| within `_REACH` / r, on a scan uniform below
-    3 + 3 gamma and on to twice that at 4 times the step (a channel with
-    none: the roots of a small-r quartic), seeds a complex Newton iteration
-    on the analytic closed form of `_det_parts`.  A step below
-    sqrt(eps) (1 + |z|), which leaves an error ~ step^2, ends it; an iterate
-    that leaves |Im z| <= `_REACH` / r or has not ended in `_NEWTON_MAX`
-    steps is dropped.  Mirror roots -conj(z) are folded onto Re z >= 0 and
-    copies merged.  Im z has no floor: the antisymmetric root near omega = 1
-    leaves the axis as r^2 as r -> 0+.  Roots past the scan's top, such as
-    the chain roots within reach at (1, 50, 0, 2) from Re z = 8.7 to 21, are
-    not listed; they are left to the fill of `frequency_grid`, whose panels
-    are no wider than 2.5 / r where the chains lie within 5 / r of the axis.
+    Newton distance |D / D'| within `_REACH` / r, on a scan of `_det_parts`
+    uniform below 3 + 3 gamma and on to twice that at 4 times the step,
+    takes its first Newton step from the scan's D and D'; a channel with
+    none takes the roots of a small-r quartic.  Each seed is then refined
+    on its own, in Python complex scalars, by `_newton_root` on the
+    quasi-polynomial F = (Omega^2 + z^2) D of `_quasi_polynomial`; an
+    iterate that leaves |Im z| <= `_REACH` / r, or has not converged in
+    `_NEWTON_MAX` steps, is dropped.  Mirror roots -conj(z) are folded onto
+    Re z >= 0 and copies merged.  Im z has no floor: the antisymmetric root
+    near omega = 1 leaves the axis as r^2 as r -> 0+.  Roots past the scan's
+    top, such as the chain roots within reach at (1, 50, 0, 2) from
+    Re z = 8.7 to 21, are not listed; they are left to the fill of
+    `frequency_grid`, whose panels are no wider than 2.5 / r where the
+    chains lie within 5 / r of the axis.
     Per channel, the record also lists the Drude pole, (0, Omega), and at
     omega = 0 the nearer of the poles of coth(omega/2T) at 2 pi T and, for
     the symmetric channel with no root on the imaginary axis (to the
@@ -261,7 +324,7 @@ def channel_resonances(params: ModelParams, sign):
     # with no minimum on the axis; at small r they are near those of the
     # quartic (s^2 - Omega^2) D(s) with e^{-s r} ~ 1 - s r, s = i z, which
     # seed such a channel: the eigenvalues of its companion matrix
-    bare = np.setdiff1d(np.arange(len(rows)), row)
+    bare = np.flatnonzero(~low.any(axis=1))
     if bare.size:
         g, Om, sg = 2.0 * params.gamma * params.omega_cut, params.omega_cut, rows[bare, 0]
         companion = np.zeros((bare.size, 4, 4))
@@ -273,34 +336,22 @@ def channel_resonances(params: ModelParams, sign):
         # where a root deeper than the Drude pole is never the nearer singularity
         seed = (q.real >= 0.0) & (q.imag > 0.0) & ((q.real > 0.0) | (q.imag < Om))
         row, z = np.concatenate([row, bare[np.nonzero(seed)[0]]]), np.concatenate([z, q[seed]])
-    at = np.flatnonzero(np.abs(z.imag) <= reach)       # the iterates still running
-    za, sa, slope = z[at], rows[row[at], 0], np.zeros(z.size)
-    with np.errstate(all="ignore"):         # a diverging iterate overflows, and is dropped
-        for _ in range(_NEWTON_MAX):
-            re, im, d_re, d_im = _det_parts(za, params, sa, _channel_trig(za, r, sa), slope=True)
-            d = d_re + 1j * d_im
-            step = (re + 1j * im) / d
-            za = za - step
-            done = np.abs(step) <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(za))
-            z[at[done]], slope[at[done]] = za[done], np.abs(d[done])
-            run = ~done & (np.abs(za.imag) <= reach)
-            at, za, sa = at[run], za[run], sa[run]
-            if not at.size:
-                break
-    # below the axis (Re s > 0) D has no root, and the closed form cancels
-    # exponentially large terms: an iterate that ends there diverged
-    found = np.flatnonzero((slope > 0) & (z.imag >= 0.0))
-    z = np.abs(z[found].real) + 1j * z[found].imag
-    order = np.lexsort((z.imag, z.real, row[found]))
-    row, z, slope = row[found][order], z[order], slope[found][order]
+    found, quasi = [], [_quasi_polynomial(params, s) for s in rows[:, 0].tolist()]
+    for i, z0 in zip(row.tolist(), z.tolist()):
+        root = _newton_root(z0, quasi[i], reach)
+        # below the axis (Re s > 0) D has no root, and the closed form cancels
+        # exponentially large terms: an iterate that ends there diverged
+        if root is not None and root[0].imag >= 0.0:
+            found.append((i, abs(root[0].real), root[0].imag, root[1]))
+    row, re_z, im_z, slope = np.reshape(sorted(found), (-1, 4)).T
+    row, z = row.astype(int), re_z + 1j * im_z
     # copies of one root agree well within the stopping step sqrt(eps) (1 + |z|)
-    copy = (row[1:] == row[:-1]) & (np.abs(z[1:] - z[:-1])
-                                    <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(z[1:])))
+    copy = (row[1:] == row[:-1]) & (np.abs(z[1:] - z[:-1]) <= _STOP * (1.0 + np.abs(z[1:])))
     row, z, slope = (v[np.append(True, ~copy)[:z.size]] for v in (row, z, slope))
 
     # a root on the imaginary axis is the symmetric peak itself
     axis = [math.inf] * len(rows)           # per channel, its nearest root on the axis
-    on_axis = np.flatnonzero(z.real <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(z)))
+    on_axis = np.flatnonzero(z.real <= _STOP * (1.0 + np.abs(z)))
     for i, b in zip(row[on_axis].tolist(), z.imag[on_axis].tolist()):
         axis[i] = min(axis[i], b)
     stand_in = 0.25 / params.gamma if params.gamma > 0 else math.inf

@@ -19,7 +19,7 @@ from bathpair.covariance import (
     frequency_grid,
 )
 from bathpair.entanglement import UnphysicalCovarianceError
-from bathpair.greens import SIGNS, channel_det, channel_kernel_laplace
+from bathpair.greens import SIGNS, channel_det, channel_kernel_laplace, channel_kernel_zero
 from bathpair.model import ModelParams
 from conftest import CORNERS, box_points, resonances
 
@@ -122,6 +122,81 @@ def _assert_roots_are_roots(params):
     MANY_CROSSINGS, ModelParams(5.16, 29.0, 0.0, 7.10)], ids=str)
 def test_every_root_of_the_record_is_a_root_of_d(params):
     _assert_roots_are_roots(params)
+
+
+@pytest.mark.parametrize("params", box_points(1) + CORNERS, ids=str)
+def test_every_slope_of_the_record_matches_channel_det(params):
+    """The record's slope |D'| against a complex central difference of
+    `greens.channel_det` at s = i z, step 1e-6 max(1, |z|) / max(1, r), for
+    every root with Im z < Omega.  The slope is taken at the iterate before
+    the last Newton step, which is below sqrt(eps) (1 + |z|); over it D'
+    turns by up to |D''| times the step, D'' a central second difference
+    (step 100 times as long).  So the bound is 1e-6 relative, the
+    difference's own error, plus sqrt(eps) (1 + |z|) |D''| / |D'|."""
+    row, om, depth, slope = resonances(params, SIGNS)
+    z = om + 1j * depth
+    for i, sign in enumerate(SIGNS[:, 0]):
+        mine = (row == i) & (depth < params.omega_cut)
+        zk, ours = z[mine], slope[mine]
+        h = 1e-6 * np.maximum(1.0, np.abs(zk)) / max(1.0, params.distance)
+        det = lambda x: channel_det(1j * x, params, sign)   # noqa: E731
+        ref = np.abs(det(zk + h) - det(zk - h)) / (2.0 * h)
+        h = 100.0 * h
+        turn = np.abs(det(zk + h) - 2.0 * det(zk) + det(zk - h)) / h**2
+        bound = 1e-6 + math.sqrt(np.finfo(float).eps) * (1.0 + np.abs(zk)) * turn / ref
+        assert np.all(np.abs(ours / ref - 1.0) <= bound), (params, sign)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("params", box_points(3, 16) + [
+    c for c in CORNERS if c.temperature == 0], ids=str)
+def test_quasi_polynomial_is_q_times_channel_det(params):
+    """F of `covariance._quasi_polynomial` equals (Omega^2 + z^2) D(i z) of
+    `greens.channel_det`, within 1e-12 of the terms F sums, and its F'
+    matches a central difference of F to 1e-6 of those terms times
+    r + 1 / max(1, |z|), the scale of their z-derivatives, at 64 random z
+    over the scan's span with |Im z| within the reach 2.5 / r and below
+    0.9 Omega (`channel_det` is defined for Im z < Omega)."""
+    rng = np.random.default_rng(7)
+    g, om_c, r = params.gamma, params.omega_cut, params.distance
+    deep = min(2.5 / max(r, 1e-9), 0.9 * om_c)
+    z = rng.uniform(0.0, 3.0 + 3.0 * g, 64) + 1j * rng.uniform(-deep, deep, 64)
+    for sign in (+1.0, -1.0):
+        quasi = covariance._quasi_polynomial(params, sign)
+        q = om_c**2 + z * z
+        terms = (np.abs(q) * (1.0 + np.abs(z) ** 2)
+                 + abs(channel_kernel_zero(params, sign)) * np.abs(z) ** 2
+                 + 2.0 * g * om_c**2 * np.abs(z) * (1.0 + np.exp(r * z.imag)))
+        ref = q * channel_det(1j * z, params, sign)
+        for zk, want, scale in zip(z.tolist(), ref, terms):
+            q_k, f, df = quasi(zk)
+            assert q_k == om_c**2 + zk * zk
+            assert abs(f - want) <= 1e-12 * scale, (params, sign, zk)
+            h = 1e-6 * max(1.0, abs(zk)) / max(1.0, r)
+            fd = (quasi(zk + h)[1] - quasi(zk - h)[1]) / (2.0 * h)
+            slope_scale = scale * (r + 1.0 / max(1.0, abs(zk)))
+            assert abs(df - fd) <= 1e-6 * slope_scale, (params, sign, zk)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", [ModelParams(1.0, 10.0, 0.0, 0.1),
+                                    ModelParams(1.0, 10.0, 0.0, 0.0),
+                                    ModelParams(50.0, 100.0, 0.0, 20.0)], ids=str)
+def test_newton_drops_divergent_and_pole_iterates_silently(params):
+    """A seed that diverges, with |z| ~ 1e200 (or 1e308, where r z
+    overflows), or that is not finite, yields no root; so does an iterate
+    on the Drude pole z = i Omega, where
+    q = Omega^2 + z^2 is 0 and the step F q / (F' q - 2 z F) would read 0.
+    None raises or warns, and a seed near the bare resonance still ends on
+    a root of D."""
+    reach = 2.5 / max(params.distance, 1e-9)
+    for sign in (+1.0, -1.0):
+        quasi = covariance._quasi_polynomial(params, sign)
+        for seed in (1e200, 1e200 + 1e200j, -1e200 + 1.0j, 1e308, complex(math.inf, 0.0),
+                     complex(math.nan, 0.0), 1j * params.omega_cut):
+            assert covariance._newton_root(seed, quasi, reach) is None, (sign, seed)
+        root = covariance._newton_root(1.0 + 1e-3j, quasi, reach)
+        assert root is not None and abs(channel_det(1j * root[0], params, sign)) <= 1e-9
 
 
 def _p0(s, params, sign):
@@ -237,6 +312,30 @@ def test_antisymmetric_damping_keeps_its_digits_at_small_r():
         for w, ours in zip(omega.tolist(), im):
             ref = 2 * g * om_c**2 * w * (1 - mpmath.cos(w * r)) / (om_c**2 + w**2)
             assert float(abs(ours / ref - 1)) <= 1e-13
+
+
+@pytest.mark.parametrize("params", [ModelParams(1.0, 10.0, 0.0, 1e-6),
+                                    ModelParams(1.0, 10.0, 0.0, 1e-8),
+                                    ModelParams(50.0, 100.0, 0.0, 1e-8),
+                                    ModelParams(0.5, 20.0, 0.0, 1e-7)], ids=str)
+def test_antisymmetric_root_keeps_its_digits_at_small_r(params):
+    """The antisymmetric root near omega = 1, Im z ~ r^2 (5e-17 at r = 1e-8),
+    against a 40-digit root of D(i z): Im z to 1e-12 relative and Re z to
+    4 eps.  1 - e^{-i r z} summed as it stands loses Im z at r = 1e-8."""
+    mpmath = pytest.importorskip("mpmath")
+    _, om, depth, _ = resonances(params, -1.0)
+    k = np.argmin(np.abs(om - 1.0))
+    with mpmath.workdps(40):
+        g, om_c, r = (mpmath.mpf(v) for v in (params.gamma, params.omega_cut, params.distance))
+
+        def det(z):
+            s = 1j * z
+            kern = (2 * g * om_c * (om_c * (1 - mpmath.exp(-s * r)) - s * (1 - mpmath.exp(-om_c * r)))
+                    / (om_c**2 - s**2))
+            return s * s + 1 + s * kern
+        ref = complex(mpmath.findroot(det, mpmath.mpc(1, 0)))
+    assert abs(depth[k] / ref.imag - 1.0) <= 1e-12
+    assert abs(om[k] - ref.real) <= 4.0 * np.finfo(float).eps
 
 
 def test_antisymmetric_moment_against_mpmath_grid_sum():
