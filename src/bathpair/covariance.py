@@ -11,37 +11,25 @@ integrate against S(omega)/2.
 Both channels run in one pass, as axis 0 of every channel array
 (`greens.SIGNS`), sharing S(omega), cos(omega r) and the kernels.
 
-Asymptotic state (gamma > 0, so the initial state is forgotten):
+Asymptotic state (gamma > 0, so the initial state is forgotten): the
+stationary state is an equilibrium state, so by fluctuation-dissipation the
+real-frequency integral of the noise against |D(i omega)|^-2, whose roots
+of D lie near the real axis, rotates onto the Matsubara frequencies
+nu_n = 2 pi n T, where D(nu) = nu^2 + 1 + nu K^(nu) is real, at least
+1 + nu^2, and smooth (Grabert, Schramm & Ingold, Phys. Rep. 168, 115
+(1988); Ford, Lewis & O'Connell, Phys. Rev. A 37, 4419 (1988)).  Per
+channel, K^ = Gamma_0^ +- Gamma_r^ the channel kernel, the doubled moments are
 
-    C_inf = int_0^infty domega (S/2) Herm[ g(omega) M(omega) g(omega)^dag ],
+    C_xx = 2T sum_n 1 / D(|nu_n|),   C_pp = 2T sum_n (1 + |nu_n| K^) / D(|nu_n|),   C_xp = 0,
 
-g(omega) the resolvent on the imaginary axis and M the noise structure
-matrix (velocity sector, cross entries cos(omega r)).  In channel
-coordinates M diagonalizes to weights (1 +- cos(omega r)) and C_inf is
-diagonal per channel, which is the form actually integrated.  At r = 0
-the relative coordinate decouples and keeps its ground-state block.  The
-whole asymptotic path runs on the real closed form of the Drude channel
-determinant on the imaginary axis: with E = e^{-Omega r} and
-q = Omega^2 + omega^2,
-
-    Re D(i omega) = 1 - omega^2 + 2 gamma Omega [omega^2 (1 +- E) +- Omega omega sin(omega r)] / q,
-    Im D(i omega) = 2 gamma Omega^2 omega (1 +- cos(omega r)) / q,
-
-and its exact omega-derivative, whose scan seeds the complex roots of D
-(`channel_resonances`); each root is then refined on the quasi-polynomial
-(Omega^2 + z^2) D(i z), in complex scalars.  The moment integrand
-(S/2)(1 +- cos(omega r)) / ((Re D)^2 + (Im D)^2) is summed on 12-point
-Gauss-Legendre panels (`frequency_grid`) by one rule, a panel no wider
-than its distance to the nearest singularity: each singularity near the
-real axis, a root z = a + i b of D, the Drude pole or a pole at omega = 0,
-gets a ladder of edges a +- b 2^k.  The rest of the grid, the fill, is uniform at 2.5/r
-where the chains of roots of D lie within 5/r of the axis, and past them
-grades with their depth ln(|P0| / |P1|) / r, a closed form, up to the
-width 9/r over which a 12-point panel resolves cos(omega r).  Roots too
-near the axis for float64 nodes, and grids or resonance scans past a node
-budget (at large r or gamma), are refused.  Past the cut omega_max the
-moments take their large-frequency expansions in closed form, beta's to
-two terms, so the cut falls as tol^(-1/5).
+(2/pi) int_0^inf d nu at T = 0.  The integral runs on geometric 12-point
+Gauss-Legendre panels, two per octave, whose Bernstein ellipses reach the
+imaginary axis only at rho = 11.6, from a first panel a quarter of the
+disc in which D has no root; the tails past the cut take their leading
+1/nu^2 in closed form.  At T > 0 the n = 0 term is kept and the rest is
+summed by the Abel-Plana formula: the same integral from 2 pi T, and one
+line integral in Re s > 0 with a fixed rule.  No root of D is located.  At
+r = 0 the relative coordinate decouples and keeps its ground-state block.
 
 Transient state:
 
@@ -68,7 +56,6 @@ stack, which `entanglement.log_negativity` takes as it is.
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass, field
@@ -79,18 +66,15 @@ from numpy.polynomial import polynomial as P
 from ._panels import cos_tail, gauss_panels
 from .entanglement import _first, require_physical
 from .greens import SIGNS, GreensFunction, channel_blocks, channel_kernel_zero, four_by_four
-from .kernels import coth, noise_spectrum
+from .kernels import noise_spectrum
 from .model import ModelParams
 
 __all__ = [
     "CovarianceMatrix",
     "ground_state_covariance",
     "covariance_asymptotic",
-    "asymptotic_omega_max",
     "covariance_time_series",
     "channel_asymptotic_moments",
-    "channel_resonances",
-    "frequency_grid",
     "TruncationError",
 ]
 
@@ -98,7 +82,7 @@ _log = logging.getLogger("bathpair")
 
 
 class TruncationError(RuntimeError):
-    """A frequency tail exceeds its tolerance, a resonance is too narrow, or a grid too large."""
+    """A frequency tail or cut cannot meet its tolerance in float64."""
 
 
 @dataclass(frozen=True)
@@ -156,53 +140,22 @@ def ground_state_covariance() -> CovarianceMatrix:
     return CovarianceMatrix(entries=np.eye(4), time_label=0.0)
 
 
-ASYMPTOTIC_TOL = 1e-6    # frequency-tail tolerance of the asymptotic covariance
+ASYMPTOTIC_TOL = 1e-12   # relative tolerance of the asymptotic moments' closed-form tails
 
 
 # ---------------------------------------------------------------------------
-# frequency grids
+# asymptotic covariance
 
 
-def _channel_trig(omega, r: float, sign):
-    """(1 +- cos(omega r), +-sin(omega r)) of the channels ``sign``, from one
-    cos and one sin of the half angle: 1 - cos(omega r) = 2 sin^2(omega r/2)
-    keeps its digits at small omega r, where the antisymmetric channel's
-    damping and noise weight are ~ (omega r)^2."""
-    c, s = np.cos(0.5 * r * omega), np.sin(0.5 * r * omega)
-    return 2.0 * np.where(sign > 0, c * c, s * s), 2.0 * sign * (s * c)
-
-
-def _noise_weight(omega, params: ModelParams, sign, trig=None):
-    """Per-frequency quadratic-form weight (S/2) * (1 +- cos(omega r));
-    ``trig`` is `_channel_trig` of the same frequencies, when already at hand."""
+def _noise_weight(omega, params: ModelParams, sign):
+    """Per-frequency quadratic-form weight (S/2) * (1 +- cos(omega r)) of the
+    real-frequency definition of the stationary moments, which the tests
+    integrate against |D(i omega)|^2.  1 +- cos(omega r) is taken as
+    2 (cos^2 or sin^2)(omega r / 2), which keeps its digits at small omega r."""
     omega = np.asarray(omega, dtype=float)
-    one_cos, _ = _channel_trig(omega, params.distance, sign) if trig is None else trig
+    half = 0.5 * params.distance * omega
+    one_cos = 2.0 * np.where(sign > 0, np.cos(half) ** 2, np.sin(half) ** 2)
     return 0.5 * noise_spectrum(omega, params) * one_cos
-
-
-def _det_parts(omega, params: ModelParams, sign, trig, slope: bool = False):
-    """(Re D, Im D) of the channel determinant D(i omega) at real ``omega``
-    (the nodes of the scan of `channel_resonances` and of the moments), by
-    the real closed form of the module docstring, and with ``slope`` also
-    the exact d Re D / d omega and d Im D / d omega; ``trig`` is
-    `_channel_trig` of the same frequencies.  Im D = omega Re Gamma^(i omega)
-    is the channel damping at omega.
-    """
-    g, Om, r = params.gamma, params.omega_cut, params.distance
-    one_cos, pm_sin = trig
-    one_e = np.where(sign > 0, 1.0 + math.exp(-Om * r), -math.expm1(-Om * r))
-    q = Om * Om + omega * omega
-    num = omega * (omega * one_e + Om * pm_sin)
-    re = (1.0 - omega) * (1.0 + omega) + 2.0 * g * Om * num / q   # exact 1 - omega near 1
-    im = 2.0 * g * Om * Om * omega * one_cos / q
-    if not slope:
-        return re, im
-    # d/d omega of +-sin(omega r) is r (+-cos(omega r)) = r (one_cos - 1),
-    # and of one_cos it is -r (+-sin(omega r))
-    d_num = 2.0 * omega * one_e + Om * (pm_sin + omega * r * (one_cos - 1.0))
-    d_im = one_cos - omega * r * pm_sin - 2.0 * omega * omega * one_cos / q
-    return (re, im, -2.0 * omega + 2.0 * g * Om * (d_num - 2.0 * omega * num / q) / q,
-            2.0 * g * Om * Om * d_im / q)
 
 
 def _tail_prefactor(params: ModelParams) -> float:
@@ -210,551 +163,141 @@ def _tail_prefactor(params: ModelParams) -> float:
     return 4.0 * params.gamma * params.omega_cut * params.omega_cut / math.pi
 
 
-_REACH = 2.5          # / r: the root search's reach, and the narrowest panel of the fill
-_NEWTON_MAX = 40      # complex Newton steps; an iterate not converged by then is dropped
-_STOP = math.sqrt(np.finfo(float).eps)   # Newton steps below _STOP (1 + |z|) have converged
+def _damping_kernel(s, d: float, params: ModelParams):
+    """Gamma_d^(s) at real s >= 0, or at complex s with Re s > 0, as
+
+        Gamma_d^(s) = 2 gamma Omega [e^{-Omega d} + Omega q] / (Omega + s),
+        q = (e^{-s d} - e^{-Omega d}) / (Omega - s)
+          = d e^{-min(s, Omega) d} (1 - e^{-|Omega - s| d}) / (|Omega - s| d),
+
+    min and |.| taken by Re s <= Omega (on the other side u = s - Omega,
+    so that Re u >= 0 and no exponential grows).  The quotient is -expm1(-z) / z,
+    1 at z = 0, so the removable point s = Omega needs no patch, and q of
+    d = 0 is 0.  Vectorized over s; real s gives a real array."""
+    g, om = params.gamma, params.omega_cut
+    if d == 0.0:
+        return 2.0 * g * om / (om + s)      # q = 0
+    below = np.real(s) <= om
+    z = d * np.where(below, om - s, s - om)
+    zero = z == 0
+    z = np.where(zero, 1.0, z)
+    quotient = np.where(zero, 1.0, -np.expm1(-z) / z)
+    q = d * np.exp(-d * np.where(below, s, om)) * quotient
+    return 2.0 * g * om * (math.exp(-om * d) + om * q) / (om + s)
 
 
-def _quasi_polynomial(params: ModelParams, sign: float):
-    """The map z -> (q, F(z), dF/dz) on Python complex scalars, for the
-    channel ``sign`` (+1.0 or -1.0), of the quasi-polynomial
-
-        F(z) = q D(i z) = q (1 - z)(1 + z) + K(0) z^2 + i z 2 gamma Omega^2 (1 +- e^{-i r z}),
-
-    q = Omega^2 + z^2 and K(0) = 2 gamma Omega (1 +- e^{-Omega r}) the
-    channel kernel at t = 0: P0(s) + P1(s) e^{-s r} at s = i z (Bellman &
-    Cooke, Differential-Difference Equations, 1963, ch. 12-13).  As in
-    `_det_parts`, (1 - z)(1 + z) keeps its digits at the bare resonance, and
-    K(0) of the antisymmetric channel and 1 +- e^{-i theta} take the forms
-    -expm1 and 2 e^{-i theta/2} (cos(theta/2) or i sin(theta/2)), which keep
-    theirs as r -> 0+, where that channel's roots leave the axis as r^2."""
-    g, Om, r = params.gamma, params.omega_cut, params.distance
-    k0 = 2.0 * g * Om * (1.0 + math.exp(-Om * r) if sign > 0 else -math.expm1(-Om * r))
-    p1, om2 = 2.0 * g * Om * Om, Om * Om
-    # u = i p1 (1 +- e^{-i r z}) = tc half(r z / 2) e^{-i r z / 2} has the
-    # z-derivative sign p1 r e^{-i r z}, so that
-    # F' = z (2 (1 - Omega^2 + K(0)) - 4 z^2 + sign p1 r e^{-i r z}) + u
-    half, tc = (cmath.cos, 2.0j * p1) if sign > 0 else (cmath.sin, -2.0 * p1)
-    ha, hr, swing, c0, exp = -0.5j * r, 0.5 * r, sign * p1 * r, 2.0 * (1.0 - om2 + k0), cmath.exp
-
-    def f(z):
-        zz, h = z * z, exp(ha * z)
-        q, u = om2 + zz, tc * half(hr * z) * h
-        return (q, q * ((1.0 - z) * (1.0 + z)) + z * (k0 * z + u),
-                z * (c0 - 4.0 * zz + swing * (h * h)) + u)
-    return f
+def _moment_integrands(s, params: ModelParams, rows):
+    """(1 / D, (1 + s K^) / D) of the channels ``rows`` (a column of signs) at
+    the frequencies ``s``, D(s) = s^2 + 1 + s K^(s) and K^ = Gamma_0^ +- Gamma_r^
+    the channel kernel of `_damping_kernel`: real and positive on s >= 0."""
+    m = 1.0 + s * (_damping_kernel(s, 0.0, params)
+                   + rows * _damping_kernel(s, params.distance, params))
+    det = s * s + m
+    return 1.0 / det, m / det
 
 
-def _newton_root(z: complex, quasi, reach: float):
-    """(root, |dD/dz| there) that Newton's method on D(i z) reaches from the
-    Python complex ``z``, or None.  ``quasi`` is the channel's
-    `_quasi_polynomial`, and each step D / D' is taken through it, as
-    F / (F' - 2 z F / q) = F q / (F' q - 2 z F), so that the iteration keeps
-    the basins of D, whose pole at z = i Omega F lacks.  A step below
-    sqrt(eps) (1 + |z|), which leaves an error ~ step^2, ends it, and the
-    slope |F' - 2 z F / q| / |q| is taken at the last iterate.  An iterate
-    that leaves |Im z| <= ``reach`` (a NaN one too), sits on the Drude pole
-    (q = 0: ZeroDivisionError) or overflows (OverflowError, or cmath's
-    ValueError where r z does) has no root, nor has one not ended in
-    `_NEWTON_MAX` steps."""
-    try:
-        for _ in range(_NEWTON_MAX):
-            if not -reach <= z.imag <= reach:
-                return None
-            q, f, df = quasi(z)
-            d = df - 2.0 * z * f / q
-            step = f / d
-            z -= step
-            if abs(step) <= _STOP * (1.0 + abs(z)):
-                return z, abs(d) / abs(q)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        pass
-    return None
+_PER_OCTAVE = 2           # geometric 12-point Gauss-Legendre panels per octave of nu
+_MAX_FREQUENCY = 1e50     # a cut or 2 pi T refused past this: C ~ 2T, and C^5 overflows at 1e61
+# the Abel-Plana line integral: unit panels in t on [0, 7], 1/(e^{2 pi t} - 1) in the weights
+_LINE_T, _LINE_W = gauss_panels(np.arange(8.0))
+_LINE_W = _LINE_W / np.expm1(2.0 * math.pi * _LINE_T)
 
 
-def _scan_span(params: ModelParams):
-    """(step, top) of the scan of `channel_resonances`: uniform at the step
-    below top, and on to 2 top at 4 steps, 1.25 top / step nodes per channel."""
-    return min(0.01, math.pi / (10.0 * (params.distance + 1.0))), 3.0 + 3.0 * params.gamma
+def _panel_edges(params: ModelParams, tol: float):
+    """(edges, tail_error) of the real-axis integral of `channel_asymptotic_moments`,
+    from nu = 2 pi T (0 at T = 0) to the cut W = edges[-1].
+
+    The first panel, [0, nu_0] (or [2 pi T, nu_0]), is a quarter of the radius
+    R0 = min(1/2, Omega/2, 1/r, 1/(20 gamma)) within which D has no root, so
+    that its Bernstein ellipse, and the growth of e^{-s r} on it, stay inside
+    that disc.  Past nu_0 the panels are geometric, `_PER_OCTAVE` per octave:
+    their ellipses reach the imaginary axis, where the roots of D lie, only
+    at rho = (sqrt(q) + 1) / (sqrt(q) - 1) = 11.6, q = sqrt(2).  The cut W
+    makes what the closed-form tails 1/nu^2 and (1 + K(0))/nu^2 drop at most
+    ``tol`` times a lower bound of each moment (CHANGES.md has the bounds);
+    ``tail_error`` is the larger of the two, absolute.  A W or 2 pi T past
+    `_MAX_FREQUENCY` raises `TruncationError`."""
+    g, om, r, T = params.gamma, params.omega_cut, params.distance, params.temperature
+    a = 1.0 + channel_kernel_zero(params, 1.0)     # the larger channel's 1 + K(0)
+    p = 2.0 * g * om * om
+    lower = 2.0 * math.pi * T
+    cut = math.inf
+    if a < math.inf and p < math.inf:
+        floor_alpha, floor_beta = max(1.0 / math.sqrt(a), 2.0 * T), max(1.0, 2.0 * T)
+        cut = max(math.cbrt(2.0 * a / (3.0 * math.pi * tol * floor_alpha)),
+                  math.sqrt(4.0 * p / (math.pi * tol * floor_beta)),
+                  math.cbrt(4.0 * a * a / (3.0 * math.pi * tol * floor_beta)), lower)
+    if not cut <= _MAX_FREQUENCY:
+        raise TruncationError(
+            f"the large-frequency tail at {params} needs a cut at {cut:.3g} (2 pi T = "
+            f"{lower:.3g}), past {_MAX_FREQUENCY:.0e}, where the covariance's powers overflow")
+    start = max(lower, 0.25 * min(0.5, 0.5 * om, 1.0 / r if r > 0 else math.inf, 0.05 / g))
+    n = math.ceil(_PER_OCTAVE * math.log2(cut / start)) if cut > start else 0
+    edges = start * (cut / start) ** (np.arange(n + 1) / max(n, 1))
+    edges[-1] = max(cut, start)
+    if lower < start:
+        edges = np.concatenate([[lower], edges])
+    w = float(edges[-1])
+    tail = 2.0 / math.pi * max(a / (3.0 * w**3), p / w**2 + a * a / (3.0 * w**3))
+    return edges, tail
 
 
-def channel_resonances(params: ModelParams, sign):
-    """Every near-axis singularity of the moment integrand of the channels
-    ``sign`` (+1, -1 or a column such as `SIGNS`), as one record of arrays:
-    (row, centre, distance, slope), row the channel's index in ``sign``, a
-    singularity at distance b from omega = a = centre, and slope |D'| at a
-    root of D, 0 elsewhere.  The roots z of D(i z), Im z >= 0, are listed
-    as (Re z, Im z, |dD/d omega|).  Every interior local minimum of the
-    Newton distance |D / D'| within `_REACH` / r, on a scan of `_det_parts`
-    uniform below 3 + 3 gamma and on to twice that at 4 times the step,
-    takes its first Newton step from the scan's D and D'; a channel with
-    none takes the roots of a small-r quartic.  Each seed is then refined
-    on its own, in Python complex scalars, by `_newton_root` on the
-    quasi-polynomial F = (Omega^2 + z^2) D of `_quasi_polynomial`; an
-    iterate that leaves |Im z| <= `_REACH` / r, or has not converged in
-    `_NEWTON_MAX` steps, is dropped.  Mirror roots -conj(z) are folded onto
-    Re z >= 0 and copies merged.  Im z has no floor: the antisymmetric root
-    near omega = 1 leaves the axis as r^2 as r -> 0+.  Roots past the scan's
-    top, such as the chain roots within reach at (1, 50, 0, 2) from
-    Re z = 8.7 to 21, are not listed; they are left to the fill of
-    `frequency_grid`, whose panels are no wider than 2.5 / r where the
-    chains lie within 5 / r of the axis.
-    Per channel, the record also lists the Drude pole, (0, Omega), and at
-    omega = 0 the nearer of the poles of coth(omega/2T) at 2 pi T and, for
-    the symmetric channel with no root on the imaginary axis (to the
-    stopping step), a stand-in 1/(4 gamma) for its peak; a root on the axis
-    nearer than both leaves no entry.  The antisymmetric channel has no
-    stand-in: its weight 1 - cos(omega r) vanishes at omega = 0 as omega^2.
-    """
-    rows = np.reshape(np.asarray(sign, dtype=float), (-1, 1))
-    r = params.distance
-    reach = _REACH / max(r, 1e-9)
-    step, top = _scan_span(params)
-    grid = np.concatenate([np.arange(step, top, step), np.arange(top, 2.0 * top, 4.0 * step)])
-    re, im, d_re, d_im = _det_parts(grid, params, rows, _channel_trig(grid, r, rows), slope=True)
-    # a node with D' = 0 counts as far from every root
-    size, turn = re * re + im * im, d_re * d_re + d_im * d_im
-    newton = np.divide(size, turn, out=np.full_like(size, np.inf), where=turn > 0)
-    low = ((newton[:, 1:-1] < newton[:, :-2]) & (newton[:, 1:-1] <= newton[:, 2:])
-           & (newton[:, 1:-1] <= reach**2))
-    row, node = np.nonzero(low)
-    node += 1       # the scan's D and D' give each seed its first Newton step
-    z = grid[node] - (re[row, node] + 1j * im[row, node]) / (d_re[row, node] + 1j * d_im[row, node])
-    # a strongly damped channel's roots can be as deep as they are far out,
-    # with no minimum on the axis; at small r they are near those of the
-    # quartic (s^2 - Omega^2) D(s) with e^{-s r} ~ 1 - s r, s = i z, which
-    # seed such a channel: the eigenvalues of its companion matrix
-    bare = np.flatnonzero(~low.any(axis=1))
-    if bare.size:
-        g, Om, sg = 2.0 * params.gamma * params.omega_cut, params.omega_cut, rows[bare, 0]
-        companion = np.zeros((bare.size, 4, 4))
-        companion[:, 1:, :3] = np.eye(3)
-        companion[:, 0, 1] = Om * Om - 1.0 - g * (1.0 + sg * (math.exp(-Om * r) + Om * r))
-        companion[:, 0, 2:] = np.column_stack([g * Om * (1.0 + sg), np.full(bare.size, Om * Om)])
-        q = -1j * np.linalg.eigvals(companion)
-        # one of each mirror pair; Newton from the imaginary axis stays on it,
-        # where a root deeper than the Drude pole is never the nearer singularity
-        seed = (q.real >= 0.0) & (q.imag > 0.0) & ((q.real > 0.0) | (q.imag < Om))
-        row, z = np.concatenate([row, bare[np.nonzero(seed)[0]]]), np.concatenate([z, q[seed]])
-    found, quasi = [], [_quasi_polynomial(params, s) for s in rows[:, 0].tolist()]
-    for i, z0 in zip(row.tolist(), z.tolist()):
-        root = _newton_root(z0, quasi[i], reach)
-        # below the axis (Re s > 0) D has no root, and the closed form cancels
-        # exponentially large terms: an iterate that ends there diverged
-        if root is not None and root[0].imag >= 0.0:
-            found.append((i, abs(root[0].real), root[0].imag, root[1]))
-    row, re_z, im_z, slope = np.reshape(sorted(found), (-1, 4)).T
-    row, z = row.astype(int), re_z + 1j * im_z
-    # copies of one root agree well within the stopping step sqrt(eps) (1 + |z|)
-    copy = (row[1:] == row[:-1]) & (np.abs(z[1:] - z[:-1]) <= _STOP * (1.0 + np.abs(z[1:])))
-    row, z, slope = (v[np.append(True, ~copy)[:z.size]] for v in (row, z, slope))
-
-    # a root on the imaginary axis is the symmetric peak itself
-    axis = [math.inf] * len(rows)           # per channel, its nearest root on the axis
-    on_axis = np.flatnonzero(z.real <= _STOP * (1.0 + np.abs(z)))
-    for i, b in zip(row[on_axis].tolist(), z.imag[on_axis].tolist()):
-        axis[i] = min(axis[i], b)
-    stand_in = 0.25 / params.gamma if params.gamma > 0 else math.inf
-    thermal = 2.0 * math.pi * params.temperature or math.inf
-    at_zero, width = [], []
-    for i, a in enumerate(axis):
-        peak = a == math.inf and rows[i, 0] > 0
-        b = min(thermal, stand_in if peak else math.inf)
-        if b < a:
-            at_zero.append(i)
-            width.append(b)
-    return (np.concatenate([row, np.arange(len(rows)), np.array(at_zero, dtype=row.dtype)]),
-            np.concatenate([z.real, np.zeros(len(rows) + len(width))]),
-            np.concatenate([z.imag, np.full(len(rows), params.omega_cut), width]),
-            np.concatenate([slope, np.zeros(len(rows) + len(width))]))
-
-
-_MIN_SPACINGS = 1e4   # resonance half-widths resolved, in float spacings, weighted by area
-_MAX_NODES = 20_000_000   # fill or scan nodes: 320 MB of grid nodes and weights
-
-
-def _require_resolvable(params: ModelParams, resonances) -> None:
-    """Log the narrowest root of the `channel_resonances` record
-    ``resonances`` at DEBUG, and raise `TruncationError` for a channel whose
-    roots z = omega_r + i w have sum A spacing(omega_r) / w > sum A / `_MIN_SPACINGS`.
-    It reads only the roots off the imaginary axis (the entries with a slope
-    and omega_r > 0), whose Lorentzian areas A the bound weighs.
-    A node off by two ulps of omega_r moves the area A of a Lorentzian of
-    half-width w by up to (4/pi) eps omega_r / w of it (total variation 2/w^2
-    over area pi/w); A = 2 coth(omega_r/2T) / |D'(z)| in alpha, the weight
-    over Im D being (2/pi) coth(omega/2T).  So a lone resonance (the
-    antisymmetric one as r -> 0+, width ~ r^2) is refused below 1e4
-    spacings, a narrow one among the many at large r only where it carries
-    their area.  A channel with no root is accepted."""
-    row, om, width, slope = (v[(resonances[3] > 0) & (resonances[1] > 0)] for v in resonances)
-    if not row.size:
-        return
-    T = params.temperature
-    area = (coth(om / (2.0 * T)) if T > 0 else 1.0) / slope
-    with np.errstate(divide="ignore", over="ignore"):   # Im z -> 0 as r -> 0+; Re z can be tiny
-        spacings = width / np.spacing(om)
-        blur = area / spacings
-    i = int(np.argmin(spacings))
-    _log.debug("narrowest resonance: omega_r %.17g, half-width %.6g, %.3g float spacings",
-               om[i], width[i], spacings[i])
-    for channel in np.unique(row):
-        mine = row == channel
-        if blur[mine].sum() * _MIN_SPACINGS > area[mine].sum():
-            i = np.flatnonzero(mine)[np.argmax(blur[mine])]
-            raise TruncationError(
-                f"resonance at omega_r = {float(om[i])!r}, half-width {width[i]:.3e} "
-                f"({spacings[i]:.3g} float spacings, {area[i] / area[mine].sum():.3g} of its "
-                f"channel's area), is too narrow for the frequency grid to resolve")
-
-
-# The fill of `frequency_grid` past the chains.  A 12-point Gauss-Legendre
-# panel of half-width h integrates a function analytic inside the Bernstein
-# ellipse E_rho of the panel (semi-minor axis h (rho - 1/rho) / 2), and of
-# modulus at most M there, to within (64/15) M rho^-24 / (rho^2 - 1) of the
-# panel (Trefethen, Approximation Theory and Approximation Practice, ch. 19).
-# Above the chains the integrand is a smooth envelope times cos(omega r) and
-# the geometric series in e^{-+i omega r} of 1 / |D|^2, whose ratio
-# |P1(i omega) / P0(i omega)| = e^{-sigma r} places the chain roots sigma
-# below the axis (`_chain_depth`).  Each factor bounds the panel:
-#   - depth: the ellipse through half the depth, where the series stays
-#     within (1 - e^{-sigma r / 2})^-2 <= 1.19 of its axis value at sigma r >= 5,
-#     with rho = 2 + sqrt(5) has h (rho - 1/rho) / 2 = 2 h = sigma / 2, a
-#     panel sigma / 2 wide, and a bound of 2.3e-16 M;
-#   - phase: e^{i omega r} reaches e^{kappa (rho - 1/rho) / 2} on the ellipse,
-#     kappa = h r; the bound minimized over rho is 2.3e-16 at kappa = 4.56
-#     (rho = 11.3), a panel 9.1 / r wide, of which 9 / r is taken.
-# Both factors on one ellipse give a bound below 2.1e-15 for every depth,
-# the worst where the two widths meet, at sigma r = 18.
-_DEPTH_PANEL = 0.5    # widest fill panel / chain-root depth
-_PHASE_PANEL = 9.0    # / r: widest fill panel over which cos(omega r) is resolved
-_FILL_SAMPLES = 16    # depth samples per octave of the fill
-
-
-def _chain_depth(params: ModelParams, omega):
-    """ln(|P0(i omega)| / |P1(i omega)|) / r at ``omega`` (an array, at or
-    above `_fill_start`): the depth of the chain roots of D near omega
-    (Bellman & Cooke, Differential-Difference Equations, 1963, ch. 12-13).
-    (Omega^2 - s^2) D(s) = P0(s) + P1(s) e^{-s r}, with |P1(i omega)| =
-    2 gamma Omega^2 omega = Im P0(i omega) and Re P0(i omega) = Omega^2 +
-    b omega^2 - omega^4, b = 1 - Omega^2 + K(0), K(0) the channel kernel at
-    t = 0.  Past `_fill_start` Re P0 < 0, so the symmetric channel, whose
-    K(0) is the larger, has the shallower chains: its depth is the one
-    taken.  Where omega^3 overflows, or |P1| underflows to 0, the depth is
-    infinite."""
-    om2 = params.omega_cut * params.omega_cut
-    b = 1.0 - om2 + channel_kernel_zero(params, 1.0)
-    p1 = 2.0 * params.gamma * om2
-    if p1 == 0.0:
-        return np.full(np.shape(omega), math.inf)
-    with np.errstate(over="ignore"):
-        ratio = (om2 / omega + b * omega - omega * omega * omega) / p1
-    return np.log(np.hypot(ratio, 1.0)) / max(params.distance, 1e-9)
-
-
-def _fill_start(params: ModelParams) -> float:
-    """The frequency above which `_DEPTH_PANEL` times the chain depth exceeds
-    `_REACH` / r: ln(|P0| / |P1|) = L = `_REACH` / `_DEPTH_PANEL`, or, with
-    Re P0 < 0 past it, the one positive root y (one sign change) of
-
-        f(y) = y^4 - b y^2 - c y - Omega^2,   c = 2 gamma Omega^2 sqrt(e^{2L} - 1),
-
-    in the symmetric channel's b (`_chain_depth`), whose root is the larger.
-    f is convex and increasing past its root (y^2 >= b there), so Newton's
-    method from above stays above it; it starts where each negative term is
-    at most y^4 / 3.  Above the root |Re P0| / omega, and so the depth,
-    grows with omega."""
-    om2 = params.omega_cut * params.omega_cut
-    b = 1.0 - om2 + channel_kernel_zero(params, 1.0)
-    c = 2.0 * params.gamma * om2 * math.sqrt(math.expm1(2.0 * _REACH / _DEPTH_PANEL))
-    y = max(math.sqrt(3.0 * max(b, 0.0)), (3.0 * c) ** (1.0 / 3.0), (3.0 * om2) ** 0.25)
-    for _ in range(_NEWTON_MAX):
-        step = (((y * y - b) * y - c) * y - om2) / ((4.0 * y * y - 2.0 * b) * y - c)
-        y -= step
-        if step <= 1e-9 * y:
-            break
-    return y
-
-
-def frequency_grid(params: ModelParams, omega_max: float):
-    """Gauss-Legendre panel grid (12 nodes per panel) on [0, omega_max] for
-    the asymptotic noise integrals, by one rule: no panel wider than its
-    distance to the nearest singularity of the integrand (Trefethen,
-    Approximation Theory and Approximation Practice, ch. 19).
-
-    Each entry (a, b) of the `channel_resonances` record, a singularity a
-    distance b from omega = a (at r = 0 the symmetric channel's only, the
-    antisymmetric weight vanishing), gets the edges a and a +- b 2^k,
-    k = -1, 0, 1, ... below min(2.5/r, omega_max): panels that grow with
-    their distance from it, so that the 12-point rule sees a Lorentzian as
-    smooth however small b is, down to float spacing (`_require_resolvable`).
-    Of the entries at omega = 0 (the Drude pole, 2 pi T and the symmetric
-    peak) only the narrowest gets its ladder, whose panels are no wider
-    than the others' would be.
-
-    Between the ladders lies the fill.  Below `_fill_start` omega_c, where
-    the chain roots of D come within 5/r of the axis, it is uniform at
-    2.5/r.  Above it, a panel starting at omega is as wide as the smallest
-    of `_DEPTH_PANEL` times the chain depth there (`_chain_depth`), the
-    phase width `_PHASE_PANEL` / r over which cos(omega r) is resolved, and
-    its distance omega - omega_c from the chains and the record, but never
-    narrower than 2.5/r.  That width w(omega) grows with omega, and a panel
-    that reaches omega starts at or above omega - 9/r: the fill takes
-    w(omega - 9/r) as its width from each of `_FILL_SAMPLES` samples an
-    octave to the next, and places its edges at the integers of the panel
-    count.  As r -> 0 the ladders alone are left, which grade the grid
-    geometrically out to omega_max.
-
-    At large r the node count grows like omega_max r, to 7.55e6 at
-    (1, 10, 0, 1e4), where the fill past omega_c = 30 takes 3.8e6.  The
-    resonance scan's 1.25 (3 + 3 gamma) / step nodes per channel
-    (`_scan_span`) grow with gamma, and with r through the step
-    pi / (10 (r + 1)) below 0.01.  Where the fill or the scan passes the
-    budget `_MAX_NODES` (2e7 nodes, 320 MB of grid nodes and weights), the
-    point is refused with `TruncationError` before either is made.
-    """
-    r, channels = params.distance, SIGNS if params.distance > 0 else SIGNS[:1]
-    osc, phase = _REACH / max(r, 1e-9), _PHASE_PANEL / max(r, 1e-9)
-    start = min(_fill_start(params), omega_max)
-    n = math.ceil(_FILL_SAMPLES * math.log2(omega_max / start)) + 1
-    x = start * (omega_max / start) ** (np.arange(n + 1) / n)
-    x[-1] = omega_max
-    at = np.maximum(x[:-1] - phase, start)  # at or below the start of any panel that reaches x
-    fill_width = np.minimum(np.maximum(np.minimum(_DEPTH_PANEL * _chain_depth(params, at),
-                                                  at - start), osc), phase)
-    count = np.zeros(n + 1)                 # fill panels below each sample
-    np.cumsum(np.diff(x) / fill_width, out=count[1:])
-    uniform, fill = math.ceil(start / osc), max(math.ceil(count[-1]), 1)
-    step, top = _scan_span(params)
-    for what, nodes in (("asymptotic frequency grid", 12.0 * (uniform + fill)),
-                        (f"resonance scan to omega = {2.0 * top:.3g}",
-                         len(channels) * 1.25 * top / step)):
-        if nodes > _MAX_NODES:
-            raise TruncationError(f"the {what} at r = {r!r} needs about {nodes:.3g} nodes, "
-                                  f"past the budget of {_MAX_NODES:.3g}")
-    found = channel_resonances(params, channels)
-    _require_resolvable(params, found)
-    _, centre, width, _ = found
-    # at omega = 0 (the Drude pole, 2 pi T, the symmetric peak) the narrowest
-    # entry's ladder meets the rule for all
-    keep = (centre > 0.0) | (width == width[centre == 0.0].min())
-    centre, width = centre[keep], width[keep]
-    reach = min(osc, omega_max)
-    ladder = width[:, None] * 2.0 ** np.arange(-1.0, math.log2(reach / width.min()))
-    short = ladder < reach
-    uniform_edges = np.arange(uniform + 1) * (start / uniform)
-    uniform_edges[-1] = start
-    panel = np.arange(fill + 1) * (count[-1] / fill)
-    panel[-1] = count[-1]
-    edges = np.concatenate([uniform_edges, np.interp(panel, count, x),
-                            (centre[:, None] + ladder)[short], (centre[:, None] - ladder)[short],
-                            centre])
-    return gauss_panels(np.unique(np.minimum(np.maximum(edges, 0.0), omega_max)))
-
-
-# ---------------------------------------------------------------------------
-# asymptotic covariance
-
-
-def _tail_coefficient(params: ModelParams, sign):
-    """The omega^-5 coefficient c of the beta integrand of the channels ``sign``.
-
-    At large omega, with k = K(0) the channel kernel at t = 0 and
-    A = 1 + k, (S/2) = (w_inf/omega)(1 - Omega^2/omega^2 + Omega^4/omega^4 - ...)
-    and, from the closed form of `_det_parts`,
-
-        Re D(i omega) = -omega^2 + A - k Omega^2/omega^2
-                        +- 2 gamma Omega^2 sin(omega r)/omega + ...,
-
-    Im D = O(1/omega), so that per unit of w_inf (1 +- cos(omega r))
-
-        (S/2) omega^2 / |D|^2 = omega^-3 + c omega^-5 +- 4 gamma Omega^2 sin(omega r) omega^-6
-                                + d omega^-7 + O(omega^-8),
-        c = 2 A - Omega^2,   d = 3 A^2 - 2 k Omega^2 - 2 A Omega^2 + Omega^4,
-
-    and the alpha integrand is (S/2) / |D|^2 = omega^-5 + c omega^-7 + O(omega^-8).
-    """
-    return 2.0 * (1.0 + channel_kernel_zero(params, sign)) - params.omega_cut * params.omega_cut
-
-
-_SIN_ONE_COS = 3.0 * math.sqrt(3.0) / 4.0   # max |sin x (1 +- cos x)|, at cos x = +-1/2
-
-
-def _tail_orders(params: ModelParams, sign):
-    """(e5, e6) of the channels ``sign``: beyond omega_max = W the closed-form
-    tail of `channel_asymptotic_moments` drops at most e5 / W^5 + e6 / W^6
-    from alpha or beta at T = 0, to the orders of `_tail_coefficient`.
-
-    e5 bounds beta's omega^-6 term, |sin(omega r) (1 +- cos(omega r))| being
-    at most `_SIN_ONE_COS`; e6 bounds the omega^-7 terms of both moments,
-    with 1 +- cos(omega r) <= 2.  d is bounded term by term, so that a
-    cancellation between the kernel and the Drude terms cannot hide the
-    order (and |c| <= 2 A + Omega^2 is below that sum at A >= 1).
-    """
-    om2 = params.omega_cut * params.omega_cut
-    w_inf = _tail_prefactor(params)
-    k = channel_kernel_zero(params, sign)
-    a = 1.0 + k
-    d = 3.0 * a * a + 2.0 * k * om2 + 2.0 * a * om2 + om2 * om2
-    return 0.2 * _SIN_ONE_COS * w_inf * 4.0 * params.gamma * om2, w_inf * d / 3.0
-
-
-def _thermal_tail(params: ModelParams, omega_max: float) -> float:
-    """Bound on what the tail drops at T > 0 by setting the thermal excess
-    coth(omega/2T) - 1 = 2 / (e^{omega/T} - 1) to zero beyond omega_max:
-    w_inf (1 +- cos) <= 2 w_inf times the excess at omega_max times
-    int omega^-3 = 1 / (2 omega_max^2)."""
-    T = params.temperature
-    if T <= 0.0:
-        return 0.0
-    u = omega_max / T
-    excess = 2.0 / math.expm1(u) if u < 700.0 else 2.0 * math.exp(-u)
-    return _tail_prefactor(params) * excess / omega_max / omega_max
-
-
-def _expansion_tail(e5: float, e6: float, omega_max: float):
-    """e5 / omega_max^5 + e6 / omega_max^6, by divisions, which underflow
-    where powers of a large omega_max would overflow."""
-    w = omega_max
-    return e5 / w / w / w / w / w + e6 / w / w / w / w / w / w
-
-
-def _asymptotic_tail_error(params: ModelParams, sign, omega_max: float) -> float:
-    """Estimate of what the closed-form tail of `channel_asymptotic_moments`
-    drops from alpha or beta of any of the channels ``sign``: the orders
-    `_tail_orders` leaves out, of the channel with the largest K(0), and at
-    T > 0 `_thermal_tail`."""
-    expansion = _expansion_tail(*_tail_orders(params, float(np.max(sign))), omega_max)
-    return expansion + _thermal_tail(params, omega_max)
-
-
-def _expansion_cut(e5: float, e6: float, floor: float, tol: float) -> float:
-    """The cut W >= floor at which e5 / W^5 + e6 / W^6 <= tol, in closed form:
-    at W0, the larger of floor and each term's own root, the sum is p <= 2 tol,
-    and W0 (p / tol)^(1/5) brings both terms down by at least p / tol."""
-    w = max(floor, (e5 / tol) ** 0.2, (e6 / tol) ** (1.0 / 6.0))
-    return w * max(1.0, _expansion_tail(e5, e6, w) / tol) ** 0.2 * (1.0 + 1e-12)  # rounding margin
-
-
-def _thermal_cut(params: ModelParams, tol: float) -> float:
-    """The cut W at which `_thermal_tail` is at most ``tol``.
-
-    With u = W / T the condition is u^2 (e^u - 1) >= K = 2 w_inf / (tol T^2).
-    In v = ln u, h(v) = ln(u^2 (e^u - 1)) is increasing and convex (h' = 2 +
-    u / (1 - e^-u) grows with u), so Newton's method from above the root
-    stays above it, and every iterate is a valid cut.  It starts from the
-    smaller of u^3 = K (e^u - 1 >= u) and, where it is at least 1,
-    u = ln 2K (e^u - 1 >= e^u / 2 there).  Everything is in logarithms, so
-    that no T or K overflows.
-    """
-    log_k = math.log(2.0 * _tail_prefactor(params) / tol) - 2.0 * math.log(params.temperature)
-    v = log_k / 3.0
-    if log_k + math.log(2.0) >= 1.0:
-        v = min(v, math.log(log_k + math.log(2.0)))
-    for _ in range(_NEWTON_MAX):
-        if v < -30.0:           # u < 1e-13: e^u - 1 = u, and u^3 = K is the root
-            break
-        u = math.exp(v)
-        h = 2.0 * v + (u + math.log1p(-math.exp(-u)) if u > 1.0 else math.log(math.expm1(u)))
-        step = (h - log_k) / (2.0 + u / -math.expm1(-u))
-        v -= max(step, 0.0)
-        if step <= 1e-12:
-            break
-    return math.exp(math.log(params.temperature) + v) * (1.0 + 1e-9)    # a rounding margin
-
-
-def asymptotic_omega_max(params: ModelParams, tol: float) -> float:
-    """Frequency cut of the asymptotic noise integrals for tolerance ``tol``.
-
-    A cut, from the closed forms below, whose tail estimate
-    (`_asymptotic_tail_error`) meets ``tol`` in both channels, and at least
-    15 max(Omega, 1), so that the large-omega expansion the tail rests on
-    holds.  The expansion part, e5 / omega_max^5 + e6 / omega_max^6 (the
-    symmetric channel's, the larger), is inverted in closed form
-    (`_expansion_cut`), so omega_max grows as tol^(-1/5).  Where the thermal
-    part does not fit beside it, ``tol`` is split between the two parts in
-    the proportion they take at the cut that gives each half, and the
-    thermal part is inverted by `_thermal_cut`.  Coefficients or a cut past
-    the float range (Omega or gamma near 1e300) raise `TruncationError`, as
-    no cut can meet ``tol``.
-    """
-    e5, e6 = _tail_orders(params, 1.0)
-    floor = 15.0 * max(params.omega_cut, 1.0)      # where the large-omega expansion holds
-    omega_max = _expansion_cut(e5, e6, floor, tol) if math.isfinite(e5 + e6) else math.inf
-    if not math.isfinite(omega_max):
-        raise TruncationError(f"the large-frequency tail at {params} overflows (e5 = {e5:.3g}, "
-                              f"e6 = {e6:.3g}): no frequency cut meets tol {tol:.3g}")
-    if _expansion_tail(e5, e6, omega_max) + _thermal_tail(params, omega_max) > tol:
-        omega_max = max(_expansion_cut(e5, e6, floor, 0.5 * tol), _thermal_cut(params, 0.5 * tol))
-        expansion = _expansion_tail(e5, e6, omega_max)
-        share = tol * expansion / (expansion + _thermal_tail(params, omega_max))
-        if 0.0 < share < tol:
-            omega_max = min(omega_max, max(_expansion_cut(e5, e6, floor, share),
-                                           _thermal_cut(params, tol - share)))
-    return omega_max
-
-
-_BLOCK = 1 << 15    # grid nodes per vectorized step of the channel integrals
-
-
-def channel_asymptotic_moments(params: ModelParams, sign,
-                               omega_max: float, tol: float, grid=None):
+def channel_asymptotic_moments(params: ModelParams, sign, tol: float):
     """Stationary (position, velocity) variances of the channels ``sign``
-    (+1, -1, or a column such as `SIGNS`, giving (2,) arrays).
+    (+1, -1, or a column such as `SIGNS`, giving (2,) arrays), doubled
+    (vacuum = 1), on the imaginary frequency axis.
 
-    Returns (alpha, beta, tail_error_estimate), the last the largest over
-    the channels.  The weight of the noise quadratic form against
-    |col_2 of g|^2 gives exactly diag(1, omega^2) after taking the
-    Hermitian part, so both moments are single integrals of
-    weight / |D(i omega)|^2, in real arithmetic: the integrand is
-    (S/2)(1 +- cos(omega r)) / ((Re D)^2 + (Im D)^2), the weight and the
-    closed form of `_det_parts` sharing one `_channel_trig` per node.
-    ``grid`` is a `frequency_grid` on [0, omega_max] (built here when not
-    given); it is summed in blocks of nodes, so memory stays flat however
-    many nodes it has.  Beyond omega_max the integrands' large-omega
-    expansions (`_tail_coefficient`) are integrated in closed form: alpha's
-    w_inf (1 +- cos(omega r)) / omega^5, and beta's
-    w_inf (1 +- cos(omega r)) (1/omega^3 + c/omega^5), whose second term is
-    c times alpha's; `_asymptotic_tail_error` estimates what that drops.
+    Returns (alpha, beta, tail_error), the last the bound of `_panel_edges`
+    on what the closed-form tails drop, the largest over the channels.  The
+    stationary state is an equilibrium state, so by fluctuation-dissipation
+    the real-frequency integrals rotate onto the Matsubara frequencies
+    nu_n = 2 pi n T (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)):
+
+        alpha = 2T sum_n 1 / D(|nu_n|),   beta = 2T sum_n (1 + |nu_n| K^) / D(|nu_n|),
+
+    with D = nu^2 + 1 + nu K^(nu) real and at least 1 + nu^2.  At T = 0 the
+    sums are (2/pi) int_0^inf d nu, on the Gauss-Legendre panels of
+    `_panel_edges`, plus the tails 1/W and (1 + K(0))/W past the cut W.  At
+    T > 0 the n = 0 term (1 for both) is kept and the rest summed by the
+    Abel-Plana formula from n = 1 (Olver, Asymptotics and Special Functions,
+    ch. 8 sec. 3):
+
+        sum_{n>=1} f(n h) = f(h)/2 + (1/h) int_h^inf f
+                            - 2 int_0^inf Im f(h + i h t) / (e^{2 pi t} - 1) dt,
+
+    h = 2 pi T, exact for f analytic in Re s > 0; the line integral is taken
+    on the fixed panels of `_LINE_T`, whose integrand has no singularity
+    within 1 of the real t axis.  ``tol`` is the relative tolerance of the tails.
     """
     sign = np.asarray(sign, dtype=float)
-    r = params.distance
-    x, w = frequency_grid(params, omega_max) if grid is None else grid
-    alpha = beta = 0.0
-    for lo in range(0, x.size, _BLOCK):
-        xb = x[lo:lo + _BLOCK]
-        trig = _channel_trig(xb, r, sign)
-        re, im = _det_parts(xb, params, sign, trig)
-        core = w[lo:lo + _BLOCK] * _noise_weight(xb, params, sign, trig) / (re * re + im * im)
-        alpha = alpha + np.sum(core, axis=-1)
-        beta = beta + np.sum(core * xb * xb, axis=-1)
-
-    w_inf = _tail_prefactor(params)
-    row = sign.reshape(np.shape(alpha))         # one sign per moment
-    fifth = w_inf * (cos_tail(0.0, omega_max, 5) + row * cos_tail(r, omega_max, 5))
-    alpha += fifth
-    beta += (w_inf * (cos_tail(0.0, omega_max, 3) + row * cos_tail(r, omega_max, 3))
-             + _tail_coefficient(params, row) * fifth)
-    tail_err = _asymptotic_tail_error(params, sign, omega_max)
-    if tail_err > tol:
-        raise TruncationError(
-            f"asymptotic tail estimate {tail_err:.3e} > tol {tol:.3e}; "
-            f"raise omega_max (currently {omega_max})")
-    return alpha, beta, tail_err
+    rows = sign.reshape(-1, 1)
+    T = params.temperature
+    edges, tail = _panel_edges(params, tol)
+    x, w = gauss_panels(edges) if edges.size > 1 else (np.zeros(0), np.zeros(0))
+    lead = np.stack([np.ones(len(rows)), 1.0 + channel_kernel_zero(params, rows[:, 0])])
+    moments = 2.0 / math.pi * (np.sum(np.array(_moment_integrands(x, params, rows)) * w, axis=-1)
+                               + lead / edges[-1])
+    if T > 0:
+        h = 2.0 * math.pi * T
+        at_h = np.array(_moment_integrands(np.array([h]), params, rows))[..., 0]
+        line = np.array(_moment_integrands(h * (1.0 + 1j * _LINE_T), params, rows)).imag
+        moments += 2.0 * T * (1.0 + at_h) - 8.0 * T * np.sum(line * _LINE_W, axis=-1)
+    alpha, beta = moments
+    if sign.ndim == 0:
+        return float(alpha[0]), float(beta[0]), tail
+    return alpha, beta, tail
 
 
 def covariance_asymptotic(params: ModelParams) -> CovarianceMatrix:
     """Stationary covariance; requires gamma > 0 and r >= 0.
 
-    Both channels come from one `channel_asymptotic_moments` call on one
-    frequency grid.  At r = 0 the relative coordinate decouples and never
-    forgets its initial state: only the symmetric row is integrated, and
-    the antisymmetric block keeps its ground-state value, the identity.
-    The frequency cut is `asymptotic_omega_max(params, ASYMPTOTIC_TOL)`:
-    a cut, in closed form, whose tail estimate meets ``ASYMPTOTIC_TOL``,
-    and at least 15 max(Omega, 1).  A T at or below `_THERMAL_FLOOR` Omega, whose
-    thermal excess is below rounding, is taken as T = 0.  The grid's
-    omega_max, node count and tail estimate are logged at DEBUG on the
-    "bathpair" logger.
+    Both channels come from one `channel_asymptotic_moments` call at
+    ``ASYMPTOTIC_TOL``.  At r = 0 the relative coordinate decouples and
+    never forgets its initial state: only the symmetric row is summed, and
+    the antisymmetric block keeps its ground-state value, the identity.  A T
+    at or below `_THERMAL_FLOOR` Omega, whose thermal excess is below
+    rounding, is taken as T = 0.  The direct Matsubara terms, the node count
+    and the tail bound are logged at DEBUG on the "bathpair" logger.
     """
     if params.gamma <= 0:
         raise ValueError("covariance_asymptotic requires gamma > 0")
@@ -762,13 +305,14 @@ def covariance_asymptotic(params: ModelParams) -> CovarianceMatrix:
         raise ValueError("covariance_asymptotic requires r >= 0")
     if params.temperature <= _THERMAL_FLOOR * params.omega_cut:
         params = params.with_(temperature=0.0)      # as in `_lag_kernels`
-    omega_max = asymptotic_omega_max(params, ASYMPTOTIC_TOL)
-    grid = frequency_grid(params, omega_max)
     damped = SIGNS if params.distance > 0 else SIGNS[:1]
-    alpha, beta, tail_err = channel_asymptotic_moments(params, damped, omega_max,
-                                                       ASYMPTOTIC_TOL, grid)
-    _log.debug("asymptotic grid for %s: omega_max %.6g, %d nodes, tail estimate %.3e",
-               params, omega_max, grid[0].size, tail_err)
+    alpha, beta, tail_err = channel_asymptotic_moments(params, damped, ASYMPTOTIC_TOL)
+    if _log.isEnabledFor(logging.DEBUG):
+        thermal = params.temperature > 0
+        edges, _ = _panel_edges(params, ASYMPTOTIC_TOL)
+        nodes = 12 * (edges.size - 1) + thermal * (_LINE_T.size + 1)
+        _log.debug("asymptotic moments for %s: %d direct Matsubara terms, %d nodes, "
+                   "tail bound %.3e", params, 3 * thermal, nodes, tail_err)
     blocks = np.array([np.eye(2), np.eye(2)])   # the ground state where not integrated
     blocks[:len(damped), 0, 0] = alpha
     blocks[:len(damped), 1, 1] = beta
@@ -931,6 +475,13 @@ def _zoom_dft(g: np.ndarray, period: int, m_lo: int, n_out: int) -> np.ndarray:
     return chirp(np.arange(m_lo, m_lo + n_out)) * conv[..., n_nodes - 1:n_nodes - 1 + n_out]
 
 
+def _node_spacing(dw_max: float, h: float):
+    """(dw, period) of the uniform nodes of `_fourier_part`: dw = pi / (h period)
+    <= dw_max, period the smallest integer that allows it."""
+    period = math.ceil(math.pi / (h * dw_max))
+    return math.pi / (h * period), period
+
+
 def _fourier_part(spectrum, end: float, dw_max: float, h: float, n_lags: int,
                   shifts, first_lag: int) -> np.ndarray:
     """Fourier integrals of spectrum rows against the six Filon-moment rows,
@@ -946,12 +497,12 @@ def _fourier_part(spectrum, end: float, dw_max: float, h: float, n_lags: int,
     the exact prephase e^{i omega_k shift}: all lags of a row come from one
     `_zoom_dft`, and a shift costs no resolution in omega.  Cubic Filon rule
     with endpoint corrections (Press et al., Numerical Recipes, 3rd ed.,
-    sec. 13.9) at theta = dw tau; the sliver past the last node, narrower
-    than dw, is one Gauss panel.
+    sec. 13.9) at theta = dw tau.  The integral ends at the first node at or
+    past ``end`` (within 1e-9 dw), so no sliver is left past the last node;
+    `_transient_omega_max` puts the cut of the T = 0 part on its node.
     """
-    period = math.ceil(math.pi / (h * dw_max))
-    dw = math.pi / (h * period)
-    n = math.ceil(end / dw) - 1
+    dw, period = _node_spacing(dw_max, h)
+    n = math.ceil(end / dw - 1e-9)
     omega = dw * np.arange(n + 1)
     f = 0.5 * spectrum(omega)[:, None] * _moment_rows(omega, h)          # (n_shifts, 6, n + 1)
     shifts = np.asarray(shifts, dtype=float)[:, None]
@@ -962,10 +513,7 @@ def _fourier_part(spectrum, end: float, dw_max: float, h: float, n_lags: int,
                                  first_lag, n_lags - first_lag)
     out += f[..., :4] @ alpha.swapaxes(0, 1)
     out += (f[..., n - np.arange(4)] @ alpha.conj().swapaxes(0, 1)) * np.exp(1j * n * theta)[:, None]
-    out *= dw
-    xs, ws = gauss_panels([n * dw, end])
-    fs = 0.5 * ws * spectrum(xs)[:, None] * _moment_rows(xs, h)
-    return out + fs @ np.exp(1j * xs[:, None] * tau[:, None])
+    return dw * out
 
 
 _NODES_PER_SCALE = 400    # uniform nodes per smoothness scale of the spectrum
@@ -978,7 +526,8 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     """Toeplitz lag kernels of the Filon noise form, one set per channel of `SIGNS`.
 
     Returns (2, 6, n_lags): for lags m < n_lags, the integrals over
-    [0, omega_max] of (S/2)(1 +- cos omega r) times {s0^2, s0 s2, s2^2, p1^2}
+    [0, omega_max] (a node of the T = 0 part's grid, from
+    `_transient_omega_max`) of (S/2)(1 +- cos omega r) times {s0^2, s0 s2, s2^2, p1^2}
     cos(2 m h omega) and {p1 s0, p1 s2} sin(2 m h omega), (s0, p1, s2) the
     Filon moments at omega h.
 
@@ -991,7 +540,8 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     carries the antisymmetric channel's ~r^2 without the cancellation of a
     difference of shifted lags.  S is split into its T = 0 part on
     [0, omega_max] and, at T > 0, the thermal excess S_0 (coth(omega/2T) - 1),
-    which lives below 40 T, on its own finer grid; so the node count stays
+    which lives below 40 T (up to its first node past 40 T), on its own finer
+    grid; so the node count stays
     bounded as T -> 0+.  At r = 0 only the symmetric row is transformed: the
     antisymmetric one carries no noise and is zero.  Unshifted rows need
     only the lags m >= 0; the shifted one also needs m < 0, for J(-tau), and
@@ -1029,13 +579,17 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     return out
 
 
-def _transient_omega_max(params: ModelParams, tol: float) -> float:
-    """Frequency cut of the transient noise: the smallest whose tail-correction
-    error bound 2 w_inf (1 + (1 + K(0))^2) / omega_max^4 meets ``tol`` (K(0)
-    the larger channel kernel at t = 0), and at least 15 max(Omega, 1)."""
+def _transient_omega_max(params: ModelParams, h: float, tol: float) -> float:
+    """Frequency cut of the transient noise at the Filon step ``h``: the
+    smallest whose tail-correction error bound 2 w_inf (1 + (1 + K(0))^2) /
+    omega_max^4 meets ``tol`` (K(0) the larger channel kernel at t = 0), and
+    at least 15 max(Omega, 1), raised to the next node of the T = 0 part of
+    `_lag_kernels`, where that part's Filon sum ends; the bound only falls
+    as the cut rises."""
     k0 = float(np.max(channel_kernel_zero(params, SIGNS)))
     need = (2.0 * _tail_prefactor(params) * (1.0 + (1.0 + k0) ** 2) / max(tol, 1e-12)) ** 0.25
-    return float(max(15.0 * params.omega_cut, 15.0, need))
+    dw, _ = _node_spacing(min(params.omega_cut, 1.0 / h) / _NODES_PER_SCALE, h)
+    return dw * math.ceil(max(15.0 * params.omega_cut, 15.0, need) / dw)
 
 
 def _pair_noise(g_cols: np.ndarray, params: ModelParams, h: float, n_pairs: int,
@@ -1087,7 +641,7 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
     lags of a uniform frequency grid by one chirp FFT) and one FFT
     convolution per channel (`_pair_noise`): O(N log N + N_pairs log N_pairs),
     N the frequency nodes plus the lags.  The frequency cut omega_max is
-    `_transient_omega_max(params, tol)`.  ``c0`` and the outputs must pass
+    `_transient_omega_max(params, h, tol)`.  ``c0`` and the outputs must pass
     `require_physical`; a refusal names the first unphysical time.
     """
     h = greens.spacing
@@ -1110,7 +664,7 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
     require_physical(c0)
     cp0, cm0, cx0 = channel_blocks(c0.entries)
 
-    omega_max = _transient_omega_max(params, tol)
+    omega_max = _transient_omega_max(params, h, tol)
     pairs, inverse = np.unique(pair_int, return_inverse=True)
     n_pairs = int(pairs[-1])
     series = greens.channel_series                  # (2, N_grid, 2, 2)

@@ -1,10 +1,11 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from bathpair import covariance
+from bathpair import greens
+from bathpair._panels import gauss_panels
+from bathpair.greens import SIGNS
 from bathpair.model import ModelParams
 
 
@@ -29,29 +30,107 @@ def box_points(seed: int, n: int = 64, **bounds) -> list[ModelParams]:
     return out
 
 
-def resonances(params: ModelParams, sign):
-    """The roots of the `covariance.channel_resonances` record: its entries
-    with a slope, the complex roots z = centre + i distance of D(i z)."""
-    record = covariance.channel_resonances(params, sign)
-    return tuple(v[record[3] > 0] for v in record)
+def _quasi_polynomial(params: ModelParams, sign: float):
+    """z -> (q, F(z), dF/dz) of F(z) = q D(i z), q = Omega^2 + z^2, on numpy
+    complex arrays: q (1 - z)(1 + z) + K(0) z^2 + i z 2 gamma Omega^2 (1 +- e^{-i r z})
+    (Bellman & Cooke, Differential-Difference Equations, 1963, ch. 12-13),
+    with 1 +- e^{-i theta} as 2 e^{-i theta/2} (cos(theta/2) or i sin(theta/2)),
+    which keeps the antisymmetric channel's digits as r -> 0+."""
+    g, om, r = params.gamma, params.omega_cut, params.distance
+    k0 = 2.0 * g * om * (1.0 + math.exp(-om * r) if sign > 0 else -math.expm1(-om * r))
+    p1, om2 = 2.0 * g * om * om, om * om
+    half, tc = (np.cos, 2.0j * p1) if sign > 0 else (np.sin, -2.0 * p1)
+
+    def f(z):
+        h = np.exp(-0.5j * r * z)
+        q, u = om2 + z * z, tc * half(0.5 * r * z) * h
+        return (q, q * ((1.0 - z) * (1.0 + z)) + z * (k0 * z + u),
+                z * (2.0 * (1.0 - om2 + k0) - 4.0 * z * z + sign * p1 * r * h * h) + u)
+    return f
 
 
-def production_edges(params: ModelParams, omega_max: float) -> np.ndarray:
-    """The panel edges `covariance.frequency_grid` hands to `gauss_panels`."""
-    with mock.patch.object(covariance, "gauss_panels", wraps=covariance.gauss_panels) as spy:
-        covariance.frequency_grid(params, omega_max)
-    return spy.call_args.args[0]
+def channel_roots(params: ModelParams, sign: float):
+    """(Re z, Im z) of the roots of D(i z) near the real axis, for the
+    reference grids of the tests: every interior local minimum of the Newton
+    distance |D / D'| within 2.5 / r on a scan of real z (step
+    min(0.01, pi / (10 (r + 1))) up to 3 + 3 gamma, four times that on to
+    twice it) seeds 40 Newton steps D / D' = F q / (F' q - 2 z F) on the
+    quasi-polynomial; an iterate that is not finite, has not converged to
+    sqrt(eps) (1 + |z|), or ends outside 0 <= Im z <= 2.5 / r is dropped.
+    Mirror roots are folded onto Re z >= 0 and copies merged."""
+    r = params.distance
+    reach = 2.5 / max(r, 1e-9)
+    step, top = min(0.01, math.pi / (10.0 * (r + 1.0))), 3.0 + 3.0 * params.gamma
+    grid = np.concatenate([np.arange(step, top, step), np.arange(top, 2.0 * top, 4.0 * step)])
+    quasi = _quasi_polynomial(params, sign)
+    q, f, df = quasi(grid.astype(complex))
+    newton = np.abs(f * q / (df * q - 2.0 * grid * f))
+    low = 1 + np.flatnonzero((newton[1:-1] < newton[:-2]) & (newton[1:-1] <= newton[2:])
+                             & (newton[1:-1] <= reach))
+    z = grid[low].astype(complex)
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            q, f, df = quasi(z)
+            z = z - f * q / (df * q - 2.0 * z * f)
+        q, f, df = quasi(z)
+        last = np.abs(f * q / (df * q - 2.0 * z * f))
+    z = z[np.isfinite(z) & (last <= 1.5e-8 * (1.0 + np.abs(z)))]
+    z = z[(z.imag >= 0.0) & (z.imag <= reach)]
+    z = np.unique(np.abs(z.real) + 1j * z.imag)
+    z = z[np.abs(z - np.append(np.inf, z[:-1])) > 1.5e-8 * (1.0 + np.abs(z))]
+    return z.real, z.imag
 
 
-def rule_free_edges(params: ModelParams, omega_max: float) -> np.ndarray:
-    """Reference panel edges that copy none of `frequency_grid`'s rules: its
-    own edges merged with a uniform grid of step min(0.5, Omega/4, 2.5/r)/2,
-    and every panel split 8 ways."""
-    step = 0.5 * min(0.5, params.omega_cut / 4.0, 2.5 / max(params.distance, 1e-9))
-    edges = np.union1d(production_edges(params, omega_max),
-                       np.linspace(0.0, omega_max, math.ceil(omega_max / step) + 1))
-    a, b = edges[:-1, None], edges[1:, None]
-    return np.unique(np.append(a + (b - a) * np.arange(8) / 8, edges[-1]))
+def _real_channel_kernel(nu, params: ModelParams, rows):
+    """K^(nu) of the channels ``rows`` at real nu > 0 in the textbook form
+    2 gamma Omega (Omega e^{-nu d} - nu e^{-Omega d}) / (Omega^2 - nu^2) per
+    distance, with `greens.channel_kernel_laplace` where nu is within 1e-3
+    Omega of the removable point."""
+    g, om, r = params.gamma, params.omega_cut, params.distance
+    near = np.abs(nu - om) < 1e-3 * om
+    x = np.where(near, 2.0 * om, nu)
+
+    def kernel(d):
+        return 2.0 * g * om * (om * np.exp(-x * d) - x * math.exp(-om * d)) / (om * om - x * x)
+    out = kernel(0.0) + rows * kernel(r)
+    if near.any():
+        out[:, near] = greens.channel_kernel_laplace(nu[near].astype(complex), params, rows).real
+    return out
+
+
+def _integrands(nu, params, rows):
+    m = 1.0 + nu * _real_channel_kernel(nu, params, rows)
+    d = nu * nu + m
+    return 1.0 / d, m / d
+
+
+def matsubara_reference(params: ModelParams, terms: int = 10**6):
+    """Brute-force (alpha, beta) of the damped channels, (n_rows,) each, for
+    the tests.  At T > 0: 2T (1 + 2 sum_{n=1}^{terms} f(n h)), h = 2 pi T,
+    plus the rest of the sum as the midpoint integral (1/h) int f past
+    (terms + 1/2) h, off by at most h |f'| / 24 there, below 1e-13 of
+    either moment in the box; the integral in v = nu* / nu on 20
+    Gauss-Legendre panels.  At T = 0: (2/pi) int_0^inf f by the trapezoid
+    rule in ln nu, step 1/20 on [-40, 40], which converges geometrically
+    because f is analytic in |arg nu| < pi/2.  Neither shares a rule with
+    `covariance.channel_asymptotic_moments`."""
+    rows = SIGNS if params.distance > 0 else SIGNS[:1]
+    T = params.temperature
+    if T == 0.0:
+        x = np.linspace(-40.0, 40.0, 1601)
+        nu = np.exp(x)
+        fx, fp = _integrands(nu, params, rows)
+        weight = np.full(x.size, 0.05) * nu
+        return 2.0 / math.pi * (fx @ weight), 2.0 / math.pi * (fp @ weight)
+    h = 2.0 * math.pi * T
+    sums = np.zeros((2, len(rows)))
+    for lo in range(1, terms + 1, 200_000):
+        part = _integrands(h * np.arange(lo, min(lo + 200_000, terms + 1)), params, rows)
+        sums += np.sum(np.array(part)[..., ::-1], axis=-1)
+    top = (terms + 0.5) * h
+    v, wv = gauss_panels(np.linspace(0.0, 1.0, 21))
+    sums += np.array(_integrands(top / v, params, rows)) @ (wv * top / v**2) / h
+    return tuple(2.0 * T * (1.0 + 2.0 * sums))
 
 
 @pytest.fixture(scope="session")

@@ -306,10 +306,8 @@ def _log_uniform(lo, hi):
        distance=_log_uniform(1e-4, 20.0))
 def test_asymptote_is_physical_or_a_named_refusal(gamma, omega_cut, temperature, distance):
     """Over the ROADMAP box every point is physical, with a finite E >= 0:
-    no refusal.  The narrowest lone resonance, antisymmetric at
-    (0.01, 0.5, ., 1e-4), is 9.0e4 float spacings of omega_r ~ 1 wide, above
-    the frequency grid's refusal at 1e4; narrower spikes among the many
-    crossings at large r carry little of their channel's area and pass."""
+    no refusal.  On the Matsubara axis no root of D comes near the
+    integrand, however narrow its resonance on the real axis."""
     params = ModelParams(gamma=gamma, omega_cut=omega_cut,
                          temperature=temperature, distance=distance)
     e = asymptotic_log_negativity(params)

@@ -468,15 +468,14 @@ def test_d0_commands_that_fail_still_write_csv_and_manifest(tmp_path, argv, csv)
     assert "status: PARTIAL" in manifest and "BracketError" in manifest
 
 
-def test_a_resonance_scan_past_the_node_budget_exits_3(tmp_path, capsys):
-    """gamma = 1e8 once died in a MemoryError traceback with no MANIFEST: now
-    exit 3, with a PARTIAL MANIFEST naming the refusal."""
+def test_a_huge_coupling_is_answered(tmp_path, capsys):
+    """gamma = 1e8 once died in a MemoryError traceback (the real-frequency
+    resonance scan), then was refused by its node budget; on the Matsubara
+    axis it is an answer: exit 0 and a COMPLETE MANIFEST."""
     rc = main(["asymptotic-sweep", "--gamma", "1e8", "--omega-cut", "10", "--distance", "0.1",
                "--output-dir", str(tmp_path)])
-    assert rc == 3
-    assert "TruncationError" in capsys.readouterr().err
-    manifest = (tmp_path / "MANIFEST").read_text()
-    assert "status: PARTIAL" in manifest and "resonance scan" in manifest
+    assert rc == 0
+    assert "status: COMPLETE" in (tmp_path / "MANIFEST").read_text()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

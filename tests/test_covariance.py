@@ -5,12 +5,11 @@ import pytest
 
 from bathpair import covariance
 from bathpair.covariance import (
+    ASYMPTOTIC_TOL,
     CovarianceMatrix,
-    TruncationError,
     channel_asymptotic_moments,
     covariance_asymptotic,
     covariance_time_series,
-    frequency_grid,
     ground_state_covariance,
 )
 from bathpair.entanglement import (
@@ -22,7 +21,7 @@ from bathpair.entanglement import (
 from bathpair.greens import SIGNS, channel_blocks, greens_time
 from bathpair.kernels import noise_spectrum
 from bathpair.model import ModelParams
-from conftest import random_physical_covariance, resonances
+from conftest import channel_roots, matsubara_reference, random_physical_covariance
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +61,7 @@ def test_asymptotic_requires_damped_separated(p):
     plus, minus, cross = channel_blocks(covariance_asymptotic(p0).entries)
     assert np.max(np.abs(minus - np.eye(2))) <= 1e-14
     assert np.max(np.abs(cross)) <= 1e-14
-    w_max = covariance.asymptotic_omega_max(p0, covariance.ASYMPTOTIC_TOL)
-    alpha, beta, _ = channel_asymptotic_moments(p0, +1, w_max, covariance.ASYMPTOTIC_TOL)
+    alpha, beta, _ = channel_asymptotic_moments(p0, +1, ASYMPTOTIC_TOL)
     assert np.allclose(plus, np.diag([alpha, beta]), rtol=1e-13, atol=1e-14)
 
 
@@ -88,7 +86,7 @@ def test_asymptotic_against_dense_trapezoid(p):
         d2 = np.abs(channel_det(1j * w, p, sign)) ** 2
         alpha_b = np.trapezoid(wt / d2, w)
         beta_b = np.trapezoid(wt * w * w / d2, w)
-        alpha, beta, _ = channel_asymptotic_moments(p, sign, 40.0 * p.omega_cut, 1e-6)
+        alpha, beta, _ = channel_asymptotic_moments(p, sign, ASYMPTOTIC_TOL)
         assert alpha == pytest.approx(alpha_b, abs=3e-4)
         assert beta == pytest.approx(beta_b, abs=3e-3)
 
@@ -109,36 +107,17 @@ def test_asymptotic_decorrelation_at_large_r(p):
     assert abs(covariance_asymptotic(p.with_(distance=5.0)).entries[2, 3]) <= 2e-3
 
 
-def test_truncation_guard(p):
-    with pytest.raises(TruncationError):
-        channel_asymptotic_moments(p, +1, 2.0 * p.omega_cut, 1e-9)
-
-
-def _narrowest_resonance(params, sign):
-    _, om, width, _ = resonances(params, sign)
-    return om[np.argmin(width)], np.min(width)
-
-
 def test_resonance_finder(p):
-    """The weakly damped relative coordinate has one root off the imaginary
-    axis, omega_r + i w, near omega = 1, with w about half the damping rate
-    Re Gamma^(i omega_r) ~ 2 g Om^2 (1 - cos omega_r r) / (Om^2 + omega_r^2): to
-    first order w is the Lorentzian half-width omega Re Gamma^ / |d Re D / d omega|.
-    Every root of the overdamped symmetric channel lies over 50 times deeper."""
-    _, om, width, _ = resonances(p, -1)
-    (om_res,), (width_res,) = om[om > 0], width[om > 0]
+    """The test-only `conftest.channel_roots`, which the panel-sum references
+    below refine around: the weakly damped relative coordinate has one root
+    off the imaginary axis, omega_r + i w, near omega = 1, with w about half
+    the damping rate Re Gamma^(i omega_r) ~ 2 g Om^2 (1 - cos omega_r r) /
+    (Om^2 + omega_r^2); the overdamped symmetric channel has none near the axis."""
+    (om_res,), (width_res,) = channel_roots(p, -1.0)
     assert 0.8 <= om_res <= 1.05
     gam_r = 2.0 * 100.0 * (1.0 - math.cos(om_res * 0.1)) / (100.0 + om_res**2)
     assert 0.25 * gam_r <= width_res <= 0.75 * gam_r
-    assert np.min(resonances(p, +1)[2]) > 50 * width_res
-
-
-def test_resonance_on_a_scan_node_is_listed_once():
-    """At r = 0 the antisymmetric channel is undamped, Re D = 1 - omega^2,
-    and its root omega = 1 falls on a node of the scan grid: one root,
-    listed once."""
-    _, om, _, _ = resonances(ModelParams(1.0, 10.0, 0.0, 0.0), -1)
-    assert om.size == 1 and om[0] == pytest.approx(1.0, abs=1e-12)
+    assert channel_roots(p, +1.0)[0].size == 0
 
 
 def test_time_zero_returns_initial_exactly(p, greens_cache):
@@ -329,22 +308,96 @@ def test_transient_matches_oracle_with_general_initial_state(p):
         assert np.max(np.abs(a.entries - b.entries)) <= 1.5e-3
 
 
-def test_frequency_grid_resolves_resonance(p):
-    x, w = frequency_grid(p, 150.0)
-    om_res, gam_eff = _narrowest_resonance(p, -1)
-    near = np.abs(x - om_res) < 2.0 * gam_eff
-    assert np.count_nonzero(near) >= 8
-    assert w.sum() == pytest.approx(150.0, rel=1e-12)
+# ---------------------------------------------------------------------------
+# lag kernels at r = 0
 
 
-def test_frequency_grid_skips_the_undamped_channel_at_r0(p):
-    """At r = 0 only the symmetric channel is integrated, so the undamped
-    antisymmetric resonance at omega = 1 gets no ladder."""
-    p0 = p.with_(distance=0.0)
-    x, w = frequency_grid(p0, 150.0)
-    assert not np.any(np.abs(x - 1.0) < 1e-5)
-    assert w.sum() == pytest.approx(150.0, rel=1e-12)
-    assert x.size < frequency_grid(p0.with_(distance=1e-3), 150.0)[0].size
+@pytest.mark.parametrize("temperature", [0.0, 0.2])
+def test_lag_kernels_at_r0_transform_one_row(monkeypatch, temperature):
+    """At r = 0 the antisymmetric row is zero without a transform; the
+    symmetric row is bit-equal to the two-row transform (the oracle-check
+    points, h = 0.005, 2000 lags)."""
+    params = ModelParams(1.0, 10.0, temperature, 0.0)
+    h, n_lags = 0.005, 2000
+    omega_max = covariance._transient_omega_max(params, h, 1e-5)
+    rows = []
+    real = covariance._fourier_part
+
+    def spy(*args):
+        out = real(*args)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(covariance, "_fourier_part", spy)
+    ours = covariance._lag_kernels(params, h, n_lags, omega_max)
+    assert rows == [1] * len(rows) and rows
+
+    def two_rows(spectrum):
+        return lambda w: 2.0 * spectrum(w) * np.stack([np.ones_like(w), np.zeros_like(w)])
+
+    cold = params.with_(temperature=0.0)
+    scale = min(params.omega_cut, 1.0 / h)
+    parts = [(two_rows(lambda w: noise_spectrum(w, cold)), omega_max, scale)]
+    if temperature > 0:
+        parts.append((two_rows(lambda w: noise_spectrum(w, params) - noise_spectrum(w, cold)),
+                      min(omega_max, covariance._THERMAL_CUT * temperature),
+                      min(scale, 2.0 * math.pi * temperature)))
+    j = sum(real(spectrum, end, smooth / covariance._NODES_PER_SCALE, h, n_lags, [0.0, 0.0], 0)
+            for spectrum, end, smooth in parts)
+    ref = np.concatenate([j[:, :4].real, j[:, 4:].imag], axis=1)
+    assert ours.shape == (2, 6, n_lags)
+    assert np.array_equal(ours, ref)
+    assert not np.any(ours[1])
+
+
+@pytest.mark.parametrize("temperature, distance", [
+    (0.0, 0.0), (0.2, 0.0),         # the oracle-check points at r = 0
+    (0.0, 0.01), (0.2, 0.02),       # both rows unshifted
+    (0.2, 0.3),                     # the antisymmetric row shifted by r
+])
+def test_lag_kernels_match_two_sided_transform(monkeypatch, temperature, distance):
+    """Unshifted rows transform only the lags m >= 0, also beside a shifted
+    row.  Against the transform of every lag, -n_lags < m < n_lags, cut to
+    m >= 0, each kernel row agrees to 1e-12 of its largest value (h = 0.005,
+    2000 lags)."""
+    params = ModelParams(1.0, 10.0, temperature, distance)
+    h, n_lags = 0.005, 2000
+    omega_max = covariance._transient_omega_max(params, h, 1e-5)
+    ours = covariance._lag_kernels(params, h, n_lags, omega_max)
+    real = covariance._fourier_part
+
+    def two_sided(spectrum, end, dw_max, h, n_lags, shifts, first_lag):
+        return real(spectrum, end, dw_max, h, n_lags, shifts, 1 - n_lags)[..., first_lag - n_lags:]
+
+    monkeypatch.setattr(covariance, "_fourier_part", two_sided)
+    ref = covariance._lag_kernels(params, h, n_lags, omega_max)
+    scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+    assert np.max(np.abs(ours - ref) / np.where(scale > 0, scale, 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.2])
+def test_lag_kernels_in_shift_mode_transform_the_unshifted_row_at_m_ge_0(monkeypatch,
+                                                                        temperature):
+    """Where cos(omega r) is a lag shift (r = 0.3 at h = 0.01, Omega = 10), the
+    unshifted row is transformed at the lags m >= 0 only, and the shifted row
+    alone at every lag -n_lags < m < n_lags: one call of each per spectrum
+    part, one row each."""
+    params = ModelParams(1.0, 10.0, temperature, 0.3)
+    h, n_lags = 0.01, 2000
+    assert covariance._FOLD_BELOW <= params.distance * min(params.omega_cut, 1.0 / h)
+    calls = []
+    real = covariance._fourier_part
+
+    def spy(spectrum, end, dw_max, h, n_lags, shifts, first_lag):
+        out = real(spectrum, end, dw_max, h, n_lags, shifts, first_lag)
+        calls.append((list(shifts), first_lag, out.shape))
+        return out
+
+    monkeypatch.setattr(covariance, "_fourier_part", spy)
+    covariance._lag_kernels(params, h, n_lags, covariance._transient_omega_max(params, h, 1e-5))
+    parts = 2 if temperature > 0 else 1
+    assert sorted(calls) == sorted([([0.0], 0, (1, 6, n_lags)),
+                                    ([0.3], 1 - n_lags, (1, 6, 2 * n_lags - 1))] * parts)
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +407,17 @@ def test_frequency_grid_skips_the_undamped_channel_at_r0(p):
 
 def _panel_grid(params, omega_max, t_scale):
     """Gauss panels on [0, omega_max] as the transient path once built them:
-    `frequency_grid` with the panel width also capped at 2.5 / t_scale, so
-    that the fastest lag phase stays resolved, and both channels' resonances
-    refined."""
+    uniform panels no wider than 2.5 / t_scale, so that the fastest lag
+    phase stays resolved, and a ladder around every root of D near the
+    axis of either channel (`conftest.channel_roots`)."""
     from bathpair._panels import gauss_panels
 
     om = params.omega_cut
     cap = min(0.5, om / 4.0, 2.5 / max(t_scale, params.distance, 1e-9))
     cap = max(cap, omega_max / 200000.0)
     base = np.linspace(0.0, omega_max, int(math.ceil(omega_max / cap)) + 1)
-    _, om_res, width, _ = resonances(params, SIGNS)
-    features = list(zip(om_res, width)) + [(0.0, 0.25 / params.gamma)]
+    roots = [channel_roots(params, sign) for sign in (1.0, -1.0)]
+    features = [f for re, im in roots for f in zip(re, im)] + [(0.0, 0.25 / params.gamma)]
     clusters = []
     for om_res, width in features:
         if width * 2.0 < cap:
@@ -410,7 +463,7 @@ def _panel_lag_kernels(x, weights, h, n_lags, fine=64, block=2048):
 
 
 def _check_lag_kernels(q, h, n_lags):
-    omega_max = covariance._transient_omega_max(q, 1e-5)
+    omega_max = covariance._transient_omega_max(q, h, 1e-5)
     ours = covariance._lag_kernels(q, h, n_lags, omega_max)
     ref = _panel_lag_kernels(*_panel_weights(q, h, n_lags, omega_max), h, n_lags)
     assert ours.shape == ref.shape == (2, 6, n_lags)
@@ -615,29 +668,15 @@ def test_default_cut_meets_its_tail_bound(monkeypatch):
 ])
 def test_overdamped_zero_frequency_peak_is_resolved(gamma, omega_cut, temperature, distance):
     """At strong damping 1/|D_+(i omega)|^2 has a Lorentzian of half-width
-    1/(4 gamma) at omega = 0, where Re D has no zero.  The symmetric moments
-    on the default grid agree with a grid built here: uniform panels of width
-    0.25, a doubling ladder from 2^-12 to 2^13 half-widths at omega = 0 and
-    around each resonance, every panel halved."""
-    from bathpair._panels import gauss_panels
-    from bathpair.covariance import ASYMPTOTIC_TOL, asymptotic_omega_max
-
+    1/(4 gamma) at omega = 0; on the Matsubara axis it is D_+'s root near
+    -1/K^(0), inside the first panel's disc.  The symmetric moments agree with
+    `conftest.matsubara_reference` to 1e-10."""
     q = ModelParams(gamma=gamma, omega_cut=omega_cut, temperature=temperature,
                     distance=distance)
-    w_max = asymptotic_omega_max(q, ASYMPTOTIC_TOL)
-    doubling = 2.0 ** np.arange(-12, 14)
-    groups = [np.linspace(0.0, w_max, int(math.ceil(w_max / 0.5)) + 1),
-              0.25 / gamma * doubling, [omega_cut / 2, omega_cut, 2 * omega_cut]]
-    for om_res, width in zip(*resonances(q, +1)[1:3]):
-        groups += [om_res + width * doubling, om_res - width * doubling, [om_res]]
-    edges = np.concatenate(groups)
-    edges = np.unique(edges[(edges >= 0.0) & (edges <= w_max)])
-    edges = np.unique(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
-    alpha, beta, _ = channel_asymptotic_moments(q, +1, w_max, ASYMPTOTIC_TOL)
-    alpha_ref, beta_ref, _ = channel_asymptotic_moments(q, +1, w_max, ASYMPTOTIC_TOL,
-                                                        grid=gauss_panels(edges))
-    assert alpha == pytest.approx(alpha_ref, rel=1e-10)
-    assert beta == pytest.approx(beta_ref, rel=1e-10)
+    alpha, beta, _ = channel_asymptotic_moments(q, +1, ASYMPTOTIC_TOL)
+    ref = matsubara_reference(q)
+    assert alpha == pytest.approx(ref[0][0], rel=1e-10)
+    assert beta == pytest.approx(ref[1][0], rel=1e-10)
 
 
 @pytest.mark.parametrize("gamma, omega_cut, temperature, distance", [
@@ -649,16 +688,10 @@ def test_both_channels_in_one_call_equal_per_sign_calls(gamma, omega_cut, temper
                                                          distance):
     """The channel axis changes no number: `SIGNS` gives exactly the two
     single-sign results, row 0 the symmetric channel."""
-    from bathpair.covariance import ASYMPTOTIC_TOL, asymptotic_omega_max
-    from bathpair.greens import SIGNS
-
     q = ModelParams(gamma=gamma, omega_cut=omega_cut, temperature=temperature,
                     distance=distance)
-    w_max = asymptotic_omega_max(q, ASYMPTOTIC_TOL)
-    grid = frequency_grid(q, w_max)
-    alpha, beta, err = channel_asymptotic_moments(q, SIGNS, w_max, ASYMPTOTIC_TOL, grid)
-    plus, minus = (channel_asymptotic_moments(q, s, w_max, ASYMPTOTIC_TOL, grid)
-                   for s in (+1, -1))
+    alpha, beta, err = channel_asymptotic_moments(q, SIGNS, ASYMPTOTIC_TOL)
+    plus, minus = (channel_asymptotic_moments(q, s, ASYMPTOTIC_TOL) for s in (+1, -1))
     assert alpha.shape == beta.shape == (2,)
     assert np.array_equal(alpha, [plus[0], minus[0]])
     assert np.array_equal(beta, [plus[1], minus[1]])
