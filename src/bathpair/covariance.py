@@ -66,7 +66,7 @@ from numpy.polynomial import polynomial as P
 from ._panels import cos_tail, gauss_panels
 from .entanglement import _first, require_physical
 from .greens import SIGNS, GreensFunction, channel_blocks, channel_kernel_zero, four_by_four
-from .kernels import noise_spectrum
+from .kernels import damping_kernel_laplace, noise_spectrum
 from .model import ModelParams
 
 __all__ = [
@@ -163,35 +163,12 @@ def _tail_prefactor(params: ModelParams) -> float:
     return 4.0 * params.gamma * params.omega_cut * params.omega_cut / math.pi
 
 
-def _damping_kernel(s, d: float, params: ModelParams):
-    """Gamma_d^(s) at real s >= 0, or at complex s with Re s > 0, as
-
-        Gamma_d^(s) = 2 gamma Omega [e^{-Omega d} + Omega q] / (Omega + s),
-        q = (e^{-s d} - e^{-Omega d}) / (Omega - s)
-          = d e^{-min(s, Omega) d} (1 - e^{-|Omega - s| d}) / (|Omega - s| d),
-
-    min and |.| taken by Re s <= Omega (on the other side u = s - Omega,
-    so that Re u >= 0 and no exponential grows).  The quotient is -expm1(-z) / z,
-    1 at z = 0, so the removable point s = Omega needs no patch, and q of
-    d = 0 is 0.  Vectorized over s; real s gives a real array."""
-    g, om = params.gamma, params.omega_cut
-    if d == 0.0:
-        return 2.0 * g * om / (om + s)      # q = 0
-    below = np.real(s) <= om
-    z = d * np.where(below, om - s, s - om)
-    zero = z == 0
-    z = np.where(zero, 1.0, z)
-    quotient = np.where(zero, 1.0, -np.expm1(-z) / z)
-    q = d * np.exp(-d * np.where(below, s, om)) * quotient
-    return 2.0 * g * om * (math.exp(-om * d) + om * q) / (om + s)
-
-
 def _moment_integrands(s, params: ModelParams, rows):
     """(1 / D, (1 + s K^) / D) of the channels ``rows`` (a column of signs) at
     the frequencies ``s``, D(s) = s^2 + 1 + s K^(s) and K^ = Gamma_0^ +- Gamma_r^
-    the channel kernel of `_damping_kernel`: real and positive on s >= 0."""
-    m = 1.0 + s * (_damping_kernel(s, 0.0, params)
-                   + rows * _damping_kernel(s, params.distance, params))
+    the channel kernel of `damping_kernel_laplace`: real and positive on s >= 0."""
+    m = 1.0 + s * (damping_kernel_laplace(s, 0.0, params)
+                   + rows * damping_kernel_laplace(s, params.distance, params))
     det = s * s + m
     return 1.0 / det, m / det
 

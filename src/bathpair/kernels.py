@@ -52,28 +52,36 @@ def coth(x):
     return out if out.ndim else float(out)
 
 
-def damping_kernel_laplace(s, d: float, params: ModelParams):
-    """Closed-form Laplace transform of Gamma_d, valid for Re(s) > -Omega.
+_TINY = 1e-300    # added to z: keeps -expm1(-z)/z off 0/0, and moves no other z
 
-    Vectorized over s.  Points with Re(s) <= -Omega (on or left of the
-    convergence abscissa) are rejected.  Near the removable point s = Omega
-    the expression is evaluated by its series to avoid 0/0.
+
+def damping_kernel_laplace(s, d: float, params: ModelParams):
+    """Closed-form Laplace transform of Gamma_d, valid for Re(s) > -Omega:
+
+        Gamma_d^(s) = 2 gamma Omega [e^{-Omega d} + Omega q] / (Omega + s),
+        q = (e^{-s d} - e^{-Omega d}) / (Omega - s)
+          = d e^{-min(s, Omega) d} (1 - e^{-|Omega - s| d}) / (|Omega - s| d),
+
+    min and |.| taken by Re s <= Omega (on the other side u = s - Omega,
+    so that Re u >= 0 and no exponential grows).  The quotient is
+    -expm1(-z) / z, 1 at z = 0, so the removable point s = Omega needs no
+    patch, and q of d = 0 is 0.  Vectorized over s; real s gives a real
+    array, a scalar a scalar.  Points with Re(s) <= -Omega (on or left of
+    the convergence abscissa) are rejected.
     """
-    s = np.asarray(s, dtype=complex)
-    g, Om = params.gamma, params.omega_cut
-    if np.any(s.real <= -Om * (1.0 - 1e-12)):
-        raise ValueError(f"Laplace transform diverges for Re(s) <= -Omega = {-Om}")
-    eps = s - Om
-    near = np.abs(eps) < 1e-6 * Om
-    s_safe = np.where(near, Om + 1.0, s)
-    val = 2 * g * Om * (Om * np.exp(-s_safe * d) - s_safe * np.exp(-Om * d)) / (Om**2 - s_safe**2)
-    if np.any(near):
-        # limit gamma * e^{-Omega d} (1 + Omega d), first order in (s - Omega)
-        lead = g * math.exp(-Om * d) * (1.0 + Om * d)
-        corr = -g * math.exp(-Om * d) * (Om * d) ** 2 / 2.0 * (eps / Om)
-        lim = lead + corr - lead * eps / (2 * Om)
-        val = np.where(near, lim, val)
-    return val if val.ndim else complex(val)
+    g, om = params.gamma, params.omega_cut
+    s = np.asarray(s)
+    re = s.real
+    if re.min(initial=math.inf) <= -om * (1.0 - 1e-12):
+        raise ValueError(f"Laplace transform diverges for Re(s) <= -Omega = {-om}")
+    if d == 0.0:
+        val = 2.0 * g * om / (om + s)      # q = 0
+    else:
+        below = re <= om
+        z = d * np.where(below, om - s, s - om) + _TINY
+        q = -d * np.exp(-d * np.where(below, s, om)) * (np.expm1(-z) / z)
+        val = 2.0 * g * om * (math.exp(-om * d) + om * q) / (om + s)
+    return val if val.ndim else val.item()
 
 
 def noise_spectrum(omega, params: ModelParams):

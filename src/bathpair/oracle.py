@@ -27,18 +27,31 @@ then evolved exactly, as the symplectic propagator
 
 is exp(t * Sigma * H) in closed form, so there is no step error for the
 discrete bath at any t.  Only the two system rows of S(t) are ever
-materialized, one block of bath columns at a time, which makes long series of
+materialized, summed one block of modes at a time, which makes long series of
 reduced covariances cheap.
 
-Every O(N^2) pass (the secular function, Loewner's products, the head norms,
-the system rows, the image noise's phases) works on one block of _ROWS rows
-of an N-wide array at a time.  At N = 2000, 64 rows of float64 are 1 MB,
-which stays in a 2 MiB per-core L2 cache through the half-dozen passes over
-the block; 256 rows (4 MB) did not.  A block's rows are neighbouring roots,
-so its columns split at the block: the poles below every row, the poles
-above every row, and a band about as wide as the block between them.  The
-secular sums and Loewner's factors take whole column views outside the band
-and choose per entry only inside it.
+Each channel makes about five O(N^2) passes over its Cauchy-like matrix of
+differences d_k - x_j (5.2 at N = 2000 at the criterion-9 point):
+
+1. the secular function, about 2.2 times per root: every 16th root is
+   solved from its gap's midpoint in four or five evaluations, and the rest
+   start from seeds interpolated between them and stop after about two
+   (`_secular_roots`);
+2. Loewner's products, two passes, one for the roots and one for the poles
+   (`_loewner_border`);
+3. one pass over the Cauchy rows b_k / (x_j - d_k), which gives both the
+   head norms and, added into every time's bath columns, the system rows
+   (`_heads_and_rows`).
+
+The image noise's phases then make one pass of N modes by the midpoints of
+its grid (`_midpoint_response`).  Every pass works on one block of _ROWS
+rows of an N-wide array at a time.  At N = 2000, 64 rows of float64 are
+1 MB, which stays in a 2 MiB per-core L2 cache through the half-dozen
+passes over the block; 256 rows (4 MB) did not.  A block's rows are
+neighbouring roots, so its columns split at the block: the poles below
+every row, the poles above every row, and a band about as wide as the
+block between them.  The secular sums and Loewner's factors take whole
+column views outside the band and choose per entry only inside it.
 
 Against the continuum bath the discrete one differs in two ways, and
 `reduced_covariance_series` corrects both from the oracle's own channel
@@ -72,13 +85,15 @@ columns of the system rows) is the discrete bath's own.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._panels import cos_tail
-from .covariance import CovarianceMatrix
+from .covariance import _THERMAL_FLOOR, CovarianceMatrix
 from .greens import channel_blocks, four_by_four
 from .kernels import coth
 from .model import ModelParams, spectral_density
@@ -90,6 +105,9 @@ __all__ = [
     "RecurrenceHorizonError",
     "SymplecticityError",
 ]
+
+
+_log = logging.getLogger("bathpair")
 
 
 class RecurrenceHorizonError(ValueError):
@@ -158,16 +176,18 @@ class _ChannelModes:
     x_j = d[origin_j] + tau_j and the eigenvector head_j (1, b_k / (x_j - d_k))
     over the chain's coordinates (collective, then bath columns ``cols``).
     The deflated modes follow, each a unit vector on its own bath column,
-    with head 0.  (origin, tau) are empty when no bath mode couples.
+    with head 0.  (origin, tau) are empty when no bath mode couples.  The
+    heads are None until `_heads_and_rows` has taken them from the border.
     """
 
     mu2: np.ndarray             # squared normal-mode frequencies, shape (N+1,)
-    head: np.ndarray            # first row of the mode matrix, u_0j
+    head: np.ndarray | None     # first row of the mode matrix, u_0j
     origin: np.ndarray          # nearer pole of each coupled root
     tau: np.ndarray             # its offset from that pole
     d: np.ndarray               # coupled diagonal entries d_k, ascending
     border: np.ndarray          # Loewner border b_k
     cols: np.ndarray            # chain columns of the coupled bath modes
+    evaluations: int            # secular rows evaluated to find the roots
 
     @property
     def mu(self) -> np.ndarray:
@@ -203,6 +223,7 @@ def _channel_modes(bath: DiscreteBath, params: ModelParams, sign: int) -> _Chann
 # arrowhead eigensolver: secular equation, Loewner border, closed-form vectors
 
 _ROWS = 64                      # rows (or columns) per block of the O(N^2) passes: L2-sized
+_SEED_STRIDE = 16               # every 16th gap's root is solved cold, the rest seeded from them
 _EPS = np.finfo(float).eps
 
 
@@ -215,7 +236,9 @@ def _gaps(d, *shifts):
     BLAS writes the block in one pass: on a 64 x 2000 block of the N = 2000
     oracle it took 71 us, against 87 us for two BLAS rank-1 updates and
     320 us for numpy's broadcast subtraction, one pass per shift (one BLAS
-    thread, 2 vCPU); the whole oracle call took 0.213, 0.219 and 0.306 s."""
+    thread, 2 vCPU).  The whole oracle call at the criterion-9 point
+    (N = 2000, t = 0..20), whose channels make about five such passes each
+    (module docstring), took 0.140 and 0.142 s as best of 7 in two runs."""
     shifts = [np.ravel(s) for s in shifts]
     left = np.column_stack([np.ones(shifts[0].size)] + [-s for s in shifts])
     return left @ np.vstack([d, np.ones((len(shifts), d.size))])
@@ -232,32 +255,27 @@ def _solve_arrowhead(corner: float, border: np.ndarray, diag: np.ndarray) -> _Ch
     d_m.  The border is recomputed from those roots (`_loewner_border`), so
     that they are the exact eigenvalues of a matrix within rounding of the
     input, and the eigenvector of root x is (1, b_k / (x - d_k)) normalized.
-    The mode matrix is never built: only its first row, the norms' inverses,
-    is kept (`_ChannelModes`).  Cost O(N^2) in time and O(_ROWS N) in memory:
-    the secular iteration, Loewner's products and the norms each take the
-    roots _ROWS at a time, and the first two split the columns at the block
-    (module docstring).
+    The mode matrix is never built, and the norms' inverses, its first row,
+    are left to the pass that uses them (`_heads_and_rows`).  Cost O(N^2) in
+    time and O(_ROWS N) in memory: the secular iteration and Loewner's
+    products each take the roots _ROWS at a time and split the columns at the
+    block (module docstring).
     """
     n = diag.size
     scale = max(abs(corner), abs(diag[-1])) + float(np.linalg.norm(border))
     live = np.abs(border) > _EPS * scale
     d, lam = diag[live], border[live]
     dead = np.flatnonzero(~live)
-    head = np.zeros(n + 1)
     if d.size == 0:
         x, origin, tau, b = np.array([corner]), np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
-        head[0] = 1.0
+        evaluations = 0
     else:
-        origin, tau = _secular_roots(corner, lam * lam, d)
+        origin, tau, evaluations = _secular_roots(corner, lam * lam, d)
         x = d[origin] + tau
         b = np.copysign(np.sqrt(_loewner_border(d, origin, tau)), lam)
-        for lo in range(0, d.size + 1, _ROWS):
-            j = slice(lo, min(lo + _ROWS, d.size + 1))
-            v = _gaps(d, d[origin[j]], tau[j])
-            np.divide(b, v, out=v)                              # b_k / (d_k - x_j)
-            head[j] = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", v, v))
-    return _ChannelModes(mu2=np.concatenate([x, diag[dead]]), head=head, origin=origin,
-                         tau=tau, d=d, border=b, cols=1 + np.flatnonzero(live))
+    return _ChannelModes(mu2=np.concatenate([x, diag[dead]]), head=None, origin=origin,
+                         tau=tau, d=d, border=b, cols=1 + np.flatnonzero(live),
+                         evaluations=evaluations)
 
 
 def _secular_terms(z, lam2, d, origin, tau):
@@ -266,28 +284,40 @@ def _secular_terms(z, lam2, d, origin, tau):
     lam2_k / (d_k - x)^2 over the poles below and above x and the sum of the
     magnitudes of f's terms, which sets its rounding error.
 
-    Row i has the poles d[:split_i] below its x.  The poles below every
-    row's split and those from the highest split on are summed as whole
-    column views; only the band between the lowest and highest split, as
-    wide as the rows' spread, is masked."""
-    split = origin + (tau > 0.0)
-    lo, hi = int(split.min()), int(split.max())
-    under = np.arange(lo, hi) < split[:, None]
-    w = _gaps(d, d[origin], tau)
-    np.reciprocal(w, out=w)                 # 1 / (d_k - x)
+    The rows, sorted by x, are taken in blocks of at most _ROWS.  Row i has
+    the poles d[:split_i] below its x.  The poles below every split of the
+    block and those from its highest split on are summed as whole column
+    views; only the band between the lowest and highest split, as wide as
+    the rows' spread, is masked.  A block ends early where its band would
+    pass 4 _ROWS columns, so that scattered rows (every 16th gap's, or the
+    few an iteration keeps) mask little more than neighbouring ones: the
+    cold start of every 16th root took 0.9 ms a step at N = 2000 so, and
+    2.3 ms in blocks of 64."""
+    out = np.empty((4, tau.size))
+    splits = origin + (tau > 0.0)
+    first = 0
+    while first < tau.size:
+        stop = min(first + _ROWS, int(np.searchsorted(splits, splits[first] + 4 * _ROWS)))
+        j = slice(first, stop)
+        first = stop
+        org, t, split = origin[j], tau[j], splits[j]
+        lo, hi = int(split[0]), int(split[-1])
+        under = np.arange(lo, hi) < split[:, None]
+        w = _gaps(d, d[org], t)
+        np.reciprocal(w, out=w)                 # 1 / (d_k - x)
 
-    def below_above(w):
-        band = np.where(under, w[:, lo:hi], 0.0)
-        return (w[:, :lo] @ lam2[:lo] + band @ lam2[lo:hi],
-                w[:, hi:] @ lam2[hi:] + (w[:, lo:hi] - band) @ lam2[lo:hi])
+        def below_above(w):
+            band = np.where(under, w[:, lo:hi], 0.0)
+            return (w[:, :lo] @ lam2[:lo] + band @ lam2[lo:hi],
+                    w[:, hi:] @ lam2[hi:] + (w[:, lo:hi] - band) @ lam2[lo:hi])
 
-    psi_below, psi_above = below_above(w)
-    w *= w
-    slope_below, slope_above = below_above(w)
-    base = z - d[origin]
-    f = base - tau - (psi_below + psi_above)
-    size = np.abs(base) + np.abs(tau) + psi_above - psi_below
-    return f, slope_below, slope_above, size
+        psi_below, psi_above = below_above(w)
+        w *= w
+        out[1, j], out[2, j] = below_above(w)
+        base = z - d[org]
+        out[0, j] = base - t - (psi_below + psi_above)
+        out[3, j] = np.abs(base) + np.abs(t) + psi_above - psi_below
+    return tuple(out)                           # f, slope below, slope above, size
 
 
 def _positive_root(c, q):
@@ -304,44 +334,109 @@ def _two_pole_root(c, a, b, g):
     return np.where(small, 2.0 * a * g, s + q) / np.where(small, s - q, 2.0 * c)
 
 
+def _gap_step(d, j, origin):
+    """`_iterate`'s step for the roots in the gaps (d[j-1], d[j]), measured
+    from ``origin`` (j - 1 or j): it fits f and f' at the current point by
+    the gap's two poles plus a constant and takes the fit's root."""
+    upper, g = origin == j, d[j] - d[j - 1]
+
+    def step(t, f, sb, sa, rows):
+        up = upper[rows]
+        dist_lo = np.where(up, g[rows] + t, t)          # x - d_{j-1}
+        dist_hi = np.where(up, -t, g[rows] - t)         # d_j - x
+        a, b = dist_lo**2 * sb, dist_hi**2 * (sa + 1.0)
+        c = f - a / dist_lo + b / dist_hi
+        # in the upper half, the same fit seen from d_j with t -> -t
+        s = _two_pole_root(np.where(up, -c, c), np.where(up, b, a),
+                           np.where(up, a, b), g[rows])
+        return np.where(up, -s, s)
+
+    return step
+
+
+def _cold_roots(z, lam2, d, j):
+    """The roots in the gaps (d[j-1], d[j]) from f at the gaps' midpoints,
+    whose sign gives each root's half and so its nearer pole: (origin, tau,
+    the number of rows evaluated)."""
+    g = d[j] - d[j - 1]
+    terms = _secular_terms(z, lam2, d, j - 1, 0.5 * g)
+    upper = terms[0] > 0.0                      # root in the upper half
+    origin, t = np.where(upper, j, j - 1), np.where(upper, -0.5, 0.5) * g
+    tau, evaluated = _iterate(z, lam2, d, origin, t, np.where(upper, t, 0.0),
+                              np.where(upper, 0.0, t), terms, _gap_step(d, j, origin))
+    return origin, tau, j.size + evaluated
+
+
+def _cubic_interpolate(x, nodes, values):
+    """Lagrange cubic through the four nodes about each point x, nodes
+    ascending (at least four of them)."""
+    first = np.clip(np.searchsorted(nodes, x) - 2, 0, nodes.size - 4)
+    near = first[:, None] + np.arange(4)
+    xs, ys = nodes[near], values[near]
+    out = np.zeros(x.size)
+    for a in range(4):
+        weight = ys[:, a]
+        for b in range(4):
+            if b != a:
+                weight = weight * (x - xs[:, b]) / (xs[:, a] - xs[:, b])
+        out += weight
+    return out
+
+
 def _secular_roots(z, lam2, d):
     """Roots of f(x) = z - x - sum_k lam2_k / (d_k - x), lam2 > 0 and d
     strictly ascending, as x = d[origin] + tau with origin the nearer pole,
-    so that each x - d_k comes out to full relative precision.
+    so that each x - d_k comes out to full relative precision; and the
+    number of secular rows evaluated on the way.
 
-    f falls strictly between its poles, so each gap holds one root.  Its
-    half is found from f at the midpoint.  The iteration then fits f and f'
-    at the current point by the two nearest poles plus a constant (the
-    "middle way" of R.-C. Li, LAPACK Working Note 89, 1993) and takes the
-    fit's root, or bisects the bracket where that root falls outside it.
-    The edge roots below d_1 and above d_m keep the linear term of f in
-    their fit instead of the missing pole.  All interior roots iterate
-    together, one block of rows at a time.
+    f falls strictly between its poles, so each gap holds one root.  The
+    iteration fits f and f' at the current point by the two nearest poles
+    plus a constant (the "middle way" of R.-C. Li, LAPACK Working Note 89,
+    1993) and takes the fit's root, or bisects the bracket where that root
+    falls outside it.  Every `_SEED_STRIDE`th gap, and the last, starts cold:
+    its half is found from f at the midpoint.  The others start from a seed:
+    at a root, f = c_j + lam2_{j-1} / (x - d_{j-1}) - lam2_j / (d_j - x)
+    with c_j, the rest of f, smooth in j (it is a sum over all the poles),
+    so c_j is interpolated from the cold gaps and the two-pole equation
+    solved with the gap's own lam2, which keeps the seed accurate for a
+    root that hugs a pole with a tiny lam2.  A seeded root iterates in its
+    whole gap, measured from the pole nearer its seed; one that ends in the
+    other half is solved again cold, so that origin is the nearer pole of
+    every root.  At N = 2000 ((1, 10, 0, 0.1), W = 265) the seeds were off
+    by 2e-9 relative in the median and 6e-7 at p90, one root in 2000 was
+    solved again, and the roots took 2.2 evaluations each, against 4.1 when
+    all started cold.  The edge roots below d_1 and above d_m keep the linear
+    term of f in their fit instead of the missing pole.
     """
     m = d.size
     origin, tau = np.empty(m + 1, dtype=int), np.empty(m + 1)
-    for lo in range(1, m, _ROWS):
-        j = np.arange(lo, min(lo + _ROWS, m))
-        g = d[j] - d[j - 1]
-        f, sb, sa, size = _secular_terms(z, lam2, d, j - 1, 0.5 * g)
-        upper = f > 0.0                         # root in the upper half
-        org = np.where(upper, j, j - 1)
-        t = np.where(upper, -0.5, 0.5) * g
-        lo_t, hi_t = np.where(upper, t, 0.0), np.where(upper, 0.0, t)
+    gaps = np.arange(1, m)
+    cold = np.unique(np.r_[gaps[::_SEED_STRIDE], gaps[-1:]])
+    if cold.size < 4:
+        cold = gaps
+    origin[cold], tau[cold], evaluations = _cold_roots(z, lam2, d, cold)
 
-        def step(t, f, sb, sa, rows, upper=upper, g=g):
-            up = upper[rows]
-            dist_lo = np.where(up, g[rows] + t, t)          # x - d_{j-1}
-            dist_hi = np.where(up, -t, g[rows] - t)         # d_j - x
-            a, b = dist_lo**2 * sb, dist_hi**2 * (sa + 1.0)
-            c = f - a / dist_lo + b / dist_hi
-            # in the upper half, the same fit seen from d_j with t -> -t
-            s = _two_pole_root(np.where(up, -c, c), np.where(up, b, a),
-                               np.where(up, a, b), g[rows])
-            return np.where(up, -s, s)
+    j = np.setdiff1d(gaps, cold)
+    if j.size:
+        g, a, b = d[j] - d[j - 1], lam2[j - 1], lam2[j]
+        gc = d[cold] - d[cold - 1]
+        up = origin[cold] == cold
+        dist_lo = np.where(up, gc + tau[cold], tau[cold])
+        dist_hi = np.where(up, -tau[cold], gc - tau[cold])
+        c = _cubic_interpolate(j, cold, lam2[cold] / dist_hi - lam2[cold - 1] / dist_lo)
+        up = c + 2.0 * (a - b) / g > 0.0        # the two-pole root in the upper half
+        s = _two_pole_root(np.where(up, -c, c), np.where(up, b, a), np.where(up, a, b), g)
+        org, t = np.where(up, j, j - 1), np.where(up, -s, s)
+        t, more = _iterate(z, lam2, d, org, t, np.where(up, -g, 0.0), np.where(up, 0.0, g),
+                           _secular_terms(z, lam2, d, org, t), _gap_step(d, j, org))
+        evaluations += j.size + more
+        # a root that its seed misplaced ends in the other half: solve it cold
+        far = np.flatnonzero(np.abs(t) > 0.5 * g)
+        if far.size:
+            org[far], t[far], more = _cold_roots(z, lam2, d, j[far])
+            evaluations += more
+        origin[j], tau[j] = org, t
 
-        origin[j], tau[j] = org, _iterate(z, lam2, d, org, t, lo_t, hi_t,
-                                          (f, sb, sa, size), step)
     radius = math.sqrt(float(lam2.sum()))
     for j, org, bound in ((0, 0, min(z, d[0]) - radius - d[0]),
                           (m, m - 1, max(z, d[-1]) + radius - d[-1])):
@@ -355,23 +450,28 @@ def _secular_roots(z, lam2, d):
         org, t = np.array([org]), np.array([0.5 * bound])
         bracket = np.array([min(bound, 0.0)]), np.array([max(bound, 0.0)])
         origin[j] = org[0]
-        tau[j] = _iterate(z, lam2, d, org, t, *bracket,
-                          _secular_terms(z, lam2, d, org, t), step)[0]
-    return origin, tau
+        edge, more = _iterate(z, lam2, d, org, t, *bracket,
+                              _secular_terms(z, lam2, d, org, t), step)
+        tau[j] = edge[0]
+        evaluations += 1 + more
+    return origin, tau, evaluations
 
 
 def _iterate(z, lam2, d, origin, tau, lo, hi, terms, step):
     """Safeguarded iteration of the rows' offsets ``tau`` inside their
-    brackets (lo, hi), starting from the secular ``terms`` at ``tau``.
+    brackets (lo, hi), starting from the secular ``terms`` at ``tau``;
+    returns the offsets and the number of rows it evaluated.
 
     ``step`` proposes each row's next offset from its fit; a proposal outside
     the bracket, and every step after the 40th, bisects instead, so each row
     ends within 200 steps.  A row stops when |f| is at its rounding level,
     when the step is below the spacing of floats near tau, or when its
-    bracket has shrunk to that spacing."""
+    bracket has shrunk to that spacing.  Every row still going is evaluated
+    in one `_secular_terms` call per step."""
     tau, lo, hi = tau.copy(), lo.copy(), hi.copy()
     rows = np.arange(tau.size)
     f, sb, sa, size = terms
+    evaluated = 0
     for it in range(200):
         t = tau[rows]
         lo[rows] = np.where(f > 0.0, t, lo[rows])
@@ -388,7 +488,8 @@ def _iterate(z, lam2, d, origin, tau, lo, hi, terms, step):
         if rows.size == 0:
             break
         f, sb, sa, size = _secular_terms(z, lam2, d, origin[rows], tau[rows])
-    return tau
+        evaluated += rows.size
+    return tau, evaluated
 
 
 def _loewner_border(d, origin, tau):
@@ -429,34 +530,47 @@ def _thermal_diagonals(bath: DiscreteBath, params: ModelParams):
     return th / (2.0 * om), om * th / 2.0     # <q^2>, <p^2>
 
 
-def _system_rows(ch: _ChannelModes, t):
-    """Two system rows of the channel propagator S(t), shape t.shape + (2, 2N+2).
+def _heads_and_rows(ch: _ChannelModes, t):
+    """The modes with their heads, and the two system rows of the channel
+    propagator S(t), shape t.shape + (2, 2N+2), from one pass over the
+    Cauchy matrix b_k / (x_j - d_k).
 
     Row 0 propagates onto the collective position, row 1 onto its momentum;
     columns are (positions, momenta) of (system, bath modes).  Each row is
-    f U^T for phase rows f over the modes; U^T is applied in its closed form
-    (`_ChannelModes`), one block of _ROWS bath columns at a time, so that all
-    times share each block's Cauchy matrix b_k / (x_j - d_k).  Deflated bath
-    columns stay zero.
+    f U^T for phase rows f = head_j (cos, sin / mu, -mu sin)(mu_j t) over the
+    modes, and U^T is applied in its closed form (`_ChannelModes`).  One
+    block of _ROWS roots j at a time, the block's Cauchy rows are made once:
+    head_j = (1 + sum_k (b_k / (x_j - d_k))^2)^(-1/2) comes from them, then
+    the block adds (phase_j head_j^2) times them into the bath columns of
+    every time's rows.  The heads are the border's, so that the vectors stay
+    orthonormal to rounding.  Deflated modes have head 0 and leave their
+    bath columns zero.
     """
-    mu = ch.mu
+    m, n = ch.d.size, ch.mu2.size
+    mu = np.sqrt(ch.mu2[:m + 1])
     ph = np.multiply.outer(np.asarray(t, dtype=float), mu)
     c, s = np.cos(ph), np.sin(ph)
-    f = ch.head * np.stack([c, s / mu, -mu * s])
-    flat = f.reshape(-1, mu.size)
-    out = np.zeros_like(flat)
-    out[:, 0] = flat @ ch.head
-    m = ch.d.size
-    w = flat[:, :m + 1] * ch.head[:m + 1]
+    phases = np.stack([c, s / mu, -mu * s])
+    flat = phases.reshape(-1, m + 1)
+    head = np.zeros(n)
+    head[0] = 1.0                               # if no bath mode couples
+    bath = np.zeros((flat.shape[0], m))
+    product = np.empty_like(bath)
     base = ch.d[ch.origin]
-    for lo in range(0, m, _ROWS):
-        k = slice(lo, min(lo + _ROWS, m))
-        cauchy = _gaps(ch.d[k], base, ch.tau)
-        np.divide(-ch.border[k], cauchy, out=cauchy)           # b_k / (x_j - d_k)
-        out[:, ch.cols[k]] = w @ cauchy
-    a_row, b_row, c_row = out.reshape(f.shape)
-    return np.stack([np.concatenate([a_row, b_row], axis=-1),
+    for lo in range(0, ch.tau.size, _ROWS):
+        j = slice(lo, min(lo + _ROWS, m + 1))
+        cauchy = _gaps(ch.d, base[j], ch.tau[j])
+        np.divide(-ch.border, cauchy, out=cauchy)              # b_k / (x_j - d_k)
+        head[j] = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", cauchy, cauchy))
+        np.matmul(flat[:, j] * head[j] * head[j], cauchy, out=product)
+        bath += product
+    out = np.zeros((flat.shape[0], n))
+    out[:, 0] = (flat * head[:m + 1]) @ head[:m + 1]
+    out[:, ch.cols] = bath
+    a_row, b_row, c_row = out.reshape(phases.shape[:-1] + (n,))
+    rows = np.stack([np.concatenate([a_row, b_row], axis=-1),
                      np.concatenate([c_row, a_row], axis=-1)], axis=-2)
+    return replace(ch, head=head), rows
 
 
 def _missing_mode_noise(params: ModelParams, sign: int, W: float, t: np.ndarray,
@@ -545,40 +659,50 @@ def _midpoint_response(ch: _ChannelModes, n: int, du: float) -> np.ndarray:
     return g
 
 
-def _image_noise(chans: dict, bath: DiscreteBath, params: ModelParams,
-                 times: np.ndarray) -> dict:
-    """Doubled noise that the recurrence images add, per channel sign and
-    time: {sign: (Nt, 2, 2)}.
+def _image_lags(bath: DiscreteBath, params: ModelParams, times: np.ndarray):
+    """The image sums that `_image_noise` weighs, on its lag grid: (img, du),
+    img of shape (3, n) at the lags tau, |tau - r| and tau + r; None when no
+    time is past 0.
 
     The double integral over [0, t]^2 is a midpoint sum on a grid of step
-    du <= 0.1 / max(Omega, 1); with uniform weights it grows by one
-    causal Toeplitz product per step, so all grid times come from one
-    convolution and the requested times are interpolated between them.
-    """
+    du <= 0.1 / max(Omega, 1)."""
     t_max = float(times.max())
     if t_max <= 0.0:
-        return {s: np.zeros((times.size, 2, 2)) for s in chans}
+        return None
     n = int(math.ceil(t_max * max(params.omega_cut, 1.0) / 0.1))
     du = t_max / n
     r = params.distance
     lag = np.arange(n) * du
     img = _image_sum(np.concatenate([lag, np.abs(lag - r), lag + r]),
                      bath.recurrence_time, params.temperature).reshape(3, n)
+    return img, du
+
+
+def _image_noise(ch: _ChannelModes, sign: int, lags, params: ModelParams,
+                 times: np.ndarray) -> np.ndarray:
+    """Doubled noise that the recurrence images add to channel ``sign`` at
+    the ``times``, shape (Nt, 2, 2), from the `_image_lags` ``lags``.
+
+    With uniform weights the midpoint sum grows by one causal Toeplitz
+    product per step, so all grid times come from one convolution and the
+    requested times are interpolated between them.
+    """
+    if lags is None:
+        return np.zeros((times.size, 2, 2))
+    img, du = lags
+    n = img.shape[1]
     k = np.minimum((times / du).astype(int), n - 1)
     frac = (times / du - k)[:, None, None]
-    out = {}
-    for sign, ch in chans.items():
-        kern = -(4.0 * params.gamma / math.pi) * (img[0] + sign * 0.5 * (img[1] + img[2]))
-        g = _midpoint_response(ch, n, du)
-        # c_k = sum_{j<k} kern[k-j] g_j; step k adds g_k c_k^T + c_k g_k^T + kern[0] g_k g_k^T
-        shifted = np.concatenate([[0.0], kern[1:]])
-        c = np.stack([np.convolve(shifted, g[:, i])[:n] for i in range(2)], axis=1)
-        steps = (g[:, :, None] * c[:, None, :] + c[:, :, None] * g[:, None, :]
-                 + kern[0] * g[:, :, None] * g[:, None, :])
-        cum = np.concatenate([np.zeros((1, 2, 2)), np.cumsum(steps, axis=0)]) * du * du
-        # linear interpolation between grid times
-        out[sign] = (1.0 - frac) * cum[k] + frac * cum[k + 1]
-    return out
+    kern = -(4.0 * params.gamma / math.pi) * (img[0] + sign * 0.5 * (img[1] + img[2]))
+    g = _midpoint_response(ch, n, du)
+    # c_k = sum_{j<k} kern[k-j] g_j; step k adds g_k c_k^T + c_k g_k^T + kern[0] g_k g_k^T
+    shifted = np.concatenate([[0.0], kern[1:]])
+    c = np.stack([np.convolve(shifted, g[:, i])[:n] for i in range(2)], axis=1)
+    steps = (g[:, :, None] * c[:, None, :] + c[:, :, None] * g[:, None, :]
+             + kern[0] * g[:, :, None] * g[:, None, :])
+    cum = np.concatenate([np.zeros((1, 2, 2)), np.cumsum(steps, axis=0)]) * du * du
+    # linear interpolation between grid times
+    return (1.0 - frac) * cum[k] + frac * cum[k + 1]
 
 
 def reduced_covariance_series(params: ModelParams, times, n_modes: int,
@@ -596,29 +720,46 @@ def reduced_covariance_series(params: ModelParams, times, n_modes: int,
     must stay below half the recurrence horizon.  The noise of each channel
     is corrected to the continuum bath: the missing modes above
     ``omega_max_bath`` are added and the recurrence images of the frequency
-    grid removed (module docstring).
+    grid removed (module docstring).  A T at or below `_THERMAL_FLOOR` Omega,
+    whose thermal excess is below rounding, is taken as T = 0, as on the
+    pipeline's paths.  Each channel's coupled and deflated modes, secular row
+    evaluations per root and the wall times of its modes, system rows and
+    image noise are logged at DEBUG on the "bathpair" logger.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if params.temperature <= _THERMAL_FLOOR * params.omega_cut:
+        params = params.with_(temperature=0.0)
     bath = build_bath(params, n_modes, omega_max_bath,
                       compare_time=float(times.max()))
     cp0, cm0, cx0 = channel_blocks(np.eye(4) if c0 is None else c0.entries)
 
-    chans = {s: _channel_modes(bath, params, s) for s in (+1, -1)}
-    images = _image_noise(chans, bath, params, times)
+    lags = _image_lags(bath, params, times)
     vq, vp = _thermal_diagonals(bath, params)
     diag = np.concatenate([[0.0], vq, [0.0], vp])
     sys_cols = np.array([0, bath.n_modes + 1])
     later = (times > 0.0)[:, None, None]
-    blocks, prop = {}, {}
+    blocks, prop, report = {}, {}, []
     for s, c0_block in ((+1, cp0), (-1, cm0)):
-        rows = _system_rows(chans[s], times)                       # (Nt, 2, 2N+2)
+        start = time.perf_counter()
+        modes = _channel_modes(bath, params, s)
+        solved = time.perf_counter()
+        modes, rows = _heads_and_rows(modes, times)                # rows (Nt, 2, 2N+2)
+        swept = time.perf_counter()
+        images = _image_noise(modes, s, lags, params, times)
+        report.append((s, modes.d.size + 1, bath.n_modes - modes.d.size,
+                       modes.evaluations / (modes.d.size + 1), solved - start,
+                       swept - solved, time.perf_counter() - swept))
         prop[s] = rows[..., sys_cols]                              # channel propagator
         raw = ((rows * diag) @ rows.swapaxes(-1, -2)
                + prop[s] @ (0.5 * c0_block) @ prop[s].swapaxes(-1, -2))
         missing = _missing_mode_noise(params, s, omega_max_bath, times,
                                       prop[s][:, 0, 1], prop[s][:, 1, 1])
-        blocks[s] = 2.0 * raw - images[s] + np.where(later, missing, 0.0)
+        blocks[s] = 2.0 * raw - images + np.where(later, missing, 0.0)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("oracle at %s, N = %d: " + "; ".join(
+            ["channel %+d: %d coupled and %d deflated modes, %.2f secular evaluations "
+             "per root, %.4f s modes, %.4f s rows, %.4f s image noise"] * len(report)),
+            params, n_modes, *(v for entry in report for v in entry))
     cross = prop[+1] @ cx0 @ prop[-1].swapaxes(-1, -2)
     c4 = four_by_four(blocks[+1], blocks[-1], cross)
     return CovarianceMatrix(entries=c4, time_label=times)
-

@@ -331,7 +331,8 @@ def _system_propagator_series(params, times, n_modes, omega_max_bath):
     bath = oracle.build_bath(params, n_modes, omega_max_bath,
                              compare_time=float(np.max(times)))
     sys_cols = np.array([0, bath.n_modes + 1])
-    blocks = {s: oracle._system_rows(oracle._channel_modes(bath, params, s), times)[..., sys_cols]
+    blocks = {s: oracle._heads_and_rows(oracle._channel_modes(bath, params, s),
+                                        times)[1][..., sys_cols]
               for s in (+1, -1)}
     return four_by_four(blocks[+1], blocks[-1])
 

@@ -21,6 +21,7 @@ from bathpair.covariance import (
 )
 from bathpair.entanglement import UnphysicalCovarianceError
 from bathpair.greens import SIGNS, channel_blocks, channel_det
+from bathpair.kernels import damping_kernel_laplace
 from bathpair.model import ModelParams
 from conftest import CORNERS, box_points, matsubara_reference
 
@@ -40,7 +41,7 @@ def _rows(params):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("omega_cut", [0.5, 10.0])
 def test_damping_kernel_matches_mpmath(omega_cut):
-    """Gamma_d^(nu) of `covariance._damping_kernel` against 40 digits, to
+    """Gamma_d^(nu) of `kernels.damping_kernel_laplace` against 40 digits, to
     1e-14 relative, at nu / Omega on both sides of the removable point
     (1 +- 1e-7, 1 +- 1e-3), far below it (1e-6) and far above (1e3), and at
     d = 0, 1e-8, 1 and 20; then the channel kernels, the symmetric one to
@@ -59,12 +60,12 @@ def test_damping_kernel_matches_mpmath(omega_cut):
             return 2 * g * om * (om * mpmath.exp(-x * d) - x * mpmath.exp(-om * d)) / (om**2 - x**2)
 
         for d in (0.0, 1e-8, 1.0, 20.0):
-            ours = covariance._damping_kernel(nu, d, params)
+            ours = damping_kernel_laplace(nu, d, params)
             ref = np.array([float(exact(x, d)) for x in nu.tolist()])
             assert np.all(np.abs(ours / ref - 1.0) <= 1e-14), (d, ours / ref - 1.0)
             p = params.with_(distance=d)
-            k0 = covariance._damping_kernel(nu, 0.0, p)
-            plus, minus = (k0 + s * covariance._damping_kernel(nu, d, p) for s in (1.0, -1.0))
+            k0 = damping_kernel_laplace(nu, 0.0, p)
+            plus, minus = (k0 + s * damping_kernel_laplace(nu, d, p) for s in (1.0, -1.0))
             assert np.all(np.abs(plus / (k0 + ref) - 1.0) <= 1e-14), d
             assert np.all(np.abs(minus - (k0 - ref)) <= 1e-14 * (k0 + ref)), d
 
@@ -80,7 +81,7 @@ def test_damping_kernel_continues_into_the_right_half_plane():
     with mpmath.workdps(40):
         g, om = mpmath.mpf(params.gamma), mpmath.mpf(params.omega_cut)
         for d in (0.0, 0.7, 5.0):
-            ours = covariance._damping_kernel(s, d, params)
+            ours = damping_kernel_laplace(s, d, params)
             for x, k in zip(s.tolist(), ours.tolist()):
                 x, dd = mpmath.mpc(x), mpmath.mpf(d)
                 ref = 2 * g * om * (om * mpmath.exp(-x * dd) - x * mpmath.exp(-om * dd)) / (om**2 - x**2)

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -34,7 +35,9 @@ def _dense_potential(parts):
 
 def _mode_matrix(modes):
     """The dense (N+1)^2 mode matrix U (eigenvectors as columns) that the
-    closed-form record `oracle._ChannelModes` stands for."""
+    closed-form record `oracle._ChannelModes` stands for, with the heads of
+    `oracle._heads_and_rows`."""
+    modes, _ = oracle._heads_and_rows(modes, [])
     n = modes.mu2.size
     m = modes.d.size
     u = np.zeros((n, n))
@@ -98,7 +101,7 @@ def test_propagator_is_matrix_exponential(p):
         ch = oracle._channel_modes(bath, p, sign)
         for t in (0.37, 2.1):
             ref = expm(t * gen)[[0, bath.n_modes + 1]]
-            assert np.max(np.abs(oracle._system_rows(ch, t) - ref)) <= 1e-9
+            assert np.max(np.abs(oracle._heads_and_rows(ch, t)[1] - ref)) <= 1e-9
 
 
 def test_propagator_symplectic_and_composes(p):
@@ -109,10 +112,10 @@ def test_propagator_symplectic_and_composes(p):
         gen, sig = _chain_generator(bath, p, sign)
         ch = oracle._channel_modes(bath, p, sign)
         for t in (0.4, 0.7, 1.1):
-            rows = oracle._system_rows(ch, t)
+            rows = oracle._heads_and_rows(ch, t)[1]
             assert np.max(np.abs(rows @ sig @ rows.T - [[0.0, 1.0], [-1.0, 0.0]])) <= 1e-8
-        composed = oracle._system_rows(ch, 0.4) @ expm(0.7 * gen)
-        assert np.max(np.abs(oracle._system_rows(ch, 1.1) - composed)) <= 1e-8
+        composed = oracle._heads_and_rows(ch, 0.4)[1] @ expm(0.7 * gen)
+        assert np.max(np.abs(oracle._heads_and_rows(ch, 1.1)[1] - composed)) <= 1e-8
 
 
 def test_evolve_identity_and_energy(p):
@@ -129,9 +132,9 @@ def test_evolve_identity_and_energy(p):
         h_inv = np.eye(2 * n)
         h_inv[:n, :n] = np.linalg.inv(_dense_potential(oracle._channel_potential(bath, p, sign)))
         ch = oracle._channel_modes(bath, p, sign)
-        assert np.max(np.abs(oracle._system_rows(ch, 0.0) - unit)) <= 1e-12
+        assert np.max(np.abs(oracle._heads_and_rows(ch, 0.0)[1] - unit)) <= 1e-12
         for t in (0.5, 1.5):
-            rows = oracle._system_rows(ch, t)
+            rows = oracle._heads_and_rows(ch, t)[1]
             assert np.max(np.abs(rows @ h_inv @ rows.T - expect)) <= 1e-8
 
 
@@ -151,6 +154,62 @@ def test_arrowhead_solver_matches_dense_eigh(p, n_modes):
         assert np.max(np.abs(np.sort(mu2) - np.linalg.eigvalsh(v))) <= 1e-10 * scale
         assert np.max(np.abs(u.T @ u - np.eye(n_modes + 1))) <= 1e-12
         assert np.max(np.abs(v @ u - u * mu2)) <= 1e-12 * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_secular_roots_take_few_evaluations(p, monkeypatch):
+    """Seeded from the roots of every 16th gap, the secular roots of both
+    N = 2000 channels at the criterion-9 point take at most 2.5 row
+    evaluations each (4.06 when every root starts from its gap's midpoint),
+    the count that `_ChannelModes.evaluations` reports."""
+    evaluated = []
+
+    def spy(z, lam2, d, origin, tau):
+        evaluated.append(tau.size)
+        return secular_terms(z, lam2, d, origin, tau)
+
+    secular_terms = oracle._secular_terms
+    monkeypatch.setattr(oracle, "_secular_terms", spy)
+    bath = build_bath(p, n_modes=2000, omega_max_bath=265.0)
+    for sign in (+1, -1):
+        evaluated.clear()
+        modes = oracle._channel_modes(bath, p, sign)
+        assert sum(evaluated) == modes.evaluations
+        assert modes.evaluations <= 2.5 * (modes.d.size + 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_arrowhead_solver_survives_bad_seeds(monkeypatch):
+    """A chain whose roots are not smooth in their index: random gap widths,
+    couplings spread over 1e-8..1 and one of them zero.  Its seeds miss, two
+    seeded roots end in the other half of their gap and are solved again
+    from the midpoint, and the modes still match dense eigvalsh within the
+    bounds of `test_arrowhead_solver_matches_dense_eigh`, with every root
+    measured from its nearer pole."""
+    rng = np.random.default_rng(1)
+    n = 400
+    diag = np.cumsum(rng.uniform(0.01, 3.0, n))
+    border = 10.0 ** rng.uniform(-8.0, 0.0, n)
+    border[n // 3] = 0.0
+    corner = float(diag[n // 2])
+    cold = []
+
+    def spy(z, lam2, d, j):
+        cold.append(j.size)
+        return cold_roots(z, lam2, d, j)
+
+    cold_roots = oracle._cold_roots
+    monkeypatch.setattr(oracle, "_cold_roots", spy)
+    v = _dense_potential((corner, border, diag))
+    modes = oracle._solve_arrowhead(corner, border, diag)
+    assert cold[1:] == [2]
+    mu2, u = modes.mu2, _mode_matrix(modes)
+    scale = diag.max()
+    assert np.max(np.abs(np.sort(mu2) - np.linalg.eigvalsh(v))) <= 1e-10 * scale
+    assert np.max(np.abs(u.T @ u - np.eye(n + 1))) <= 1e-12
+    assert np.max(np.abs(v @ u - u * mu2)) <= 1e-12 * scale
+    gap = np.arange(1, modes.d.size)
+    assert np.all(np.abs(modes.tau[gap]) <= 0.5 * (modes.d[gap] - modes.d[gap - 1]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -193,8 +252,8 @@ def test_arrowhead_solver_deflates_zero_couplings(p):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_system_rows_match_dense_mode_matrix(p):
-    """`_system_rows` applies U^T in closed form, one block of bath columns at
-    a time: the same rows as the dense product f U^T of the phase rows f
+    """`_heads_and_rows` applies U^T in closed form, one block of modes at a
+    time: the same rows as the dense product f U^T of the phase rows f
     with the mode matrix, to 1e-13, at N = 2000 in both channels and in a
     chain with one coupling zeroed, whose deflated column stays exactly
     zero."""
@@ -212,7 +271,7 @@ def test_system_rows_match_dense_mode_matrix(p):
         a_row, b_row, c_row = f @ u.T
         dense = np.stack([np.concatenate([a_row, b_row], axis=-1),
                           np.concatenate([c_row, a_row], axis=-1)], axis=-2)
-        rows = oracle._system_rows(ch, t)
+        rows = oracle._heads_and_rows(ch, t)[1]
         assert rows.shape == (t.size, 2, 2 * bath.n_modes + 2)
         assert np.max(np.abs(rows - dense)) <= 1e-13
     assert not np.any(rows[..., 58]) and not np.any(rows[..., bath.n_modes + 59])
@@ -285,6 +344,41 @@ def test_trigamma_matches_mpmath():
     tol = np.array([_trigamma_tolerance(float(v)) for v in x])
     rel = np.abs(oracle._trigamma(x) / ref - 1.0)
     assert np.all(rel <= tol), x[np.argmax(rel / tol)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("temperature", [1e-310, 5e-324])
+def test_a_subnormal_temperature_is_the_zero_temperature_oracle(p, temperature):
+    """A T at or below `_THERMAL_FLOOR` Omega is T = 0, as on the pipeline's
+    paths: the T = 0 covariances to the bit, where the image sum's term
+    count and the thermal occupations would overflow."""
+    times = [0.5, 2.0]
+    cold = reduced_covariance_series(p, times, n_modes=200, omega_max_bath=200.0)
+    warm = reduced_covariance_series(p.with_(temperature=temperature), times, n_modes=200,
+                                     omega_max_bath=200.0)
+    assert np.array_equal(warm.entries, cold.entries)
+
+
+def test_oracle_channels_are_logged_at_debug(p, caplog):
+    """`reduced_covariance_series` logs, per channel, the coupled and
+    deflated modes, the secular evaluations per root and the wall times of
+    the modes, the system rows and the image noise, in one record on the
+    "bathpair" logger, at DEBUG only."""
+    r0 = p.with_(distance=0.0)
+    with caplog.at_level(logging.INFO, logger="bathpair"):
+        reduced_covariance_series(r0, [1.0], n_modes=200, omega_max_bath=200.0)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="bathpair"):
+        reduced_covariance_series(r0, [1.0], n_modes=200, omega_max_bath=200.0)
+    (record,) = [rec for rec in caplog.records if rec.funcName == "reduced_covariance_series"]
+    assert record.name == "bathpair" and record.levelno == logging.DEBUG
+    assert record.args[:2] == (r0, 200)
+    plus, minus = record.args[2:9], record.args[9:]
+    # at r = 0 the antisymmetric channel decouples: every bath mode deflates
+    assert plus[:3] == (+1, 201, 0) and minus[:4] == (-1, 1, 200, 0.0)
+    assert 1.0 <= plus[3] <= 3.0
+    assert all(t >= 0.0 for t in plus[4:] + minus[4:])
+    assert "201 coupled and 0 deflated modes" in record.getMessage()
 
 
 def test_reduce_initial_product_state(p):
@@ -414,7 +508,7 @@ def test_secular_terms_match_a_full_width_evaluation(p):
         live = lam != 0.0
         lam2, d = lam[live] ** 2, diag[live]
         m = d.size
-        origin, tau = oracle._secular_roots(z, lam2, d)
+        origin, tau, _ = oracle._secular_roots(z, lam2, d)
         mid = np.arange(1, m)
         rows = [(mid[:64] - 1, 0.5 * np.diff(d)[:64]),
                 (mid[-64:] - 1, 0.5 * np.diff(d)[-64:]),
@@ -437,7 +531,7 @@ def test_loewner_border_matches_an_mpmath_product(p):
     mpmath = pytest.importorskip("mpmath")
     bath = build_bath(p, n_modes=300, omega_max_bath=200.0)
     z, lam, d = oracle._channel_potential(bath, p, +1)
-    origin, tau = oracle._secular_roots(z, lam * lam, d)
+    origin, tau, _ = oracle._secular_roots(z, lam * lam, d)
     got = oracle._loewner_border(d, origin, tau)
     m = d.size
     with mpmath.workdps(40):
@@ -460,7 +554,7 @@ def test_midpoint_response_matches_a_direct_sum(p):
     n, du = 2000, 0.01
     u = (np.arange(n, dtype=np.longdouble) + 0.5) * np.longdouble(du)
     for sign in (+1, -1):
-        ch = oracle._channel_modes(bath, p, sign)
+        ch, _ = oracle._heads_and_rows(oracle._channel_modes(bath, p, sign), [])
         w, mu = ch.head.astype(np.longdouble) ** 2, ch.mu.astype(np.longdouble)
         ph = np.outer(u, mu)
         ref = np.stack([np.sin(ph) @ (w / mu), np.cos(ph) @ w], axis=1)
@@ -474,7 +568,7 @@ def test_gaps_round_as_numpy_broadcasting_does(p):
     x_j - d_k exact at x_j's own pole, on the roots of the N = 2000 channel."""
     bath = build_bath(p, n_modes=2000, omega_max_bath=265.0)
     z, lam, d = oracle._channel_potential(bath, p, +1)
-    origin, tau = oracle._secular_roots(z, lam * lam, d)
+    origin, tau, _ = oracle._secular_roots(z, lam * lam, d)
     for j in (slice(0, 64), slice(1000, 1064), slice(1937, 2001)):
         base = d[origin[j]]
         assert np.array_equal(oracle._gaps(d, base, tau[j]), (d - base[:, None]) - tau[j, None])
