@@ -44,10 +44,14 @@ one set of Toeplitz lag kernels and one FFT convolution per channel.  The
 lag kernels are Fourier integrals, at the lags 2 m h, of a weight that is
 smooth in omega: S(omega) times Filon moments of omega h, with cos(omega r)
 taken as a lag shift t -> t +- r.  They are summed by a cubic Filon rule on
-a uniform omega grid (Press et al., Numerical Recipes, 3rd ed., sec. 13.9),
-all lags at once by one chirp FFT; the grid spacing follows Omega, 1/h and
-T, never r or the time span.  Beyond omega_max the integrand is replaced by
-its large-frequency expansion and integrated in closed form.
+a uniform omega grid (Press et al., Numerical Recipes, 3rd ed., sec. 13.9)
+of spacing pi / (h P), P an integer period, all lags at once by one of two
+transforms: where an 11-smooth P is no longer than the chirp's FFT, the
+nodes fold modulo P and one plain FFT of length P per row sums them;
+elsewhere (far more period than nodes, as for the thermal part or at
+T -> 0+) one Bluestein chirp FFT does.  The grid spacing follows Omega, 1/h
+and T, never r or the time span.  Beyond omega_max the integrand is
+replaced by its large-frequency expansion and integrated in closed form.
 
 A `CovarianceMatrix` is one 4x4 matrix or an (n, 4, 4) stack with an (n,)
 array of times: `covariance_time_series` returns its whole series as one
@@ -56,6 +60,7 @@ stack, which `entanglement.log_negativity` takes as it is.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -389,7 +394,10 @@ def _alpha_series(n_terms: int) -> np.ndarray:
     return (6.0 * e[:, 4:] + e[:, 2:-2]) / _ALPHA_DEN[:, None]
 
 
+# alpha_j's Taylor coefficients are real at even powers of theta and
+# imaginary at odd ones: two real polynomials in theta^2
 _ALPHA_SERIES = _alpha_series(26)
+_ALPHA_EVEN, _ALPHA_ODD = _ALPHA_SERIES[:, 0::2].real, _ALPHA_SERIES[:, 1::2].imag
 
 
 def _filon_weights(theta):
@@ -405,7 +413,8 @@ def _filon_weights(theta):
     flat = theta.ravel()
     small = np.abs(flat) < _SERIES_BELOW
     alpha = np.empty((4, flat.size), dtype=complex)
-    alpha[:, small] = P.polyval(flat[small], _ALPHA_SERIES.T)
+    x = flat[small]
+    alpha[:, small] = P.polyval(x * x, _ALPHA_EVEN.T) + 1j * x * P.polyval(x * x, _ALPHA_ODD.T)
     th = flat[~small]
     alpha[:, ~small] = ((P.polyval(th, _ALPHA_POLY.T)
                          + (6.0 + th * th) * (_ALPHA_EXP @ np.exp(1j * _ALPHA_FREQ[:, None] * th)))
@@ -413,10 +422,11 @@ def _filon_weights(theta):
     return w, alpha.reshape((4,) + theta.shape)
 
 
+@functools.lru_cache(maxsize=64)
 def _next_fast_len(n: int, real: bool = False) -> int:
     """The smallest length >= n whose prime factors are all 2, 3 and 5 (``real``)
     or 2 to 11: the lengths that numpy's FFT (pocketfft) factors fastest, and
-    the same number as `scipy.fft.next_fast_len`."""
+    the same number as `scipy.fft.next_fast_len`.  Each length is found once."""
     odd = [1]               # the odd smooth m < 2n: the answer is one of them times 2^k
     for p in (3, 5) if real else (3, 5, 7, 11):
         grown = []
@@ -428,17 +438,45 @@ def _next_fast_len(n: int, real: bool = False) -> int:
     return min(m << (-(-n // m) - 1).bit_length() for m in odd)
 
 
+def _dft_plan(period: int, n_nodes: int, n_out: int):
+    """The transform `_zoom_dft` takes and its FFT length: ("plain", period)
+    where the period is 11-smooth and no longer than the chirp's FFT, else
+    ("chirp", that FFT length).  The period is checked for smoothness only
+    below the chirp's length, so no longer length is ever factored."""
+    n_fft = _next_fast_len(n_nodes + n_out - 1)
+    if period <= n_fft and _next_fast_len(period) == period:
+        return "plain", period
+    return "chirp", n_fft
+
+
 def _zoom_dft(g: np.ndarray, period: int, m_lo: int, n_out: int) -> np.ndarray:
     """sum_k g[..., k] e^{2 pi i k m / period} for m = m_lo, ..., m_lo + n_out - 1.
 
-    Bluestein's chirp transform: k m = (k^2 + m^2 - (m - k)^2) / 2 turns the
-    sum into one FFT convolution of length n_nodes + n_out - 1 (rounded up to
-    a fast length), whatever the period.  The chirp phases pi j^2 / period are
-    reduced modulo 2 pi in integers, so they are exact at every j; a period
-    beyond every j^2 needs no reduction, and may exceed the integer range.
+    One of two transforms, chosen by `_dft_plan` from the period and the
+    node count.  Plain: the nodes fold modulo the period, and one inverse FFT
+    of the period's length (a real FFT for real ``g``) gives the sum at every
+    m modulo the period.
+    Chirp (Bluestein): k m = (k^2 + m^2 - (m - k)^2) / 2 turns the sum into
+    one FFT convolution of length n_nodes + n_out - 1 (rounded up to a fast
+    length), whatever the period; it is taken where the period is longer
+    than that FFT or has a prime factor above 11.  The chirp phases
+    pi j^2 / period are reduced modulo 2 pi in integers, so they are exact at
+    every j; a period beyond every j^2 needs no reduction, and may exceed the
+    integer range.
     """
     n_nodes = g.shape[-1]
-    n_fft = _next_fast_len(n_nodes + n_out - 1)
+    kind, n_fft = _dft_plan(period, n_nodes, n_out)
+    if kind == "plain":
+        folded = np.zeros(g.shape[:-1] + (period,), dtype=g.dtype)
+        for q in range(0, n_nodes, period):
+            folded[..., :min(period, n_nodes - q)] += g[..., q:q + period]
+        m = np.arange(m_lo, m_lo + n_out) % period
+        if np.iscomplexobj(g):
+            return np.fft.ifft(folded, norm="forward")[..., m]
+        # real nodes: the sum is conj F_m for the forward FFT F, and F_{P-m} = conj F_m
+        k = np.minimum(m, period - m)
+        spec = np.fft.rfft(folded)[..., k]
+        return np.where(m == k, spec.conj(), spec)
 
     def chirp(j):
         jj = j * j
@@ -452,45 +490,56 @@ def _zoom_dft(g: np.ndarray, period: int, m_lo: int, n_out: int) -> np.ndarray:
     return chirp(np.arange(m_lo, m_lo + n_out)) * conv[..., n_nodes - 1:n_nodes - 1 + n_out]
 
 
-def _node_spacing(dw_max: float, h: float):
-    """(dw, period) of the uniform nodes of `_fourier_part`: dw = pi / (h period)
-    <= dw_max, period the smallest integer that allows it."""
+def _node_spacing(dw_max: float, h: float, end: float, n_lags: int):
+    """(dw, period) of the uniform nodes omega_k = k dw <= end (and the first
+    past it) of `_fourier_part` for the lags 0 <= m < n_lags: dw = pi / (h
+    period) <= dw_max.  The period is the least integer that allows it,
+    raised to the next 11-smooth length where that is no longer than the
+    chirp FFT of those lags on the least period's nodes (`_dft_plan`), so
+    that `_zoom_dft` takes one plain FFT of the period.  The raise only makes
+    dw finer, so the Filon error can only fall; once taken at some ``end``
+    it is taken at every larger one."""
     period = math.ceil(math.pi / (h * dw_max))
+    n_nodes = math.ceil(end / (math.pi / (h * period)) - 1e-9) + 1
+    n_fft = _next_fast_len(n_nodes + n_lags - 1)
+    if period <= n_fft and _next_fast_len(period) <= n_fft:
+        period = _next_fast_len(period)
     return math.pi / (h * period), period
 
 
-def _fourier_part(spectrum, end: float, dw_max: float, h: float, n_lags: int,
-                  shifts, first_lag: int) -> np.ndarray:
-    """Fourier integrals of spectrum rows against the six Filon-moment rows,
-    at the lags first_lag <= m < n_lags: (n_shifts, 6, n_lags - first_lag)
-    complex,
+def _fourier_part(weight: np.ndarray, dw: float, period: int, h: float, n_lags: int,
+                  transforms) -> list:
+    """Fourier integrals of weight rows against the six Filon-moment rows, one
+    (n_rows, 6, n_lags - first_lag) complex array per (shift, first_lag) of
+    ``transforms``, at the lags first_lag <= m < n_lags:
 
-        J[s, :, i] = int_0^end (spectrum(omega)[s]/2) F(omega h) e^{i omega tau} d omega,
-        tau = 2 m h + shifts[s],  m = first_lag + i,
+        J[s, :, i] = int_0^end (weight(omega)[s]/2) F(omega h) e^{i omega tau} d omega,
+        tau = 2 m h + shift,  m = first_lag + i,
 
-    with F = `_moment_rows` and ``spectrum`` giving one row per shift.  The
-    nodes omega_k = k dw are uniform, dw = pi / (h period) <= dw_max for an
-    integer period, so that lag m's phase is e^{2 pi i k m / period} times
-    the exact prephase e^{i omega_k shift}: all lags of a row come from one
-    `_zoom_dft`, and a shift costs no resolution in omega.  Cubic Filon rule
-    with endpoint corrections (Press et al., Numerical Recipes, 3rd ed.,
-    sec. 13.9) at theta = dw tau.  The integral ends at the first node at or
-    past ``end`` (within 1e-9 dw), so no sliver is left past the last node;
+    with F = `_moment_rows`.  ``weight`` holds (n_rows, n + 1) values at the
+    nodes omega_k = k dw, k = 0..n, end = n dw, of `_node_spacing`, with
+    dw = pi / (h period); F is evaluated once on them for every transform.
+    Lag m's phase is e^{2 pi i k m / period} times the exact prephase
+    e^{i omega_k shift}: all lags of a transform come from one `_zoom_dft`
+    (one plain FFT of the period per row, or one chirp), and a shift costs
+    no resolution in omega.  Cubic Filon rule with endpoint corrections
+    (Press et al., Numerical Recipes, 3rd ed., sec. 13.9) at theta = dw tau.
+    The integral ends on the last node, so no sliver is left past it;
     `_transient_omega_max` puts the cut of the T = 0 part on its node.
     """
-    dw, period = _node_spacing(dw_max, h)
-    n = math.ceil(end / dw - 1e-9)
+    n = weight.shape[-1] - 1
     omega = dw * np.arange(n + 1)
-    f = 0.5 * spectrum(omega)[:, None] * _moment_rows(omega, h)          # (n_shifts, 6, n + 1)
-    shifts = np.asarray(shifts, dtype=float)[:, None]
-    tau = 2.0 * h * np.arange(first_lag, n_lags) + shifts               # (n_shifts, n_out)
-    theta = dw * tau
-    w, alpha = _filon_weights(theta)
-    out = w[:, None] * _zoom_dft(f * np.exp(1j * omega * shifts)[:, None], period,
-                                 first_lag, n_lags - first_lag)
-    out += f[..., :4] @ alpha.swapaxes(0, 1)
-    out += (f[..., n - np.arange(4)] @ alpha.conj().swapaxes(0, 1)) * np.exp(1j * n * theta)[:, None]
-    return dw * out
+    f = 0.5 * weight[:, None] * _moment_rows(omega, h)                   # (n_rows, 6, n + 1)
+    out = []
+    for shift, first_lag in transforms:
+        theta = dw * (2.0 * h * np.arange(first_lag, n_lags) + shift)
+        w, alpha = _filon_weights(theta)
+        g = f * np.exp(1j * omega * shift) if shift else f
+        j = w * _zoom_dft(g, period, first_lag, n_lags - first_lag)
+        j += f[..., :4] @ alpha
+        j += (f[..., n - np.arange(4)] @ alpha.conj()) * np.exp(1j * n * theta)
+        out.append(dw * j)
+    return out
 
 
 _NODES_PER_SCALE = 400    # uniform nodes per smoothness scale of the spectrum
@@ -504,9 +553,9 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
 
     Returns (2, 6, n_lags): for lags m < n_lags, the integrals over
     [0, omega_max] (a node of the T = 0 part's grid, from
-    `_transient_omega_max`) of (S/2)(1 +- cos omega r) times {s0^2, s0 s2, s2^2, p1^2}
-    cos(2 m h omega) and {p1 s0, p1 s2} sin(2 m h omega), (s0, p1, s2) the
-    Filon moments at omega h.
+    `_transient_omega_max` at the same n_lags) of (S/2)(1 +- cos omega r)
+    times {s0^2, s0 s2, s2^2, p1^2} cos(2 m h omega) and {p1 s0, p1 s2}
+    sin(2 m h omega), (s0, p1, s2) the Filon moments at omega h.
 
     The node spacing is a fixed fraction, 1/`_NODES_PER_SCALE`, of the
     shortest scale on which S (Omega, and 2 pi T) or the moments (1/h) vary,
@@ -518,11 +567,11 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     difference of shifted lags.  S is split into its T = 0 part on
     [0, omega_max] and, at T > 0, the thermal excess S_0 (coth(omega/2T) - 1),
     which lives below 40 T (up to its first node past 40 T), on its own finer
-    grid; so the node count stays
-    bounded as T -> 0+.  At r = 0 only the symmetric row is transformed: the
-    antisymmetric one carries no noise and is zero.  Unshifted rows need
-    only the lags m >= 0; the shifted one also needs m < 0, for J(-tau), and
-    is transformed on its own.
+    grid; so the node count stays bounded as T -> 0+.  At r = 0 only the
+    symmetric row is transformed: the antisymmetric one carries no noise and
+    is zero.  Unshifted rows need only the lags m >= 0; the shifted one also
+    needs m < 0, for J(-tau).  Each part evaluates its weight and moments
+    once, for both transforms, and logs its grid and transforms at DEBUG.
     """
     r, Om, T = params.distance, params.omega_cut, params.temperature
     scale = min(Om, 1.0 / h)
@@ -530,43 +579,57 @@ def _lag_kernels(params: ModelParams, h: float, n_lags: int, omega_max: float) -
     fold = r * scale < _FOLD_BELOW
     # at r = 0 the antisymmetric weight 2 sin^2(omega r / 2) is zero, and so is its row
     n_rows = 2 if r > 0 else 1
+    # fold: one row per channel, with cos(omega r) in the weight; else the
+    # unshifted row at m >= 0 and the shifted one at every lag
+    transforms = [(0.0, 0)] if fold else [(0.0, 0), (r, 1 - n_lags)]
 
-    parts = [(lambda w: noise_spectrum(w, cold), omega_max, scale)]
+    parts = [("T = 0", lambda w: noise_spectrum(w, cold), omega_max, scale)]
     if T > _THERMAL_FLOOR * Om:
-        parts.append((lambda w: noise_spectrum(w, params) - noise_spectrum(w, cold),
+        parts.append(("thermal", lambda w: noise_spectrum(w, params) - noise_spectrum(w, cold),
                       min(omega_max, _THERMAL_CUT * T), min(scale, 2.0 * math.pi * T)))
 
-    def transform(shifts, first_lag):
-        def rows(spectrum):        # one row per shift, with cos(omega r) in the weight if folded
-            if fold:
-                return lambda w: 2.0 * spectrum(w) * np.stack(
-                    [np.cos(0.5 * w * r), np.sin(0.5 * w * r)][:len(shifts)]) ** 2
-            return lambda w: np.broadcast_to(spectrum(w), (len(shifts),) + np.shape(w))
-        return sum(_fourier_part(rows(spectrum), end, smooth / _NODES_PER_SCALE, h, n_lags,
-                                 shifts, first_lag) for spectrum, end, smooth in parts)
+    outs = []
+    for name, spectrum, end, smooth in parts:
+        dw, period = _node_spacing(smooth / _NODES_PER_SCALE, h, end, n_lags)
+        omega = dw * np.arange(math.ceil(end / dw - 1e-9) + 1)
+        if _log.isEnabledFor(logging.DEBUG):
+            plans = ", ".join("%s FFT of %d at m >= %d"
+                              % (*_dft_plan(period, omega.size, n_lags - first_lag), first_lag)
+                              for _, first_lag in transforms)
+            _log.debug("lag kernels, %s part: %d nodes, period %d, dw %.6g; %s",
+                       name, omega.size, period, dw, plans)
+        weight = spectrum(omega)
+        if fold:
+            weight = 2.0 * weight * np.stack(
+                [np.cos(0.5 * omega * r), np.sin(0.5 * omega * r)][:n_rows]) ** 2
+        outs.append(_fourier_part(np.atleast_2d(weight), dw, period, h, n_lags, transforms))
 
-    if fold:
-        k = transform([0.0, 0.0][:n_rows], 0)
-    else:       # J(-tau) = conj J(tau): tau = 2 m h - r is the conjugate of -2 m h + r
-        j = transform([r], 1 - n_lags)[0]
-        k = transform([0.0], 0) + SIGNS[:, :, None] * 0.5 * (j[:, n_lags - 1:]
-                                                            + np.conj(j[:, n_lags - 1::-1]))
+    total = [sum(js) for js in zip(*outs)]      # per transform, summed over the parts
+    k = total[0]
+    if not fold:    # J(-tau) = conj J(tau): tau = 2 m h - r is the conjugate of -2 m h + r
+        j = total[1][0]
+        k = k + SIGNS[:, :, None] * 0.5 * (j[:, n_lags - 1:] + np.conj(j[:, n_lags - 1::-1]))
     out = np.zeros((2, 6, n_lags))
     out[:n_rows] = np.concatenate([k[:, :4].real, k[:, 4:].imag], axis=1)
     return out
 
 
-def _transient_omega_max(params: ModelParams, h: float, tol: float) -> float:
+def _transient_omega_max(params: ModelParams, h: float, tol: float, n_lags: int) -> float:
     """Frequency cut of the transient noise at the Filon step ``h``: the
     smallest whose tail-correction error bound 2 w_inf (1 + (1 + K(0))^2) /
     omega_max^4 meets ``tol`` (K(0) the larger channel kernel at t = 0), and
     at least 15 max(Omega, 1), raised to the next node of the T = 0 part of
-    `_lag_kernels`, where that part's Filon sum ends; the bound only falls
-    as the cut rises."""
+    `_lag_kernels` at ``n_lags`` lags, where that part's Filon sum ends; the
+    bound only falls as the cut rises.  The grid is chosen again at that
+    node: one that turns plain there stays plain at its own next node."""
     k0 = float(np.max(channel_kernel_zero(params, SIGNS)))
     need = (2.0 * _tail_prefactor(params) * (1.0 + (1.0 + k0) ** 2) / max(tol, 1e-12)) ** 0.25
-    dw, _ = _node_spacing(min(params.omega_cut, 1.0 / h) / _NODES_PER_SCALE, h)
-    return dw * math.ceil(max(15.0 * params.omega_cut, 15.0, need) / dw)
+    dw_max = min(params.omega_cut, 1.0 / h) / _NODES_PER_SCALE
+    cut = max(15.0 * params.omega_cut, 15.0, need)
+    dw, _ = _node_spacing(dw_max, h, cut, n_lags)
+    cut = dw * math.ceil(cut / dw)
+    dw, _ = _node_spacing(dw_max, h, cut, n_lags)
+    return dw * math.ceil(cut / dw - 1e-9)
 
 
 def _pair_noise(g_cols: np.ndarray, params: ModelParams, h: float, n_pairs: int,
@@ -615,10 +678,10 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
 
     Both channels run in one pass over the channel axis.  The noise of all
     requested times comes from one set of lag kernels (`_lag_kernels`, all
-    lags of a uniform frequency grid by one chirp FFT) and one FFT
+    lags of a uniform frequency grid by one plain or chirp FFT) and one FFT
     convolution per channel (`_pair_noise`): O(N log N + N_pairs log N_pairs),
     N the frequency nodes plus the lags.  The frequency cut omega_max is
-    `_transient_omega_max(params, h, tol)`.  ``c0`` and the outputs must pass
+    `_transient_omega_max(params, h, tol, n_pairs)`.  ``c0`` and the outputs must pass
     `require_physical`; a refusal names the first unphysical time.
     """
     h = greens.spacing
@@ -641,9 +704,9 @@ def covariance_time_series(greens: GreensFunction, params: ModelParams, times,
     require_physical(c0)
     cp0, cm0, cx0 = channel_blocks(c0.entries)
 
-    omega_max = _transient_omega_max(params, h, tol)
     pairs, inverse = np.unique(pair_int, return_inverse=True)
     n_pairs = int(pairs[-1])
+    omega_max = _transient_omega_max(params, h, tol, n_pairs)
     series = greens.channel_series                  # (2, N_grid, 2, 2)
     noise = np.zeros((2, n_pairs + 1, 2, 2))
     if n_pairs > 0:

@@ -171,6 +171,18 @@ def _reflection_defect(params: ModelParams, a: float, period: float, n_nodes: in
     return float(np.max(np.abs(fc - np.conj(f))))
 
 
+def _node_terms(s: np.ndarray, sK: np.ndarray, b: float):
+    """At the contour nodes ``s`` (n,), with sK = s K^(s) of both channels
+    (2, n): the resolvent entries 1/D, s/D and (1 + sK)/D, D = s^2 + 1 + sK,
+    and the subtracted terms 1/(s + b)^n, n = 1..3 (the transforms of e^{-bt},
+    t e^{-bt} and t^2 e^{-bt} / 2).  One reciprocal of D and one of s + b per
+    node, the rest products: a complex division costs several products."""
+    inv_d = 1.0 / (s * s + 1.0 + sK)
+    sub1 = 1.0 / (s + b)
+    sub2 = sub1 * sub1
+    return inv_d, s * inv_d, (1.0 + sK) * inv_d, sub1, sub2, sub2 * sub1
+
+
 def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams):
     """Durbin-invert both channel resolvents on the uniform grid ``t``.
 
@@ -210,16 +222,13 @@ def _invert_channels(t: np.ndarray, h: float, period: float, params: ModelParams
     for lo in range(0, K + 1, width):
         s = a + 1j * math.pi * np.arange(lo, min(lo + width, K + 1)) / period
         sK = s * channel_kernel_laplace(s, params, SIGNS)   # (2, n)
-        D = s * s + 1.0 + sK
-        sub1 = 1.0 / (s + b)          # <- e^{-b t}
-        sub2 = 1.0 / (s + b) ** 2     # <- t e^{-b t}
-        sub3 = 1.0 / (s + b) ** 3     # <- t^2 e^{-b t} / 2
+        inv_d, s_d, sk_d, sub1, sub2, sub3 = _node_terms(s, sK, b)
         # retarded image of the 1/s^3 coefficient of G21 (kink of G''' at t = r);
         # without it the series truncation leaves a coherent glitch near t = r
         sub3_r = np.exp(-s * r) * sub3
-        rows = (s / D - sub1 - b * sub2 - c_u * sub3,                              # G11 = G22
-                1.0 / D - sub2 - c_v * sub3,                                       # G12
-                -(1.0 + sK) / D + w0 * sub2 - c_g * sub3 - SIGNS * gO2 * sub3_r)  # G21
+        rows = (s_d - sub1 - b * sub2 - c_u * sub3,                               # G11 = G22
+                inv_d - sub2 - c_v * sub3,                                        # G12
+                -sk_d + w0 * sub2 - c_g * sub3 - SIGNS * gO2 * sub3_r)           # G21
         if lo == 0:
             for row in rows:
                 row[:, 0] *= 0.5      # k = 0 term enters with half weight

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -315,35 +316,27 @@ def test_transient_matches_oracle_with_general_initial_state(p):
 @pytest.mark.parametrize("temperature", [0.0, 0.2])
 def test_lag_kernels_at_r0_transform_one_row(monkeypatch, temperature):
     """At r = 0 the antisymmetric row is zero without a transform; the
-    symmetric row is bit-equal to the two-row transform (the oracle-check
-    points, h = 0.005, 2000 lags)."""
+    symmetric row is bit-equal to the two-row transform on the same grid
+    (the oracle-check points, h = 0.005, 2000 lags)."""
     params = ModelParams(1.0, 10.0, temperature, 0.0)
     h, n_lags = 0.005, 2000
-    omega_max = covariance._transient_omega_max(params, h, 1e-5)
-    rows = []
+    omega_max = covariance._transient_omega_max(params, h, 1e-5, n_lags)
+    calls = []
     real = covariance._fourier_part
 
-    def spy(*args):
-        out = real(*args)
-        rows.append(out.shape[0])
-        return out
+    def spy(weight, *args):
+        calls.append((weight, args))
+        return real(weight, *args)
 
     monkeypatch.setattr(covariance, "_fourier_part", spy)
     ours = covariance._lag_kernels(params, h, n_lags, omega_max)
-    assert rows == [1] * len(rows) and rows
+    assert len(calls) == (2 if temperature > 0 else 1)
+    assert all(weight.shape[0] == 1 for weight, _ in calls)
 
-    def two_rows(spectrum):
-        return lambda w: 2.0 * spectrum(w) * np.stack([np.ones_like(w), np.zeros_like(w)])
-
-    cold = params.with_(temperature=0.0)
-    scale = min(params.omega_cut, 1.0 / h)
-    parts = [(two_rows(lambda w: noise_spectrum(w, cold)), omega_max, scale)]
-    if temperature > 0:
-        parts.append((two_rows(lambda w: noise_spectrum(w, params) - noise_spectrum(w, cold)),
-                      min(omega_max, covariance._THERMAL_CUT * temperature),
-                      min(scale, 2.0 * math.pi * temperature)))
-    j = sum(real(spectrum, end, smooth / covariance._NODES_PER_SCALE, h, n_lags, [0.0, 0.0], 0)
-            for spectrum, end, smooth in parts)
+    j = 0
+    for weight, args in calls:
+        (part,) = real(np.concatenate([weight, np.zeros_like(weight)]), *args)
+        j = j + part
     ref = np.concatenate([j[:, :4].real, j[:, 4:].imag], axis=1)
     assert ours.shape == (2, 6, n_lags)
     assert np.array_equal(ours, ref)
@@ -362,12 +355,13 @@ def test_lag_kernels_match_two_sided_transform(monkeypatch, temperature, distanc
     2000 lags)."""
     params = ModelParams(1.0, 10.0, temperature, distance)
     h, n_lags = 0.005, 2000
-    omega_max = covariance._transient_omega_max(params, h, 1e-5)
+    omega_max = covariance._transient_omega_max(params, h, 1e-5, n_lags)
     ours = covariance._lag_kernels(params, h, n_lags, omega_max)
     real = covariance._fourier_part
 
-    def two_sided(spectrum, end, dw_max, h, n_lags, shifts, first_lag):
-        return real(spectrum, end, dw_max, h, n_lags, shifts, 1 - n_lags)[..., first_lag - n_lags:]
+    def two_sided(weight, dw, period, h, n_lags, transforms):
+        out = real(weight, dw, period, h, n_lags, [(shift, 1 - n_lags) for shift, _ in transforms])
+        return [j[..., first_lag - n_lags:] for j, (_, first_lag) in zip(out, transforms)]
 
     monkeypatch.setattr(covariance, "_fourier_part", two_sided)
     ref = covariance._lag_kernels(params, h, n_lags, omega_max)
@@ -380,24 +374,31 @@ def test_lag_kernels_in_shift_mode_transform_the_unshifted_row_at_m_ge_0(monkeyp
                                                                         temperature):
     """Where cos(omega r) is a lag shift (r = 0.3 at h = 0.01, Omega = 10), the
     unshifted row is transformed at the lags m >= 0 only, and the shifted row
-    alone at every lag -n_lags < m < n_lags: one call of each per spectrum
-    part, one row each."""
+    at every lag -n_lags < m < n_lags: one call per spectrum part, which
+    evaluates the spectrum once for both transforms, one row each."""
     params = ModelParams(1.0, 10.0, temperature, 0.3)
     h, n_lags = 0.01, 2000
     assert covariance._FOLD_BELOW <= params.distance * min(params.omega_cut, 1.0 / h)
-    calls = []
-    real = covariance._fourier_part
+    calls, spectra = [], []
+    real, real_spectrum = covariance._fourier_part, covariance.noise_spectrum
 
-    def spy(spectrum, end, dw_max, h, n_lags, shifts, first_lag):
-        out = real(spectrum, end, dw_max, h, n_lags, shifts, first_lag)
-        calls.append((list(shifts), first_lag, out.shape))
+    def spy(weight, dw, period, h, n_lags, transforms):
+        out = real(weight, dw, period, h, n_lags, transforms)
+        calls.append((list(transforms), [j.shape for j in out]))
         return out
 
+    def spy_spectrum(w, q):
+        spectra.append(q.temperature)
+        return real_spectrum(w, q)
+
     monkeypatch.setattr(covariance, "_fourier_part", spy)
-    covariance._lag_kernels(params, h, n_lags, covariance._transient_omega_max(params, h, 1e-5))
+    monkeypatch.setattr(covariance, "noise_spectrum", spy_spectrum)
+    covariance._lag_kernels(params, h, n_lags,
+                            covariance._transient_omega_max(params, h, 1e-5, n_lags))
     parts = 2 if temperature > 0 else 1
-    assert sorted(calls) == sorted([([0.0], 0, (1, 6, n_lags)),
-                                    ([0.3], 1 - n_lags, (1, 6, 2 * n_lags - 1))] * parts)
+    assert calls == [([(0.0, 0), (0.3, 1 - n_lags)], [(1, 6, n_lags), (1, 6, 2 * n_lags - 1)])] * parts
+    # S_0 for the T = 0 part; S_T and S_0 for the thermal excess
+    assert sorted(spectra) == sorted([0.0] + [temperature, 0.0] * (parts - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +464,7 @@ def _panel_lag_kernels(x, weights, h, n_lags, fine=64, block=2048):
 
 
 def _check_lag_kernels(q, h, n_lags):
-    omega_max = covariance._transient_omega_max(q, h, 1e-5)
+    omega_max = covariance._transient_omega_max(q, h, 1e-5, n_lags)
     ours = covariance._lag_kernels(q, h, n_lags, omega_max)
     ref = _panel_lag_kernels(*_panel_weights(q, h, n_lags, omega_max), h, n_lags)
     assert ours.shape == ref.shape == (2, 6, n_lags)
@@ -527,19 +528,110 @@ def test_filon_weights_match_mpmath():
             assert abs(alpha[j, i] - complex(a_ref[j])) <= 1e-14, (th, j)
 
 
-def test_zoom_dft_matches_direct_sum():
-    """The chirp transform equals the direct sum at a period far above the
-    node count, one beyond the 64-bit integers, one below the node count,
-    and with negative lags."""
+def _fft_lengths(monkeypatch):
+    """Spy on numpy's FFTs: the list gets (rows, length) of each call."""
+    calls = []
+    for name in ("fft", "ifft", "rfft"):
+        real = getattr(np.fft, name)
+
+        def spy(a, n=None, *args, real=real, **kwargs):
+            a = np.asarray(a)
+            calls.append((a.size // a.shape[-1], a.shape[-1] if n is None else n))
+            return real(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    return calls
+
+
+def test_zoom_dft_matches_direct_sum(monkeypatch):
+    """Both transforms equal the direct sum.  The chirp: at a period far
+    above the node count, one beyond the 64-bit integers, a prime one below
+    the node count, and with negative lags.  The plain FFT of the period:
+    at 11-smooth periods just below, equal to and just above the node count
+    (48, 49 and 50 at 49 nodes), and at 64 over 50 nodes, on lag windows
+    that start below 0 and span the whole period more than once; complex
+    nodes, and real ones, which take a real FFT."""
     rng = np.random.default_rng(3)
-    g = rng.normal(size=(2, 50)) + 1j * rng.normal(size=(2, 50))
-    k = np.arange(50)
-    for period, m_lo, n_out in [(10**9 + 7, -30, 61), (10**20 + 3, -5, 40), (37, -5, 80),
-                                (64, 0, 64)]:
+    lengths = _fft_lengths(monkeypatch)
+    for (n_nodes, period, m_lo, n_out, plain), real in itertools.product([
+            (50, 10**9 + 7, -30, 61, False), (50, 10**20 + 3, -5, 40, False),
+            (50, 37, -5, 80, False), (50, 64, 0, 64, True),
+            (49, 48, -70, 130, True), (49, 49, -70, 130, True), (49, 50, -49, 120, True)],
+            [False, True]):
+        g = rng.normal(size=(2, n_nodes)) + (0 if real else 1j * rng.normal(size=(2, n_nodes)))
+        k = np.arange(n_nodes)
         m = np.arange(m_lo, m_lo + n_out)
         direct = g @ np.exp(2j * np.pi * np.outer(k, m) / period)
+        lengths.clear()
         zoom = covariance._zoom_dft(g, period, m_lo, n_out)
         assert np.max(np.abs(zoom - direct)) <= 1e-12 * np.abs(g).sum()
+        assert (lengths == [(2, period)]) == plain, (period, lengths)
+
+
+def test_plain_fft_where_the_smooth_period_fits(monkeypatch):
+    """The trace case (1, 10, 0, 0.2) at h = 0.01, 2000 lags, puts its
+    T = 0 part on the 11-smooth period 12,600 (the least is 12,567) and
+    takes one FFT of that length per row, for the unshifted and the shifted
+    transform.  The T = 0.2 thermal part (period about 2e5 over about 2,500
+    nodes) and every part of the oracle-check grid (h = 0.005, 2000 lags,
+    least period 25,133) keep the chirp: three FFTs of its own length."""
+    def transforms(params, h, n_lags):
+        calls = []
+        real = covariance._zoom_dft
+
+        def spy(g, period, m_lo, n_out):
+            first = len(fft)
+            out = real(g, period, m_lo, n_out)
+            calls.append((period, g.shape[-1], n_out, fft[first:]))
+            return out
+
+        with monkeypatch.context() as m:
+            fft = _fft_lengths(m)
+            m.setattr(covariance, "_zoom_dft", spy)
+            covariance._lag_kernels(params, h, n_lags,
+                                    covariance._transient_omega_max(params, h, 1e-5, n_lags))
+        return calls
+
+    cold = transforms(ModelParams(1.0, 10.0, 0.0, 0.2), 0.01, 2000)
+    assert [period for period, *_ in cold] == [12600, 12600]
+    assert all(fft == [(6, 12600)] for *_, fft in cold)
+
+    warm = transforms(ModelParams(1.0, 10.0, 0.2, 0.2), 0.01, 2000)
+    assert warm[:2] == cold
+    for period, n_nodes, n_out, fft in warm[2:]:
+        chirp = covariance._next_fast_len(n_nodes + n_out - 1)
+        assert period > chirp and [n for _, n in fft] == [chirp] * 3
+
+    for temperature in (0.0, 0.2):
+        oracle = transforms(ModelParams(1.0, 10.0, temperature, 0.1), 0.005, 2000)
+        assert oracle and oracle[0][0] == 25133
+        for period, n_nodes, n_out, fft in oracle:
+            assert [n for _, n in fft] == [covariance._next_fast_len(n_nodes + n_out - 1)] * 3
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.2])
+def test_lag_kernel_grids_are_logged_at_debug(caplog, temperature):
+    """One DEBUG line per spectrum part names its node count, period, dw,
+    and the transform and FFT length of each lag range; nothing above DEBUG."""
+    import logging
+
+    params = ModelParams(1.0, 10.0, temperature, 0.2)
+    h, n_lags = 0.01, 2000
+    omega_max = covariance._transient_omega_max(params, h, 1e-5, n_lags)
+    with caplog.at_level(logging.INFO, logger="bathpair"):
+        covariance._lag_kernels(params, h, n_lags, omega_max)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="bathpair"):
+        covariance._lag_kernels(params, h, n_lags, omega_max)
+    lines = [rec.getMessage() for rec in caplog.records if rec.funcName == "_lag_kernels"]
+    assert len(lines) == (2 if temperature > 0 else 1)
+    dw = math.pi / (h * 12600)
+    n_nodes = math.ceil(omega_max / dw - 1e-9) + 1
+    assert lines[0] == (f"lag kernels, T = 0 part: {n_nodes} nodes, period 12600, dw {dw:.6g}; "
+                        "plain FFT of 12600 at m >= 0, plain FFT of 12600 at m >= -1999")
+    if temperature > 0:
+        assert lines[1].startswith("lag kernels, thermal part: ")
+        assert lines[1].count("chirp FFT of ") == 2 and "plain" not in lines[1]
 
 
 @pytest.mark.parametrize("real", [False, True])

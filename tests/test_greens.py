@@ -440,6 +440,35 @@ def test_fft_durbin_sum_matches_dense_sum(p, monkeypatch):
     assert g.tail_contribution == pytest.approx(np.max(tails), rel=1e-9)
 
 
+def _division_terms(s, sK, b):
+    """`greens._node_terms` as divisions: 1/D, s/D and (1 + sK)/D each by
+    its own complex division, and 1/(s + b)^n by complex powers."""
+    D = s * s + 1.0 + sK
+    return 1.0 / D, s / D, (1.0 + sK) / D, 1.0 / (s + b), 1.0 / (s + b) ** 2, 1.0 / (s + b) ** 3
+
+
+@pytest.mark.parametrize("params, t_max", [
+    ((1.0, 10.0, 0.0, 0.2), 40.0),          # the paper's trace
+    ((50.0, 100.0, 0.0, 0.2), 1.0),         # the box corner
+], ids=["trace", "box-corner"])
+def test_node_products_match_the_division_form(monkeypatch, params, t_max):
+    """One reciprocal of D and of s + b per node, the rest products, gives
+    G within 1e-12 of its largest entry of the form with three divisions and
+    two powers, on the trace grid of each point (4.9e-14 of 1.68 on the
+    trace; 3.5e-11 of 54.6 at the box corner, whose 36,843 terms carry
+    subtracted parts of order 1e6 / |s + b|^3); G(0), the tail and the
+    reflection residual stay inside their gates."""
+    q = ModelParams(*params)
+    grid = _trace_grid(q, t_max)
+    ours = greens_time(grid, q)
+    monkeypatch.setattr(greens, "_node_terms", _division_terms)
+    ref = greens_time(grid, q)
+    assert np.max(np.abs(ours.time_values - ref.time_values)) <= 1e-12 * np.max(np.abs(ref.time_values))
+    assert np.max(np.abs(ours.time_values[0] - np.eye(4))) <= greens.G0_TOL
+    assert ours.tail_contribution <= greens.TAIL_TOL
+    assert ours.imag_residual <= 1e-9
+
+
 def test_inversion_memory_is_set_by_the_grid_not_the_term_count():
     """At (gamma, Omega, T, r) = (50, 100, 0, 0.2) on [0, 5] with h = 2e-3 the
     period is 20 and c4 = w0^2 = 1.0e8, so the series has K + 1 = 184,214 terms
